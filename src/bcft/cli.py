@@ -20,13 +20,47 @@ import os
 import sys
 from pathlib import Path
 
+from .characters import DEFAULT_ORDER, characters_for, qseries_document, s_transform_residual
+from .errors import BcftError, CheckFailure, MigrationError, ModelValidationError
+from .fusion import fusion_document, verlinde
+from .hp import num_str
+from .invariants import diagonal_invariant, enumerate_physical, invariant_document
+from .modular_data import (
+    DEFAULT_PRECISION,
+    build_minimal,
+    build_su2,
+    load_model,
+    model_name,
+    model_to_document,
+)
+from .nimreps import (
+    enumerate_su2_nimreps,
+    generate_from_generator,
+    nimrep_document,
+    nimrep_from_document,
+    psi_matrix,
+    regular_nimrep,
+    spectrum_match,
+    verify,
+)
+from .persistence import Cache, cache_key, canonical_json, export, make_entry
+from .report import (
+    annulus,
+    annulus_document,
+    full_report,
+    heat_kernel_check,
+    index_document,
+    index_report,
+)
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK = 2
 
-DEFAULT_PRECISION = 50
-DEFAULT_ORDER = 400
 DEFAULT_TOL = 1e-8
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +71,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_common(p: argparse.ArgumentParser, order_default: int = DEFAULT_ORDER):
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (rejected values exit 1)."""
+
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+
+    return parse
+
+
+def _add_common(p: argparse.ArgumentParser):
     g = p.add_argument_group("model selection")
     g.add_argument("--model", choices=["su2", "minimal"], help="built-in family")
     g.add_argument("--level", type=int, help="su2 level k")
@@ -45,15 +93,14 @@ def _add_common(p: argparse.ArgumentParser, order_default: int = DEFAULT_ORDER):
     g.add_argument("--pp", type=int, help="minimal-model label p' (2 <= p' < p)")
     g.add_argument("--model-file", help="path to a structured model document")
     n = p.add_argument_group("numeric knobs")
-    n.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    n.add_argument("--order", type=int, default=order_default)
+    n.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION)
+    n.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
     n.add_argument(
         "--beta", type=float, default=None, help="inverse temperature (default 2*pi)"
     )
     o = p.add_argument_group("output")
     o.add_argument("--out", default=None, help="write results to this file")
     o.add_argument("--format", choices=["text", "structured"], default="text")
-    o.add_argument("--threads", type=int, default=1, help="cap internal parallelism")
     o.add_argument("--cache", default=None, metavar="DIR", help="enable the on-disk cache")
 
 
@@ -139,8 +186,6 @@ def build_parser() -> _Parser:
 
 
 def _resolve_model(args):
-    from .modular_data import build_minimal, build_su2, load_model
-
     if args.model_file:
         doc = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
         return load_model(doc, args.precision)
@@ -195,9 +240,6 @@ def _parse_theta(md, text: str) -> dict:
 
 
 def _resolve_invariant_and_nimrep(args, md, fr):
-    from .invariants import diagonal_invariant, enumerate_physical
-    from .nimreps import enumerate_su2_nimreps, regular_nimrep, spectrum_match
-
     tag = getattr(args, "invariant_tag", None)
     if tag is None:
         return diagonal_invariant(md), regular_nimrep(fr)
@@ -210,14 +252,10 @@ def _resolve_invariant_and_nimrep(args, md, fr):
     for nr in enumerate_su2_nimreps(md, Z.size):
         if spectrum_match(nr, Z, md).ok:
             return Z, nr
-    from .errors import CheckFailure
-
     raise CheckFailure("no nimrep matches the spectrum of invariant %s" % tag)
 
 
 def _load_nimrep(args, fr):
-    from .nimreps import nimrep_from_document, regular_nimrep
-
     if args.nimrep == "regular":
         return regular_nimrep(fr)
     doc = json.loads(Path(args.nimrep).read_text(encoding="utf-8"))
@@ -228,8 +266,6 @@ def _cached(args, operation: str, inputs: dict, compute):
     """Run compute() through the cache when --cache is set."""
     if not args.cache:
         return compute()
-    from .persistence import Cache, cache_key, make_entry
-
     cache = Cache(args.cache)
     key = cache_key(operation, inputs, args.precision, getattr(args, "order", None))
     payload = cache.load(key)
@@ -245,8 +281,6 @@ def _cached(args, operation: str, inputs: dict, compute):
 
 
 def _cmd_models(args):
-    from .modular_data import model_to_document
-
     if not (args.model or args.model_file):
         return {
             "format": "bcft-model-list/1",
@@ -264,8 +298,6 @@ def _cmd_models(args):
 
 
 def _cmd_fusion(args):
-    from .fusion import fusion_document, verlinde
-
     md = _resolve_model(args)
     doc = _cached(
         args,
@@ -277,9 +309,6 @@ def _cmd_fusion(args):
 
 
 def _cmd_invariants(args):
-    from .invariants import enumerate_physical, invariant_document
-    from .modular_data import model_name
-
     md = _resolve_model(args)
 
     def compute():
@@ -295,9 +324,6 @@ def _cmd_invariants(args):
 
 
 def _cmd_nimreps_enumerate(args):
-    from .modular_data import model_name
-    from .nimreps import enumerate_su2_nimreps, nimrep_document
-
     md = _resolve_model(args)
 
     def compute():
@@ -315,9 +341,6 @@ def _cmd_nimreps_enumerate(args):
 
 
 def _cmd_nimreps_verify(args):
-    from .fusion import verlinde
-    from .nimreps import nimrep_from_document, verify
-
     md = _resolve_model(args)
     doc = json.loads(Path(args.nimrep_file).read_text(encoding="utf-8"))
     nr = nimrep_from_document(doc)
@@ -331,8 +354,6 @@ def _cmd_nimreps_verify(args):
 
 
 def _cmd_nimreps_generate(args):
-    from .nimreps import generate_from_generator, nimrep_document
-
     md = _resolve_model(args)
     G = json.loads(Path(args.generator_file).read_text(encoding="utf-8"))
     nr = generate_from_generator(tuple(tuple(int(x) for x in row) for row in G), md)
@@ -340,9 +361,6 @@ def _cmd_nimreps_generate(args):
 
 
 def _cmd_characters(args):
-    from .characters import characters_for, qseries_document
-    from .modular_data import model_name
-
     md = _resolve_model(args)
 
     def compute():
@@ -361,10 +379,6 @@ def _cmd_characters(args):
 
 
 def _cmd_annulus(args):
-    from .fusion import verlinde
-    from .modular_data import model_name
-    from .report import annulus, annulus_document
-
     md = _resolve_model(args)
     fr = verlinde(md)
     nr = _load_nimrep(args, fr)
@@ -381,10 +395,6 @@ def _cmd_annulus(args):
 
 
 def _cmd_check_s_transform(args):
-    from .characters import s_transform_residual
-    from .hp import num_str
-    from .modular_data import model_name
-
     md = _resolve_model(args)
     res = s_transform_residual(md, args.order, args.beta, args.precision, tol=args.tol)
     ok = res < args.tol
@@ -400,12 +410,6 @@ def _cmd_check_s_transform(args):
 
 
 def _cmd_check_heat_kernel(args):
-    from .fusion import verlinde
-    from .hp import num_str
-    from .modular_data import model_name
-    from .nimreps import psi_matrix
-    from .report import heat_kernel_check
-
     md = _resolve_model(args)
     fr = verlinde(md)
     Z, nr = _resolve_invariant_and_nimrep(args, md, fr)
@@ -433,9 +437,6 @@ def _cmd_check_heat_kernel(args):
 
 
 def _cmd_indices(args):
-    from .modular_data import model_name
-    from .report import index_document, index_report
-
     md = _resolve_model(args)
     theta = _parse_theta(md, args.theta)
 
@@ -443,7 +444,6 @@ def _cmd_indices(args):
         rep = index_report(md, theta)
         doc = {"model": model_name(md)}
         doc.update(index_document(md, rep))
-        doc["format"] = "bcft-index/1"
         return doc
 
     inputs = dict(
@@ -454,9 +454,6 @@ def _cmd_indices(args):
 
 
 def _cmd_report(args):
-    from .fusion import verlinde
-    from .report import full_report
-
     md = _resolve_model(args)
     fr = verlinde(md)
     Z, nr = _resolve_invariant_and_nimrep(args, md, fr)
@@ -516,8 +513,6 @@ def _print_config(args):
 
 
 def _emit(args, doc):
-    from .persistence import canonical_json, export
-
     if args.format == "structured":
         text = canonical_json(doc) + "\n"
     else:
@@ -530,48 +525,19 @@ def _emit(args, doc):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads and args.threads > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, str(args.threads))
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     _print_config(args)
 
-    from .errors import (
-        CheckFailure,
-        DegenerateExponents,
-        IntegralityFailure,
-        MigrationError,
-        ModelValidationError,
-        NegativityFailure,
-        RationalizationFailure,
-        SearchBudgetExceeded,
-        SizeMismatch,
-        SpectralRadiusTooLarge,
-    )
-
-    check_errors = (
-        CheckFailure,
-        DegenerateExponents,
-        IntegralityFailure,
-        NegativityFailure,
-        RationalizationFailure,
-        SearchBudgetExceeded,
-        SizeMismatch,
-        SpectralRadiusTooLarge,
-    )
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
         doc, code = handler(args)
-    except check_errors as exc:
-        sys.stderr.write("check failed: %s\n" % exc)
-        return EXIT_CHECK
     except (ModelValidationError, MigrationError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_VALIDATION
+    except BcftError as exc:
+        sys.stderr.write("check failed: %s\n" % exc)
+        return EXIT_CHECK
     _emit(args, doc)
     return code
 

@@ -30,16 +30,6 @@ class FusionRing:
     def as_array(self) -> np.ndarray:
         return np.array(self.N, dtype=np.int64)
 
-    def nonzero_quadruples(self):
-        quads = []
-        for s in range(self.n):
-            for r in range(self.n):
-                for t in range(self.n):
-                    v = self.N[s][r][t]
-                    if v:
-                        quads.append((s, r, t, v))
-        return tuple(quads)
-
 
 def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) -> FusionRing:
     """N^tau_{sigma rho} = sum_kappa S_sk S_rk conj(S_tk) / S_0k, rounded.

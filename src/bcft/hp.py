@@ -80,16 +80,15 @@ def parse_number(s: str, dps: int):
         return mp.mpf(s)
 
 
+def tolerance(dps: int):
+    """The precision-tied threshold 10^-(dps//2), computed at guard
+    precision: residuals below it count as zero at dps digits."""
+    with workdps(dps + GUARD_DIGITS):
+        return mpf(10) ** (-(dps // 2))
+
+
 # ---------------------------------------------------------------------------
 # small dense linear algebra on tuple matrices
-
-
-def mat(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def identity(n):
-    return tuple(tuple(mpf(1) if i == j else mpf(0) for j in range(n)) for i in range(n))
 
 
 def matmul(a, b):
@@ -106,58 +105,34 @@ def max_abs_diff(a, b):
     return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def max_abs(a):
-    return max(abs(x) for r in a for x in r)
-
-
 def nullspace(rows, n_vars: int, dps: int):
     """Kernel basis of a real linear system at working precision.
 
-    rows: iterable of coefficient sequences (mpf).  Returns a list of
-    basis vectors in reduced echelon form over the free variables,
-    canonical for the subspace.
+    rows: iterable of coefficient sequences (mpf) over n_vars unknowns.
+    Returns one basis vector per free column, with a unit entry there:
+    reduced echelon form over the free variables, canonical for the subspace.
     """
     with workdps(dps + GUARD_DIGITS):
-        a = [list(map(mpf, r)) for r in rows if any(x != 0 for x in r)]
-        thresh = mpf(10) ** (-(dps // 2))
-        pivots = []
-        row = 0
-        for col in range(n_vars):
-            best, best_val = None, thresh
-            for r in range(row, len(a)):
-                v = abs(a[r][col])
-                if v > best_val:
-                    best, best_val = r, v
-            if best is None:
-                continue
-            a[row], a[best] = a[best], a[row]
-            pv = a[row][col]
-            a[row] = [x / pv for x in a[row]]
-            for r in range(len(a)):
-                if r != row and abs(a[r][col]) > 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
-            if row == len(a):
-                break
-        free = [c for c in range(n_vars) if c not in pivots]
+        a, pivots = rref_rows([r for r in rows if any(x != 0 for x in r)], dps)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(n_vars) if c not in pivots):
             v = [mpf(0)] * n_vars
             v[fc] = mpf(1)
             for r, pc in enumerate(pivots):
                 v[pc] = -a[r][fc]
             basis.append(v)
-        return basis, pivots, free
+        return basis
 
 
 def rref_rows(vectors, dps: int):
-    """Reduced row echelon form of a list of row vectors; returns
-    (rows, pivot_columns)."""
+    """Reduced row echelon form of a list of row vectors (Gauss-Jordan
+    with partial pivoting; entries below tolerance(dps) count as zero).
+
+    Returns (nonzero rows, pivot_columns).
+    """
     with workdps(dps + GUARD_DIGITS):
+        thresh = tolerance(dps)
         a = [list(map(mpf, v)) for v in vectors]
-        thresh = mpf(10) ** (-(dps // 2))
         n_vars = len(a[0]) if a else 0
         pivots = []
         row = 0

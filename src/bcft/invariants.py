@@ -20,7 +20,7 @@ from .errors import (
     RationalizationFailure,
     SearchBudgetExceeded,
 )
-from .hp import GUARD_DIGITS, nullspace, rationalize, rref_rows
+from .hp import GUARD_DIGITS, nullspace, rationalize, rref_rows, tolerance
 from .modular_data import ModularData, quantum_dims, vacuum_row_real
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -52,6 +52,19 @@ def exponents_of(Z) -> tuple:
     for i, row in enumerate(Z):
         out.extend([i] * row[i])
     return tuple(out)
+
+
+def _matrix(n, pairs, vec):
+    """n x n integer matrix with vec at the positions pairs, zero elsewhere."""
+    Z = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(pairs, vec):
+        Z[i][j] = x
+    return tuple(tuple(row) for row in Z)
+
+
+def _invariant(md: ModularData, Z) -> ModularInvariant:
+    exps = exponents_of(Z)
+    return ModularInvariant(Z, exps, ade_tag(md, exps))
 
 
 def t_allowed_pairs(md: ModularData) -> tuple:
@@ -104,10 +117,9 @@ def _commutant(md: ModularData):
     dps = md.precision
     with workdps(dps + GUARD_DIGITS):
         rows = _s_constraint_rows(md, pairs)
-        basis, _, _ = nullspace(rows, len(pairs), dps)
-        reduced, pivots = rref_rows(basis, dps) if basis else ([], [])
+        reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
         exact = [[rationalize(x) for x in vec] for vec in reduced]
-        tol = mpf(10) ** (-(dps // 2))
+        tol = tolerance(dps)
         for vec_f, vec_x in zip(reduced, exact):
             for f, x in zip(vec_f, vec_x):
                 if abs(f - mpf(x.numerator) / x.denominator) > tol:
@@ -115,22 +127,6 @@ def _commutant(md: ModularData):
                         "rationalized basis does not reproduce the nullspace"
                     )
     return pairs, exact, pivots
-
-
-def _vector_to_matrix(n, pairs, vec):
-    Z = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), x in zip(pairs, vec):
-        Z[i][j] = x
-    return Z
-
-
-def commutant_basis(md: ModularData) -> list:
-    """Basis matrices (exact rationals) of the commutant of {S, T}."""
-    pairs, exact, _ = _commutant(md)
-    return [
-        tuple(tuple(row) for row in _vector_to_matrix(md.n, pairs, vec))
-        for vec in exact
-    ]
 
 
 def perron_row(md: ModularData) -> int:
@@ -154,7 +150,7 @@ def entry_bounds(md: ModularData) -> tuple:
     """
     dps = md.precision
     with workdps(dps + GUARD_DIGITS):
-        eps = mpf(10) ** (-(dps // 2))
+        eps = tolerance(dps)
         if all(x > 0 for x in vacuum_row_real(md)):
             d = [mp.re(x) for x in quantum_dims(md)]
             return tuple(
@@ -324,16 +320,8 @@ def enumerate_physical(
     bounds_by_var = [bounds[i][j] for (i, j) in pairs]
     vacuum_var = pairs.index((0, 0))
     vecs = _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget)
-    out = []
-    for vec in vecs:
-        Z = [[0] * md.n for _ in range(md.n)]
-        for (i, j), x in zip(pairs, vec):
-            Z[i][j] = x
-        Z = tuple(tuple(row) for row in Z)
-        exps = exponents_of(Z)
-        out.append(ModularInvariant(Z, exps, ade_tag(md, exps)))
-    out.sort(key=lambda inv: inv.flat())
-    return tuple(out)
+    invs = (_invariant(md, _matrix(md.n, pairs, vec)) for vec in vecs)
+    return tuple(sorted(invs, key=lambda inv: inv.flat()))
 
 
 def enumerate_bruteforce(
@@ -400,27 +388,19 @@ def enumerate_bruteforce(
     descend(0, partial)
 
     out = []
-    tol = mpf(10) ** (-(dps // 2))
+    tol = tolerance(dps)
     for vec in solutions:
-        Z = [[0] * md.n for _ in range(md.n)]
-        for (i, j), x in zip(pairs, vec):
-            Z[i][j] = x
-        Z = tuple(tuple(row) for row in Z)
-        res = invariant_residuals(md, Z)
-        if res["s_commutation"] > tol:
-            continue
-        exps = exponents_of(Z)
-        out.append(ModularInvariant(Z, exps, ade_tag(md, exps)))
+        Z = _matrix(md.n, pairs, vec)
+        if invariant_residuals(md, Z)["s_commutation"] <= tol:
+            out.append(_invariant(md, Z))
     out.sort(key=lambda inv: inv.flat())
     return tuple(out)
 
 
 def diagonal_invariant(md: ModularData) -> ModularInvariant:
-    Z = tuple(
-        tuple(1 if i == j else 0 for j in range(md.n)) for i in range(md.n)
-    )
-    exps = exponents_of(Z)
-    return ModularInvariant(Z, exps, ade_tag(md, exps))
+    diagonal = [(i, i) for i in range(md.n)]
+    return _invariant(md, _matrix(md.n, diagonal, [1] * md.n))
+
 
 
 INVARIANT_DOCUMENT_FORMAT = "bcft-invariant/1"

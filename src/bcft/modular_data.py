@@ -33,10 +33,10 @@ from .hp import (
     conj_transpose,
     matmul,
     max_abs_diff,
-    mpf_from_fraction,
     num_str,
     parse_number,
     phase_from_fraction,
+    tolerance,
 )
 
 DEFAULT_PRECISION = 50
@@ -96,15 +96,11 @@ def vacuum_row_real(md: ModularData):
     return row
 
 
-def _tolerance(precision: int):
-    return mpf(10) ** (-(precision // 2))
-
-
-def _conjugation_from_s(S, precision):
-    """Read the permutation C = S^2; raises if S^2 is not a permutation."""
-    n = len(S)
-    tol = _tolerance(precision)
-    C = matmul(S, S)
+def _conjugation_from_s(C, precision):
+    """Read the conjugation permutation off C = S^2 (the product S S is
+    passed in); raises if C is not a permutation matrix."""
+    n = len(C)
+    tol = tolerance(precision)
     conj = []
     for i in range(n):
         hits = [j for j in range(n) if abs(C[i][j] - 1) < tol]
@@ -125,7 +121,7 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True) -> dict:
     signed vacuum-row entries in this convention.
     """
     n = md.n
-    tol = _tolerance(md.precision)
+    tol = tolerance(md.precision)
     with workdps(md.precision + GUARD_DIGITS):
         if [s.id for s in md.sectors] != list(range(n)):
             raise DocumentFormatError("sector ids must be 0..n-1 in order")
@@ -140,14 +136,12 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True) -> dict:
         res_uni = max_abs_diff(matmul(md.S, conj_transpose(md.S)), ident)
         if res_uni > tol:
             raise UnitarityViolation("max |S S^dagger - 1| = " + mp.nstr(res_uni, 5))
-        conj = _conjugation_from_s(md.S, md.precision)
-        if conj != md.conj:
+        S2 = matmul(md.S, md.S)
+        if _conjugation_from_s(S2, md.precision) != md.conj:
             raise ModularRelationViolation("stored conjugation disagrees with S^2")
         # (ST)^3 = S^2 with T diagonal
         ST = tuple(tuple(md.S[i][j] * md.T[j] for j in range(n)) for i in range(n))
-        lhs = matmul(matmul(ST, ST), ST)
-        rhs = matmul(md.S, md.S)
-        res_st = max_abs_diff(lhs, rhs)
+        res_st = max_abs_diff(matmul(matmul(ST, ST), ST), S2)
         if res_st > tol:
             raise ModularRelationViolation("max |(ST)^3 - S^2| = " + mp.nstr(res_st, 5))
         t0 = phase_from_fraction(-md.c / 24, md.precision)
@@ -169,10 +163,12 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True) -> dict:
 
 
 def _finish(sectors, c, h, S, precision, family, params):
+    """Add T and the conjugation to (sectors, c, h, S) and validate; a
+    model without a builder family must have a positive vacuum row."""
     n = len(sectors)
     with workdps(precision + GUARD_DIGITS):
         T = tuple(phase_from_fraction(h[i] - c / 24, precision) for i in range(n))
-        conj = _conjugation_from_s(S, precision)
+        conj = _conjugation_from_s(matmul(S, S), precision)
     md = ModularData(
         sectors=tuple(sectors),
         c=c,
@@ -184,7 +180,7 @@ def _finish(sectors, c, h, S, precision, family, params):
         family=family,
         params=params,
     )
-    validate(md, require_positive_vacuum_row=md.is_unitary_family())
+    validate(md, require_positive_vacuum_row=family is None or md.is_unitary_family())
     return md
 
 
@@ -343,18 +339,4 @@ def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularDat
         raise DocumentFormatError("S must be %d x %d" % (n, n))
     with workdps(precision + GUARD_DIGITS):
         S = tuple(tuple(parse_number(x, precision) for x in row) for row in raw_s)
-        T = tuple(phase_from_fraction(h[i] - c / 24, precision) for i in range(n))
-        conj = _conjugation_from_s(S, precision)
-    md = ModularData(
-        sectors=tuple(sectors),
-        c=c,
-        h=tuple(h),
-        S=S,
-        T=T,
-        conj=conj,
-        precision=precision,
-        family=None,
-        params=(),
-    )
-    validate(md, require_positive_vacuum_row=True)
-    return md
+    return _finish(sectors, c, h, S, precision, None, ())

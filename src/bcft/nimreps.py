@@ -17,13 +17,14 @@ from mpmath import mp, mpf, workdps
 from .errors import (
     CheckFailure,
     DegenerateExponents,
+    DocumentFormatError,
     NegativityFailure,
     SearchBudgetExceeded,
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing, fusion_matrix
-from .hp import GUARD_DIGITS, eig_general, eig_symmetric
+from .hp import GUARD_DIGITS, eig_general, eig_symmetric, tolerance
 from .invariants import DEFAULT_NODE_BUDGET, ModularInvariant
 from .modular_data import ModularData
 
@@ -239,7 +240,7 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
     dps = md.precision
     m = nr.size
     with workdps(dps + GUARD_DIGITS):
-        tol = mpf(10) ** (-(dps // 2))
+        tol = tolerance(dps)
         ratios = [
             [mp.re(md.S[rho][lam] / md.S[0][lam]) for lam in exps]
             for rho in range(md.n)
@@ -562,19 +563,20 @@ def _certify_norm(c: np.ndarray, k: int, dps: int) -> bool:
         return abs(top - want) < mpf(10) ** (-20)
 
 
+NIMREP_DOCUMENT_FORMAT = "bcft-nimrep/1"
+
+
 def nimrep_document(nr: Nimrep) -> dict:
     return {
-        "format": "bcft-nimrep/1",
+        "format": NIMREP_DOCUMENT_FORMAT,
         "labels": list(nr.labels),
         "nmats": [[list(row) for row in mat] for mat in nr.nmats],
     }
 
 
 def nimrep_from_document(doc: dict) -> Nimrep:
-    from .errors import DocumentFormatError
-
-    if doc.get("format") != "bcft-nimrep/1":
-        raise DocumentFormatError("expected a bcft-nimrep/1 document")
+    if doc.get("format") != NIMREP_DOCUMENT_FORMAT:
+        raise DocumentFormatError("expected a %s document" % NIMREP_DOCUMENT_FORMAT)
     return Nimrep(
         tuple(doc["labels"]),
         tuple(

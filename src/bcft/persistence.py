@@ -45,7 +45,7 @@ from .modular_data import (
     load_model,
     model_to_document,
 )
-from .nimreps import Nimrep, nimrep_document, nimrep_from_document
+from .nimreps import NIMREP_DOCUMENT_FORMAT, Nimrep, nimrep_document, nimrep_from_document
 
 ARTIFACT_VERSION = "0.1.0"
 CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
@@ -55,7 +55,7 @@ _LOADERS = {
     MODEL_DOCUMENT_FORMAT: load_model,
     FUSION_DOCUMENT_FORMAT: fusion_from_document,
     INVARIANT_DOCUMENT_FORMAT: invariant_from_document,
-    "bcft-nimrep/1": nimrep_from_document,
+    NIMREP_DOCUMENT_FORMAT: nimrep_from_document,
     QSERIES_DOCUMENT_FORMAT: qseries_from_document,
 }
 

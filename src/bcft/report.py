@@ -148,6 +148,10 @@ def normalize_theta(md: ModularData, theta_mult) -> tuple:
         mults = [0] * md.n
         for key, val in theta_mult.items():
             idx = key if isinstance(key, int) else md.sector_named(str(key))
+            if not 0 <= idx < md.n:
+                raise ValueError(
+                    "sector index %d is outside 0..%d" % (idx, md.n - 1)
+                )
             mults[idx] = int(val)
     else:
         mults = [int(x) for x in theta_mult]

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: documents, exit codes, cache."""
 
+import inspect
 import json
 
 import pytest
 
+import bcft.errors
+from bcft import cli
 from bcft.cli import main as cli_main
 from bcft.nimreps import e6_graph
 
@@ -219,6 +222,63 @@ def test_validation_errors_exit_one(capsys, tmp_path):
     for argv in cases:
         code, _, _ = run(argv, capsys)
         assert code == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["indices", "--model", "minimal", "--p", "4", "--pp", "3",
+          "--theta", "0:1,7:1"], "sector index 7 is outside 0..2"),
+        (["indices", "--model", "minimal", "--p", "4", "--pp", "3",
+          "--theta", "0:1,-1:1"], "sector index -1 is outside 0..2"),
+        (["characters", "--model", "su2", "--level", "2", "--order", "-1"],
+         "argument --order"),
+        (["models", "--model", "su2", "--level", "2", "--precision", "0"],
+         "argument --precision"),
+        (["models", "--model", "su2", "--level", "2", "--precision", "-5"],
+         "argument --precision"),
+    ],
+)
+def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
+    for fmt in ("text", "structured"):
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
+def _error_classes():
+    return sorted(
+        (obj for obj in vars(bcft.errors).values()
+         if isinstance(obj, type) and issubclass(obj, bcft.errors.BcftError)),
+        key=lambda cls: cls.__name__,
+    )
+
+
+def _instance(cls):
+    """An instance built from placeholder values for the required
+    arguments of cls (classes such as IntegralityFailure take data)."""
+    required = [
+        p for p in list(inspect.signature(cls.__init__).parameters.values())[1:]
+        if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+    ]
+    return cls(*[0] * len(required)) if required else cls("raised on purpose")
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_domain_error_maps_to_its_exit_code(cls, capsys, monkeypatch):
+    exc = _instance(cls)
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, ("models", None), handler)
+    code, out, err = run(["models"], capsys)
+    validation = (bcft.errors.ModelValidationError, bcft.errors.MigrationError)
+    assert code == (1 if issubclass(cls, validation) else 2)
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_check_failures_exit_two(capsys, tmp_path):

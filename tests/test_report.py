@@ -161,9 +161,18 @@ def test_theta_normalization_and_errors():
     with pytest.raises(KeyError):
         normalize_theta(md, {"sigma": 1})  # unknown name
     with pytest.raises(ValueError):
+        normalize_theta(md, {0: 1, 7: 1})  # index past the last sector
+    with pytest.raises(ValueError):
         index_report(md, (0, 1, 0))  # vacuum missing
     with pytest.raises(ValueError):
         index_report(md, (1, -1, 0))  # negative multiplicity
+
+
+@pytest.mark.parametrize("index", [3, 7, -1])
+def test_theta_index_outside_sector_range_is_rejected(index):
+    """A negative index must not wrap onto the last sector."""
+    with pytest.raises(ValueError, match="outside 0..2"):
+        index_report(ISING(), {0: 1, index: 1})
 
 
 def test_index_document_strings():
