@@ -21,6 +21,7 @@ from .hp import GUARD_DIGITS, kahan_sum, mpf_from_fraction
 from .modular_data import ModularData
 
 DEFAULT_ORDER = 400
+S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
 
 QSERIES_DOCUMENT_FORMAT = "bcft-qseries/1"
 
@@ -293,6 +294,54 @@ def truncation_tail(order: int, q_abs, offset_min: Fraction, dps: int):
         return tail * q_abs ** mpf_from_fraction(offset_min, dps)
 
 
+class _Evaluated:
+    """One (model, order) character table at q = exp(-beta) and
+    q~ = exp(-4 pi^2 / beta) (beta defaults to 2 pi), with the truncation
+    tail estimate at each nome.  A value is computed on first use and
+    then shared by every channel check of the same call.  Create and use
+    it at the working precision dps + GUARD_DIGITS."""
+
+    def __init__(self, chis: tuple, order: int, beta, dps: int):
+        beta = mpf(beta) if beta is not None else 2 * mp.pi
+        if beta <= 0:
+            raise ValueError("beta must be positive")
+        self.nomes = (mp.exp(-beta), mp.exp(-4 * mp.pi ** 2 / beta))
+        offset_min = min(chi.offset for chi in chis)
+        self.tail_q, self.tail_qt = (
+            truncation_tail(order, x, offset_min, dps) for x in self.nomes
+        )
+        self.chis = chis
+        self.dps = dps
+        self.values = {}
+
+    def at(self, rho: int, dual: bool = False):
+        """chi_rho(q), or chi_rho(q~) when dual."""
+        key = (rho, dual)
+        if key not in self.values:
+            self.values[key] = self.chis[rho].evaluate(self.nomes[dual], self.dps)
+        return self.values[key]
+
+
+def _warn_if_tail_dominates(tail, tol):
+    if tail > mpf(tol):
+        warnings.warn(
+            "truncation tail estimate %s exceeds tolerance %s"
+            % (mp.nstr(tail, 5), tol),
+            ConvergenceWarning,
+            stacklevel=4,  # the caller of the public check
+        )
+
+
+def _s_residual(md: ModularData, ev: _Evaluated, tol):
+    raw = mpf(0)
+    for lam in range(md.n):
+        transformed = kahan_sum(md.S[lam][mu] * ev.at(mu) for mu in range(md.n))
+        raw = max(raw, abs(ev.at(lam, dual=True) - transformed))
+    tail = max(ev.tail_q, ev.tail_qt)
+    _warn_if_tail_dominates(tail, tol)
+    return max(raw, tail)
+
+
 def s_transform_residual(
     md: ModularData,
     order: int = DEFAULT_ORDER,
@@ -307,36 +356,11 @@ def s_transform_residual(
     larger, and a ConvergenceWarning fires if the estimate exceeds tol.
     """
     dps = precision if precision is not None else md.precision
-    if order < 200:
-        raise ValueError("order must be at least 200")
+    if order < S_TRANSFORM_MIN_ORDER:
+        raise ValueError("order must be at least %d" % S_TRANSFORM_MIN_ORDER)
     with workdps(dps + GUARD_DIGITS):
-        beta = mpf(beta) if beta is not None else 2 * mp.pi
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        chis = characters_for(md, order)
-        q = mp.exp(-beta)
-        qt = mp.exp(-4 * mp.pi ** 2 / beta)
-        vals_q = [chi.evaluate(q, dps) for chi in chis]
-        vals_qt = [chi.evaluate(qt, dps) for chi in chis]
-        raw = mpf(0)
-        for lam in range(md.n):
-            transformed = kahan_sum(
-                md.S[lam][mu] * vals_q[mu] for mu in range(md.n)
-            )
-            raw = max(raw, abs(vals_qt[lam] - transformed))
-        offset_min = min(chi.offset for chi in chis)
-        tail = max(
-            truncation_tail(order, q, offset_min, dps),
-            truncation_tail(order, qt, offset_min, dps),
-        )
-        if tail > mpf(tol):
-            warnings.warn(
-                "truncation tail estimate %s exceeds tolerance %s"
-                % (mp.nstr(tail, 5), tol),
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-        return max(raw, tail)
+        ev = _Evaluated(characters_for(md, order), order, beta, dps)
+        return _s_residual(md, ev, tol)
 
 
 def qseries_document(f: QSeries) -> dict:

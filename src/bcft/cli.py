@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,11 +33,11 @@ from .modular_data import (
     model_to_document,
 )
 from .nimreps import (
+    NIMREP_DOCUMENT_FORMAT,
     enumerate_su2_nimreps,
     generate_from_generator,
     nimrep_document,
     nimrep_from_document,
-    psi_matrix,
     regular_nimrep,
     spectrum_match,
     verify,
@@ -48,9 +47,9 @@ from .report import (
     annulus,
     annulus_document,
     full_report,
-    heat_kernel_check,
     index_document,
     index_report,
+    max_heat_kernel_residual,
 )
 
 EXIT_OK = 0
@@ -58,9 +57,6 @@ EXIT_VALIDATION = 1
 EXIT_CHECK = 2
 
 DEFAULT_TOL = 1e-8
-
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,10 +209,11 @@ def _model_descriptor(args) -> dict:
 
 
 def _parse_pair(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError('--pair must look like "1,2"')
-    return int(parts[0]), int(parts[1])
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError('--pair must look like "1,2", got %r' % text) from None
+    return a, b
 
 
 def _parse_theta(md, text: str) -> dict:
@@ -235,8 +232,31 @@ def _parse_theta(md, text: str) -> dict:
             idx = int(key)
         except ValueError:
             idx = md.sector_named(key)
-        theta[idx] = int(mult)
+        try:
+            theta[idx] = int(mult)
+        except ValueError:
+            raise ValueError(
+                "--theta item %r: multiplicity %r is not an integer" % (item, mult)
+            ) from None
     return theta
+
+
+def _read_generator(path: str) -> tuple:
+    """Square integer adjacency matrix from a JSON file."""
+    try:
+        G = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        G = None
+    if (
+        isinstance(G, list)
+        and all(isinstance(row, list) and len(row) == len(G) for row in G)
+        and all(isinstance(x, int) for row in G for x in row)
+    ):
+        return tuple(tuple(row) for row in G)
+    raise ValueError(
+        "--generator-file %s: expected a square integer adjacency matrix "
+        "(a JSON list of rows)" % path
+    )
 
 
 def _resolve_invariant_and_nimrep(args, md, fr):
@@ -258,8 +278,20 @@ def _resolve_invariant_and_nimrep(args, md, fr):
 def _load_nimrep(args, fr):
     if args.nimrep == "regular":
         return regular_nimrep(fr)
-    doc = json.loads(Path(args.nimrep).read_text(encoding="utf-8"))
-    return nimrep_from_document(doc)
+    return _read_nimrep("--nimrep", args.nimrep)
+
+
+def _read_nimrep(flag: str, path: str):
+    """Nimrep from a structured document file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(doc, dict):
+            return nimrep_from_document(doc)
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(
+        "%s %s: expected a %s document" % (flag, path, NIMREP_DOCUMENT_FORMAT)
+    )
 
 
 def _cached(args, operation: str, inputs: dict, compute):
@@ -342,8 +374,7 @@ def _cmd_nimreps_enumerate(args):
 
 def _cmd_nimreps_verify(args):
     md = _resolve_model(args)
-    doc = json.loads(Path(args.nimrep_file).read_text(encoding="utf-8"))
-    nr = nimrep_from_document(doc)
+    nr = _read_nimrep("--nimrep-file", args.nimrep_file)
     rep = verify(nr, verlinde(md))
     out = {
         "format": "bcft-verify/1",
@@ -355,8 +386,7 @@ def _cmd_nimreps_verify(args):
 
 def _cmd_nimreps_generate(args):
     md = _resolve_model(args)
-    G = json.loads(Path(args.generator_file).read_text(encoding="utf-8"))
-    nr = generate_from_generator(tuple(tuple(int(x) for x in row) for row in G), md)
+    nr = generate_from_generator(_read_generator(args.generator_file), md)
     return nimrep_document(nr), EXIT_OK
 
 
@@ -413,15 +443,9 @@ def _cmd_check_heat_kernel(args):
     md = _resolve_model(args)
     fr = verlinde(md)
     Z, nr = _resolve_invariant_and_nimrep(args, md, fr)
-    psi = psi_matrix(nr, Z, md)
-    worst = 0
-    for a in nr.labels:
-        for b in nr.labels:
-            res = heat_kernel_check(
-                md, nr, Z, a, b, args.beta, args.order, args.precision,
-                tol=args.tol, psi=psi,
-            )
-            worst = max(worst, res)
+    worst = max_heat_kernel_residual(
+        md, nr, Z, args.beta, args.order, args.precision, tol=args.tol
+    )
     ok = worst < args.tol
     doc = {
         "format": "bcft-check/1",
@@ -525,8 +549,6 @@ def _emit(args, doc):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for var in BLAS_THREAD_VARS:
-        os.environ.setdefault(var, "1")
     _print_config(args)
 
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]

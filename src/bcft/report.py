@@ -9,18 +9,19 @@ identity is the main numerical certificate of every report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
 
 from .characters import (
     DEFAULT_ORDER,
+    S_TRANSFORM_MIN_ORDER,
+    _Evaluated,
+    _s_residual,
+    _warn_if_tail_dominates,
     characters_for,
-    s_transform_residual,
-    truncation_tail,
 )
-from .errors import ConvergenceWarning, DegenerateExponents
+from .errors import DegenerateExponents
 from .hp import GUARD_DIGITS, kahan_sum, num_str
 from .invariants import ModularInvariant, invariant_document
 from .modular_data import (
@@ -62,10 +63,13 @@ def annulus(
     """Character content of the boundary pair (a, b)."""
     if a not in nr.labels or b not in nr.labels:
         raise ValueError("unknown boundary label in (%r, %r)" % (a, b))
+    return _annulus(md, nr, characters_for(md, order), a, b)
+
+
+def _annulus(md: ModularData, nr: Nimrep, chis: tuple, a: int, b: int):
     ai = nr.labels.index(a)
     bi = nr.labels.index(b)
     mults = tuple(int(nr.nmats[rho][ai][bi]) for rho in range(md.n))
-    chis = characters_for(md, order)
     series = None
     for rho, mult in enumerate(mults):
         if mult == 0:
@@ -100,46 +104,61 @@ def heat_kernel_check(
         psi = psi_matrix(nr, Z, md)
     dps = precision if precision is not None else md.precision
     with workdps(dps + GUARD_DIGITS):
-        beta = mpf(beta) if beta is not None else 2 * mp.pi
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        q = mp.exp(-beta)
-        qt = mp.exp(-4 * mp.pi ** 2 / beta)
-        chis = characters_for(md, order)
-        ai = nr.labels.index(a)
-        bi = nr.labels.index(b)
-        open_channel = kahan_sum(
-            nr.nmats[rho][ai][bi] * chis[rho].evaluate(q, dps)
-            for rho in range(md.n)
-            if nr.nmats[rho][ai][bi]
-        )
-        closed_channel = kahan_sum(
-            psi.psi[ai][i]
-            * mp.conj(psi.psi[bi][i])
-            * chis[lam].evaluate(qt, dps)
-            / md.S[0][lam]
-            for i, lam in enumerate(psi.exponents)
-        )
-        raw = abs(open_channel - closed_channel)
+        ev = _Evaluated(characters_for(md, order), order, beta, dps)
+        return _heat_kernel(md, nr, psi, ev, a, b, tol)
 
-        offset_min = min(chi.offset for chi in chis)
-        weight_open = sum(nr.nmats[rho][ai][bi] for rho in range(md.n))
-        weight_closed = kahan_sum(
-            abs(psi.psi[ai][i] * psi.psi[bi][i] / md.S[0][lam])
-            for i, lam in enumerate(psi.exponents)
-        )
-        tail = max(
-            weight_open * truncation_tail(order, q, offset_min, dps),
-            weight_closed * truncation_tail(order, qt, offset_min, dps),
-        )
-        if tail > mpf(tol):
-            warnings.warn(
-                "truncation tail estimate %s exceeds tolerance %s"
-                % (mp.nstr(tail, 5), tol),
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-        return max(raw, tail)
+
+def max_heat_kernel_residual(
+    md: ModularData,
+    nr: Nimrep,
+    Z: ModularInvariant,
+    beta=None,
+    order: int = DEFAULT_ORDER,
+    precision: int | None = None,
+    tol: float = HEAT_KERNEL_TOL,
+):
+    """Largest heat_kernel_check residual over all boundary pairs,
+    with the characters built and evaluated once."""
+    psi = psi_matrix(nr, Z, md)
+    dps = precision if precision is not None else md.precision
+    with workdps(dps + GUARD_DIGITS):
+        ev = _Evaluated(characters_for(md, order), order, beta, dps)
+        return _max_heat_kernel(md, nr, psi, ev, tol)
+
+
+def _max_heat_kernel(md, nr, psi, ev, tol):
+    return max(
+        _heat_kernel(md, nr, psi, ev, a, b, tol)
+        for a in nr.labels
+        for b in nr.labels
+    )
+
+
+def _heat_kernel(md, nr, psi, ev, a, b, tol):
+    ai = nr.labels.index(a)
+    bi = nr.labels.index(b)
+    open_channel = kahan_sum(
+        nr.nmats[rho][ai][bi] * ev.at(rho)
+        for rho in range(md.n)
+        if nr.nmats[rho][ai][bi]
+    )
+    closed_channel = kahan_sum(
+        psi.psi[ai][i]
+        * mp.conj(psi.psi[bi][i])
+        * ev.at(lam, dual=True)
+        / md.S[0][lam]
+        for i, lam in enumerate(psi.exponents)
+    )
+    raw = abs(open_channel - closed_channel)
+
+    weight_open = sum(nr.nmats[rho][ai][bi] for rho in range(md.n))
+    weight_closed = kahan_sum(
+        abs(psi.psi[ai][i] * psi.psi[bi][i] / md.S[0][lam])
+        for i, lam in enumerate(psi.exponents)
+    )
+    tail = max(weight_open * ev.tail_q, weight_closed * ev.tail_qt)
+    _warn_if_tail_dominates(tail, tol)
+    return max(raw, tail)
 
 
 def normalize_theta(md: ModularData, theta_mult) -> tuple:
@@ -250,11 +269,14 @@ def full_report(
                 "cardy_tolerance": "1e-12",
             }
 
+        # one character table serves every pair and both channel checks
+        chis = characters_for(md, order)
+        ev = _Evaluated(chis, order, beta_v, dps)
         pairs = []
         vacuum_ok = True
         for a in nr.labels:
             for b in nr.labels:
-                spectrum = annulus(md, nr, a, b, order)
+                spectrum = _annulus(md, nr, chis, a, b)
                 pairs.append(annulus_document(md, spectrum))
                 if spectrum.vacuum_present != (a == b):
                     vacuum_ok = False
@@ -266,13 +288,7 @@ def full_report(
         if psi is None:
             doc["heat_kernel"] = {"status": "skipped-degenerate-exponents"}
         else:
-            worst = mpf(0)
-            for a in nr.labels:
-                for b in nr.labels:
-                    res = heat_kernel_check(
-                        md, nr, Z, a, b, beta_v, order, dps, psi=psi
-                    )
-                    worst = max(worst, res)
+            worst = _max_heat_kernel(md, nr, psi, ev, HEAT_KERNEL_TOL)
             doc["heat_kernel"] = {
                 "status": "ok",
                 "max_residual": num_str(worst, dps),
@@ -280,7 +296,12 @@ def full_report(
                 "beta": num_str(beta_v, dps),
             }
 
-        s_res = s_transform_residual(md, max(order, 200), beta_v, dps)
+        if order < S_TRANSFORM_MIN_ORDER:
+            ev = _Evaluated(
+                characters_for(md, S_TRANSFORM_MIN_ORDER),
+                S_TRANSFORM_MIN_ORDER, beta_v, dps,
+            )
+        s_res = _s_residual(md, ev, 1e-8)
         doc["s_transform"] = {
             "status": "ok",
             "max_residual": num_str(s_res, dps),

@@ -248,6 +248,61 @@ def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
         assert "Traceback" not in err
 
 
+GENERATE = ["nimreps", "generate", "--model", "su2", "--level", "10"]
+ANNULUS = ["annulus", "--model", "minimal", "--p", "4", "--pp", "3", "--pair", "0,0"]
+VERIFY = ["nimreps", "verify", "--model", "su2", "--level", "2"]
+NOT_A_MATRIX = "square integer adjacency matrix"
+NOT_A_NIMREP = "expected a bcft-nimrep/1 document"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, content, message",
+    [
+        (GENERATE, "--generator-file",
+         json.dumps({"format": "bcft-nimrep/1", "labels": [0, 1]}), NOT_A_MATRIX),
+        (GENERATE, "--generator-file", json.dumps([[0, "a"], ["a", 0]]), NOT_A_MATRIX),
+        (GENERATE, "--generator-file", json.dumps([[0, 1.5], [1.5, 0]]), NOT_A_MATRIX),
+        (GENERATE, "--generator-file", json.dumps([[0, 1], [1]]), NOT_A_MATRIX),
+        (GENERATE, "--generator-file", "not json", NOT_A_MATRIX),
+        (ANNULUS, "--nimrep", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
+        (ANNULUS, "--nimrep", json.dumps({"format": "bcft-nimrep/1"}), NOT_A_NIMREP),
+        (ANNULUS, "--nimrep", "not json", NOT_A_NIMREP),
+        (VERIFY, "--nimrep-file", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
+    ],
+)
+def test_malformed_input_file_names_the_flag_and_file(
+    argv, flag, content, message, capsys, tmp_path
+):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    for fmt in ("text", "structured"):
+        code, out, err = run(argv + [flag, str(path), "--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert "%s %s: " % (flag, path) in err
+        assert message in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["indices", "--model", "minimal", "--p", "4", "--pp", "3", "--theta", "0:x"],
+         "--theta item '0:x'"),
+        (["annulus", "--model", "minimal", "--p", "4", "--pp", "3", "--pair", "1,x"],
+         "--pair must look like \"1,2\", got '1,x'"),
+        (["annulus", "--model", "minimal", "--p", "4", "--pp", "3", "--pair", "1,2,3"],
+         "--pair must look like \"1,2\", got '1,2,3'"),
+    ],
+)
+def test_malformed_flag_value_names_the_flag_and_item(argv, message, capsys):
+    for fmt in ("text", "structured"):
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
 def _error_classes():
     return sorted(
         (obj for obj in vars(bcft.errors).values()

@@ -3,8 +3,11 @@
 import pytest
 from mpmath import mp, workdps
 
-from bcft.characters import characters_for
+import bcft.report
+from bcft.characters import characters_for, s_transform_residual
+from bcft.cli import main as cli_main
 from bcft.errors import ConvergenceWarning
+from bcft.hp import num_str
 from bcft.invariants import diagonal_invariant, enumerate_physical
 from bcft.nimreps import enumerate_su2_nimreps, psi_matrix, regular_nimrep
 from bcft.report import (
@@ -221,3 +224,65 @@ def test_full_report_clamps_low_series_order():
     doc = full_report(md, diagonal_invariant(md), nr, order=50)
     assert doc["s_transform"]["status"] == "ok"
     assert float(doc["s_transform"]["max_residual"]) < 1e-8
+
+
+@pytest.mark.parametrize("order, beta", [(400, None), (50, 2.0)])
+def test_full_report_matches_the_per_pair_functions(order, beta):
+    md = ISING()
+    Z = diagonal_invariant(md)
+    nr = regular_nimrep(fusion_minimal(4, 3))
+    dps = md.precision
+    doc = full_report(md, Z, nr, order=order, beta=beta)
+    pairs = [(a, b) for a in nr.labels for b in nr.labels]
+    assert doc["annulus"] == [
+        annulus_document(md, annulus(md, nr, a, b, order)) for a, b in pairs
+    ]
+    worst = max(
+        heat_kernel_check(md, nr, Z, a, b, beta, order, dps) for a, b in pairs
+    )
+    assert doc["heat_kernel"]["max_residual"] == num_str(worst, dps)
+    s_res = s_transform_residual(md, max(order, 200), beta, dps)
+    assert doc["s_transform"]["max_residual"] == num_str(s_res, dps)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+
+    def counting(md, order):
+        builds.append(order)
+        return characters_for(md, order)
+
+    monkeypatch.setattr(bcft.report, "characters_for", counting)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "order, expected", [(400, [400]), (200, [200]), (50, [50, 200])]
+)
+def test_full_report_builds_each_character_table_once(order, expected, monkeypatch):
+    md = ISING()
+    nr = regular_nimrep(fusion_minimal(4, 3))
+    builds = _count_builds(monkeypatch)
+    full_report(md, diagonal_invariant(md), nr, order=order)
+    assert builds == expected
+
+
+def test_check_heat_kernel_builds_once_with_unchanged_output(monkeypatch, capsys):
+    builds = _count_builds(monkeypatch)
+    code = cli_main(
+        [
+            "check", "heat-kernel", "--model", "su2", "--level", "10",
+            "--invariant-tag", "E6", "--format", "structured",
+        ]
+    )
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert builds == [400]
+    # stdout of the per-pair loop this check ran before
+    assert out == (
+        '{\n "check": "heat-kernel",\n "format": "bcft-check/1",\n'
+        ' "invariant_tag": "E6",\n'
+        ' "max_residual": "4.3561106945027991950008448376460869684131765181048e-60",\n'
+        ' "model": "su2_k10",\n "ok": true,\n "pairs": 36,\n'
+        ' "tolerance": "1e-08"\n}\n'
+    )
