@@ -45,7 +45,7 @@ class DocumentFormatError(ModelValidationError):
 class IntegralityFailure(BcftError):
     """A Verlinde coefficient failed to round to a non-negative integer.
 
-    Carries the worst offending triple and its residual.
+    Carries the first offending triple and its residual.
     """
 
     def __init__(self, triple, residual, message=None):

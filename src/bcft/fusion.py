@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf, workdps
+from mpmath import mp, workdps
 
 from .errors import DocumentFormatError, IntegralityFailure
-from .hp import GUARD_DIGITS
+from .hp import GUARD_DIGITS, Fixed, fixed_bits
 from .modular_data import ModularData
 
 DEFAULT_INTEGRALITY_TOL = 1e-10
@@ -31,46 +33,66 @@ class FusionRing:
         return np.array(self.N, dtype=np.int64)
 
 
+def verlinde_inputs(md: ModularData):
+    """S and the row 1/S_0k in fixed point, and the a-priori error bound.
+
+    Returns (S, W, E): S and W = (1/S_0k)_k rounded to B = fixed_bits(precision)
+    fraction bits.  verlinde forms U_k = S_sk S_rk W_k floored to B bits and
+    the exact contraction sum_k U_k conj(S_tk); E (a Fraction) bounds its
+    distance from sum_k S_sk S_rk conj(S_tk) / S_0k over the working-precision
+    S and 1/S_0k, from n, max|S|, max|W|, max|U| <= max|S|^2 max|W| and 2^-B.
+    """
+    bits = fixed_bits(md.precision)
+    with workdps(md.precision + GUARD_DIGITS):
+        S = Fixed.of(md.S, bits)
+        W = Fixed.of([1 / mp.mpmathify(x) for x in md.S[0]], bits)
+    # With eps = 2^-B: to_fixed moves an entry by at most eps in modulus and
+    # the floor of U by less than 2 eps; s_max and w_max bound the entries
+    # before and after rounding.  Then |U_k - S_sk S_rk / S_0k| <= e_u, and
+    # each of the n terms of a sum is off by at most e_u s_max + u_max eps.
+    eps = Fraction(1, 1 << bits)
+    s_max, w_max = ((math.isqrt(int(F.abs2().max())) + 2) * eps for F in (S, W))
+    e_u = eps * (2 * s_max * w_max + s_max * s_max + 2)
+    u_max = s_max * s_max * w_max + e_u
+    return S, W, md.n * (e_u * s_max + u_max * eps)
+
+
 def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) -> FusionRing:
     """N^tau_{sigma rho} = sum_kappa S_sk S_rk conj(S_tk) / S_0k, rounded.
 
-    Every coefficient must land within integrality_tol of a
-    non-negative integer; the worst offender otherwise raises
+    The sums are exact Python-int contractions of the fixed-point inputs
+    of verlinde_inputs, and the rounding is certified: every coefficient
+    must lie within integrality_tol - E of a non-negative integer; the
+    first offender in (sigma, rho >= sigma, tau) order otherwise raises
     IntegralityFailure.
     """
     n = md.n
-    with workdps(md.precision + GUARD_DIGITS):
-        is_complex = any(abs(mp.mpmathify(x).imag) != 0 for row in md.S for x in row)
-        S = [list(row) for row in md.S]
-        Sbar = [[mp.conj(x) for x in row] for row in S] if is_complex else S
-        inv0 = [1 / x for x in S[0]]
-        tol = mpf(integrality_tol)
-        worst = mpf(0)
-        worst_triple = (0, 0, 0)
-        N = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for s in range(n):
-            srow = S[s]
-            for r in range(s, n):
-                u = [srow[k] * S[r][k] * inv0[k] for k in range(n)]
-                for t in range(n):
-                    val = mp.fdot(u, Sbar[t])
-                    re = val.real if hasattr(val, "real") else val
-                    m = int(mp.nint(re))
-                    resid = abs(val - m)
-                    if resid > worst:
-                        worst, worst_triple = resid, (s, r, t)
-                    if resid > tol or m < 0:
-                        raise IntegralityFailure((s, r, t), float(resid))
-                    N[s][r][t] = m
-                    N[r][s][t] = m
-        return FusionRing(
-            n=n,
-            N=tuple(tuple(tuple(row) for row in plane) for plane in N),
-            conj=md.conj,
-            sector_names=tuple(sec.name for sec in md.sectors),
-            max_residual=float(worst),
-            precision=md.precision,
-        )
+    S, W, E = verlinde_inputs(md)
+    bits = 2 * S.bits
+    one = 1 << bits
+    slack = Fraction(integrality_tol) - E
+    limit = math.floor(slack * slack * one * one) if slack >= 0 else -1
+    Sbar_t = S.conj().T
+    N = np.empty((n, n, n), dtype=np.int64)
+    worst = 0
+    for s in range(n):
+        V = (S[s] * S[s:] * W).rescale(S.bits).dot(Sbar_t)  # rows rho = s..n-1
+        m = (V.re + (one >> 1)) >> bits
+        resid2 = Fixed(V.re - m * one, V.im, bits).abs2()
+        bad = ((resid2 > limit) | (m < 0)).astype(bool)
+        if bad.any():
+            r, t = map(int, np.argwhere(bad)[0])
+            raise IntegralityFailure((s, s + r, t), math.isqrt(int(resid2[r, t])) / one)
+        worst = max(worst, int(resid2.max()))
+        N[s, s:] = N[s:, s] = m.astype(np.int64)
+    return FusionRing(
+        n=n,
+        N=tuple(tuple(tuple(row) for row in plane) for plane in N.tolist()),
+        conj=md.conj,
+        sector_names=tuple(sec.name for sec in md.sectors),
+        max_residual=math.isqrt(worst) / one,
+        precision=md.precision,
+    )
 
 
 def fusion_matrix(fr: FusionRing, sigma: int) -> tuple:

@@ -2,18 +2,23 @@
 
 Precision is given in decimal digits everywhere.  Matrices are plain
 tuples of tuples of mpf/mpc so domain objects stay hashable and
-immutable; mpmath matrix objects are only created transiently.
+immutable; mpmath matrix objects and the fixed-point arrays of Fixed,
+which carry the exact big-int contractions, are only created transiently.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpf, mpc, workdps
 
 from .errors import RationalizationFailure
 
 GUARD_DIGITS = 10
+# binary digits carried past GUARD_DIGITS by the fixed-point format
+FIXED_GUARD_BITS = 8
 
 
 def mpf_from_fraction(x: Fraction, dps: int):
@@ -52,16 +57,18 @@ def rationalize(x, max_denominator: int = 10**6, tol=Fraction(1, 10**20)) -> Fra
 
 
 def num_str(x, dps: int) -> str:
-    """Deterministic decimal rendering at the given precision."""
+    """Deterministic decimal rendering at the given precision; a complex
+    value with zero imaginary part renders as its real part."""
     with workdps(dps + GUARD_DIGITS):
-        v = mp.mpf(x) if (isinstance(x, (int, float)) or getattr(x, "imag", 0) == 0) else mp.mpc(x)
-        if isinstance(v, mpc) or (hasattr(v, "imag") and v.imag != 0):
-            return "%s%s%si" % (
-                mp.nstr(v.real, dps, strip_zeros=False),
-                "+" if v.imag >= 0 else "-",
-                mp.nstr(abs(v.imag), dps, strip_zeros=False),
-            )
-        return mp.nstr(v, dps, strip_zeros=False)
+        v = mp.mpmathify(x)
+        if v.imag == 0:
+            return mp.nstr(mp.mpf(v.real), dps, strip_zeros=False)
+        v = mp.mpc(v)
+        return "%s%s%si" % (
+            mp.nstr(v.real, dps, strip_zeros=False),
+            "+" if v.imag >= 0 else "-",
+            mp.nstr(abs(v.imag), dps, strip_zeros=False),
+        )
 
 
 def parse_number(s: str, dps: int):
@@ -88,21 +95,99 @@ def tolerance(dps: int):
 
 
 # ---------------------------------------------------------------------------
+# exact fixed-point arithmetic on Python ints
+
+
+def fixed_bits(dps: int) -> int:
+    """Fraction bits B of the fixed-point format at dps digits: the guard
+    precision in binary plus FIXED_GUARD_BITS."""
+    return math.ceil((dps + GUARD_DIGITS) * math.log2(10)) + FIXED_GUARD_BITS
+
+
+def to_fixed(x, bits: int) -> int:
+    """round(x * 2^bits) for a real mpf, exactly from its mantissa and
+    exponent (halves round away from zero)."""
+    sign, man, exp, _ = x._mpf_
+    shift = exp + bits
+    v = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+    return -v if sign else v
+
+
+class Fixed:
+    """An array of complex values (re + i im) / 2^bits held as numpy
+    object arrays of Python ints; im is None when every entry is real.
+
+    Products are exact and add the scales; rescale() is the only
+    rounding step (floor, so it moves each part by less than 2^-bits).
+    """
+
+    __slots__ = ("re", "im", "bits")
+
+    def __init__(self, re, im, bits: int):
+        self.re, self.im, self.bits = re, im, bits
+
+    @classmethod
+    def of(cls, values, bits: int) -> "Fixed":
+        """Each entry of a nested sequence of mpf/mpc, rounded to 2^-bits."""
+        vals = np.array(values, dtype=object)
+        re = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).real, bits), 1, 1)(vals)
+        im = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).imag, bits), 1, 1)(vals)
+        return cls(re, im if im.any() else None, bits)
+
+    @classmethod
+    def identity(cls, n: int, bits: int) -> "Fixed":
+        return cls(np.identity(n, dtype=object) * (1 << bits), None, bits)
+
+    def _combine(self, other, op, bits):
+        re = op(self.re, other.re)
+        if self.im is None and other.im is None:
+            return Fixed(re, None, bits)
+        if other.im is None:
+            return Fixed(re, op(self.im, other.re), bits)
+        if self.im is None:
+            return Fixed(re, op(self.re, other.im), bits)
+        return Fixed(re - op(self.im, other.im),
+                     op(self.re, other.im) + op(self.im, other.re), bits)
+
+    def __mul__(self, other: "Fixed") -> "Fixed":
+        """Exact elementwise (broadcasting) product."""
+        return self._combine(other, np.multiply, self.bits + other.bits)
+
+    def dot(self, other: "Fixed") -> "Fixed":
+        """Exact matrix product."""
+        return self._combine(other, np.dot, self.bits + other.bits)
+
+    def rescale(self, bits: int) -> "Fixed":
+        """Floor every part down to 2^-bits."""
+        shift = self.bits - bits
+        return Fixed(self.re >> shift, None if self.im is None else self.im >> shift, bits)
+
+    def conj(self) -> "Fixed":
+        return Fixed(self.re, None if self.im is None else -self.im, self.bits)
+
+    @property
+    def T(self) -> "Fixed":
+        return Fixed(self.re.T, None if self.im is None else self.im.T, self.bits)
+
+    def __getitem__(self, index) -> "Fixed":
+        return Fixed(self.re[index], None if self.im is None else self.im[index], self.bits)
+
+    def __sub__(self, other: "Fixed") -> "Fixed":
+        im = (self.im if other.im is None else
+              -other.im if self.im is None else self.im - other.im)
+        return Fixed(self.re - other.re, im, self.bits)
+
+    def abs2(self):
+        """|entry|^2 * 4^bits, exactly, as an object array."""
+        return self.re * self.re if self.im is None else self.re * self.re + self.im * self.im
+
+    def max_abs(self):
+        """The largest modulus, as an mpf at the current precision."""
+        return mp.ldexp(mp.sqrt(mpf(int(self.abs2().max()))), -self.bits)
+
+
+# ---------------------------------------------------------------------------
 # small dense linear algebra on tuple matrices
-
-
-def matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    return tuple(tuple(mp.fdot(a[i], bt[j]) for j in range(p)) for i in range(n))
-
-
-def conj_transpose(a):
-    return tuple(tuple(mp.conj(a[j][i]) for j in range(len(a))) for i in range(len(a[0])))
-
-
-def max_abs_diff(a, b):
-    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def nullspace(rows, n_vars: int, dps: int):

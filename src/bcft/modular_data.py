@@ -30,12 +30,12 @@ from .errors import (
 )
 from .hp import (
     GUARD_DIGITS,
-    conj_transpose,
-    matmul,
-    max_abs_diff,
+    Fixed,
+    fixed_bits,
     num_str,
     parse_number,
     phase_from_fraction,
+    to_fixed,
     tolerance,
 )
 
@@ -96,15 +96,17 @@ def vacuum_row_real(md: ModularData):
     return row
 
 
-def _conjugation_from_s(C, precision):
-    """Read the conjugation permutation off C = S^2 (the product S S is
-    passed in); raises if C is not a permutation matrix."""
-    n = len(C)
-    tol = tolerance(precision)
+def _conjugation_from_s(S2: Fixed, precision):
+    """Read the conjugation permutation off C = S^2 (the fixed-point
+    product S S is passed in); raises if C is not a permutation matrix."""
+    n = len(S2.re)
+    tol2 = to_fixed(tolerance(precision), S2.bits) ** 2
+    near_one = (Fixed(S2.re - (1 << S2.bits), S2.im, S2.bits).abs2() < tol2).astype(bool)
+    near_zero = (S2.abs2() < tol2).astype(bool)
     conj = []
     for i in range(n):
-        hits = [j for j in range(n) if abs(C[i][j] - 1) < tol]
-        zeros = all(abs(C[i][j]) < tol for j in range(n) if j not in hits)
+        hits = [j for j in range(n) if near_one[i, j]]
+        zeros = all(near_zero[i, j] for j in range(n) if j not in hits)
         if len(hits) != 1 or not zeros:
             raise ModularRelationViolation("S^2 is not a permutation matrix")
         conj.append(hits[0])
@@ -113,35 +115,47 @@ def _conjugation_from_s(C, precision):
     return tuple(conj)
 
 
+def _square(S: Fixed) -> Fixed:
+    return S.dot(S).rescale(S.bits)
+
+
 def validate(md: ModularData, require_positive_vacuum_row: bool = True) -> dict:
     """Check all structural invariants; returns the residual report.
 
     Raises a distinct error type per violated invariant.  Positivity of
     the vacuum row is optional because non-unitary minimal models carry
-    signed vacuum-row entries in this convention.
+    signed vacuum-row entries in this convention.  The products S S^dagger,
+    S^2 and (ST)^3 are exact Python-int contractions of S and T rounded
+    to fixed_bits(precision) fraction bits.
     """
     n = md.n
     tol = tolerance(md.precision)
+    bits = fixed_bits(md.precision)
     with workdps(md.precision + GUARD_DIGITS):
         if [s.id for s in md.sectors] != list(range(n)):
             raise DocumentFormatError("sector ids must be 0..n-1 in order")
         if md.h[0] != 0:
             raise VacuumPlacementError("sector 0 must have h = 0")
-        res_sym = max_abs_diff(md.S, tuple(zip(*md.S)))
+        S = Fixed.of(md.S, bits)
+        res_sym = (S - S.T).max_abs()
         if res_sym > tol:
             raise SymmetryViolation("max |S - S^T| = " + mp.nstr(res_sym, 5))
-        ident = tuple(
-            tuple(mpf(1) if i == j else mpf(0) for j in range(n)) for i in range(n)
-        )
-        res_uni = max_abs_diff(matmul(md.S, conj_transpose(md.S)), ident)
+        S2 = _square(S)
+        # for a real S equal to its transpose, S S^dagger is S^2
+        real_symmetric = S.im is None and res_sym == 0
+        SSd = S2 if real_symmetric else S.dot(S.conj().T).rescale(bits)
+        res_uni = (SSd - Fixed.identity(n, bits)).max_abs()
         if res_uni > tol:
             raise UnitarityViolation("max |S S^dagger - 1| = " + mp.nstr(res_uni, 5))
-        S2 = matmul(md.S, md.S)
         if _conjugation_from_s(S2, md.precision) != md.conj:
             raise ModularRelationViolation("stored conjugation disagrees with S^2")
-        # (ST)^3 = S^2 with T diagonal
-        ST = tuple(tuple(md.S[i][j] * md.T[j] for j in range(n)) for i in range(n))
-        res_st = max_abs_diff(matmul(matmul(ST, ST), ST), S2)
+        # (ST)^3 = S^2 with T diagonal: (ST)^2 = S (T S T), (ST)^3 = ((ST)^2 S) T,
+        # so every contraction has S as one factor.  X * t scales column j of
+        # X by T_j, X * t.T row i by T_i.
+        t = Fixed.of([md.T], bits)
+        ST2 = S.dot((S * t * t.T).rescale(bits)).rescale(bits)
+        ST3 = (ST2.dot(S) * t).rescale(bits)
+        res_st = (ST3 - S2).max_abs()
         if res_st > tol:
             raise ModularRelationViolation("max |(ST)^3 - S^2| = " + mp.nstr(res_st, 5))
         t0 = phase_from_fraction(-md.c / 24, md.precision)
@@ -168,7 +182,7 @@ def _finish(sectors, c, h, S, precision, family, params):
     n = len(sectors)
     with workdps(precision + GUARD_DIGITS):
         T = tuple(phase_from_fraction(h[i] - c / 24, precision) for i in range(n))
-        conj = _conjugation_from_s(matmul(S, S), precision)
+        conj = _conjugation_from_s(_square(Fixed.of(S, fixed_bits(precision))), precision)
     md = ModularData(
         sectors=tuple(sectors),
         c=c,

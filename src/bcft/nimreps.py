@@ -102,15 +102,13 @@ def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
         if not np.array_equal(mats[fr.conj[sigma]], mats[sigma].T):
             violations.append(("conjugate_transpose", sigma))
     N = fr.as_array()
+    mats = np.stack(mats)
     for sigma in range(fr.n):
-        for rho in range(fr.n):
-            lhs = mats[sigma] @ mats[rho]
-            rhs = sum(
-                int(N[sigma][rho][tau]) * mats[tau]
-                for tau in range(fr.n)
-            )
-            if not np.array_equal(lhs, rhs):
-                violations.append(("product", sigma, rho))
+        # n_sigma n_rho against sum_tau N^tau_{sigma rho} n_tau, for every rho at once
+        lhs = mats[sigma] @ mats
+        rhs = np.tensordot(N[sigma], mats, axes=1)
+        for rho in np.flatnonzero((lhs != rhs).any(axis=(1, 2))):
+            violations.append(("product", sigma, int(rho)))
     return VerifyReport(tuple(violations))
 
 

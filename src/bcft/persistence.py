@@ -49,6 +49,10 @@ from .nimreps import NIMREP_DOCUMENT_FORMAT, Nimrep, nimrep_document, nimrep_fro
 
 ARTIFACT_VERSION = "0.1.0"
 CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
+# Version of the numeric code behind a cached result (1: fixed-point Verlinde
+# sums and modular checks).  Cache.load treats an entry recorded under another
+# value, or none, as a miss, so results of older numeric code are recomputed.
+NUMERIC_SCHEMA = 1
 
 # formats whose documents decode back to a domain object
 _LOADERS = {
@@ -163,6 +167,7 @@ def make_entry(
         meta={
             "artifact": ARTIFACT_VERSION,
             "operation": operation,
+            "numeric_schema": NUMERIC_SCHEMA,
             "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     )
@@ -207,7 +212,8 @@ class Cache:
         return entry.key
 
     def load(self, key: str):
-        """The stored payload document, or None on a miss."""
+        """The stored payload document, or None on a miss (no entry, or
+        one stored by numeric code of another NUMERIC_SCHEMA)."""
         path = self.path_for(key)
         try:
             text = path.read_text(encoding="utf-8")
@@ -224,6 +230,8 @@ class Cache:
             raise DocumentFormatError(
                 "cache file %s records key %r" % (path, wrapper.get("key"))
             )
+        if wrapper.get("meta", {}).get("numeric_schema") != NUMERIC_SCHEMA:
+            return None
         return wrapper["payload"]
 
 

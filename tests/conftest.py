@@ -2,7 +2,10 @@
 
 from functools import lru_cache
 
+from mpmath import mp, workdps
+
 from bcft.fusion import verlinde
+from bcft.hp import num_str
 from bcft.modular_data import build_minimal, build_su2
 
 
@@ -36,3 +39,20 @@ def all_coprime_pairs(p_max: int):
         for pp in range(2, p)
         if math.gcd(p, pp) == 1
     ]
+
+
+def su3_level1_document():
+    """Explicit-S su(3) level 1: S_ab = omega^(ab) / sqrt(3), omega = e^(2 pi i/3),
+    h = (0, 1/3, 1/3), c = 2; the only builder-less model with complex S."""
+    with workdps(70):
+        S = [[mp.expjpi(mp.mpf(2 * a * b) / 3) / mp.sqrt(3) for b in range(3)]
+             for a in range(3)]
+        rows = [[num_str(x, 60) for x in row] for row in S]
+    return {
+        "format": "bcft-model/1",
+        "name": "su3_k1",
+        "c": "2",
+        "sectors": [{"name": "1", "h": "0"}, {"name": "3", "h": "1/3"},
+                    {"name": "3bar", "h": "1/3"}],
+        "S": rows,
+    }

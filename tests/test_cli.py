@@ -201,6 +201,30 @@ def test_model_file_round_trip(capsys, tmp_path):
     assert from_file["tensor"] == direct["tensor"]
 
 
+def test_model_file_with_zero_imaginary_parts(capsys, tmp_path):
+    # S entries written as complex numbers with a zero imaginary part
+    plain = tmp_path / "plain.json"
+    code, _, _ = run(
+        ["models", "--model", "su2", "--level", "3", "--format", "structured",
+         "--out", str(plain)],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(plain.read_text())
+    del doc["builder"]
+    plain.write_text(json.dumps(doc))
+    doc["S"] = [[x + "+0.0i" for x in row] for row in doc["S"]]
+    complex_file = tmp_path / "complex.json"
+    complex_file.write_text(json.dumps(doc))
+    for fmt in ("structured", "text"):
+        code, out, err = run(["models", "--model-file", str(complex_file), "--format", fmt], capsys)
+        assert code == 0, err
+        assert "Traceback" not in err
+        code, want, _ = run(["models", "--model-file", str(plain), "--format", fmt], capsys)
+        assert code == 0
+        assert out == want
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -427,3 +451,33 @@ def test_cache_key_tracks_order(capsys, tmp_path):
         )
         assert code == 0
     assert len(list(cache.rglob("*.json"))) == 2
+
+
+def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["fusion", "--model", "minimal", "--p", "4", "--pp", "3",
+            "--format", "structured", "--cache", str(cache)]
+    code, fresh, _ = run(argv, capsys)
+    assert code == 0
+    (path,) = cache.rglob("*.json")
+    wrapper = json.loads(path.read_text())
+
+    # an entry as the mpmath Verlinde sum stored it: no numeric schema in meta
+    stale = json.loads(json.dumps(wrapper))
+    del stale["meta"]["numeric_schema"]
+    stale["payload"]["max_residual"] = "1.5557538194652854e-61"
+    path.write_text(json.dumps(stale))
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == fresh
+    restored = json.loads(path.read_text())
+    assert restored["payload"] == wrapper["payload"]
+    assert restored["meta"]["numeric_schema"] == wrapper["meta"]["numeric_schema"]
+
+    # the re-stored entry is served: a marked payload comes back unchanged
+    marked = json.loads(path.read_text())
+    marked["payload"]["max_residual"] = "1e-99"
+    path.write_text(json.dumps(marked))
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["max_residual"] == "1e-99"

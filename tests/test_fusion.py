@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf, workdps
 
 from bcft.errors import IntegralityFailure
 from bcft.fusion import (
@@ -15,8 +15,11 @@ from bcft.fusion import (
     fusion_matrix,
     verify_axioms,
     verlinde,
+    verlinde_inputs,
 )
-from conftest import fusion_minimal, fusion_su2, minimal, su2
+from bcft.hp import GUARD_DIGITS, tolerance
+from bcft.modular_data import load_model, validate
+from conftest import fusion_minimal, fusion_su2, minimal, su3_level1_document, su2
 
 
 def test_ising_fusion_table():
@@ -96,6 +99,66 @@ def test_integrality_failure_on_perturbed_s():
     with pytest.raises(IntegralityFailure) as exc:
         verlinde(bad)
     assert exc.value.residual > 1e-10
+
+
+def test_rounding_is_checked_against_the_error_bound():
+    # a tolerance the residual alone meets fails once the bound E is added
+    md = su2(2)
+    fr = verlinde(md)
+    E = verlinde_inputs(md)[2]
+    assert 0 < E < 1e-60
+    assert verlinde(md, integrality_tol=fr.max_residual + 2 * float(E)) == fr
+    with pytest.raises(IntegralityFailure):
+        verlinde(md, integrality_tol=fr.max_residual + float(E) / 2)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [lambda: su2(7), lambda: minimal(7, 3), lambda: load_model(su3_level1_document())],
+    ids=["su2_k7", "minimal_7_3", "su3_k1"],
+)
+def test_fixed_point_sums_lie_within_the_bound(model):
+    # the contraction verlinde forms, against the same sums over the
+    # working-precision S and 1/S_0k evaluated at 150 digits
+    md = model()
+    S, W, E = verlinde_inputs(md)
+    with workdps(md.precision + GUARD_DIGITS):
+        inv0 = [1 / x for x in md.S[0]]
+    worst = 0
+    with workdps(150):
+        for s in range(md.n):
+            V = (S[s] * S[s:] * W).rescale(S.bits).dot(S.conj().T)
+            for r in range(s, md.n):
+                for t in range(md.n):
+                    exact = mp.fsum(md.S[s][k] * md.S[r][k] * mp.conj(md.S[t][k]) * inv0[k]
+                                    for k in range(md.n))
+                    im = 0 if V.im is None else V.im[r - s, t]
+                    got = mp.mpc(V.re[r - s, t], im) / mp.mpf(2) ** (2 * S.bits)
+                    worst = max(worst, abs(got - exact))
+        bound = mp.mpf(E.numerator) / E.denominator
+        assert worst <= bound
+        assert worst > bound / 10**6  # and the bound is not vacuous
+
+
+@pytest.mark.parametrize("model", [lambda: su2(30), lambda: minimal(12, 11)],
+                         ids=["su2_k30", "minimal_12_11"])
+def test_error_bound_is_far_below_the_working_precision(model):
+    E = verlinde_inputs(model())[2]
+    assert E < 1e-50
+
+
+def test_complex_s_su3_level1():
+    md = load_model(su3_level1_document())
+    assert md.conj == (0, 2, 1)
+    fr = verlinde(md)
+    assert fr.N == tuple(
+        tuple(tuple(int(t == (a + b) % 3) for t in range(3)) for b in range(3))
+        for a in range(3)
+    )
+    assert fr.max_residual < 1e-50
+    assert verify_axioms(fr).ok
+    rep = validate(md)
+    assert all(rep[key] < tolerance(50) for key in ("symmetry", "unitarity", "modular_relation"))
 
 
 def test_document_round_trip():

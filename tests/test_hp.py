@@ -1,9 +1,18 @@
-"""Gauss-Jordan elimination and the precision-tied tolerance."""
+"""Gauss-Jordan elimination, the precision-tied tolerance, fixed-point
+products and decimal rendering."""
 
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps
 
-from bcft.hp import nullspace, rref_rows, tolerance
+from bcft.hp import (
+    Fixed,
+    fixed_bits,
+    num_str,
+    nullspace,
+    rref_rows,
+    to_fixed,
+    tolerance,
+)
 
 DPS = 30
 
@@ -65,3 +74,37 @@ def test_entries_below_tolerance_count_as_zero():
     _, pivots = rref_rows([[tiny, 1], [0, 0]], DPS)
     assert pivots == [1]
     assert nullspace([[tiny, 1]], 2, DPS) == [[1, -tiny]]
+
+
+def test_to_fixed_rounds_exactly_from_the_mantissa():
+    assert to_fixed(mpf(0.75), 1) == 2
+    assert to_fixed(mpf(-0.75), 1) == -2
+    assert to_fixed(mpf(0.7), 1) == 1
+    assert to_fixed(mpf(3), 4) == 48
+    with workdps(60):
+        third = mpf(1) / 3
+        assert abs(to_fixed(third, 200) - third * 2**200) <= mpf(1) / 2
+
+
+def test_fixed_complex_product_matches_mpmath():
+    bits = fixed_bits(DPS)
+    with workdps(DPS + 10):
+        a = [[mpc(1, 2) / 3, mp.sqrt(2)], [mp.pi, mpc(-1, mp.e)]]
+        b = [[mp.sqrt(3), mpc(0, 1) / 7], [mpc(2, -1), mp.ln(2)]]
+        prod = Fixed.of(a, bits).dot(Fixed.of(b, bits)).rescale(bits)
+        want = mp.matrix(a) * mp.matrix(b)
+        for i in range(2):
+            for j in range(2):
+                got = mpc(prod.re[i, j], prod.im[i, j]) / mpf(2) ** bits
+                assert abs(got - want[i, j]) < mpf(2) ** (-bits + 4)
+        real = Fixed.of([[mp.sqrt(2), 1]], bits)
+        assert real.im is None
+        assert (real - real).max_abs() == 0
+
+
+def test_num_str_renders_a_zero_imaginary_part_as_real():
+    with workdps(60):
+        x = mp.sqrt(2)
+        assert num_str(mpc(x, 0), 20) == num_str(x, 20) == "1.4142135623730950488"
+        assert num_str(complex(0.5, 0), 5) == "0.50000"
+        assert num_str(mpc(x, -x), 5) == "1.4142-1.4142i"

@@ -117,6 +117,33 @@ def test_verify_flags_broken_unit():
     assert not rep.ok
 
 
+def _product_violations_by_pair(candidate, fr):
+    """The product check one (sigma, rho) pair at a time, as a reference."""
+    mats = [np.array(mat, dtype=np.int64) for mat in candidate.nmats]
+    N = fr.as_array()
+    return [
+        ("product", sigma, rho)
+        for sigma in range(fr.n)
+        for rho in range(fr.n)
+        if not np.array_equal(
+            mats[sigma] @ mats[rho],
+            sum(int(N[sigma][rho][tau]) * mats[tau] for tau in range(fr.n)),
+        )
+    ]
+
+
+@pytest.mark.parametrize("k, sigma, a, b", [(4, 1, 0, 1), (4, 3, 2, 2), (6, 2, 4, 3)])
+def test_verify_product_violations_match_the_pairwise_check(k, sigma, a, b):
+    from bcft.nimreps import Nimrep
+
+    fr = fusion_su2(k)
+    mats = [np.array(mat, dtype=np.int64) for mat in regular_nimrep(fr).nmats]
+    mats[sigma][a, b] += 1
+    broken = Nimrep(tuple(range(fr.n)), tuple(tuple(map(tuple, m.tolist())) for m in mats))
+    got = [v for v in verify(broken, fr).violations if v[0] == "product"]
+    assert got and got == _product_violations_by_pair(broken, fr)
+
+
 # ---------------------------------------------------------------------------
 # enumeration: counts at invariant sizes, plus the tadpole exceptions
 

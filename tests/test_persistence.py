@@ -14,6 +14,7 @@ from bcft.invariants import enumerate_physical
 from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep
 from bcft.persistence import (
     ARTIFACT_VERSION,
+    NUMERIC_SCHEMA,
     Cache,
     cache_key,
     canonical_json,
@@ -136,6 +137,22 @@ def test_cache_meta_records_build_and_operation(tmp_path):
     assert wrapper["format"] == "bcft-cache/1"
     assert wrapper["key"] == entry.key
     assert wrapper["meta"]["artifact"] == ARTIFACT_VERSION
+
+
+def test_cache_misses_entries_of_other_numeric_code(tmp_path):
+    cache = Cache(tmp_path)
+    entry = make_entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
+    assert entry.meta["numeric_schema"] == NUMERIC_SCHEMA
+    path = cache.path_for(cache.store(entry))
+    wrapper = json.loads(path.read_text())
+    for meta in (
+        {k: v for k, v in entry.meta.items() if k != "numeric_schema"},
+        dict(entry.meta, numeric_schema=NUMERIC_SCHEMA - 1),
+    ):
+        path.write_text(json.dumps(dict(wrapper, meta=meta)))
+        assert cache.load(entry.key) is None
+    cache.store(entry)
+    assert cache.load(entry.key) == entry.payload
 
 
 def test_cache_refuses_foreign_versions_and_mismatched_keys(tmp_path):
