@@ -208,6 +208,14 @@ def _model_descriptor(args) -> dict:
     return {}
 
 
+def _nimrep_descriptor(args):
+    """Canonical cache-key ingredient for --nimrep: the file's content,
+    not its path, so that an overwritten file misses."""
+    if args.nimrep == "regular":
+        return "regular"
+    return {"file_sha256": hashlib.sha256(Path(args.nimrep).read_bytes()).hexdigest()}
+
+
 def _parse_pair(text: str) -> tuple:
     try:
         a, b = (int(x) for x in text.split(","))
@@ -420,7 +428,7 @@ def _cmd_annulus(args):
         doc.update(annulus_document(md, spectrum))
         return doc
 
-    inputs = dict(_model_descriptor(args), nimrep=args.nimrep, pair=[a, b])
+    inputs = dict(_model_descriptor(args), nimrep=_nimrep_descriptor(args), pair=[a, b])
     return _cached(args, "annulus", inputs, compute), EXIT_OK
 
 

@@ -51,7 +51,7 @@ def verlinde_inputs(md: ModularData):
     # before and after rounding.  Then |U_k - S_sk S_rk / S_0k| <= e_u, and
     # each of the n terms of a sum is off by at most e_u s_max + u_max eps.
     eps = Fraction(1, 1 << bits)
-    s_max, w_max = ((math.isqrt(int(F.abs2().max())) + 2) * eps for F in (S, W))
+    s_max, w_max = S.bound(), W.bound()
     e_u = eps * (2 * s_max * w_max + s_max * s_max + 2)
     u_max = s_max * s_max * w_max + e_u
     return S, W, md.n * (e_u * s_max + u_max * eps)
@@ -129,12 +129,15 @@ def verify_axioms(fr: FusionRing) -> AxiomReport:
     if not (A == A.transpose(1, 0, 2)).all():
         s, r, t = map(int, np.argwhere(A != A.transpose(1, 0, 2))[0])
         bad.append(("commutativity", (s, r, t)))
-    # associativity: sum_m N^m_{ab} N^d_{mc} = sum_m N^m_{bc} N^d_{am}
-    lhs = np.einsum("abm,mcd->abcd", A, A)
-    rhs = np.einsum("bcm,amd->abcd", A, A)
-    if not (lhs == rhs).all():
-        a, b, c, d = map(int, np.argwhere(lhs != rhs)[0])
-        bad.append(("associativity", (a, b, c, d)))
+    # associativity: sum_m N^m_{ab} N^d_{mc} = sum_m N^m_{bc} N^d_{am}, one
+    # a-slice at a time so that the memory stays n^3
+    for a in range(n):
+        lhs = np.einsum("bm,mcd->bcd", A[a], A)
+        rhs = np.einsum("bcm,md->bcd", A, A[a])
+        if not (lhs == rhs).all():
+            b, c, d = map(int, np.argwhere(lhs != rhs)[0])
+            bad.append(("associativity", (a, b, c, d)))
+            break
     return AxiomReport(violations=tuple(bad))
 
 

@@ -181,6 +181,11 @@ class Fixed:
         """|entry|^2 * 4^bits, exactly, as an object array."""
         return self.re * self.re if self.im is None else self.re * self.re + self.im * self.im
 
+    def bound(self) -> Fraction:
+        """An upper bound on every modulus, before and after the rounding
+        to 2^-bits."""
+        return Fraction(math.isqrt(int(self.abs2().max())) + 2, 1 << self.bits)
+
     def max_abs(self):
         """The largest modulus, as an mpf at the current precision."""
         return mp.ldexp(mp.sqrt(mpf(int(self.abs2().max()))), -self.bits)
@@ -257,18 +262,6 @@ def eig_symmetric(rows, dps: int):
         vecs = [[q[i, j] for i in range(n)] for j in range(n)]
         order = sorted(range(n), key=lambda i: vals[i])
         return [vals[i] for i in order], [vecs[i] for i in order]
-
-
-def eig_general(rows, dps: int):
-    """Eigenvalues of a general square matrix (complex list)."""
-    with workdps(dps + GUARD_DIGITS):
-        n = len(rows)
-        a = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = mp.mpmathify(rows[i][j])
-        e = mp.eig(a, left=False, right=False)
-        return list(e)
 
 
 def kahan_sum(terms):

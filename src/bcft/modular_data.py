@@ -12,6 +12,7 @@ the conjugation permutation and (ST)^3 = S^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,6 +199,13 @@ def _finish(sectors, c, h, S, precision, family, params):
     return md
 
 
+def _sinpi_over(den: int):
+    """num -> sin(pi num/den) at the current precision, one mp.sinpi per
+    distinct integer num.  The argument is not reduced mod 2: that would
+    change its rounding, and with it the S entries."""
+    return functools.lru_cache(maxsize=None)(lambda num: mp.sinpi(mpf(num) / den))
+
+
 def build_su2(k: int, precision: int = DEFAULT_PRECISION) -> ModularData:
     """su(2) level k: sectors a = 0..k (twice the spin)."""
     if not isinstance(k, int) or k < 0:
@@ -210,8 +218,9 @@ def build_su2(k: int, precision: int = DEFAULT_PRECISION) -> ModularData:
     sectors = [SectorLabel(a, str(a)) for a in range(k + 1)]
     with workdps(precision + GUARD_DIGITS):
         norm = mp.sqrt(mpf(2) / N)
+        sin = _sinpi_over(N)
         S = tuple(
-            tuple(norm * mp.sinpi(mpf((a + 1) * (b + 1)) / N) for b in range(k + 1))
+            tuple(norm * sin((a + 1) * (b + 1)) for b in range(k + 1))
             for a in range(k + 1)
         )
     return _finish(sectors, c, h, S, precision, "su2", (k,))
@@ -251,6 +260,7 @@ def build_minimal(p: int, p_prime: int, precision: int = DEFAULT_PRECISION) -> M
     n = len(table)
     with workdps(precision + GUARD_DIGITS):
         norm = 2 * mp.sqrt(mpf(2) / (p * p_prime))
+        sin_r, sin_s = _sinpi_over(p_prime), _sinpi_over(p)
         S_rows = []
         for (r, s), _ in table:
             row = []
@@ -259,8 +269,8 @@ def build_minimal(p: int, p_prime: int, precision: int = DEFAULT_PRECISION) -> M
                 row.append(
                     norm
                     * sign
-                    * mp.sinpi(mpf(p * r * rho) / p_prime)
-                    * mp.sinpi(mpf(p_prime * s * sigma) / p)
+                    * sin_r(p * r * rho)
+                    * sin_s(p_prime * s * sigma)
                 )
             S_rows.append(tuple(row))
         S = tuple(S_rows)

@@ -9,7 +9,10 @@ enumeration reduces to a graph search for valid generators.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -23,12 +26,12 @@ from .errors import (
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
-from .fusion import FusionRing, fusion_matrix
-from .hp import GUARD_DIGITS, eig_general, eig_symmetric, tolerance
+from .fusion import FusionRing, fusion_matrix, verlinde_inputs
+from .hp import GUARD_DIGITS, Fixed, eig_symmetric, to_fraction, tolerance
+from .intpoly import charpoly, divmod_poly, mul, psi, roots_above
 from .invariants import DEFAULT_NODE_BUDGET, ModularInvariant
 from .modular_data import ModularData
 
-SPECTRUM_TOL = 1e-15
 PSI_TOL = 1e-12
 
 
@@ -62,12 +65,14 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class MatchReport:
-    deviations: tuple
-    tol: float
+    """The sectors rho whose n^rho has a characteristic polynomial other
+    than prod over the exponents lambda of (x - S_rho lambda / S_0 lambda)."""
+
+    mismatches: tuple
 
     @property
     def ok(self) -> bool:
-        return all(d <= self.tol for d in self.deviations)
+        return not self.mismatches
 
 
 @dataclass(frozen=True)
@@ -160,62 +165,93 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
     )
 
 
-def _su2_eigenvalue_table(md: ModularData, thetas):
-    """Chebyshev growth of the generator eigenvalues: value of each
-    n^a on a generator eigenvector with eigenvalue theta."""
-    (k,) = md.params
-    table = []
-    prev = [mpf(1)] * len(thetas)
-    cur = list(thetas)
-    table.append(prev)
-    table.append(cur)
-    for _ in range(2, k + 1):
-        nxt = [c * t - p for c, t, p in zip(cur, thetas, prev)]
-        table.append(nxt)
-        prev, cur = cur, nxt
-    return table
+def _su2_exponent_polynomial(k: int, exps) -> list | None:
+    """prod over the exponents lambda of (x - 2cos(pi j/h)), j = lambda + 1,
+    h = k + 2, or None when the multiset is not Galois-closed.
+
+    2cos(pi j/h) is a root of psi_(2h/g), g = gcd(j, 2h), whose roots are
+    the 2cos(pi j'/h) over the j' in 1..h-1 with gcd(j', 2h) = g; a
+    product of psi's therefore needs the same multiplicity on each class.
+    """
+    n = 2 * (k + 2)
+    mult = Counter(lam + 1 for lam in exps)
+    out = [1]
+    for g in sorted({math.gcd(j, n) for j in mult}):
+        counts = {mult[j] for j in range(1, k + 2) if math.gcd(j, n) == g}
+        if len(counts) != 1:
+            return None
+        for _ in range(counts.pop()):
+            out = mul(out, psi(n // g))
+    return out
 
 
-def spectrum_match(
-    nr: Nimrep,
-    Z: ModularInvariant,
-    md: ModularData,
-    fr: FusionRing | None = None,
-    tol: float = SPECTRUM_TOL,
-) -> MatchReport:
-    """Compare eigenvalue multisets of n^rho with the S-matrix ratios
-    over the exponents of Z, sector by sector."""
+def _elementary(re, im) -> tuple:
+    """e_0..e_m of the values re_j + i im_j (exact integers), as the lists
+    of real and imaginary parts."""
+    e_re, e_im = [1] + [0] * len(re), [0] * (len(re) + 1)
+    for x, y in zip(re, im):
+        for i in range(len(re), 0, -1):
+            e_re[i] += x * e_re[i - 1] - y * e_im[i - 1]
+            e_im[i] += x * e_im[i - 1] + y * e_re[i - 1]
+    return e_re, e_im
+
+
+def _ratio_polynomial(S: Fixed, W: Fixed, rho: int, exps) -> tuple:
+    """prod over lambda in exps of (x - S_rho lambda / S_0 lambda) in fixed
+    point, with its error bound, from (S, W, _) = fusion.verlinde_inputs.
+
+    Returns (bits, e_re, e_im, err): coefficient i of the product is
+    (-1)^i (e_re[i] + i e_im[i]) / 2^(bits i), within err[i] / 2^(bits i) of
+    the product over the working-precision S.  Rounding S and W = 1/S_0
+    moves a ratio by at most (s_max + w_max) 2^-bits, and the floor of
+    each part by less than 2^-bits, so by at most delta in all.  With
+    b_lambda >= |ratio| + delta, err_i = e_i(b + delta) - e_i(b).
+    """
+    cols = list(exps)
+    R = (S[rho][cols] * W[cols]).rescale(S.bits)
+    m = len(cols)
+    re, im = R.re.tolist(), [0] * m if R.im is None else R.im.tolist()
+    delta = math.ceil(S.bound() + W.bound()) + 2  # in units of 2^-bits
+    b = [math.isqrt(x * x + y * y) + 1 + delta for x, y in zip(re, im)]
+    lo, hi = (_elementary(v, [0] * m)[0] for v in (b, [x + delta for x in b]))
+    e_re, e_im = _elementary(re, im)
+    return S.bits, e_re, e_im, [h - x for h, x in zip(hi, lo)]
+
+
+def spectrum_match(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> MatchReport:
+    """Compare, sector by sector, the characteristic polynomial of n^rho
+    with prod over the exponents lambda of Z of (x - S_rho lambda / S_0 lambda).
+
+    Level-k data: n^rho = U_rho(n^1) for the whole family, so the generator
+    decides; its characteristic polynomial must equal the exact product of
+    psi's of _su2_exponent_polynomial.  Other models: each coefficient of
+    _ratio_polynomial must lie within tolerance(precision) minus its error
+    bound of the integer one.
+    """
     exps = Z.exponents
-    if nr.size != len(exps):
+    m = len(exps)
+    if nr.size != m:
         raise SizeMismatch(
-            "nimrep has %d boundaries, invariant needs %d"
-            % (nr.size, len(exps))
+            "nimrep has %d boundaries, invariant needs %d" % (nr.size, m)
         )
-    dps = md.precision
-    with workdps(dps + GUARD_DIGITS):
-        expected = [
-            sorted(
-                (mp.re(md.S[rho][lam] / md.S[0][lam]) for lam in exps),
-            )
-            for rho in range(md.n)
-        ]
-        deviations = []
-        if md.family == "su2":
-            thetas, _ = eig_symmetric(nr.nmats[1], dps)
-            table = _su2_eigenvalue_table(md, thetas)
-            for rho in range(md.n):
-                got = sorted(table[rho])
-                deviations.append(
-                    float(max(abs(g - e) for g, e in zip(got, expected[rho])))
-                )
-        else:
-            for rho in range(md.n):
-                vals = eig_general(nr.nmats[rho], dps)
-                got = sorted(mp.re(v) for v in vals)
-                worst = max(abs(g - e) for g, e in zip(got, expected[rho]))
-                worst = max(worst, max(abs(mp.im(v)) for v in vals))
-                deviations.append(float(worst))
-    return MatchReport(tuple(deviations), tol)
+    if md.family == "su2":
+        (k,) = md.params
+        ok = charpoly(nr.nmats[1]) == _su2_exponent_polynomial(k, exps)
+        return MatchReport(() if ok else (1,))
+    tol = to_fraction(tolerance(md.precision))
+    S, W, _ = verlinde_inputs(md)
+    mismatches = []
+    for rho in range(md.n):
+        bits, e_re, e_im, err = _ratio_polynomial(S, W, rho, exps)
+        want = charpoly(nr.nmats[rho])
+        for i in range(1, m + 1):
+            scale = 1 << bits * i
+            slack = tol * scale - err[i]
+            diff = (-1) ** i * e_re[i] - want[i] * scale
+            if slack < 0 or diff * diff + e_im[i] * e_im[i] > slack * slack:
+                mismatches.append(rho)
+                break
+    return MatchReport(tuple(mismatches))
 
 
 def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
@@ -491,9 +527,8 @@ def enumerate_su2_nimreps(
     norm >= 2 by eigenvalue monotonicity of non-negative matrices), so
     candidates are the degree-constrained trees of _candidate_trees
     with at most one added loop.  Survivors of a float spectral filter
-    are certified exactly: the characteristic polynomial must vanish
-    on the minimal polynomial of 2cos(pi/(k+2)), and the top
-    eigenvalue must sit on the right root.
+    are certified exactly by _certify_norm: their top eigenvalue is
+    2cos(pi/(k+2)).
     """
     if md.family != "su2":
         raise ValueError("enumeration requires level-k data")
@@ -526,7 +561,7 @@ def enumerate_su2_nimreps(
 
     certified = []
     for c in survivors:
-        if _certify_norm(c, k, md.precision):
+        if _certify_norm(c, k):
             certified.append(c)
 
     seen = {}
@@ -544,21 +579,26 @@ def enumerate_su2_nimreps(
     return tuple(out)
 
 
-def _certify_norm(c: np.ndarray, k: int, dps: int) -> bool:
-    """Exact check that the top eigenvalue equals 2cos(pi/(k+2))."""
-    import sympy
+def _certify_norm(c: np.ndarray, k: int) -> bool:
+    """Exact check that the top eigenvalue of c is t = 2cos(pi/h), h = k + 2.
 
-    x = sympy.Symbol("x")
-    mat = sympy.Matrix(c.tolist())
-    charpoly = mat.charpoly(x).as_expr()
-    minpoly = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / (k + 2)), x)
-    if sympy.rem(charpoly, minpoly, x) != 0:
-        return False
-    with workdps(dps + GUARD_DIGITS):
-        evals, _ = eig_symmetric(c.tolist(), dps)
-        top = evals[-1]
-        want = 2 * mp.cos(mp.pi / (k + 2))
-        return abs(top - want) < mpf(10) ** (-20)
+    t is the largest root of psi = psi_(2h), so psi | charpoly(c) puts t in
+    the spectrum, and the rest must lie below it: q, the characteristic
+    polynomial with every psi factor divided out, may have no root above
+    L = 2 - (22/7)^2/h^2 < t (cos x > 1 - x^2/2).  L is not an integer, so
+    not a root of the monic q.  Graphs of norm below 2 have the eigenvalues
+    2cos(pi m/h') (Smith 1970); with h' = h, those of q have m >= 2 and lie
+    at or below 2cos(2 pi/h) <= L, so no such graph is refused.
+    """
+    h = k + 2
+    root = psi(2 * h)
+    q, divisions = charpoly(c), 0
+    while True:
+        quot, r = divmod_poly(q, root)
+        if r:
+            break
+        q, divisions = quot, divisions + 1
+    return divisions > 0 and roots_above(q, 2 - Fraction(22, 7) ** 2 / h**2) == 0
 
 
 NIMREP_DOCUMENT_FORMAT = "bcft-nimrep/1"

@@ -2,13 +2,19 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import bcft.errors
 from bcft import cli
 from bcft.cli import main as cli_main
-from bcft.nimreps import e6_graph
+from bcft.fusion import verlinde
+from bcft.nimreps import e6_graph, enumerate_su2_nimreps, nimrep_document, regular_nimrep
+from conftest import su2
 
 
 def run(argv, capsys):
@@ -451,6 +457,36 @@ def test_cache_key_tracks_order(capsys, tmp_path):
         )
         assert code == 0
     assert len(list(cache.rglob("*.json"))) == 2
+
+
+def test_annulus_cache_follows_the_nimrep_file_content(capsys, tmp_path):
+    md = su2(10)
+    (e6,) = enumerate_su2_nimreps(md, 6)
+    nimrep_file = tmp_path / "nr.json"
+    argv = ["annulus", "--model", "su2", "--level", "10", "--nimrep", str(nimrep_file),
+            "--pair", "0,0", "--order", "30", "--format", "structured"]
+    cached = argv + ["--cache", str(tmp_path / "cache")]
+    outs = []
+    for nr in (e6, regular_nimrep(verlinde(md))):
+        nimrep_file.write_text(json.dumps(nimrep_document(nr)))
+        code, out, _ = run(cached, capsys)
+        assert code == 0
+        assert run(argv, capsys)[:2] == (0, out)
+        outs.append(out)
+    assert outs[0] != outs[1]
+
+
+def test_nimrep_enumeration_imports_no_sympy():
+    script = (
+        "import sys\n"
+        "from bcft.cli import main\n"
+        "code = main(['nimreps', 'enumerate', '--model', 'su2', '--level', '10', '--size', '6'])\n"
+        "assert code == 0 and 'sympy' not in sys.modules, code\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
 
 
 def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):

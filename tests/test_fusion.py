@@ -65,6 +65,26 @@ def test_axioms_hold_for_many_models():
         assert fr.max_residual < 1e-50
 
 
+def _first_associativity_violation(A):
+    """Reference: both sides as whole n^4 arrays, first offender in
+    (a, b, c, d) order."""
+    lhs = np.einsum("abm,mcd->abcd", A, A)
+    rhs = np.einsum("bcm,amd->abcd", A, A)
+    bad = np.argwhere(lhs != rhs)
+    return tuple(map(int, bad[0])) if len(bad) else None
+
+
+@pytest.mark.parametrize("s, r, t", [(1, 1, 2), (2, 3, 1), (4, 4, 4), (3, 5, 5)])
+def test_associativity_slices_report_the_whole_array_offender(s, r, t):
+    fr = fusion_su2(6)
+    A = fr.as_array()
+    A[s, r, t] += 1
+    A[r, s, t] = A[s, r, t]  # stays commutative
+    broken = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
+    (where,) = [v[1] for v in verify_axioms(broken).violations if v[0] == "associativity"]
+    assert where == _first_associativity_violation(A)
+
+
 def test_conjugation_column():
     fr = fusion_minimal(7, 2)
     for s in range(fr.n):

@@ -9,6 +9,7 @@ nodes.  Any entry >= 2 already forces spectral radius >= 2 through a
 generator.
 """
 
+import dataclasses
 import heapq
 import itertools
 
@@ -25,9 +26,16 @@ from bcft.errors import (
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
-from bcft.invariants import diagonal_invariant, enumerate_physical
+from bcft import nimreps
+from bcft.fusion import verlinde, verlinde_inputs
+from bcft.hp import GUARD_DIGITS
+from bcft.intpoly import charpoly, psi, rem
+from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_physical
+from bcft.modular_data import load_model
 from bcft.nimreps import (
     _candidate_trees,
+    _certify_norm,
+    _ratio_polynomial,
     canonical_generator,
     d_graph,
     e6_graph,
@@ -44,7 +52,7 @@ from bcft.nimreps import (
     tadpole_graph,
     verify,
 )
-from conftest import fusion_minimal, fusion_su2, minimal, su2
+from conftest import fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -330,6 +338,108 @@ def test_spectrum_match_accepts_the_right_invariant_only():
     assert spectrum_match(e6, invs["E6"], md).ok
     with pytest.raises(SizeMismatch):
         spectrum_match(e6, invs["A11"], md)
+
+
+def _block_diagonal(a, b) -> np.ndarray:
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    out = np.zeros((len(a) + len(b),) * 2, dtype=np.int64)
+    out[: len(a), : len(a)] = a
+    out[len(a):, len(a):] = b
+    return out
+
+
+def test_certify_norm_refuses_a_root_above_the_target():
+    # E6 carries 2cos(pi/12), so psi_24 divides the characteristic
+    # polynomial, but the A12 block has the larger root 2cos(pi/13)
+    c = _block_diagonal(e6_graph(), path_graph(12))
+    assert rem(charpoly(c), psi(24)) == []
+    assert _certify_norm(np.array(e6_graph()), 10)
+    assert not _certify_norm(c, 10)
+
+
+def test_certify_norm_refuses_a_top_root_within_the_float_filter():
+    # the 2x2 block has top eigenvalue 2cos(pi/12) + 1.05e-10, inside the
+    # 1e-9 float filter of enumerate_su2_nimreps
+    near = [[-12519, 35395], [35395, -100055]]
+    target = 2 * np.cos(np.pi / 12)
+    for c in (np.array(near), _block_diagonal(e6_graph(), near)):
+        top = np.linalg.eigvalsh(c.astype(np.float64))[-1]
+        assert 0 < abs(top - target) < 1e-9
+        assert not _certify_norm(c, 10)
+
+
+def test_spectrum_match_refuses_wrong_and_non_galois_closed_exponents():
+    md = su2(10)
+    (e6,) = enumerate_su2_nimreps(md, 6)
+    # j = lambda + 1 = 1, 3, 5, 7, 9, 11: Galois-closed, not E6's
+    wrong = ModularInvariant((), (0, 2, 4, 6, 8, 10), "wrong")
+    # E6 has j = 1, 5, 7, 11 once each; here j = 1 twice and 5 never: the
+    # same count per class, but no integer matrix has this spectrum
+    not_closed = ModularInvariant((), (0, 0, 3, 6, 7, 10), "not-closed")
+    for z in (wrong, not_closed):
+        rep = spectrum_match(e6, z, md)
+        assert not rep.ok and rep.mismatches == (1,)
+
+
+def test_spectrum_match_on_minimal_and_complex_models():
+    # minimal(3, 2) has one sector, minimal(7, 5) 12 (an mpmath eigensolve
+    # did not converge there); su(3)_1 has the complex ratios omega, omega^2
+    models = [minimal(5, 2), minimal(3, 2), minimal(7, 5), load_model(su3_level1_document())]
+    for md in models:
+        nr = regular_nimrep(verlinde(md))
+        assert spectrum_match(nr, diagonal_invariant(md), md).ok
+    md = minimal(5, 4)
+    z = diagonal_invariant(md)
+    exps = list(z.exponents)
+    exps[-1] = exps[-2]
+    wrong = ModularInvariant((), tuple(exps), "wrong")
+    rep = spectrum_match(regular_nimrep(fusion_minimal(5, 4)), wrong, md)
+    assert not rep.ok and rep.mismatches
+    # S_11 off by 1e-20 moves the sector-1 coefficients far less than 1,
+    # and far more than tolerance(50) = 1e-25
+    rows = [list(row) for row in md.S]
+    with workdps(60):
+        rows[1][1] += mp.mpf(10) ** -20
+    bad = dataclasses.replace(md, S=tuple(map(tuple, rows)))
+    assert spectrum_match(regular_nimrep(fusion_minimal(5, 4)), z, bad).mismatches == (1,)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [lambda: minimal(7, 5), lambda: minimal(5, 2), lambda: load_model(su3_level1_document())],
+    ids=["minimal_7_5", "minimal_5_2", "su3_k1"],
+)
+def test_ratio_polynomial_lies_within_its_error_bound(model):
+    # against the product over the working-precision S and 1/S_0 at 150 digits
+    md = model()
+    S, W, _ = verlinde_inputs(md)
+    exps = diagonal_invariant(md).exponents
+    with workdps(md.precision + GUARD_DIGITS):
+        inv0 = [1 / x for x in md.S[0]]
+    worst = 0
+    with workdps(150):
+        for rho in range(md.n):
+            bits, e_re, e_im, err = _ratio_polynomial(S, W, rho, exps)
+            exact = [mp.mpf(1)]
+            for lam in exps:
+                r = md.S[rho][lam] * inv0[lam]
+                exact = [a - r * b for a, b in zip(exact + [0], [0] + exact)]
+            for i in range(1, len(exps) + 1):
+                unit = mp.mpf(2) ** (bits * i)
+                got = (-1) ** i * mp.mpc(e_re[i], e_im[i]) / unit
+                assert abs(got - exact[i]) <= err[i] / unit
+                worst = max(worst, err[i] / unit)
+        assert 0 < worst < 1e-50
+
+
+def test_enumeration_and_matching_run_no_eigensolve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eigensolve called")
+
+    monkeypatch.setattr(nimreps, "eig_symmetric", refuse)
+    md = su2(10)
+    for z in enumerate_physical(md):
+        assert sum(spectrum_match(nr, z, md).ok for nr in enumerate_su2_nimreps(md, z.size)) == 1
 
 
 def test_regular_psi_equals_s_matrix():
