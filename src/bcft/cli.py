@@ -42,7 +42,7 @@ from .nimreps import (
     spectrum_match,
     verify,
 )
-from .persistence import Cache, cache_key, canonical_json, export, make_entry
+from .persistence import Cache, cache_key, export, make_entry
 from .report import (
     annulus,
     annulus_document,
@@ -103,13 +103,9 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_invariant_choice(p: argparse.ArgumentParser):
     g = p.add_argument_group("invariant selection")
     g.add_argument(
-        "--diagonal",
-        action="store_true",
-        help="use the diagonal invariant with the regular nimrep (default)",
-    )
-    g.add_argument(
         "--invariant-tag",
-        help="pick the physical invariant with this tag (built-in families)",
+        help="pick the physical invariant with this tag (built-in families; "
+        "default: diagonal invariant with the regular nimrep)",
     )
 
 
@@ -182,38 +178,25 @@ def build_parser() -> _Parser:
 
 
 def _resolve_model(args):
+    """(model, cache-key ingredient) of the selected model.
+
+    A --model-file is read once and keyed by the SHA-256 of the bytes
+    that are parsed, so an overwritten file misses.
+    """
     if args.model_file:
-        doc = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
-        return load_model(doc, args.precision)
+        data = Path(args.model_file).read_bytes()
+        md = load_model(json.loads(data.decode("utf-8")), args.precision)
+        return md, {"file_sha256": hashlib.sha256(data).hexdigest()}
     if args.model == "su2":
         if args.level is None:
             raise ValueError("--model su2 needs --level")
-        return build_su2(args.level, args.precision)
+        return build_su2(args.level, args.precision), {"family": "su2", "level": args.level}
     if args.model == "minimal":
         if args.p is None or args.pp is None:
             raise ValueError("--model minimal needs --p and --pp")
-        return build_minimal(args.p, args.pp, args.precision)
+        md = build_minimal(args.p, args.pp, args.precision)
+        return md, {"family": "minimal", "p": args.p, "pp": args.pp}
     raise ValueError("select a model with --model or --model-file")
-
-
-def _model_descriptor(args) -> dict:
-    """Canonical cache-key ingredient for the selected model."""
-    if args.model_file:
-        data = Path(args.model_file).read_bytes()
-        return {"file_sha256": hashlib.sha256(data).hexdigest()}
-    if args.model == "su2":
-        return {"family": "su2", "level": args.level}
-    if args.model == "minimal":
-        return {"family": "minimal", "p": args.p, "pp": args.pp}
-    return {}
-
-
-def _nimrep_descriptor(args):
-    """Canonical cache-key ingredient for --nimrep: the file's content,
-    not its path, so that an overwritten file misses."""
-    if args.nimrep == "regular":
-        return "regular"
-    return {"file_sha256": hashlib.sha256(Path(args.nimrep).read_bytes()).hexdigest()}
 
 
 def _parse_pair(text: str) -> tuple:
@@ -267,10 +250,10 @@ def _read_generator(path: str) -> tuple:
     )
 
 
-def _resolve_invariant_and_nimrep(args, md, fr):
-    tag = getattr(args, "invariant_tag", None)
+def _resolve_invariant_and_nimrep(args, md):
+    tag = args.invariant_tag
     if tag is None:
-        return diagonal_invariant(md), regular_nimrep(fr)
+        return diagonal_invariant(md), regular_nimrep(verlinde(md))
     matches = [z for z in enumerate_physical(md) if z.tag == tag]
     if not matches:
         raise ValueError("no physical invariant tagged %r for this model" % tag)
@@ -283,18 +266,14 @@ def _resolve_invariant_and_nimrep(args, md, fr):
     raise CheckFailure("no nimrep matches the spectrum of invariant %s" % tag)
 
 
-def _load_nimrep(args, fr):
-    if args.nimrep == "regular":
-        return regular_nimrep(fr)
-    return _read_nimrep("--nimrep", args.nimrep)
-
-
 def _read_nimrep(flag: str, path: str):
-    """Nimrep from a structured document file."""
+    """(nimrep, SHA-256 of the bytes it was parsed from) of a structured
+    document file."""
+    data = Path(path).read_bytes()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(data.decode("utf-8"))
         if isinstance(doc, dict):
-            return nimrep_from_document(doc)
+            return nimrep_from_document(doc), hashlib.sha256(data).hexdigest()
     except (KeyError, TypeError, ValueError):
         pass
     raise ValueError(
@@ -307,12 +286,11 @@ def _cached(args, operation: str, inputs: dict, compute):
     if not args.cache:
         return compute()
     cache = Cache(args.cache)
-    key = cache_key(operation, inputs, args.precision, getattr(args, "order", None))
-    payload = cache.load(key)
+    payload = cache.load(cache_key(operation, inputs, args.precision, args.order))
     if payload is not None:
         return payload
     doc = compute()
-    cache.store(make_entry(operation, inputs, doc, args.precision, getattr(args, "order", None)))
+    cache.store(make_entry(operation, inputs, doc, args.precision, args.order))
     return doc
 
 
@@ -330,26 +308,17 @@ def _cmd_models(args):
                 {"family": "custom", "flags": "--model-file PATH"},
             ],
         }, EXIT_OK
-    md = _resolve_model(args)
-    doc = _cached(
-        args, "models", _model_descriptor(args), lambda: model_to_document(md)
-    )
-    return doc, EXIT_OK
+    md, key = _resolve_model(args)
+    return _cached(args, "models", key, lambda: model_to_document(md)), EXIT_OK
 
 
 def _cmd_fusion(args):
-    md = _resolve_model(args)
-    doc = _cached(
-        args,
-        "fusion",
-        _model_descriptor(args),
-        lambda: fusion_document(verlinde(md)),
-    )
-    return doc, EXIT_OK
+    md, key = _resolve_model(args)
+    return _cached(args, "fusion", key, lambda: fusion_document(verlinde(md))), EXIT_OK
 
 
 def _cmd_invariants(args):
-    md = _resolve_model(args)
+    md, key = _resolve_model(args)
 
     def compute():
         invs = enumerate_physical(md)
@@ -360,11 +329,11 @@ def _cmd_invariants(args):
             "invariants": [invariant_document(z) for z in invs],
         }
 
-    return _cached(args, "invariants", _model_descriptor(args), compute), EXIT_OK
+    return _cached(args, "invariants", key, compute), EXIT_OK
 
 
 def _cmd_nimreps_enumerate(args):
-    md = _resolve_model(args)
+    md, key = _resolve_model(args)
 
     def compute():
         nrs = enumerate_su2_nimreps(md, args.size)
@@ -376,13 +345,12 @@ def _cmd_nimreps_enumerate(args):
             "nimreps": [nimrep_document(nr) for nr in nrs],
         }
 
-    inputs = dict(_model_descriptor(args), size=args.size)
-    return _cached(args, "nimreps-enumerate", inputs, compute), EXIT_OK
+    return _cached(args, "nimreps-enumerate", dict(key, size=args.size), compute), EXIT_OK
 
 
 def _cmd_nimreps_verify(args):
-    md = _resolve_model(args)
-    nr = _read_nimrep("--nimrep-file", args.nimrep_file)
+    md, _ = _resolve_model(args)
+    nr, _ = _read_nimrep("--nimrep-file", args.nimrep_file)
     rep = verify(nr, verlinde(md))
     out = {
         "format": "bcft-verify/1",
@@ -393,13 +361,13 @@ def _cmd_nimreps_verify(args):
 
 
 def _cmd_nimreps_generate(args):
-    md = _resolve_model(args)
+    md, _ = _resolve_model(args)
     nr = generate_from_generator(_read_generator(args.generator_file), md)
     return nimrep_document(nr), EXIT_OK
 
 
 def _cmd_characters(args):
-    md = _resolve_model(args)
+    md, key = _resolve_model(args)
 
     def compute():
         chis = characters_for(md, args.order)
@@ -413,27 +381,30 @@ def _cmd_characters(args):
             ],
         }
 
-    return _cached(args, "characters", _model_descriptor(args), compute), EXIT_OK
+    return _cached(args, "characters", key, compute), EXIT_OK
 
 
 def _cmd_annulus(args):
-    md = _resolve_model(args)
-    fr = verlinde(md)
-    nr = _load_nimrep(args, fr)
+    md, key = _resolve_model(args)
+    if args.nimrep == "regular":
+        nr, nimrep_key = None, "regular"  # built in compute: a hit skips verlinde
+    else:
+        nr, sha = _read_nimrep("--nimrep", args.nimrep)
+        nimrep_key = {"file_sha256": sha}
     a, b = _parse_pair(args.pair)
 
     def compute():
-        spectrum = annulus(md, nr, a, b, args.order)
+        spectrum = annulus(md, nr or regular_nimrep(verlinde(md)), a, b, args.order)
         doc = {"format": "bcft-annulus/1", "model": model_name(md)}
         doc.update(annulus_document(md, spectrum))
         return doc
 
-    inputs = dict(_model_descriptor(args), nimrep=_nimrep_descriptor(args), pair=[a, b])
+    inputs = dict(key, nimrep=nimrep_key, pair=[a, b])
     return _cached(args, "annulus", inputs, compute), EXIT_OK
 
 
 def _cmd_check_s_transform(args):
-    md = _resolve_model(args)
+    md, _ = _resolve_model(args)
     res = s_transform_residual(md, args.order, args.beta, args.precision, tol=args.tol)
     ok = res < args.tol
     doc = {
@@ -448,9 +419,8 @@ def _cmd_check_s_transform(args):
 
 
 def _cmd_check_heat_kernel(args):
-    md = _resolve_model(args)
-    fr = verlinde(md)
-    Z, nr = _resolve_invariant_and_nimrep(args, md, fr)
+    md, _ = _resolve_model(args)
+    Z, nr = _resolve_invariant_and_nimrep(args, md)
     worst = max_heat_kernel_residual(
         md, nr, Z, args.beta, args.order, args.precision, tol=args.tol
     )
@@ -469,7 +439,7 @@ def _cmd_check_heat_kernel(args):
 
 
 def _cmd_indices(args):
-    md = _resolve_model(args)
+    md, key = _resolve_model(args)
     theta = _parse_theta(md, args.theta)
 
     def compute():
@@ -478,24 +448,20 @@ def _cmd_indices(args):
         doc.update(index_document(md, rep))
         return doc
 
-    inputs = dict(
-        _model_descriptor(args),
-        theta=sorted([k, v] for k, v in theta.items()),
-    )
+    inputs = dict(key, theta=sorted([k, v] for k, v in theta.items()))
     return _cached(args, "indices", inputs, compute), EXIT_OK
 
 
 def _cmd_report(args):
-    md = _resolve_model(args)
-    fr = verlinde(md)
-    Z, nr = _resolve_invariant_and_nimrep(args, md, fr)
+    md, key = _resolve_model(args)
 
     def compute():
+        Z, nr = _resolve_invariant_and_nimrep(args, md)
         return full_report(md, Z, nr, args.order, args.beta, args.precision)
 
     inputs = dict(
-        _model_descriptor(args),
-        invariant_tag=getattr(args, "invariant_tag", None),
+        key,
+        invariant_tag=args.invariant_tag,
         beta=repr(args.beta) if args.beta is not None else "2*pi",
     )
     return _cached(args, "report", inputs, compute), EXIT_OK
@@ -545,10 +511,7 @@ def _print_config(args):
 
 
 def _emit(args, doc):
-    if args.format == "structured":
-        text = canonical_json(doc) + "\n"
-    else:
-        text = export(doc, "text")
+    text = export(doc, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

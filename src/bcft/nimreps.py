@@ -22,14 +22,13 @@ from .errors import (
     DegenerateExponents,
     DocumentFormatError,
     NegativityFailure,
-    SearchBudgetExceeded,
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing, fusion_matrix, verlinde_inputs
 from .hp import GUARD_DIGITS, Fixed, eig_symmetric, to_fraction, tolerance
 from .intpoly import charpoly, divmod_poly, mul, psi, roots_above
-from .invariants import DEFAULT_NODE_BUDGET, ModularInvariant
+from .invariants import ModularInvariant
 from .modular_data import ModularData
 
 PSI_TOL = 1e-12
@@ -515,11 +514,7 @@ def _candidate_trees(m: int) -> list:
     return out
 
 
-def enumerate_su2_nimreps(
-    md: ModularData,
-    m: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple:
+def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
     """All size-m nimreps of level-k data, up to relabeling.
 
     Any generator with norm below 2 has 0/1 entries, no cycle and at
@@ -535,7 +530,6 @@ def enumerate_su2_nimreps(
     if not 1 <= m <= 30:
         raise ValueError("size must lie in 1..30")
     (k,) = md.params
-    budget_state = {"nodes": 0, "budget": node_budget}
 
     candidates = []
     for a in _candidate_trees(m):
@@ -550,11 +544,6 @@ def enumerate_su2_nimreps(
     if candidates:
         stack = np.stack([c.astype(np.float64) for c in candidates])
         tops = np.linalg.eigvalsh(stack)[:, -1]
-        budget_state["nodes"] += len(candidates)
-        if budget_state["nodes"] > budget_state["budget"]:
-            raise SearchBudgetExceeded(
-                "generator search exceeded %d nodes" % budget_state["budget"]
-            )
         for c, top in zip(candidates, tops):
             if abs(top - target) < 1e-9:
                 survivors.append(c)
@@ -564,13 +553,8 @@ def enumerate_su2_nimreps(
         if _certify_norm(c, k):
             certified.append(c)
 
-    seen = {}
-    for c in certified:
-        canon = canonical_generator(c)
-        if canon not in seen:
-            seen[canon] = canon
     out = []
-    for canon in sorted(seen):
+    for canon in sorted({canonical_generator(c) for c in certified}):
         try:
             nr = generate_from_generator(canon, md)
         except NegativityFailure:

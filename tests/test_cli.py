@@ -476,6 +476,63 @@ def test_annulus_cache_follows_the_nimrep_file_content(capsys, tmp_path):
     assert outs[0] != outs[1]
 
 
+def test_warm_report_skips_the_invariant_and_nimrep_search(capsys, tmp_path, monkeypatch):
+    argv = ["report", "--model", "su2", "--level", "10", "--invariant-tag", "E6",
+            "--order", "30", "--format", "structured", "--cache", str(tmp_path / "cache")]
+    code, cold, _ = run(argv, capsys)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit ran the search")
+
+    for name in ("verlinde", "enumerate_physical", "enumerate_su2_nimreps", "spectrum_match"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(argv, capsys)[:2] == (0, cold)
+
+
+def _count_reads(monkeypatch, path):
+    """List that records each Path.read_bytes/read_text call on path."""
+    reads = []
+    for name in ("read_bytes", "read_text"):
+
+        def counted(self, *args, _name=name, _original=getattr(Path, name), **kwargs):
+            if self == path:
+                reads.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    return reads
+
+
+def test_each_input_file_is_read_once_per_run(capsys, tmp_path, monkeypatch):
+    model_file = tmp_path / "model.json"
+    assert run(["models", "--model", "su2", "--level", "2", "--format", "structured",
+                "--out", str(model_file)], capsys)[0] == 0
+    nimrep_file = tmp_path / "nr.json"
+    nimrep_file.write_text(json.dumps(nimrep_document(regular_nimrep(verlinde(su2(2))))))
+    cache = ["--cache", str(tmp_path / "cache")]
+    for path, argv in (
+        (model_file, ["models", "--model-file", str(model_file)]),
+        (nimrep_file, ["annulus", "--model", "su2", "--level", "2", "--nimrep",
+                       str(nimrep_file), "--pair", "0,0", "--order", "10"]),
+    ):
+        reads = _count_reads(monkeypatch, path)
+        for _ in ("cold", "warm"):
+            reads.clear()
+            assert run(argv + cache, capsys)[0] == 0
+            assert len(reads) == 1, reads
+        monkeypatch.undo()
+
+
+def test_unknown_invariant_tag_exits_one_with_a_warm_cache(capsys, tmp_path):
+    argv = ["report", "--model", "su2", "--level", "10", "--order", "30",
+            "--cache", str(tmp_path / "cache")]
+    assert run(argv + ["--invariant-tag", "E6"], capsys)[0] == 0
+    code, out, err = run(argv + ["--invariant-tag", "E7"], capsys)
+    assert (code, out) == (1, "")
+    assert "no physical invariant tagged 'E7'" in err
+
+
 def test_nimrep_enumeration_imports_no_sympy():
     script = (
         "import sys\n"
