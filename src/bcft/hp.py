@@ -214,6 +214,23 @@ def nullspace(rows, n_vars: int, dps: int):
         return basis
 
 
+def independent_rows(matrix: np.ndarray) -> list:
+    """Indices of rows spanning the row space of a float64 matrix, by
+    Gauss elimination with complete pivoting.  Pivots count down to the
+    float64 noise floor, so a misjudged rank adds a dependent row rather
+    than dropping an independent one."""
+    a = np.array(matrix, dtype=np.float64)
+    floor = np.abs(a).max(initial=0.0) * a.shape[1] * np.finfo(np.float64).eps
+    rows = []
+    for _ in range(a.shape[1]):
+        r, c = np.unravel_index(np.abs(a).argmax(), a.shape)
+        if abs(a[r, c]) <= floor:
+            break
+        rows.append(int(r))
+        a -= np.outer(a[:, c] / a[r, c], a[r])
+    return rows
+
+
 def rref_rows(vectors, dps: int):
     """Reduced row echelon form of a list of row vectors (Gauss-Jordan
     with partial pivoting; entries below tolerance(dps) count as zero).

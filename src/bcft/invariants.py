@@ -3,16 +3,19 @@
 A physical invariant is a non-negative integer matrix Z with Z_00 = 1
 commuting with both modular generators.  T-commutation is decided
 exactly from the conformal weights; S-commutation cuts out a rational
-subspace whose basis is recovered from a high-precision nullspace and
-then certified exactly.  Physical matrices are the lattice points of
-that subspace inside the Perron box.
+subspace.  Float64 elimination picks independent S-constraint rows, a
+working-precision nullspace of those rows is rationalized, and an exact
+fixed-point check against every row certifies the basis.  Physical
+matrices are the lattice points of that subspace inside the Perron box.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpf, workdps
 
 from .errors import (
@@ -20,7 +23,8 @@ from .errors import (
     RationalizationFailure,
     SearchBudgetExceeded,
 )
-from .hp import GUARD_DIGITS, nullspace, rationalize, rref_rows, tolerance
+from .hp import (GUARD_DIGITS, Fixed, fixed_bits, independent_rows, nullspace,
+                 rationalize, rref_rows, to_fraction, tolerance)
 from .modular_data import ModularData, quantum_dims, vacuum_row_real
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -81,52 +85,65 @@ def t_allowed_pairs(md: ModularData) -> tuple:
     return tuple(pairs)
 
 
-def _s_constraint_rows(md: ModularData, pairs):
-    """Rows of the linear system (ZS - SZ)_ab = 0 over the allowed
-    entries, split into real and imaginary parts."""
-    index = {v: t for t, v in enumerate(pairs)}
-    n = md.n
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            coeff = [mpf(0)] * len(pairs)
-            for j in range(n):
-                t = index.get((a, j))
-                if t is not None:
-                    coeff[t] += md.S[j][b]
-            for i in range(n):
-                t = index.get((i, b))
-                if t is not None:
-                    coeff[t] -= md.S[a][i]
-            if any(getattr(x, "imag", 0) != 0 for x in coeff):
-                rows.append([mp.re(x) for x in coeff])
-                rows.append([mp.im(x) for x in coeff])
-            else:
-                rows.append(coeff)
-    return rows
+def _s_parts(md: ModularData) -> np.ndarray:
+    """The real part of S and, if S is complex, its imaginary part: a
+    (1 or 2, n, n) array of mpf, one constraint row per entry."""
+    parts = [[[f(x) for x in row] for row in md.S] for f in (mp.re, mp.im)]
+    return np.array(parts if any(map(any, parts[1])) else parts[:1], dtype=object)
+
+
+def _s_constraint_rows(parts: np.ndarray, pairs, rows) -> np.ndarray:
+    """The given rows of the linear system (ZS - SZ)_ab = 0 over the
+    allowed entries: row a*n + b is the real part of equation (a, b),
+    row n^2 + a*n + b its imaginary part.  parts is _s_parts, or it cast
+    to float64 or fixed-point integers."""
+    n = parts.shape[1]
+    part, ab = np.divmod(np.asarray(rows, dtype=int), n * n)
+    p, a, b = part[:, None], ab[:, None] // n, ab[:, None] % n
+    i, j = np.array(pairs).T
+    one = np.identity(n, dtype=int)
+    return one[a, i] * parts[p, j, b] - parts[p, a, i] * one[j, b]
 
 
 def _commutant(md: ModularData):
     """Rational basis of {M : MS = SM, MT = TM} in reduced echelon
     form over the T-allowed positions.
 
+    Float64 elimination picks independent S-constraint rows, and only
+    those are eliminated at working precision.  The rationalized basis
+    is then certified against every row: with each vector scaled to
+    integers v and the rows C taken at S rounded to fixed_bits, |C v|
+    is exact, and each coefficient of C is off by at most 2^-bits, so
+    |C v| + 2^-bits |v|_1 <= tolerance proves the row.  Rows that fail
+    join the chosen ones and the solve reruns.
+
     Returns (pairs, basis vectors as Fraction lists, pivot variable
     indices).
     """
     pairs = t_allowed_pairs(md)
-    dps = md.precision
+    dps, bits = md.precision, fixed_bits(md.precision)
+    parts = _s_parts(md)
+    every_row = range(parts.size)
+    floats = _s_constraint_rows(parts.astype(float), pairs, every_row)
+    chosen = set(independent_rows(floats))
+    fixed = _s_constraint_rows(Fixed.of(parts, bits).re, pairs, every_row)
+    tol = math.floor(to_fraction(tolerance(dps)) * (1 << bits))
     with workdps(dps + GUARD_DIGITS):
-        rows = _s_constraint_rows(md, pairs)
-        reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
-        exact = [[rationalize(x) for x in vec] for vec in reduced]
-        tol = tolerance(dps)
-        for vec_f, vec_x in zip(reduced, exact):
-            for f, x in zip(vec_f, vec_x):
-                if abs(f - mpf(x.numerator) / x.denominator) > tol:
-                    raise RationalizationFailure(
-                        "rationalized basis does not reproduce the nullspace"
-                    )
-    return pairs, exact, pivots
+        while True:
+            rows = _s_constraint_rows(parts, pairs, sorted(chosen))
+            reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
+            exact = [[rationalize(x) for x in vec] for vec in reduced]
+            failed = set()
+            for vec in exact:
+                scale = math.lcm(*(x.denominator for x in vec))
+                v = np.array([int(x * scale) for x in vec], dtype=object)
+                failed.update(np.flatnonzero(abs(fixed.dot(v)) + abs(v).sum() > tol))
+            if not failed:
+                return pairs, exact, pivots
+            if failed <= chosen:
+                raise RationalizationFailure(
+                    "rationalized commutant basis does not commute with S")
+            chosen |= failed
 
 
 def perron_row(md: ModularData) -> int:
@@ -334,8 +351,6 @@ def enumerate_bruteforce(
     S-commutation equations; exact verification happens on the full
     candidates only.
     """
-    import numpy as np
-
     pairs = t_allowed_pairs(md)
     n_vars = len(pairs)
     dps = md.precision
@@ -343,9 +358,8 @@ def enumerate_bruteforce(
     ub = np.array([bounds[i][j] for (i, j) in pairs], dtype=np.int64)
     vacuum_var = pairs.index((0, 0))
 
-    with workdps(dps + GUARD_DIGITS):
-        raw = _s_constraint_rows(md, pairs)
-        rows = np.array([[float(x) for x in r] for r in raw], dtype=np.float64)
+    parts = _s_parts(md)
+    rows = _s_constraint_rows(parts.astype(float), pairs, range(parts.size))
     keep = np.abs(rows).max(axis=1) > 1e-30
     rows = rows[keep]
     margin = 1e-9

@@ -116,32 +116,34 @@ def _conjugation_from_s(S2: Fixed, precision):
     return tuple(conj)
 
 
-def _square(S: Fixed) -> Fixed:
-    return S.dot(S).rescale(S.bits)
+def _square(S, precision) -> tuple:
+    """S rounded to fixed_bits(precision), and S^2 from it."""
+    F = Fixed.of(S, fixed_bits(precision))
+    return F, F.dot(F).rescale(F.bits)
 
 
-def validate(md: ModularData, require_positive_vacuum_row: bool = True) -> dict:
+def validate(md: ModularData, require_positive_vacuum_row: bool = True, fixed=None) -> dict:
     """Check all structural invariants; returns the residual report.
 
     Raises a distinct error type per violated invariant.  Positivity of
     the vacuum row is optional because non-unitary minimal models carry
     signed vacuum-row entries in this convention.  The products S S^dagger,
     S^2 and (ST)^3 are exact Python-int contractions of S and T rounded
-    to fixed_bits(precision) fraction bits.
+    to fixed_bits(precision) fraction bits; fixed passes in (S, S^2) when
+    the caller has already formed them.
     """
     n = md.n
     tol = tolerance(md.precision)
     bits = fixed_bits(md.precision)
+    S, S2 = fixed or _square(md.S, md.precision)
     with workdps(md.precision + GUARD_DIGITS):
         if [s.id for s in md.sectors] != list(range(n)):
             raise DocumentFormatError("sector ids must be 0..n-1 in order")
         if md.h[0] != 0:
             raise VacuumPlacementError("sector 0 must have h = 0")
-        S = Fixed.of(md.S, bits)
         res_sym = (S - S.T).max_abs()
         if res_sym > tol:
             raise SymmetryViolation("max |S - S^T| = " + mp.nstr(res_sym, 5))
-        S2 = _square(S)
         # for a real S equal to its transpose, S S^dagger is S^2
         real_symmetric = S.im is None and res_sym == 0
         SSd = S2 if real_symmetric else S.dot(S.conj().T).rescale(bits)
@@ -183,19 +185,19 @@ def _finish(sectors, c, h, S, precision, family, params):
     n = len(sectors)
     with workdps(precision + GUARD_DIGITS):
         T = tuple(phase_from_fraction(h[i] - c / 24, precision) for i in range(n))
-        conj = _conjugation_from_s(_square(Fixed.of(S, fixed_bits(precision))), precision)
+    fixed = _square(S, precision)
     md = ModularData(
         sectors=tuple(sectors),
         c=c,
         h=tuple(h),
         S=S,
         T=T,
-        conj=conj,
+        conj=_conjugation_from_s(fixed[1], precision),
         precision=precision,
         family=family,
         params=params,
     )
-    validate(md, require_positive_vacuum_row=family is None or md.is_unitary_family())
+    validate(md, family is None or md.is_unitary_family(), fixed)
     return md
 
 

@@ -239,7 +239,7 @@ class Cache:
 def _text_lines(value, indent: int, out: list):
     pad = "  " * indent
     if isinstance(value, dict):
-        for k in value:
+        for k in sorted(value):
             v = value[k]
             if isinstance(v, (dict, list)):
                 out.append("%s%s:" % (pad, k))

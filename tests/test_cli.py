@@ -533,17 +533,43 @@ def test_unknown_invariant_tag_exits_one_with_a_warm_cache(capsys, tmp_path):
     assert "no physical invariant tagged 'E7'" in err
 
 
-def test_nimrep_enumeration_imports_no_sympy():
+def _run_in_child_without(argv, modules):
+    """Run cli.main(argv) in a fresh interpreter; fail if it exits nonzero
+    or leaves any of modules in sys.modules."""
     script = (
         "import sys\n"
         "from bcft.cli import main\n"
-        "code = main(['nimreps', 'enumerate', '--model', 'su2', '--level', '10', '--size', '6'])\n"
-        "assert code == 0 and 'sympy' not in sys.modules, code\n"
+        "code = main(%r)\n"
+        "assert code == 0 and not {m for m in %r if m in sys.modules}, code\n"
+        % (argv, modules)
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
+
+
+def test_nimrep_enumeration_imports_no_sympy():
+    _run_in_child_without(
+        ["nimreps", "enumerate", "--model", "su2", "--level", "10", "--size", "6"], ("sympy",)
+    )
+
+
+def test_invariants_import_neither_scipy_nor_sympy():
+    _run_in_child_without(["invariants", "--model", "su2", "--level", "10"], ("scipy", "sympy"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["models", "--model", "su2", "--level", "2"],
+    ["report", "--model", "minimal", "--p", "4", "--pp", "3"],
+])
+def test_text_output_of_a_cache_hit_matches_a_cold_run(argv, capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = argv + ["--format", "text", "--cache", str(cache)]
+    code, cold, _ = run(argv, capsys)
+    assert code == 0
+    assert len(list(cache.rglob("*.json"))) == 1
+    assert run(argv, capsys)[:2] == (0, cold)
 
 
 def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps
 
+from bcft import modular_data
 from bcft.errors import (
     BadKacLabels,
     DocumentFormatError,
@@ -67,6 +68,14 @@ def test_validation_residuals_are_tiny():
         assert rep["symmetry"] < 1e-50
         assert rep["unitarity"] < 1e-50
         assert rep["modular_relation"] < 1e-50
+
+
+def test_build_forms_s_squared_once(monkeypatch):
+    calls = []
+    square = modular_data._square
+    monkeypatch.setattr(modular_data, "_square", lambda *args: calls.append(args) or square(*args))
+    build_su2(7)
+    assert len(calls) == 1
 
 
 def test_self_conjugate_families():
