@@ -303,8 +303,8 @@ class _Evaluated:
 
     def __init__(self, chis: tuple, order: int, beta, dps: int):
         beta = mpf(beta) if beta is not None else 2 * mp.pi
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        if not mp.isfinite(beta) or beta <= 0:
+            raise ValueError("beta must be positive and finite")
         self.nomes = (mp.exp(-beta), mp.exp(-4 * mp.pi ** 2 / beta))
         offset_min = min(chi.offset for chi in chis)
         self.tail_q, self.tail_qt = (
@@ -346,7 +346,7 @@ def s_transform_residual(
     md: ModularData,
     order: int = DEFAULT_ORDER,
     beta=None,
-    precision: int | None = None,
+    *,
     tol: float = 1e-8,
 ):
     """max_lambda |chi_lambda(q~) - sum_mu S_{lambda mu} chi_mu(q)|.
@@ -355,11 +355,10 @@ def s_transform_residual(
     raised to the analytic truncation tail estimate when that is
     larger, and a ConvergenceWarning fires if the estimate exceeds tol.
     """
-    dps = precision if precision is not None else md.precision
     if order < S_TRANSFORM_MIN_ORDER:
         raise ValueError("order must be at least %d" % S_TRANSFORM_MIN_ORDER)
-    with workdps(dps + GUARD_DIGITS):
-        ev = _Evaluated(characters_for(md, order), order, beta, dps)
+    with workdps(md.precision + GUARD_DIGITS):
+        ev = _Evaluated(characters_for(md, order), order, beta, md.precision)
         return _s_residual(md, ev, tol)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,9 +48,9 @@ from .report import (
     annulus,
     annulus_document,
     full_report,
+    heat_kernel_residuals,
     index_document,
     index_report,
-    max_heat_kernel_residual,
 )
 
 EXIT_OK = 0
@@ -81,6 +82,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text):
+    """argparse type: a finite float (nan and inf exit 1)."""
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+
+
 def _add_common(p: argparse.ArgumentParser):
     g = p.add_argument_group("model selection")
     g.add_argument("--model", choices=["su2", "minimal"], help="built-in family")
@@ -92,7 +103,7 @@ def _add_common(p: argparse.ArgumentParser):
     n.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION)
     n.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
     n.add_argument(
-        "--beta", type=float, default=None, help="inverse temperature (default 2*pi)"
+        "--beta", type=_finite_float, default=None, help="inverse temperature (default 2*pi)"
     )
     o = p.add_argument_group("output")
     o.add_argument("--out", default=None, help="write results to this file")
@@ -403,39 +414,36 @@ def _cmd_annulus(args):
     return _cached(args, "annulus", inputs, compute), EXIT_OK
 
 
-def _cmd_check_s_transform(args):
-    md, _ = _resolve_model(args)
-    res = s_transform_residual(md, args.order, args.beta, args.precision, tol=args.tol)
-    ok = res < args.tol
+def _check_document(check, md, field, res, tol, **extra):
+    """(bcft-check document, exit code) of a residual held against tol,
+    rendered at the model's precision."""
+    ok = res < tol
     doc = {
         "format": "bcft-check/1",
-        "check": "s-transform",
+        "check": check,
         "model": model_name(md),
-        "residual": num_str(res, args.precision),
-        "tolerance": repr(args.tol),
+        field: num_str(res, md.precision),
+        "tolerance": repr(tol),
         "ok": ok,
+        **extra,
     }
     return doc, EXIT_OK if ok else EXIT_CHECK
+
+
+def _cmd_check_s_transform(args):
+    md, _ = _resolve_model(args)
+    res = s_transform_residual(md, args.order, args.beta, tol=args.tol)
+    return _check_document("s-transform", md, "residual", res, args.tol)
 
 
 def _cmd_check_heat_kernel(args):
     md, _ = _resolve_model(args)
     Z, nr = _resolve_invariant_and_nimrep(args, md)
-    worst = max_heat_kernel_residual(
-        md, nr, Z, args.beta, args.order, args.precision, tol=args.tol
+    residuals = heat_kernel_residuals(md, nr, Z, args.beta, args.order, tol=args.tol)
+    return _check_document(
+        "heat-kernel", md, "max_residual", max(residuals.values()), args.tol,
+        invariant_tag=Z.tag, pairs=len(residuals),
     )
-    ok = worst < args.tol
-    doc = {
-        "format": "bcft-check/1",
-        "check": "heat-kernel",
-        "model": model_name(md),
-        "invariant_tag": Z.tag,
-        "pairs": nr.size * nr.size,
-        "max_residual": num_str(worst, args.precision),
-        "tolerance": repr(args.tol),
-        "ok": ok,
-    }
-    return doc, EXIT_OK if ok else EXIT_CHECK
 
 
 def _cmd_indices(args):
@@ -457,7 +465,7 @@ def _cmd_report(args):
 
     def compute():
         Z, nr = _resolve_invariant_and_nimrep(args, md)
-        return full_report(md, Z, nr, args.order, args.beta, args.precision)
+        return full_report(md, Z, nr, args.order, args.beta)
 
     inputs = dict(
         key,

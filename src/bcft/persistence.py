@@ -49,11 +49,11 @@ from .nimreps import NIMREP_DOCUMENT_FORMAT, Nimrep, nimrep_document, nimrep_fro
 
 ARTIFACT_VERSION = "0.1.0"
 CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
-# Version of the numeric code behind a cached result (1: fixed-point Verlinde
-# sums and modular checks; 2: exact spectrum certificates, and annulus keys on
-# the --nimrep file's content).  Cache.load treats an entry recorded under
-# another value, or none, as a miss, so results of older code are recomputed.
-NUMERIC_SCHEMA = 2
+# Version of the numeric code behind a cached result (2: exact spectrum
+# certificates; 3: a --model-file report at the document's own precision).
+# Cache.load treats an entry recorded under another value, or none, as a
+# miss, so results of older code are recomputed.
+NUMERIC_SCHEMA = 3
 
 # formats whose documents decode back to a domain object
 _LOADERS = {

@@ -53,6 +53,11 @@ class IndexReport:
     c8_index: object
 
 
+def _check_labels(nr: Nimrep, a: int, b: int):
+    if a not in nr.labels or b not in nr.labels:
+        raise ValueError("unknown boundary label in (%r, %r)" % (a, b))
+
+
 def annulus(
     md: ModularData,
     nr: Nimrep,
@@ -61,8 +66,7 @@ def annulus(
     order: int = DEFAULT_ORDER,
 ) -> AnnulusSpectrum:
     """Character content of the boundary pair (a, b)."""
-    if a not in nr.labels or b not in nr.labels:
-        raise ValueError("unknown boundary label in (%r, %r)" % (a, b))
+    _check_labels(nr, a, b)
     return _annulus(md, nr, characters_for(md, order), a, b)
 
 
@@ -81,6 +85,29 @@ def _annulus(md: ModularData, nr: Nimrep, chis: tuple, a: int, b: int):
     return AnnulusSpectrum((a, b), mults, series, mults[0] >= 1)
 
 
+def heat_kernel_residuals(
+    md: ModularData,
+    nr: Nimrep,
+    Z: ModularInvariant,
+    beta=None,
+    order: int = DEFAULT_ORDER,
+    *,
+    tol: float = HEAT_KERNEL_TOL,
+) -> dict:
+    """{(a, b): |open channel - closed channel|} over every boundary pair,
+    from one psi-matrix and one character table at md.precision.
+
+    Open channel: sum_rho n^rho_ab chi_rho(q) at q = exp(-beta).
+    Closed channel: sum_lambda psi_a psi_b* chi_lambda(q~) / S_0lambda
+    at q~ = exp(-4 pi^2 / beta).  Each residual is raised to its
+    truncation tail estimate when that is larger.
+    """
+    psi = psi_matrix(nr, Z, md)
+    with workdps(md.precision + GUARD_DIGITS):
+        ev = _Evaluated(characters_for(md, order), order, beta, md.precision)
+        return _heat_kernel_residuals(md, nr, psi, ev, tol)
+
+
 def heat_kernel_check(
     md: ModularData,
     nr: Nimrep,
@@ -89,76 +116,40 @@ def heat_kernel_check(
     b: int,
     beta=None,
     order: int = DEFAULT_ORDER,
-    precision: int | None = None,
-    tol: float = HEAT_KERNEL_TOL,
-    psi: PsiMatrix | None = None,
-):
-    """|open channel - closed channel| for the pair (a, b).
-
-    Open channel: sum_rho n^rho_ab chi_rho(q) at q = exp(-beta).
-    Closed channel: sum_lambda psi_a psi_b* chi_lambda(q~) / S_0lambda
-    at q~ = exp(-4 pi^2 / beta).  The reported residual is raised to
-    the truncation tail estimate when that is larger.
-    """
-    if psi is None:
-        psi = psi_matrix(nr, Z, md)
-    dps = precision if precision is not None else md.precision
-    with workdps(dps + GUARD_DIGITS):
-        ev = _Evaluated(characters_for(md, order), order, beta, dps)
-        return _heat_kernel(md, nr, psi, ev, a, b, tol)
-
-
-def max_heat_kernel_residual(
-    md: ModularData,
-    nr: Nimrep,
-    Z: ModularInvariant,
-    beta=None,
-    order: int = DEFAULT_ORDER,
-    precision: int | None = None,
+    *,
     tol: float = HEAT_KERNEL_TOL,
 ):
-    """Largest heat_kernel_check residual over all boundary pairs,
-    with the characters built and evaluated once."""
-    psi = psi_matrix(nr, Z, md)
-    dps = precision if precision is not None else md.precision
-    with workdps(dps + GUARD_DIGITS):
-        ev = _Evaluated(characters_for(md, order), order, beta, dps)
-        return _max_heat_kernel(md, nr, psi, ev, tol)
+    """The heat_kernel_residuals entry of the pair (a, b)."""
+    _check_labels(nr, a, b)
+    return heat_kernel_residuals(md, nr, Z, beta, order, tol=tol)[a, b]
 
 
-def _max_heat_kernel(md, nr, psi, ev, tol):
-    return max(
-        _heat_kernel(md, nr, psi, ev, a, b, tol)
-        for a in nr.labels
-        for b in nr.labels
-    )
-
-
-def _heat_kernel(md, nr, psi, ev, a, b, tol):
-    ai = nr.labels.index(a)
-    bi = nr.labels.index(b)
-    open_channel = kahan_sum(
-        nr.nmats[rho][ai][bi] * ev.at(rho)
-        for rho in range(md.n)
-        if nr.nmats[rho][ai][bi]
-    )
-    closed_channel = kahan_sum(
-        psi.psi[ai][i]
-        * mp.conj(psi.psi[bi][i])
-        * ev.at(lam, dual=True)
-        / md.S[0][lam]
-        for i, lam in enumerate(psi.exponents)
-    )
-    raw = abs(open_channel - closed_channel)
-
-    weight_open = sum(nr.nmats[rho][ai][bi] for rho in range(md.n))
-    weight_closed = kahan_sum(
-        abs(psi.psi[ai][i] * psi.psi[bi][i] / md.S[0][lam])
-        for i, lam in enumerate(psi.exponents)
-    )
-    tail = max(weight_open * ev.tail_q, weight_closed * ev.tail_qt)
-    _warn_if_tail_dominates(tail, tol)
-    return max(raw, tail)
+def _heat_kernel_residuals(md, nr, psi: PsiMatrix, ev: _Evaluated, tol) -> dict:
+    residuals = {}
+    for ai, a in enumerate(nr.labels):
+        for bi, b in enumerate(nr.labels):
+            open_channel = kahan_sum(
+                nr.nmats[rho][ai][bi] * ev.at(rho)
+                for rho in range(md.n)
+                if nr.nmats[rho][ai][bi]
+            )
+            closed_channel = kahan_sum(
+                psi.psi[ai][i]
+                * mp.conj(psi.psi[bi][i])
+                * ev.at(lam, dual=True)
+                / md.S[0][lam]
+                for i, lam in enumerate(psi.exponents)
+            )
+            raw = abs(open_channel - closed_channel)
+            weight_open = sum(nr.nmats[rho][ai][bi] for rho in range(md.n))
+            weight_closed = kahan_sum(
+                abs(psi.psi[ai][i] * psi.psi[bi][i] / md.S[0][lam])
+                for i, lam in enumerate(psi.exponents)
+            )
+            tail = max(weight_open * ev.tail_q, weight_closed * ev.tail_qt)
+            _warn_if_tail_dominates(tail, tol)
+            residuals[a, b] = max(raw, tail)
+    return residuals
 
 
 def normalize_theta(md: ModularData, theta_mult) -> tuple:
@@ -231,7 +222,6 @@ def full_report(
     nr: Nimrep,
     order: int = DEFAULT_ORDER,
     beta=None,
-    precision: int | None = None,
 ) -> dict:
     """Bundle of everything derived from one (model, Z, nimrep) triple.
 
@@ -239,7 +229,7 @@ def full_report(
     tolerance it was held against.  theta is read off the vacuum row
     of Z, the sector content of the chiral extension behind Z.
     """
-    dps = precision if precision is not None else md.precision
+    dps = md.precision
     with workdps(dps + GUARD_DIGITS):
         beta_v = mpf(beta) if beta is not None else 2 * mp.pi
         doc = {
@@ -288,10 +278,10 @@ def full_report(
         if psi is None:
             doc["heat_kernel"] = {"status": "skipped-degenerate-exponents"}
         else:
-            worst = _max_heat_kernel(md, nr, psi, ev, HEAT_KERNEL_TOL)
+            residuals = _heat_kernel_residuals(md, nr, psi, ev, HEAT_KERNEL_TOL)
             doc["heat_kernel"] = {
                 "status": "ok",
-                "max_residual": num_str(worst, dps),
+                "max_residual": num_str(max(residuals.values()), dps),
                 "tolerance": "1e-8",
                 "beta": num_str(beta_v, dps),
             }

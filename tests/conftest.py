@@ -4,6 +4,8 @@ from functools import lru_cache
 
 from mpmath import mp, workdps
 
+import bcft.report
+from bcft.characters import characters_for
 from bcft.fusion import verlinde
 from bcft.hp import num_str
 from bcft.modular_data import build_minimal, build_su2
@@ -56,3 +58,15 @@ def su3_level1_document():
                     {"name": "3bar", "h": "1/3"}],
         "S": rows,
     }
+
+
+def count_table_builds(monkeypatch):
+    """The orders of the character tables bcft.report builds from now on."""
+    builds = []
+
+    def counting(md, order):
+        builds.append(order)
+        return characters_for(md, order)
+
+    monkeypatch.setattr(bcft.report, "characters_for", counting)
+    return builds

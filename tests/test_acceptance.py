@@ -28,12 +28,12 @@ from bcft.invariants import (
 from bcft.modular_data import build_minimal, build_su2
 from bcft.nimreps import (
     enumerate_su2_nimreps,
-    psi_matrix,
     regular_nimrep,
     spectrum_match,
     verify,
 )
-from bcft.report import annulus, heat_kernel_check, index_report
+from bcft.report import annulus, heat_kernel_residuals, index_report
+from conftest import count_table_builds
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -191,8 +191,8 @@ def test_criterion_5_character_s_transform():
     worst_2pi = 0.0
     worst_3 = 0.0
     for md in models.values():
-        worst_2pi = max(worst_2pi, float(s_transform_residual(md, 400, None, 50)))
-        worst_3 = max(worst_3, float(s_transform_residual(md, 400, 3, 50)))
+        worst_2pi = max(worst_2pi, float(s_transform_residual(md, 400, None)))
+        worst_3 = max(worst_3, float(s_transform_residual(md, 400, 3)))
     ok = worst_2pi < 1e-8 and worst_3 < 1e-6
     _report(
         5,
@@ -214,22 +214,21 @@ def checked_nimreps():
     return triples
 
 
-def test_criterion_6_heat_kernel(checked_nimreps):
+def test_criterion_6_heat_kernel(checked_nimreps, monkeypatch):
+    builds = count_table_builds(monkeypatch)
     worst = 0.0
     pairs = 0
     for _, md, Z, nr in checked_nimreps:
-        psi = psi_matrix(nr, Z, md)
-        for a in nr.labels:
-            for b in nr.labels:
-                res = heat_kernel_check(md, nr, Z, a, b, order=400, psi=psi)
-                worst = max(worst, float(res))
-                pairs += 1
-    ok = worst < 1e-8 and pairs == 45
+        for res in heat_kernel_residuals(md, nr, Z, order=400).values():
+            worst = max(worst, float(res))
+            pairs += 1
+    ok = worst < 1e-8 and pairs == 45 and len(builds) == 2
     _report(
         6,
         ok,
         "open/closed channels agree on %d boundary pairs, worst residual "
-        "%.2e (tol 1e-8, beta=2pi, order 400)" % (pairs, worst),
+        "%.2e (tol 1e-8, beta=2pi, order 400), %d character tables"
+        % (pairs, worst, len(builds)),
     )
 
 

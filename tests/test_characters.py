@@ -223,8 +223,11 @@ def test_s_transform_domain_checks():
         s_transform_residual(md, 100)
     with pytest.raises(ValueError):
         s_transform_residual(md, 200, beta=0)
-    with pytest.raises(ValueError):
-        s_transform_residual(md, 200, beta=-2.0)
+    for beta in (-2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            s_transform_residual(md, 200, beta=beta)
+    with pytest.raises(TypeError):  # the model sets the precision
+        s_transform_residual(md, 200, None, 50)
 
 
 def test_s_transform_warns_when_truncation_dominates():

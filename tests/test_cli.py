@@ -207,6 +207,32 @@ def test_model_file_round_trip(capsys, tmp_path):
     assert from_file["tensor"] == direct["tensor"]
 
 
+def test_model_file_checks_render_at_the_document_precision(capsys, tmp_path):
+    """A model document's own precision, not --precision, sets the digits
+    of every command run on it."""
+    model = tmp_path / "model.json"
+    code, _, _ = run(
+        [
+            "models", "--model", "su2", "--level", "2", "--precision", "20",
+            "--format", "structured", "--out", str(model),
+        ],
+        capsys,
+    )
+    assert code == 0
+    cases = [
+        (["indices", "--theta", "0:1"], "d_pi"),
+        (["check", "s-transform"], "residual"),
+        (["check", "heat-kernel"], "max_residual"),
+    ]
+    for argv, field in cases:
+        code, doc, _ = run_json(
+            argv + ["--model-file", str(model), "--precision", "60"], capsys
+        )
+        assert code == 0
+        mantissa = doc[field].split("e")[0]
+        assert len(mantissa.replace(".", "")) == 20, (argv, doc[field])
+
+
 def test_model_file_with_zero_imaginary_parts(capsys, tmp_path):
     # S entries written as complex numbers with a zero imaginary part
     plain = tmp_path / "plain.json"
@@ -267,6 +293,12 @@ def test_validation_errors_exit_one(capsys, tmp_path):
          "argument --precision"),
         (["models", "--model", "su2", "--level", "2", "--precision", "-5"],
          "argument --precision"),
+        (["check", "s-transform", "--model", "su2", "--level", "2", "--beta", "nan"],
+         "argument --beta"),
+        (["report", "--model", "su2", "--level", "2", "--beta", "nan"],
+         "argument --beta"),
+        (["check", "heat-kernel", "--model", "su2", "--level", "2", "--beta", "inf"],
+         "argument --beta"),
     ],
 )
 def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):

@@ -3,23 +3,23 @@
 import pytest
 from mpmath import mp, workdps
 
-import bcft.report
 from bcft.characters import characters_for, s_transform_residual
 from bcft.cli import main as cli_main
 from bcft.errors import ConvergenceWarning
 from bcft.hp import num_str
 from bcft.invariants import diagonal_invariant, enumerate_physical
-from bcft.nimreps import enumerate_su2_nimreps, psi_matrix, regular_nimrep
+from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep
 from bcft.report import (
     annulus,
     annulus_document,
     full_report,
     heat_kernel_check,
+    heat_kernel_residuals,
     index_document,
     index_report,
     normalize_theta,
 )
-from conftest import fusion_minimal, fusion_su2, minimal, su2
+from conftest import count_table_builds, fusion_minimal, fusion_su2, minimal, su2
 
 ISING = lambda: minimal(4, 3)  # noqa: E731
 
@@ -50,11 +50,16 @@ def test_annulus_series_is_the_sum_of_the_selected_characters():
     assert annulus(md, nr, 0, 1, order=100).Z_ab == chis[1]
 
 
-def test_annulus_rejects_unknown_labels():
+def test_annulus_rejects_unknown_labels(monkeypatch):
     md = ISING()
     nr = regular_nimrep(fusion_minimal(4, 3))
-    with pytest.raises(ValueError):
+    builds = count_table_builds(monkeypatch)
+    with pytest.raises(ValueError, match=r"unknown boundary label in \(0, 7\)"):
         annulus(md, nr, 0, 7)
+    # the heat-kernel lookup checks its labels before it builds anything
+    with pytest.raises(ValueError, match=r"unknown boundary label in \(0, 7\)"):
+        heat_kernel_check(md, nr, diagonal_invariant(md), 0, 7)
+    assert builds == []
 
 
 def test_annulus_document_shape():
@@ -99,17 +104,17 @@ def test_heat_kernel_e6_pairs():
     md = su2(10)
     (e6,) = [z for z in enumerate_physical(md) if z.tag == "E6"]
     (nr,) = enumerate_su2_nimreps(md, 6)
-    psi = psi_matrix(nr, e6, md)
     for pair in [(0, 0), (2, 3), (5, 1)]:
-        res = heat_kernel_check(md, nr, e6, *pair, psi=psi)
+        res = heat_kernel_check(md, nr, e6, *pair)
         assert res < 1e-8
 
 
 def test_heat_kernel_beta_must_be_positive():
     md = ISING()
     nr = regular_nimrep(fusion_minimal(4, 3))
-    with pytest.raises(ValueError):
-        heat_kernel_check(md, nr, diagonal_invariant(md), 0, 0, beta=0)
+    for beta in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            heat_kernel_check(md, nr, diagonal_invariant(md), 0, 0, beta=beta)
 
 
 def test_heat_kernel_warns_when_truncation_dominates():
@@ -237,23 +242,12 @@ def test_full_report_matches_the_per_pair_functions(order, beta):
     assert doc["annulus"] == [
         annulus_document(md, annulus(md, nr, a, b, order)) for a, b in pairs
     ]
-    worst = max(
-        heat_kernel_check(md, nr, Z, a, b, beta, order, dps) for a, b in pairs
-    )
+    worst = max(heat_kernel_check(md, nr, Z, a, b, beta, order) for a, b in pairs)
     assert doc["heat_kernel"]["max_residual"] == num_str(worst, dps)
-    s_res = s_transform_residual(md, max(order, 200), beta, dps)
+    residuals = heat_kernel_residuals(md, nr, Z, beta, order)
+    assert doc["heat_kernel"]["max_residual"] == num_str(max(residuals.values()), dps)
+    s_res = s_transform_residual(md, max(order, 200), beta)
     assert doc["s_transform"]["max_residual"] == num_str(s_res, dps)
-
-
-def _count_builds(monkeypatch):
-    builds = []
-
-    def counting(md, order):
-        builds.append(order)
-        return characters_for(md, order)
-
-    monkeypatch.setattr(bcft.report, "characters_for", counting)
-    return builds
 
 
 @pytest.mark.parametrize(
@@ -262,13 +256,13 @@ def _count_builds(monkeypatch):
 def test_full_report_builds_each_character_table_once(order, expected, monkeypatch):
     md = ISING()
     nr = regular_nimrep(fusion_minimal(4, 3))
-    builds = _count_builds(monkeypatch)
+    builds = count_table_builds(monkeypatch)
     full_report(md, diagonal_invariant(md), nr, order=order)
     assert builds == expected
 
 
 def test_check_heat_kernel_builds_once_with_unchanged_output(monkeypatch, capsys):
-    builds = _count_builds(monkeypatch)
+    builds = count_table_builds(monkeypatch)
     code = cli_main(
         [
             "check", "heat-kernel", "--model", "su2", "--level", "10",
