@@ -65,40 +65,11 @@ class QSeries:
             out[j * f] = cj
         return QSeries(self.offset, new_grid, tuple(out))
 
-    def _aligned(self, other: "QSeries"):
-        g = math.lcm(self.grid, other.grid)
-        diff = other.offset - self.offset
-        g = math.lcm(g, diff.denominator)
-        a, b = self.regrid(g), other.regrid(g)
-        if diff >= 0:
-            off = a.offset
-            shift_a, shift_b = 0, int(diff * g)
-        else:
-            off = b.offset
-            shift_a, shift_b = int(-diff * g), 0
-        return g, off, a, shift_a, b, shift_b
-
     def __add__(self, other):
-        return self._addsub(other, 1)
+        return linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._addsub(other, -1)
-
-    def _addsub(self, other: "QSeries", sign: int) -> "QSeries":
-        g, off, a, sa, b, sb = self._aligned(other)
-        upto = min(a.known_through(), b.known_through())
-        length = int((upto - off) * g) + 1
-        out = [0] * length
-        for j, cj in enumerate(a.coeffs):
-            if sa + j < length:
-                out[sa + j] += cj
-        for j, cj in enumerate(b.coeffs):
-            if sb + j < length:
-                out[sb + j] += sign * cj
-        return QSeries(off, g, tuple(out))
-
-    def scale(self, k: int) -> "QSeries":
-        return QSeries(self.offset, self.grid, tuple(k * c for c in self.coeffs))
+        return linear_combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         g = math.lcm(self.grid, other.grid)
@@ -158,6 +129,19 @@ class QSeries:
         return " + ".join(parts) if parts else "0"
 
 
+def linear_combination(terms) -> QSeries:
+    """sum_i m_i f_i over (m_i, f_i) pairs, on the coarsest common grid
+    and known through the least known exponent of any term."""
+    off = min(f.offset for _, f in terms)
+    g = math.lcm(*(math.lcm(f.grid, (f.offset - off).denominator) for _, f in terms))
+    length = int((min(f.known_through() for _, f in terms) - off) * g) + 1
+    out = [0] * length
+    for m, f in terms:
+        at = slice(int((f.offset - off) * g), length, g // f.grid)
+        out[at] = [x + m * c for x, c in zip(out[at], f.coeffs)]
+    return QSeries(off, g, tuple(out))
+
+
 def qseries_one(order: int) -> QSeries:
     return QSeries(Fraction(0), 1, (1,) + (0,) * order)
 
@@ -207,6 +191,11 @@ def theta_prime_series(m: int, N: int, order: int) -> QSeries:
     return QSeries(Fraction(m * m, 4 * N), 1, tuple(coeffs))
 
 
+def _inverse(den: QSeries) -> QSeries:
+    """1 / den, known as far as den is."""
+    return qseries_one(den.order - 1) / den
+
+
 def char_su2(k: int, a: int, order: int = DEFAULT_ORDER) -> QSeries:
     """Level-k character of sector a as a Weyl-Kac theta quotient.
 
@@ -215,10 +204,14 @@ def char_su2(k: int, a: int, order: int = DEFAULT_ORDER) -> QSeries:
     """
     if not 0 <= a <= k:
         raise ValueError("sector out of range")
+    return _char_su2(k, a, _inverse(theta_prime_series(1, 2, order)))
+
+
+def _char_su2(k: int, a: int, weyl_inverse: QSeries) -> QSeries:
+    """theta'_{a+1,k+2} times the inverse of the shared Weyl denominator
+    theta'_{1,2}."""
     N = k + 2
-    num = theta_prime_series(a + 1, N, order)
-    den = theta_prime_series(1, 2, order)
-    chi = num / den
+    chi = theta_prime_series(a + 1, N, weyl_inverse.order - 1) * weyl_inverse
     expo, lead = chi.leading()
     assert expo == Fraction(a * (a + 2), 4 * N) - Fraction(3 * k, 24 * N)
     assert lead == a + 1
@@ -229,6 +222,12 @@ def char_minimal(p: int, pp: int, r: int, s: int, order: int = DEFAULT_ORDER) ->
     """Kac-label (r, s) character: alternating lattice sum over eta."""
     if not (1 <= r < pp and 1 <= s < p):
         raise ValueError("Kac label out of range")
+    return _char_minimal(p, pp, r, s, _inverse(eta_series(order)))
+
+
+def _char_minimal(p: int, pp: int, r: int, s: int, eta_inverse: QSeries) -> QSeries:
+    """The (r, s) lattice sum times the inverse of the shared eta."""
+    order = eta_inverse.order - 1
     A = p * r - pp * s
     B = p * r + pp * s
     coeffs = [0] * (order + 1)
@@ -247,8 +246,7 @@ def char_minimal(p: int, pp: int, r: int, s: int, order: int = DEFAULT_ORDER) ->
         if not hit and n > 1:
             break
         n += 1
-    num = QSeries(Fraction(A * A, 4 * p * pp), 1, tuple(coeffs))
-    chi = num / eta_series(order)
+    chi = QSeries(Fraction(A * A, 4 * p * pp), 1, tuple(coeffs)) * eta_inverse
     expo, lead = chi.leading()
     h = Fraction(A * A - (p - pp) ** 2, 4 * p * pp)
     c = Fraction(1) - Fraction(6 * (p - pp) ** 2, p * pp)
@@ -258,17 +256,19 @@ def char_minimal(p: int, pp: int, r: int, s: int, order: int = DEFAULT_ORDER) ->
 
 
 def characters_for(md: ModularData, order: int = DEFAULT_ORDER) -> tuple:
-    """Characters of every sector, in sector order."""
+    """Characters of every sector, in sector order: sparse numerators
+    times one inverse of the denominator they share."""
     if md.family == "su2":
         (k,) = md.params
-        return tuple(char_su2(k, a, order) for a in range(md.n))
+        inverse = _inverse(theta_prime_series(1, 2, order))
+        return tuple(_char_su2(k, a, inverse) for a in range(md.n))
     if md.family == "minimal":
         p, pp = md.params
-        out = []
-        for sec in md.sectors:
-            r, s = map(int, sec.name.split(","))
-            out.append(char_minimal(p, pp, r, s, order))
-        return tuple(out)
+        inverse = _inverse(eta_series(order))
+        return tuple(
+            _char_minimal(p, pp, *map(int, sec.name.split(",")), inverse)
+            for sec in md.sectors
+        )
     raise ValueError("characters are only available for built-in families")
 
 

@@ -292,16 +292,18 @@ def _read_nimrep(flag: str, path: str):
     )
 
 
-def _cached(args, operation: str, inputs: dict, compute):
-    """Run compute() through the cache when --cache is set."""
+def _cached(args, md, operation: str, inputs: dict, compute):
+    """Run compute() through the cache when --cache is set, keyed on the
+    precision md computes at (a model document's own field wins over
+    --precision)."""
     if not args.cache:
         return compute()
     cache = Cache(args.cache)
-    payload = cache.load(cache_key(operation, inputs, args.precision, args.order))
+    payload = cache.load(cache_key(operation, inputs, md.precision, args.order))
     if payload is not None:
         return payload
     doc = compute()
-    cache.store(make_entry(operation, inputs, doc, args.precision, args.order))
+    cache.store(make_entry(operation, inputs, doc, md.precision, args.order))
     return doc
 
 
@@ -320,12 +322,12 @@ def _cmd_models(args):
             ],
         }, EXIT_OK
     md, key = _resolve_model(args)
-    return _cached(args, "models", key, lambda: model_to_document(md)), EXIT_OK
+    return _cached(args, md, "models", key, lambda: model_to_document(md)), EXIT_OK
 
 
 def _cmd_fusion(args):
     md, key = _resolve_model(args)
-    return _cached(args, "fusion", key, lambda: fusion_document(verlinde(md))), EXIT_OK
+    return _cached(args, md, "fusion", key, lambda: fusion_document(verlinde(md))), EXIT_OK
 
 
 def _cmd_invariants(args):
@@ -340,7 +342,7 @@ def _cmd_invariants(args):
             "invariants": [invariant_document(z) for z in invs],
         }
 
-    return _cached(args, "invariants", key, compute), EXIT_OK
+    return _cached(args, md, "invariants", key, compute), EXIT_OK
 
 
 def _cmd_nimreps_enumerate(args):
@@ -356,7 +358,7 @@ def _cmd_nimreps_enumerate(args):
             "nimreps": [nimrep_document(nr) for nr in nrs],
         }
 
-    return _cached(args, "nimreps-enumerate", dict(key, size=args.size), compute), EXIT_OK
+    return _cached(args, md, "nimreps-enumerate", dict(key, size=args.size), compute), EXIT_OK
 
 
 def _cmd_nimreps_verify(args):
@@ -392,7 +394,7 @@ def _cmd_characters(args):
             ],
         }
 
-    return _cached(args, "characters", key, compute), EXIT_OK
+    return _cached(args, md, "characters", key, compute), EXIT_OK
 
 
 def _cmd_annulus(args):
@@ -411,7 +413,7 @@ def _cmd_annulus(args):
         return doc
 
     inputs = dict(key, nimrep=nimrep_key, pair=[a, b])
-    return _cached(args, "annulus", inputs, compute), EXIT_OK
+    return _cached(args, md, "annulus", inputs, compute), EXIT_OK
 
 
 def _check_document(check, md, field, res, tol, **extra):
@@ -457,7 +459,7 @@ def _cmd_indices(args):
         return doc
 
     inputs = dict(key, theta=sorted([k, v] for k, v in theta.items()))
-    return _cached(args, "indices", inputs, compute), EXIT_OK
+    return _cached(args, md, "indices", inputs, compute), EXIT_OK
 
 
 def _cmd_report(args):
@@ -472,7 +474,7 @@ def _cmd_report(args):
         invariant_tag=args.invariant_tag,
         beta=repr(args.beta) if args.beta is not None else "2*pi",
     )
-    return _cached(args, "report", inputs, compute), EXIT_OK
+    return _cached(args, md, "report", inputs, compute), EXIT_OK
 
 
 _HANDLERS = {

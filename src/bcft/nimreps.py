@@ -296,7 +296,8 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
                     )
                 used.add(best)
                 col = list(evecs[best])
-                lead = next(x for x in col if abs(x) > tol)
+                # at tol >= 1 (one digit) no entry of a unit vector exceeds tol
+                lead = next((x for x in col if abs(x) > tol), max(col, key=abs))
                 if lead < 0:
                     col = [-x for x in col]
                 cols.append(col)

@@ -20,6 +20,7 @@ from .characters import (
     _s_residual,
     _warn_if_tail_dominates,
     characters_for,
+    linear_combination,
 )
 from .errors import DegenerateExponents
 from .hp import GUARD_DIGITS, kahan_sum, num_str
@@ -74,15 +75,9 @@ def _annulus(md: ModularData, nr: Nimrep, chis: tuple, a: int, b: int):
     ai = nr.labels.index(a)
     bi = nr.labels.index(b)
     mults = tuple(int(nr.nmats[rho][ai][bi]) for rho in range(md.n))
-    series = None
-    for rho, mult in enumerate(mults):
-        if mult == 0:
-            continue
-        term = chis[rho].scale(mult)
-        series = term if series is None else series + term
-    if series is None:
-        series = chis[0].scale(0)
-    return AnnulusSpectrum((a, b), mults, series, mults[0] >= 1)
+    # no sector at all: the zero series on the vacuum character's grid
+    terms = [(mult, chi) for mult, chi in zip(mults, chis) if mult] or [(0, chis[0])]
+    return AnnulusSpectrum((a, b), mults, linear_combination(terms), mults[0] >= 1)
 
 
 def heat_kernel_residuals(

@@ -1,5 +1,6 @@
 """Exact q-series: frozen heads, product identities, S-transform."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from bcft.characters import (
     characters_for,
     eta_series,
     euler_product,
+    linear_combination,
     qseries_one,
     s_transform_residual,
     theta_prime_series,
@@ -21,7 +23,7 @@ from bcft.characters import (
 )
 from bcft.errors import ConvergenceWarning, SeriesDivisionError
 from bcft.modular_data import load_model, model_to_document
-from conftest import minimal, su2
+from conftest import all_coprime_pairs, minimal, su2
 
 # ---------------------------------------------------------------------------
 # frozen leading coefficients (checked against the product formulas below)
@@ -138,6 +140,105 @@ def test_large_level_vacuum_counts_three_colored_partitions():
 
 
 # ---------------------------------------------------------------------------
+# characters against the direct quotient numerator / denominator
+
+
+def lattice_series(offset: Fraction, terms, order: int) -> QSeries:
+    """sum of c q^e over (e, c) in terms, on the integer grid above offset."""
+    coeffs = [0] * (order + 1)
+    for expo, c in terms:
+        j = expo - offset
+        assert j.denominator == 1
+        if 0 <= j <= order:
+            coeffs[int(j)] += c
+    return QSeries(offset, 1, tuple(coeffs))
+
+
+def lattice(order: int):
+    """Every n whose term can fall below order: each exponent above the
+    n = 0 term grows like n^2."""
+    reach = math.isqrt(order) + 2
+    return range(-reach, reach + 1)
+
+
+def su2_quotient(k: int, a: int, order: int) -> QSeries:
+    """Weyl-Kac: theta'_{a+1,k+2} / theta'_{1,2}, where theta'_{m,N} is
+    sum_n (m + 2Nn) q^((m + 2Nn)^2 / 4N)."""
+
+    def theta(m, N):
+        terms = [(Fraction((m + 2 * N * n) ** 2, 4 * N), m + 2 * N * n) for n in lattice(order)]
+        return lattice_series(Fraction(m * m, 4 * N), terms, order)
+
+    return theta(a + 1, k + 2) / theta(1, 2)
+
+
+def minimal_quotient(p: int, pp: int, r: int, s: int, order: int) -> QSeries:
+    """Rocha-Caridi: sum_n [q^((2pp'n + A)^2/4pp') - q^((2pp'n + B)^2/4pp')]
+    over eta = sum_n (-1)^n q^((6n - 1)^2 / 24)."""
+    A, B, P = p * r - pp * s, p * r + pp * s, 4 * p * pp
+    ns = lattice(order)
+    num = lattice_series(
+        Fraction(A * A, P),
+        [(Fraction((2 * p * pp * n + A) ** 2, P), 1) for n in ns]
+        + [(Fraction((2 * p * pp * n + B) ** 2, P), -1) for n in ns],
+        order,
+    )
+    eta = lattice_series(
+        Fraction(1, 24), [(Fraction((6 * n - 1) ** 2, 24), (-1) ** n) for n in ns], order
+    )
+    return num / eta
+
+
+def quotient_table(md, order: int) -> tuple:
+    if md.family == "su2":
+        return tuple(su2_quotient(md.params[0], a, order) for a in range(md.n))
+    return tuple(minimal_quotient(*md.params, *map(int, sec.name.split(",")), order)
+                 for sec in md.sectors)
+
+
+MODELS = [("su2", (k,)) for k in range(1, 31)] + [("minimal", pq) for pq in all_coprime_pairs(12)]
+
+
+def _model(family, params):
+    return su2(*params) if family == "su2" else minimal(*params)
+
+
+@pytest.mark.parametrize("order", [0, 1, 30])
+def test_characters_equal_the_direct_quotient(order):
+    for family, params in MODELS:
+        md = _model(family, params)
+        assert characters_for(md, order) == quotient_table(md, order), (family, params)
+
+
+@pytest.mark.parametrize("family, params", [("su2", (10,)), ("su2", (28,)), ("minimal", (5, 4))])
+def test_characters_equal_the_direct_quotient_at_order_400(family, params):
+    md = _model(family, params)
+    chis = characters_for(md, 400)
+    assert chis == quotient_table(md, 400)
+    # the one-sector entry points build the same series
+    if family == "su2":
+        assert char_su2(params[0], 1, 400) == chis[1]
+    else:
+        r, s = map(int, md.sectors[1].name.split(","))
+        assert char_minimal(*params, r, s, 400) == chis[1]
+
+
+@pytest.mark.parametrize("family, params", [("su2", (10,)), ("minimal", (7, 6))])
+def test_one_series_division_per_character_table(family, params, monkeypatch):
+    calls = []
+    divide = QSeries.__truediv__
+
+    def counting(self, other):
+        calls.append(other.offset)
+        return divide(self, other)
+
+    monkeypatch.setattr(QSeries, "__truediv__", counting)
+    md = _model(family, params)
+    assert len(characters_for(md, 60)) == md.n > 1
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # series arithmetic
 
 
@@ -206,6 +307,60 @@ def test_multiply_then_divide_round_trips(f, g):
     back = prod / g
     m = len(back.coeffs)
     assert back.coeffs == f.regrid(back.grid).coeffs[:m]
+
+
+def _aligned(a: QSeries, b: QSeries):
+    g = math.lcm(a.grid, b.grid)
+    diff = b.offset - a.offset
+    g = math.lcm(g, diff.denominator)
+    a, b = a.regrid(g), b.regrid(g)
+    if diff >= 0:
+        off = a.offset
+        shift_a, shift_b = 0, int(diff * g)
+    else:
+        off = b.offset
+        shift_a, shift_b = int(-diff * g), 0
+    return g, off, a, shift_a, b, shift_b
+
+
+def _addsub(a: QSeries, b: QSeries, sign: int) -> QSeries:
+    """a + sign * b as QSeries formed it, two series at a time, before the
+    one-pass linear combination: the oracle below."""
+    g, off, a, sa, b, sb = _aligned(a, b)
+    upto = min(a.known_through(), b.known_through())
+    length = int((upto - off) * g) + 1
+    out = [0] * length
+    for j, cj in enumerate(a.coeffs):
+        if sa + j < length:
+            out[sa + j] += cj
+    for j, cj in enumerate(b.coeffs):
+        if sb + j < length:
+            out[sb + j] += sign * cj
+    return QSeries(off, g, tuple(out))
+
+
+# at least one coefficient: an empty series is known through no exponent,
+# and re-gridding one moved that bound in the pairwise sum
+offset_series = st.builds(
+    QSeries,
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 8, 24, 48])),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), offset_series), min_size=1, max_size=4))
+def test_linear_combination_matches_pairwise_sums(terms):
+    scaled = [QSeries(f.offset, f.grid, tuple(m * c for c in f.coeffs)) for m, f in terms]
+    want = scaled[0]
+    for term in scaled[1:]:
+        want = _addsub(want, term, 1)
+    assert linear_combination(terms) == want
+    if len(terms) == 2:
+        (_, f), (_, g) = terms
+        assert f + g == _addsub(f, g, 1)
+        assert f - g == _addsub(f, g, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: documents, exit codes, cache."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bcft.errors
 from bcft import cli
 from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
+from bcft.modular_data import model_to_document
 from bcft.nimreps import e6_graph, enumerate_su2_nimreps, nimrep_document, regular_nimrep
 from conftest import su2
 
@@ -632,3 +637,153 @@ def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["max_residual"] == "1e-99"
+
+
+def test_cache_key_follows_the_model_document_precision(capsys, tmp_path):
+    """A document's precision field overrides --precision, so the flag does
+    not split its cache entries; without the field the flag still does."""
+    saved = tmp_path / "m20.json"
+    assert run(["models", "--model", "su2", "--level", "2", "--precision", "20",
+                "--format", "structured", "--out", str(saved)], capsys)[0] == 0
+    bare = tmp_path / "bare.json"
+    doc = json.loads(saved.read_text())
+    del doc["precision"]
+    bare.write_text(json.dumps(doc))
+    for model, files in ((saved, 1), (bare, 2)):
+        cache = tmp_path / ("cache-" + model.stem)
+        outs = set()
+        for precision in ("20", "60"):
+            argv = ["report", "--model-file", str(model), "--precision", precision,
+                    "--order", "30", "--format", "structured"]
+            code, out, _ = run(argv + ["--cache", str(cache)], capsys)
+            assert (code, out) == run(argv, capsys)[:2]
+            assert code == 0
+            outs.add(out)
+        assert len(list(cache.rglob("*.json"))) == files
+        assert len(outs) == files
+
+
+@pytest.mark.parametrize("command", [["check", "heat-kernel"], ["report"]])
+def test_one_digit_precision_fixes_boundary_state_phases(command, capsys):
+    """At --precision 1 the tolerance is 1, which no entry of a unit
+    eigenvector exceeds; the phase comes from the largest entry instead
+    of a StopIteration traceback."""
+    argv = command + ["--model", "minimal", "--p", "3", "--pp", "2", "--order", "8",
+                      "--precision", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "minimal_3_2" in out
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every input ends in exit 0, 1 or 2, never a traceback
+
+# values that no flag accepts, plus short arbitrary text
+MALFORMED = st.one_of(
+    st.sampled_from(["", "x", "-", "--", "0", "-1", "1.5", "nan", "inf", "1e3", "0x3",
+                     " 2", "1,", ",", ":", ";", "0:", "a:b", "\u0663", "null"]),
+    st.text(max_size=6),
+)
+
+
+def _value(*good):
+    """Mostly a good value, now and then a malformed one."""
+    return st.integers(0, 9).flatmap(lambda i: st.one_of(*good) if i else MALFORMED)
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+# input files, by placeholder; the test writes them once
+FILE_NAMES = ["@model", "@nimrep", "@generator", "@badjson", "@list", "@binary",
+              "@missing", "@dir"]
+FILES = st.sampled_from(FILE_NAMES)
+MODEL = st.one_of(
+    st.tuples(st.just("--model"), _value(st.just("su2")), st.just("--level"),
+              _value(_ints(-1, 4))),
+    st.sampled_from([("3", "2"), ("4", "3"), ("5", "2"), ("5", "3"), ("5", "4"), ("4", "2"),
+                     ("3", "3"), ("2", "3"), ("-1", "2")]).map(
+        lambda pq: ("--model", "minimal", "--p", pq[0], "--pp", pq[1])),
+    st.tuples(st.just("--model-file"), FILES),
+    st.tuples(st.sampled_from(["--model", "--level", "--p", "--pp"]), _value(_ints(0, 4))),
+)
+COMMON = {
+    "--precision": _value(st.sampled_from(["1", "3", "8", "20", "50"])),
+    "--beta": _value(st.sampled_from(["1", "3.5", "6.283", "0", "-2", "1e-3", "1e300"])),
+    "--format": _value(st.sampled_from(["text", "structured"])),
+    "--cache": st.just("cache"),
+}
+TAGS = _value(st.sampled_from(["A3", "A5", "D4", "E6", "X"]))
+TOL = _value(st.sampled_from(["1e-8", "0", "-1", "1"]))
+# per command: (required flags, optional flags)
+EXTRA = {
+    ("models",): ({}, {}),
+    ("fusion",): ({}, {}),
+    ("invariants",): ({}, {}),
+    ("characters",): ({}, {}),
+    ("nimreps", "enumerate"): ({"--size": _value(_ints(-1, 6))}, {}),
+    ("nimreps", "verify"): ({"--nimrep-file": FILES}, {}),
+    ("nimreps", "generate"): ({"--generator-file": FILES}, {}),
+    ("annulus",): (
+        {"--pair": _value(st.sampled_from(["0,0", "0,1", "1,2", "2,0", "0,9", "-1,0", "0"]))},
+        {"--nimrep": st.one_of(st.just("regular"), FILES)},
+    ),
+    ("check", "s-transform"): ({}, {"--tol": TOL}),
+    ("check", "heat-kernel"): ({}, {"--tol": TOL, "--invariant-tag": TAGS}),
+    ("indices",): ({"--theta": _value(st.sampled_from(
+        ["0:1", "0:1,2:1", "1,1:1;1,3:1", "0:-1", "0:0", "9:1", "sigma:1", "0:1;"]))}, {}),
+    ("report",): ({}, {"--invariant-tag": TAGS}),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(list(EXTRA) + [("nimreps",), ("check",)]))
+    required, optional = EXTRA.get(command, ({}, {}))
+    optional = dict(COMMON, **optional)
+    argv = list(command) + list(draw(MODEL)) + ["--order", draw(_value(_ints(0, 30)))]
+    for flag in list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        argv += [flag, draw(required.get(flag) or optional[flag])]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(MALFORMED))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "@model": json.dumps(model_to_document(su2(2, 20))).encode(),
+        "@nimrep": json.dumps(nimrep_document(regular_nimrep(verlinde(su2(2))))).encode(),
+        "@generator": b"[[0, 1, 0], [1, 0, 1], [0, 1, 0]]",
+        "@badjson": b"{not json",
+        "@list": b"[1, 2, 3]",
+        "@binary": b"\xff\xfe\x00",
+    }
+    paths = {name: root / name[1:] for name in FILE_NAMES}
+    for name, data in contents.items():
+        paths[name].write_bytes(data)
+    paths["@dir"].mkdir()
+    return {name: str(path) for name, path in paths.items()}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_any_argv_exits_zero_one_or_two_without_traceback(argv, fuzz_files, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)  # --cache and stray paths land here
+    argv = [fuzz_files.get(x, x) for x in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    out = out.getvalue()
+    if code == 1:
+        assert out == "", argv
+    if code == 2:  # a check that ran and failed still prints its verdict
+        assert out == "" or "ok: False" in out or '"ok": false' in out, argv
