@@ -233,7 +233,12 @@ def _parse_theta(md, text: str) -> dict:
         try:
             idx = int(key)
         except ValueError:
-            idx = md.sector_named(key)
+            try:
+                idx = md.sector_named(key)
+            except KeyError:
+                raise ValueError(
+                    "--theta item %r: no sector is named %r" % (item, key)
+                ) from None
         try:
             theta[idx] = int(mult)
         except ValueError:

@@ -88,10 +88,11 @@ def parse_number(s: str, dps: int):
 
 
 def tolerance(dps: int):
-    """The precision-tied threshold 10^-(dps//2), computed at guard
-    precision: residuals below it count as zero at dps digits."""
+    """The precision-tied threshold 10^-max(1, dps//2), computed at guard
+    precision: residuals below it count as zero at dps digits (one digit
+    still gets a threshold below 1)."""
     with workdps(dps + GUARD_DIGITS):
-        return mpf(10) ** (-(dps // 2))
+        return mpf(10) ** -max(1, dps // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,8 @@ def rref_rows(vectors, dps: int):
         return a[:row], pivots
 
 
+# unused by the package; perfbench/spans.py traces it by name until
+# stages are recorded inside the package
 def eig_symmetric(rows, dps: int):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a real
     symmetric matrix given as nested sequences."""

@@ -335,7 +335,10 @@ def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularDat
         raise DocumentFormatError("model document must be a mapping")
     if document.get("format", MODEL_DOCUMENT_FORMAT) != MODEL_DOCUMENT_FORMAT:
         raise DocumentFormatError("unsupported document format %r" % document.get("format"))
-    precision = int(document.get("precision", precision))
+    if "precision" in document:
+        precision = int(document["precision"])
+        if precision < 1:
+            raise DocumentFormatError("field 'precision' must be at least 1, not %d" % precision)
     builder = document.get("builder")
     if builder is not None:
         family = builder.get("family")

@@ -10,7 +10,6 @@ enumeration reduces to a graph search for valid generators.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +25,8 @@ from .errors import (
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing, fusion_matrix, verlinde_inputs
-from .hp import GUARD_DIGITS, Fixed, eig_symmetric, to_fraction, tolerance
-from .intpoly import charpoly, divmod_poly, mul, psi, roots_above
+from .hp import GUARD_DIGITS, Fixed, fixed_bits, to_fraction, tolerance
+from .intpoly import charpoly, divmod_poly, psi, roots_above
 from .invariants import ModularInvariant
 from .modular_data import ModularData
 
@@ -64,8 +63,8 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class MatchReport:
-    """The sectors rho whose n^rho has a characteristic polynomial other
-    than prod over the exponents lambda of (x - S_rho lambda / S_0 lambda)."""
+    """The sectors rho whose trace tr n^rho differs from the sum over the
+    exponents lambda of S_rho lambda / S_0 lambda."""
 
     mismatches: tuple
 
@@ -164,68 +163,38 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
     )
 
 
-def _su2_exponent_polynomial(k: int, exps) -> list | None:
-    """prod over the exponents lambda of (x - 2cos(pi j/h)), j = lambda + 1,
-    h = k + 2, or None when the multiset is not Galois-closed.
+def _exponent_traces(md: ModularData, exps) -> tuple:
+    """sum over lambda in exps of S_rho lambda / S_0 lambda, for every rho,
+    in fixed point from fusion.verlinde_inputs, with its error bound.
 
-    2cos(pi j/h) is a root of psi_(2h/g), g = gcd(j, 2h), whose roots are
-    the 2cos(pi j'/h) over the j' in 1..h-1 with gcd(j', 2h) = g; a
-    product of psi's therefore needs the same multiplicity on each class.
+    Returns (bits, re, im, err): the sum for sector rho is
+    (re[rho] + i im[rho]) / 2^bits, within err / 2^bits of the sum over the
+    working-precision S and 1/S_0.  Rounding S and W = 1/S_0 moves a ratio
+    by at most (s_max + w_max) 2^-bits, and the floor of each part by less
+    than 2^-bits, so by at most delta = ceil(s_max + w_max) + 2 units; the
+    m ratios of a sum give err = m delta.
     """
-    n = 2 * (k + 2)
-    mult = Counter(lam + 1 for lam in exps)
-    out = [1]
-    for g in sorted({math.gcd(j, n) for j in mult}):
-        counts = {mult[j] for j in range(1, k + 2) if math.gcd(j, n) == g}
-        if len(counts) != 1:
-            return None
-        for _ in range(counts.pop()):
-            out = mul(out, psi(n // g))
-    return out
-
-
-def _elementary(re, im) -> tuple:
-    """e_0..e_m of the values re_j + i im_j (exact integers), as the lists
-    of real and imaginary parts."""
-    e_re, e_im = [1] + [0] * len(re), [0] * (len(re) + 1)
-    for x, y in zip(re, im):
-        for i in range(len(re), 0, -1):
-            e_re[i] += x * e_re[i - 1] - y * e_im[i - 1]
-            e_im[i] += x * e_im[i - 1] + y * e_re[i - 1]
-    return e_re, e_im
-
-
-def _ratio_polynomial(S: Fixed, W: Fixed, rho: int, exps) -> tuple:
-    """prod over lambda in exps of (x - S_rho lambda / S_0 lambda) in fixed
-    point, with its error bound, from (S, W, _) = fusion.verlinde_inputs.
-
-    Returns (bits, e_re, e_im, err): coefficient i of the product is
-    (-1)^i (e_re[i] + i e_im[i]) / 2^(bits i), within err[i] / 2^(bits i) of
-    the product over the working-precision S.  Rounding S and W = 1/S_0
-    moves a ratio by at most (s_max + w_max) 2^-bits, and the floor of
-    each part by less than 2^-bits, so by at most delta in all.  With
-    b_lambda >= |ratio| + delta, err_i = e_i(b + delta) - e_i(b).
-    """
+    S, W, _ = verlinde_inputs(md)
     cols = list(exps)
-    R = (S[rho][cols] * W[cols]).rescale(S.bits)
-    m = len(cols)
-    re, im = R.re.tolist(), [0] * m if R.im is None else R.im.tolist()
-    delta = math.ceil(S.bound() + W.bound()) + 2  # in units of 2^-bits
-    b = [math.isqrt(x * x + y * y) + 1 + delta for x, y in zip(re, im)]
-    lo, hi = (_elementary(v, [0] * m)[0] for v in (b, [x + delta for x in b]))
-    e_re, e_im = _elementary(re, im)
-    return S.bits, e_re, e_im, [h - x for h, x in zip(hi, lo)]
+    R = (S[:, cols] * W[cols]).rescale(S.bits)
+    re = R.re.sum(axis=1)
+    im = np.zeros_like(re) if R.im is None else R.im.sum(axis=1)
+    delta = math.ceil(S.bound() + W.bound()) + 2
+    return S.bits, re, im, len(cols) * delta
 
 
 def spectrum_match(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> MatchReport:
-    """Compare, sector by sector, the characteristic polynomial of n^rho
-    with prod over the exponents lambda of Z of (x - S_rho lambda / S_0 lambda).
+    """Compare, sector by sector, the integer trace of n^rho with the sum
+    over the exponents lambda of Z of S_rho lambda / S_0 lambda.
 
-    Level-k data: n^rho = U_rho(n^1) for the whole family, so the generator
-    decides; its characteristic polynomial must equal the exact product of
-    psi's of _su2_exponent_polynomial.  Other models: each coefficient of
-    _ratio_polynomial must lie within tolerance(precision) minus its error
-    bound of the integer one.
+    nr must be a nimrep (callers pass a regular one, or one of
+    enumerate_su2_nimreps, whose certified norm makes the grown family
+    one): its commuting normal n^rho have a joint spectrum of characters
+    rho -> S_rho lambda / S_0 lambda, and since S is invertible the n
+    traces fix the multiplicity of every lambda.  The traces match exactly when that spectrum is Exp(Z), which
+    is when every characteristic polynomial of n^rho matches.  A sum of
+    _exponent_traces must lie within tolerance(precision) minus its error
+    bound of the trace, as verlinde certifies its integers.
     """
     exps = Z.exponents
     m = len(exps)
@@ -233,32 +202,29 @@ def spectrum_match(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> MatchRep
         raise SizeMismatch(
             "nimrep has %d boundaries, invariant needs %d" % (nr.size, m)
         )
-    if md.family == "su2":
-        (k,) = md.params
-        ok = charpoly(nr.nmats[1]) == _su2_exponent_polynomial(k, exps)
-        return MatchReport(() if ok else (1,))
-    tol = to_fraction(tolerance(md.precision))
-    S, W, _ = verlinde_inputs(md)
+    bits, re, im, err = _exponent_traces(md, exps)
+    slack = to_fraction(tolerance(md.precision)) * (1 << bits) - err
     mismatches = []
     for rho in range(md.n):
-        bits, e_re, e_im, err = _ratio_polynomial(S, W, rho, exps)
-        want = charpoly(nr.nmats[rho])
-        for i in range(1, m + 1):
-            scale = 1 << bits * i
-            slack = tol * scale - err[i]
-            diff = (-1) ** i * e_re[i] - want[i] * scale
-            if slack < 0 or diff * diff + e_im[i] * e_im[i] > slack * slack:
-                mismatches.append(rho)
-                break
+        trace = sum(nr.nmats[rho][a][a] for a in range(m))
+        diff = int(re[rho]) - (trace << bits)
+        if slack < 0 or diff * diff + int(im[rho]) ** 2 > slack * slack:
+            mismatches.append(rho)
     return MatchReport(tuple(mismatches))
 
 
 def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
     """Boundary-state coefficient matrix.
 
-    Columns are the common eigenvectors of the nimrep family, indexed
-    by the exponents of Z, orthonormal, with the phase fixed so the
-    first nonvanishing entry of each column is real positive.
+    Column lambda is the common unit eigenvector of the n^rho with the
+    eigenvalues S_rho lambda / S_0 lambda, read off the spectral projector
+    P_lambda = S_0 lambda sum_rho conj(S_rho lambda) n^rho (Behrend, Pearce,
+    Petkova and Zuber 2000).  For a simple exponent P_lambda is
+    psi_lambda psi_lambda^dagger, so its column b over sqrt(P_bb), at the
+    largest diagonal entry, is psi_lambda up to a phase; the phase makes the
+    first entry above tolerance real positive.  cardy_residual is the
+    largest entry of psi diag(S_rho lambda / S_0 lambda) psi^dagger - n^rho
+    over every rho, from exact fixed-point products.
     """
     exps = Z.exponents
     if len(set(exps)) != len(exps):
@@ -274,86 +240,33 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
     m = nr.size
     with workdps(dps + GUARD_DIGITS):
         tol = tolerance(dps)
-        ratios = [
-            [mp.re(md.S[rho][lam] / md.S[0][lam]) for lam in exps]
-            for rho in range(md.n)
-        ]
+        cols = []
+        for lam in exps:
+            coef = [md.S[0][lam] * mp.conj(md.S[rho][lam]) for rho in range(md.n)]
 
-        def build(evals, evecs, targets):
-            cols = []
-            used = set()
-            for pos, target in enumerate(targets):
-                best, best_gap = None, None
-                for i in range(m):
-                    if i in used:
-                        continue
-                    gap = abs(evals[i] - target)
-                    if best is None or gap < best_gap:
-                        best, best_gap = i, gap
-                if best_gap > tol:
-                    raise CheckFailure(
-                        "no eigenvector matches exponent %d" % exps[pos]
-                    )
-                used.add(best)
-                col = list(evecs[best])
-                # at tol >= 1 (one digit) no entry of a unit vector exceeds tol
-                lead = next((x for x in col if abs(x) > tol), max(col, key=abs))
-                if lead < 0:
-                    col = [-x for x in col]
-                cols.append(col)
-            psi = tuple(
-                tuple(cols[j][a] for j in range(len(exps))) for a in range(m)
-            )
-            worst = mpf(0)
-            for rho in range(md.n):
-                for a in range(m):
-                    for b in range(m):
-                        val = mp.fsum(
-                            psi[a][i] * mp.conj(psi[b][i]) * ratios[rho][i]
-                            for i in range(len(exps))
-                        )
-                        worst = max(worst, abs(val - nr.nmats[rho][a][b]))
-            return psi, worst
+            def entry(a, b):
+                return mp.fsum(c * mat[a][b] for c, mat in zip(coef, nr.nmats) if mat[a][b])
 
-        if md.family == "su2":
-            evals, evecs = eig_symmetric(nr.nmats[1], dps)
-            psi, worst = build(evals, evecs, [r for r in ratios[1]])
-        else:
-            # generic mixer; distinct weights separate the joint
-            # eigenspaces for some seed when Exp is multiplicity-free
-            psi = worst = None
-            for seed in range(2, 7):
-                weights = [
-                    mpf(1) / (min(rho, md.conj[rho]) + seed)
-                    for rho in range(md.n)
-                ]
-                mixed = [
-                    [
-                        mp.fsum(
-                            weights[rho] * nr.nmats[rho][a][b]
-                            for rho in range(md.n)
-                        )
-                        for b in range(m)
-                    ]
-                    for a in range(m)
-                ]
-                evals, evecs = eig_symmetric(mixed, dps)
-                targets = [
-                    mp.fsum(
-                        weights[rho] * ratios[rho][i] for rho in range(md.n)
-                    )
-                    for i in range(len(exps))
-                ]
-                try:
-                    psi, worst = build(evals, evecs, targets)
-                except CheckFailure:
-                    continue
-                if worst < mpf(PSI_TOL):
-                    break
-            if psi is None:
-                raise CheckFailure(
-                    "no weight seed separated the joint eigenspaces"
-                )
+            diag = [mp.re(entry(a, a)) for a in range(m)]
+            b = max(range(m), key=diag.__getitem__)
+            # tr P = 1, so a projector of rank one has a diagonal entry >= 1/m
+            if diag[b] * m <= tol:
+                raise CheckFailure("no eigenvector matches exponent %d" % lam)
+            norm = mp.sqrt(diag[b])
+            col = [entry(a, b) / norm for a in range(m)]
+            # a unit vector longer than tol^-2 may have no entry above tol
+            lead = next((x for x in col if abs(x) > tol), max(col, key=abs))
+            cols.append([x * (abs(lead) / lead) for x in col])
+        psi = tuple(tuple(col[a] for col in cols) for a in range(m))
+        bits = fixed_bits(dps)
+        R = Fixed.of([[md.S[rho][lam] / md.S[0][lam] for lam in exps]
+                      for rho in range(md.n)], bits)
+        Psi = Fixed.of(psi, bits)
+        # K[a, lambda, b] = psi_a lambda conj(psi_b lambda); R.dot(K)[rho] is
+        # psi diag(R[rho]) psi^dagger
+        K = (Psi[:, :, None] * Psi.conj().T[None, :, :]).rescale(bits)
+        N = np.array(nr.nmats, dtype=object) << 2 * bits
+        worst = (R.dot(K) - Fixed(N, None, 2 * bits)).max_abs()
         if worst > mpf(PSI_TOL):
             raise CheckFailure(
                 "boundary-state identity residual %s exceeds %s"

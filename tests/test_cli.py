@@ -304,6 +304,8 @@ def test_validation_errors_exit_one(capsys, tmp_path):
          "argument --beta"),
         (["check", "heat-kernel", "--model", "su2", "--level", "2", "--beta", "inf"],
          "argument --beta"),
+        (["indices", "--model", "su2", "--level", "2", "--theta", "1,1:1;1,3:1"],
+         "--theta item '1,1:1': no sector is named '1,1'"),
     ],
 )
 def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
@@ -665,14 +667,38 @@ def test_cache_key_follows_the_model_document_precision(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [["check", "heat-kernel"], ["report"]])
 def test_one_digit_precision_fixes_boundary_state_phases(command, capsys):
-    """At --precision 1 the tolerance is 1, which no entry of a unit
-    eigenvector exceeds; the phase comes from the largest entry instead
-    of a StopIteration traceback."""
+    """At --precision 1 the boundary-state phases are fixed without a
+    StopIteration traceback (the tolerance was once 1, which no entry of a
+    unit vector exceeds)."""
     argv = command + ["--model", "minimal", "--p", "3", "--pp", "2", "--order", "8",
                       "--precision", "1"]
     code, out, err = run(argv, capsys)
     assert code == 0, err
     assert "minimal_3_2" in out
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 10])
+def test_one_digit_precision_builds_level_k_models(level, capsys):
+    # the one-digit tolerance is 1/10, not 10^0 = 1
+    code, doc, err = run_json(["models", "--model", "su2", "--level", str(level),
+                               "--precision", "1"], capsys)
+    assert code == 0, err
+    assert doc["precision"] == 1
+
+
+@pytest.mark.parametrize("precision", [-20, 0])
+def test_model_document_precision_below_one_exits_one(precision, capsys, tmp_path):
+    model = tmp_path / "model.json"
+    assert run(["models", "--model", "su2", "--level", "2", "--format", "structured",
+                "--out", str(model)], capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    doc["precision"] = precision
+    model.write_text(json.dumps(doc))
+    code, out, err = run(["fusion", "--model-file", str(model)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "field 'precision' must be at least 1" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ generator.
 import dataclasses
 import heapq
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,16 +28,16 @@ from bcft.errors import (
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
-from bcft import nimreps
+import bcft.hp
 from bcft.fusion import verlinde, verlinde_inputs
-from bcft.hp import GUARD_DIGITS
-from bcft.intpoly import charpoly, psi, rem
+from bcft.hp import GUARD_DIGITS, to_fraction, tolerance
+from bcft.intpoly import charpoly, mul, psi, rem
 from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_physical
 from bcft.modular_data import load_model
 from bcft.nimreps import (
     _candidate_trees,
     _certify_norm,
-    _ratio_polynomial,
+    _exponent_traces,
     canonical_generator,
     d_graph,
     e6_graph,
@@ -52,7 +54,7 @@ from bcft.nimreps import (
     tadpole_graph,
     verify,
 )
-from conftest import fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
+from conftest import all_coprime_pairs, fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -376,9 +378,10 @@ def test_spectrum_match_refuses_wrong_and_non_galois_closed_exponents():
     # E6 has j = 1, 5, 7, 11 once each; here j = 1 twice and 5 never: the
     # same count per class, but no integer matrix has this spectrum
     not_closed = ModularInvariant((), (0, 0, 3, 6, 7, 10), "not-closed")
-    for z in (wrong, not_closed):
+    # the traces differ from the sums of S_rho lambda / S_0 lambda at these sectors
+    for z, sectors in ((wrong, (2, 6, 8, 10)), (not_closed, tuple(range(1, 10)))):
         rep = spectrum_match(e6, z, md)
-        assert not rep.ok and rep.mismatches == (1,)
+        assert not rep.ok and rep.mismatches == sectors
 
 
 def test_spectrum_match_on_minimal_and_complex_models():
@@ -395,8 +398,8 @@ def test_spectrum_match_on_minimal_and_complex_models():
     wrong = ModularInvariant((), tuple(exps), "wrong")
     rep = spectrum_match(regular_nimrep(fusion_minimal(5, 4)), wrong, md)
     assert not rep.ok and rep.mismatches
-    # S_11 off by 1e-20 moves the sector-1 coefficients far less than 1,
-    # and far more than tolerance(50) = 1e-25
+    # S_11 off by 1e-20 moves the sector-1 trace sum far less than 1, and
+    # far more than tolerance(50) = 1e-25
     rows = [list(row) for row in md.S]
     with workdps(60):
         rows[1][1] += mp.mpf(10) ** -20
@@ -404,31 +407,116 @@ def test_spectrum_match_on_minimal_and_complex_models():
     assert spectrum_match(regular_nimrep(fusion_minimal(5, 4)), z, bad).mismatches == (1,)
 
 
+# the characteristic-polynomial comparison spectrum_match used before it
+# compared traces, kept as the oracle for its verdicts
+
+
+def _su2_exponent_polynomial(k: int, exps) -> list | None:
+    """prod over the exponents lambda of (x - 2cos(pi j/h)), j = lambda + 1,
+    h = k + 2, or None when the multiset is not Galois-closed: the roots of
+    psi_(2h/g), g = gcd(j, 2h), are the 2cos(pi j'/h) with gcd(j', 2h) = g."""
+    n = 2 * (k + 2)
+    mult = Counter(lam + 1 for lam in exps)
+    out = [1]
+    for g in sorted({math.gcd(j, n) for j in mult}):
+        counts = {mult[j] for j in range(1, k + 2) if math.gcd(j, n) == g}
+        if len(counts) != 1:
+            return None
+        for _ in range(counts.pop()):
+            out = mul(out, psi(n // g))
+    return out
+
+
+def _elementary(re, im) -> tuple:
+    """e_0..e_m of the values re_j + i im_j, as lists of real and imaginary parts."""
+    e_re, e_im = [1] + [0] * len(re), [0] * (len(re) + 1)
+    for x, y in zip(re, im):
+        for i in range(len(re), 0, -1):
+            e_re[i] += x * e_re[i - 1] - y * e_im[i - 1]
+            e_im[i] += x * e_im[i - 1] + y * e_re[i - 1]
+    return e_re, e_im
+
+
+def _charpoly_match(nr, Z, md) -> bool:
+    """Level-k data: the generator's characteristic polynomial equals the
+    exact product of _su2_exponent_polynomial.  Other models: for every rho,
+    each coefficient of prod over lambda of (x - S_rho lambda / S_0 lambda),
+    in fixed point with its error bound err_i = e_i(b + delta) - e_i(b),
+    lies within tolerance(precision) - err_i of the one of charpoly(n^rho)."""
+    exps = Z.exponents
+    if md.family == "su2":
+        return charpoly(nr.nmats[1]) == _su2_exponent_polynomial(md.params[0], exps)
+    tol = to_fraction(tolerance(md.precision))
+    S, W, _ = verlinde_inputs(md)
+    m = len(exps)
+    delta = math.ceil(S.bound() + W.bound()) + 2
+    for rho in range(md.n):
+        R = (S[rho][list(exps)] * W[list(exps)]).rescale(S.bits)
+        re, im = R.re.tolist(), [0] * m if R.im is None else R.im.tolist()
+        b = [math.isqrt(x * x + y * y) + 1 + delta for x, y in zip(re, im)]
+        lo, hi = (_elementary(v, [0] * m)[0] for v in (b, [x + delta for x in b]))
+        e_re, e_im = _elementary(re, im)
+        want = charpoly(nr.nmats[rho])
+        for i in range(1, m + 1):
+            scale = 1 << S.bits * i
+            slack = tol * scale - (hi[i] - lo[i])
+            diff = (-1) ** i * e_re[i] - want[i] * scale
+            if slack < 0 or diff * diff + e_im[i] * e_im[i] > slack * slack:
+                return False
+    return True
+
+
+def _oracle_cases():
+    for k in range(1, 21):
+        md = su2(k)
+        for z in enumerate_physical(md):
+            for nr in enumerate_su2_nimreps(md, z.size):
+                yield nr, z, md
+    (e6,) = enumerate_su2_nimreps(su2(10), 6)
+    for exps in ((0, 2, 4, 6, 8, 10), (0, 0, 3, 6, 7, 10)):
+        yield e6, ModularInvariant((), exps, "wrong"), su2(10)
+    for p, pp in all_coprime_pairs(9):
+        md = minimal(p, pp)
+        yield regular_nimrep(fusion_minimal(p, pp)), diagonal_invariant(md), md
+    exps = list(diagonal_invariant(minimal(5, 4)).exponents)
+    exps[-1] = exps[-2]
+    yield regular_nimrep(fusion_minimal(5, 4)), ModularInvariant((), tuple(exps), "wrong"), minimal(5, 4)
+    rows = [list(row) for row in minimal(5, 4).S]
+    with workdps(60):
+        rows[1][1] += mp.mpf(10) ** -20
+    md = dataclasses.replace(minimal(5, 4), S=tuple(map(tuple, rows)))
+    yield regular_nimrep(fusion_minimal(5, 4)), diagonal_invariant(md), md
+    md = load_model(su3_level1_document())
+    yield regular_nimrep(verlinde(md)), diagonal_invariant(md), md
+
+
+def test_trace_verdicts_equal_the_charpoly_verdicts():
+    verdicts = Counter()
+    for nr, z, md in _oracle_cases():
+        ok = spectrum_match(nr, z, md).ok
+        assert ok == _charpoly_match(nr, z, md), (md.family, md.params, z.tag)
+        verdicts[ok] += 1
+    assert verdicts[True] > 40 and verdicts[False] == 4
+
+
 @pytest.mark.parametrize(
     "model",
     [lambda: minimal(7, 5), lambda: minimal(5, 2), lambda: load_model(su3_level1_document())],
     ids=["minimal_7_5", "minimal_5_2", "su3_k1"],
 )
-def test_ratio_polynomial_lies_within_its_error_bound(model):
-    # against the product over the working-precision S and 1/S_0 at 150 digits
+def test_exponent_traces_lie_within_their_error_bound(model):
+    # against the sums over the working-precision S and 1/S_0 at 150 digits
     md = model()
-    S, W, _ = verlinde_inputs(md)
     exps = diagonal_invariant(md).exponents
     with workdps(md.precision + GUARD_DIGITS):
         inv0 = [1 / x for x in md.S[0]]
-    worst = 0
+    bits, re, im, err = _exponent_traces(md, exps)
     with workdps(150):
+        unit = mp.mpf(2) ** bits
+        worst = err / unit
         for rho in range(md.n):
-            bits, e_re, e_im, err = _ratio_polynomial(S, W, rho, exps)
-            exact = [mp.mpf(1)]
-            for lam in exps:
-                r = md.S[rho][lam] * inv0[lam]
-                exact = [a - r * b for a, b in zip(exact + [0], [0] + exact)]
-            for i in range(1, len(exps) + 1):
-                unit = mp.mpf(2) ** (bits * i)
-                got = (-1) ** i * mp.mpc(e_re[i], e_im[i]) / unit
-                assert abs(got - exact[i]) <= err[i] / unit
-                worst = max(worst, err[i] / unit)
+            exact = mp.fsum(md.S[rho][lam] * inv0[lam] for lam in exps)
+            assert abs(mp.mpc(int(re[rho]), int(im[rho])) / unit - exact) <= worst
         assert 0 < worst < 1e-50
 
 
@@ -436,24 +524,32 @@ def test_enumeration_and_matching_run_no_eigensolve(monkeypatch):
     def refuse(*args):
         raise AssertionError("eigensolve called")
 
-    monkeypatch.setattr(nimreps, "eig_symmetric", refuse)
+    monkeypatch.setattr(bcft.hp, "eig_symmetric", refuse)
+    monkeypatch.setattr(mp, "eigsy", refuse)
     md = su2(10)
     for z in enumerate_physical(md):
-        assert sum(spectrum_match(nr, z, md).ok for nr in enumerate_su2_nimreps(md, z.size)) == 1
+        matched = [nr for nr in enumerate_su2_nimreps(md, z.size) if spectrum_match(nr, z, md).ok]
+        assert len(matched) == 1
+        if len(set(z.exponents)) == z.size:
+            assert psi_matrix(matched[0], z, md).cardy_residual < 1e-12
+    md = minimal(5, 4)
+    psi = psi_matrix(regular_nimrep(fusion_minimal(5, 4)), diagonal_invariant(md), md)
+    assert psi.cardy_residual < 1e-12
 
 
 def test_regular_psi_equals_s_matrix():
-    md = minimal(4, 3)
-    nr = regular_nimrep(fusion_minimal(4, 3))
-    psi = psi_matrix(nr, diagonal_invariant(md), md)
-    assert psi.cardy_residual < 1e-12
-    with workdps(60):
-        worst = max(
-            abs(psi.psi[a][i] - md.S[a][i])
-            for a in range(3)
-            for i in range(3)
-        )
-        assert worst < 1e-40
+    # su(3)_1 has the complex ratios omega, omega^2
+    for md in (minimal(4, 3), load_model(su3_level1_document())):
+        nr = regular_nimrep(verlinde(md))
+        psi = psi_matrix(nr, diagonal_invariant(md), md)
+        assert psi.cardy_residual < 1e-12
+        with workdps(60):
+            worst = max(
+                abs(psi.psi[a][i] - md.S[a][i])
+                for a in range(3)
+                for i in range(3)
+            )
+            assert worst < 1e-40
 
 
 def test_e6_psi_top_row():
