@@ -17,11 +17,13 @@ from fractions import Fraction
 from mpmath import mp, mpf, workdps
 
 from .errors import ConvergenceWarning, DocumentFormatError, SeriesDivisionError
-from .hp import GUARD_DIGITS, kahan_sum, mpf_from_fraction
+from .hp import GUARD_DIGITS, fixed_bits, mpf_from_fraction, to_fixed
 from .modular_data import ModularData
 
 DEFAULT_ORDER = 400
 S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
+# default tolerance of the channel checks (S-transform and heat kernel)
+CHANNEL_TOL = 1e-8
 
 QSERIES_DOCUMENT_FORMAT = "bcft-qseries/1"
 
@@ -104,29 +106,23 @@ class QSeries:
         return QSeries(a.offset - b.offset, g, tuple(out))
 
     def evaluate(self, q, dps: int):
-        """Numeric value at real 0 < q < 1 with compensated summation."""
+        """Value at real 0 < q < 1: Horner's rule on ints scaled by 2^B,
+        B = fixed_bits(dps) (the hp.Fixed convention), with x = q^(1/grid)
+        rounded to 2^-B, then one multiply by q^offset.  Each floor costs
+        < 2^-B and later steps damp it by x, so all cost < 2^-B / (1 - x);
+        rounding x adds <= 2^-(B+1) |f'(x)|.  Both stay far below the
+        GUARD_DIGITS carried past dps."""
+        bits = fixed_bits(dps)
         with workdps(dps + GUARD_DIGITS):
             q = mpf(q)
-            step = q ** (mpf(1) / self.grid)
-            terms = []
-            power = q ** mpf_from_fraction(self.offset, dps)
-            for cj in self.coeffs:
-                if cj:
-                    terms.append(cj * power)
-                power *= step
-            return kahan_sum(terms)
+            x = to_fixed(q ** (mpf(1) / self.grid), bits)
+            acc = 0
+            for cj in reversed(self.coeffs):
+                acc = (acc * x >> bits) + (cj << bits)
+            return mp.ldexp(acc, -bits) * q ** mpf_from_fraction(self.offset, dps)
 
     def truncated(self, length: int) -> "QSeries":
         return QSeries(self.offset, self.grid, self.coeffs[:length])
-
-    def head(self, k: int = 8) -> str:
-        parts = []
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                parts.append("%d q^(%s)" % (cj, self.exponent(j)))
-            if len(parts) >= k:
-                break
-        return " + ".join(parts) if parts else "0"
 
 
 def linear_combination(terms) -> QSeries:
@@ -296,30 +292,19 @@ def truncation_tail(order: int, q_abs, offset_min: Fraction, dps: int):
 
 class _Evaluated:
     """One (model, order) character table at q = exp(-beta) and
-    q~ = exp(-4 pi^2 / beta) (beta defaults to 2 pi), with the truncation
-    tail estimate at each nome.  A value is computed on first use and
-    then shared by every channel check of the same call.  Create and use
-    it at the working precision dps + GUARD_DIGITS."""
+    q~ = exp(-4 pi^2 / beta) (beta defaults to 2 pi): every sector's
+    value at each nome (chi_q, chi_qt) and the truncation tail estimate
+    at each nome, shared by every channel check of the same call.
+    Create and use it at the working precision dps + GUARD_DIGITS."""
 
     def __init__(self, chis: tuple, order: int, beta, dps: int):
         beta = mpf(beta) if beta is not None else 2 * mp.pi
         if not mp.isfinite(beta) or beta <= 0:
             raise ValueError("beta must be positive and finite")
-        self.nomes = (mp.exp(-beta), mp.exp(-4 * mp.pi ** 2 / beta))
+        nomes = (mp.exp(-beta), mp.exp(-4 * mp.pi ** 2 / beta))
         offset_min = min(chi.offset for chi in chis)
-        self.tail_q, self.tail_qt = (
-            truncation_tail(order, x, offset_min, dps) for x in self.nomes
-        )
-        self.chis = chis
-        self.dps = dps
-        self.values = {}
-
-    def at(self, rho: int, dual: bool = False):
-        """chi_rho(q), or chi_rho(q~) when dual."""
-        key = (rho, dual)
-        if key not in self.values:
-            self.values[key] = self.chis[rho].evaluate(self.nomes[dual], self.dps)
-        return self.values[key]
+        self.tail_q, self.tail_qt = (truncation_tail(order, x, offset_min, dps) for x in nomes)
+        self.chi_q, self.chi_qt = (tuple(chi.evaluate(x, dps) for chi in chis) for x in nomes)
 
 
 def _warn_if_tail_dominates(tail, tol):
@@ -335,8 +320,8 @@ def _warn_if_tail_dominates(tail, tol):
 def _s_residual(md: ModularData, ev: _Evaluated, tol):
     raw = mpf(0)
     for lam in range(md.n):
-        transformed = kahan_sum(md.S[lam][mu] * ev.at(mu) for mu in range(md.n))
-        raw = max(raw, abs(ev.at(lam, dual=True) - transformed))
+        transformed = mp.fsum(md.S[lam][mu] * ev.chi_q[mu] for mu in range(md.n))
+        raw = max(raw, abs(ev.chi_qt[lam] - transformed))
     tail = max(ev.tail_q, ev.tail_qt)
     _warn_if_tail_dominates(tail, tol)
     return max(raw, tail)
@@ -347,7 +332,7 @@ def s_transform_residual(
     order: int = DEFAULT_ORDER,
     beta=None,
     *,
-    tol: float = 1e-8,
+    tol: float = CHANNEL_TOL,
 ):
     """max_lambda |chi_lambda(q~) - sum_mu S_{lambda mu} chi_mu(q)|.
 

@@ -20,7 +20,8 @@ import math
 import sys
 from pathlib import Path
 
-from .characters import DEFAULT_ORDER, characters_for, qseries_document, s_transform_residual
+from .characters import (CHANNEL_TOL, DEFAULT_ORDER, characters_for, qseries_document,
+                         s_transform_residual)
 from .errors import BcftError, CheckFailure, MigrationError, ModelValidationError
 from .fusion import fusion_document, verlinde
 from .hp import num_str
@@ -57,8 +58,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK = 2
 
-DEFAULT_TOL = 1e-8
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with the validation code."""
@@ -90,6 +89,13 @@ def _finite_float(text):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+
+
+def _positive_float(text):
+    """argparse type: a positive finite float (nan, inf, 0 and negatives exit 1)."""
+    if _finite_float(text) > 0:
+        return float(text)
+    raise argparse.ArgumentTypeError("expected a positive number, got %r" % text)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -163,11 +169,11 @@ def build_parser() -> _Parser:
     chksub = chk.add_subparsers(dest="subcommand", required=True, metavar="CHECK")
     p = chksub.add_parser("s-transform", help="characters against the S matrix")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=CHANNEL_TOL)
     p = chksub.add_parser("heat-kernel", help="open/closed channel agreement")
     _add_common(p)
     _add_invariant_choice(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=CHANNEL_TOL)
 
     p = sub.add_parser("indices", help="index chain of a chiral extension")
     _add_common(p)

@@ -8,6 +8,7 @@ which carry the exact big-int contractions, are only created transiently.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -35,23 +36,22 @@ def phase_from_fraction(x: Fraction, dps: int):
 def to_fraction(x) -> Fraction:
     """Exact rational value of an mpf."""
     sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man, 1) * Fraction(2) ** exp
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
 
 
-def rationalize(x, max_denominator: int = 10**6, tol=Fraction(1, 10**20)) -> Fraction:
+def rationalize(x, dps: int, max_denominator: int = 10**6) -> Fraction:
     """Nearest small-denominator rational, or RationalizationFailure.
 
-    The fit must reproduce x within tol (an exact rational bound).
+    The fit must reproduce x within tolerance(dps).
     """
     exact = to_fraction(x)
     fit = exact.limit_denominator(max_denominator)
-    if abs(fit - exact) > tol:
+    tol = tolerance(dps)
+    if abs(fit - exact) > to_fraction(tol):
         raise RationalizationFailure(
             "no rational with denominator <= %d within %s of %s"
-            % (max_denominator, tol, mp.nstr(mp.mpf(x), 25))
+            % (max_denominator, mp.nstr(tol, 3), mp.nstr(mp.mpf(x), 25))
         )
     return fit
 
@@ -87,10 +87,12 @@ def parse_number(s: str, dps: int):
         return mp.mpf(s)
 
 
+@functools.lru_cache(maxsize=None)
 def tolerance(dps: int):
     """The precision-tied threshold 10^-max(1, dps//2), computed at guard
     precision: residuals below it count as zero at dps digits (one digit
-    still gets a threshold below 1)."""
+    still gets a threshold below 1).  An mpf is immutable, so each dps
+    computes it once."""
     with workdps(dps + GUARD_DIGITS):
         return mpf(10) ** -max(1, dps // 2)
 
@@ -284,6 +286,8 @@ def eig_symmetric(rows, dps: int):
         return [vals[i] for i in order], [vecs[i] for i in order]
 
 
+# unused by the package; perfbench/spans.py traces it by name until
+# stages are recorded inside the package
 def kahan_sum(terms):
     """Compensated summation of an iterable of mpf/mpc terms."""
     s = mpf(0)

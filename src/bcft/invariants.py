@@ -132,7 +132,7 @@ def _commutant(md: ModularData):
         while True:
             rows = _s_constraint_rows(parts, pairs, sorted(chosen))
             reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
-            exact = [[rationalize(x) for x in vec] for vec in reduced]
+            exact = [[rationalize(x, dps) for x in vec] for vec in reduced]
             failed = set()
             for vec in exact:
                 scale = math.lcm(*(x.denominator for x in vec))

@@ -169,7 +169,10 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True, fixed=No
             if abs(mp.mpmathify(md.S[0][j]).imag) > tol:
                 raise VacuumRowError("S_{0 rho} must be real")
             if abs(row[j]) < tol:
-                raise VacuumRowError("S_{0 rho} must be nonzero")
+                raise VacuumRowError(
+                    "|S_{0 %d}| = %s is below the tolerance %s at precision %d"
+                    % (j, mp.nstr(abs(row[j]), 3), mp.nstr(tol, 3), md.precision)
+                )
             if require_positive_vacuum_row and row[j] < 0:
                 raise VacuumRowError("S_{0 rho} must be positive")
         return {

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workdps
 
 from .characters import (
+    CHANNEL_TOL,
     DEFAULT_ORDER,
     S_TRANSFORM_MIN_ORDER,
     _Evaluated,
@@ -23,7 +24,7 @@ from .characters import (
     linear_combination,
 )
 from .errors import DegenerateExponents
-from .hp import GUARD_DIGITS, kahan_sum, num_str
+from .hp import GUARD_DIGITS, num_str
 from .invariants import ModularInvariant, invariant_document
 from .modular_data import (
     ModularData,
@@ -33,8 +34,6 @@ from .modular_data import (
     quantum_dims,
 )
 from .nimreps import Nimrep, PsiMatrix, nimrep_document, psi_matrix
-
-HEAT_KERNEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def heat_kernel_residuals(
     beta=None,
     order: int = DEFAULT_ORDER,
     *,
-    tol: float = HEAT_KERNEL_TOL,
+    tol: float = CHANNEL_TOL,
 ) -> dict:
     """{(a, b): |open channel - closed channel|} over every boundary pair,
     from one psi-matrix and one character table at md.precision.
@@ -112,7 +111,7 @@ def heat_kernel_check(
     beta=None,
     order: int = DEFAULT_ORDER,
     *,
-    tol: float = HEAT_KERNEL_TOL,
+    tol: float = CHANNEL_TOL,
 ):
     """The heat_kernel_residuals entry of the pair (a, b)."""
     _check_labels(nr, a, b)
@@ -123,21 +122,21 @@ def _heat_kernel_residuals(md, nr, psi: PsiMatrix, ev: _Evaluated, tol) -> dict:
     residuals = {}
     for ai, a in enumerate(nr.labels):
         for bi, b in enumerate(nr.labels):
-            open_channel = kahan_sum(
-                nr.nmats[rho][ai][bi] * ev.at(rho)
+            open_channel = mp.fsum(
+                nr.nmats[rho][ai][bi] * ev.chi_q[rho]
                 for rho in range(md.n)
                 if nr.nmats[rho][ai][bi]
             )
-            closed_channel = kahan_sum(
+            closed_channel = mp.fsum(
                 psi.psi[ai][i]
                 * mp.conj(psi.psi[bi][i])
-                * ev.at(lam, dual=True)
+                * ev.chi_qt[lam]
                 / md.S[0][lam]
                 for i, lam in enumerate(psi.exponents)
             )
             raw = abs(open_channel - closed_channel)
             weight_open = sum(nr.nmats[rho][ai][bi] for rho in range(md.n))
-            weight_closed = kahan_sum(
+            weight_closed = mp.fsum(
                 abs(psi.psi[ai][i] * psi.psi[bi][i] / md.S[0][lam])
                 for i, lam in enumerate(psi.exponents)
             )
@@ -181,7 +180,7 @@ def index_report(md: ModularData, theta_mult) -> IndexReport:
     dps = md.precision
     with workdps(dps + GUARD_DIGITS):
         dims = quantum_dims(md)
-        d_pi = kahan_sum(m * d for m, d in zip(mults, dims) if m)
+        d_pi = mp.fsum(m * d for m, d in zip(mults, dims) if m)
         mu = global_index(md)
         two_interval = d_pi * d_pi * mu
         return IndexReport(mults, d_pi, mu, two_interval, mu)
@@ -273,7 +272,7 @@ def full_report(
         if psi is None:
             doc["heat_kernel"] = {"status": "skipped-degenerate-exponents"}
         else:
-            residuals = _heat_kernel_residuals(md, nr, psi, ev, HEAT_KERNEL_TOL)
+            residuals = _heat_kernel_residuals(md, nr, psi, ev, CHANNEL_TOL)
             doc["heat_kernel"] = {
                 "status": "ok",
                 "max_residual": num_str(max(residuals.values()), dps),
@@ -286,7 +285,7 @@ def full_report(
                 characters_for(md, S_TRANSFORM_MIN_ORDER),
                 S_TRANSFORM_MIN_ORDER, beta_v, dps,
             )
-        s_res = _s_residual(md, ev, 1e-8)
+        s_res = _s_residual(md, ev, CHANNEL_TOL)
         doc["s_transform"] = {
             "status": "ok",
             "max_residual": num_str(s_res, dps),

@@ -266,6 +266,39 @@ def test_evaluate_against_q_pochhammer():
         assert abs(eta.evaluate(q, 50) - want) < mpf("1e-45")
 
 
+def _evaluation_cases():
+    ising = characters_for(minimal(4, 3), 400)
+    half_step = linear_combination(((1, ising[0]), (-2, ising[2])))
+    assert half_step.grid == 2
+    return (
+        [("su2_k10_%d" % a, chi) for a, chi in enumerate(characters_for(su2(10), 400))]
+        + [("minimal_5_4_%d" % r, chi) for r, chi in enumerate(characters_for(minimal(5, 4), 400))]
+        + [("eta", eta_series(400)), ("grid_2", half_step)]
+    )
+
+
+EVALUATION_CASES = _evaluation_cases()
+
+
+@pytest.mark.parametrize("case", EVALUATION_CASES, ids=[c[0] for c in EVALUATION_CASES])
+def test_evaluate_against_a_150_digit_fsum(case):
+    """The fixed-point Horner pass stays within 10^-(dps+5) relative of a
+    150-digit sum of the terms, at q and q~ on both sides of beta = 2 pi."""
+    series, dps = case[1], 50
+    for beta in (0.9 * 2 * mp.pi, 2 * mp.pi, 1.1 * 2 * mp.pi):
+        for nome in ("q", "q~"):
+            with workdps(dps + 10):
+                q = mp.exp(-beta) if nome == "q" else mp.exp(-4 * mp.pi ** 2 / beta)
+                got = series.evaluate(q, dps)
+            with workdps(150):
+                step = q ** (mpf(1) / series.grid)
+                powers = [q ** (mpf(series.offset.numerator) / series.offset.denominator)]
+                for _ in series.coeffs[1:]:
+                    powers.append(powers[-1] * step)
+                want = mp.fsum(c * x for c, x in zip(series.coeffs, powers))
+                assert abs(got - want) < abs(want) * mpf(10) ** -(dps + 5), (beta, nome)
+
+
 small_series = st.builds(
     QSeries,
     st.just(Fraction(0)),

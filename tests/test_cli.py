@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: documents, exit codes, cache."""
 
 import contextlib
+import functools
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -306,6 +308,11 @@ def test_validation_errors_exit_one(capsys, tmp_path):
          "argument --beta"),
         (["indices", "--model", "su2", "--level", "2", "--theta", "1,1:1;1,3:1"],
          "--theta item '1,1:1': no sector is named '1,1'"),
+        *(([*check, "--model", "su2", "--level", "2", "--tol", tol], "argument --tol")
+          for check in (["check", "s-transform"], ["check", "heat-kernel"])
+          for tol in ("nan", "inf", "0", "-1")),
+        (["models", "--model", "su2", "--level", "28", "--precision", "1"],
+         "|S_{0 0}| = 0.027 is below the tolerance 0.1 at precision 1"),
     ],
 )
 def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
@@ -686,6 +693,26 @@ def test_one_digit_precision_builds_level_k_models(level, capsys):
     assert doc["precision"] == 1
 
 
+@functools.lru_cache(maxsize=None)
+def _invariants_document(model, precision):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["invariants", *model, "--precision", str(precision),
+                         "--format", "structured"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("precision", [1, 5, 8])
+@pytest.mark.parametrize("model", [("--model", "su2", "--level", "10"),
+                                   ("--model", "minimal", "--p", "5", "--pp", "2")],
+                         ids=["su2_k10", "minimal_5_2"])
+def test_invariants_at_low_precision_equal_the_fifty_digit_document(model, precision):
+    """The rationalization bound follows --precision, so the exact
+    invariants come out the same at one digit as at fifty."""
+    assert _invariants_document(model, precision) == _invariants_document(model, 50)
+    assert _invariants_document(model, 50)[0] == 0
+
+
 @pytest.mark.parametrize("precision", [-20, 0])
 def test_model_document_precision_below_one_exits_one(precision, capsys, tmp_path):
     model = tmp_path / "model.json"
@@ -741,7 +768,7 @@ COMMON = {
     "--cache": st.just("cache"),
 }
 TAGS = _value(st.sampled_from(["A3", "A5", "D4", "E6", "X"]))
-TOL = _value(st.sampled_from(["1e-8", "0", "-1", "1"]))
+TOL = _value(st.sampled_from(["1e-8", "0", "-1", "1", "nan", "inf"]))
 # per command: (required flags, optional flags)
 EXTRA = {
     ("models",): ({}, {}),
@@ -808,6 +835,10 @@ def test_any_argv_exits_zero_one_or_two_without_traceback(argv, fuzz_files, tmp_
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code
     assert code in (0, 1, 2), argv
+    if code != 1 and not any(x.startswith(("-h", "--h")) for x in argv):
+        # every --tol value that got through is positive and finite
+        tols = [float(argv[i + 1]) for i, x in enumerate(argv) if x == "--tol"]
+        assert all(0 < t < math.inf for t in tols), argv
     out = out.getvalue()
     if code == 1:
         assert out == "", argv

@@ -41,7 +41,7 @@ def _full_elimination(md):
                 else:
                     rows.append(coeff)
         reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
-        return pairs, [[rationalize(x) for x in vec] for vec in reduced], pivots
+        return pairs, [[rationalize(x, dps) for x in vec] for vec in reduced], pivots
 
 
 MODELS = (

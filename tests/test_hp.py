@@ -1,14 +1,18 @@
 """Gauss-Jordan elimination, the precision-tied tolerance, fixed-point
 products and decimal rendering."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpc, mpf, workdps
 
+from bcft.errors import RationalizationFailure
 from bcft.hp import (
     Fixed,
     fixed_bits,
     num_str,
     nullspace,
+    rationalize,
     rref_rows,
     to_fixed,
     tolerance,
@@ -22,6 +26,14 @@ def test_tolerance_is_half_the_digits_at_guard_precision():
         assert tolerance(50) == mpf(10) ** -25
     with workdps(17):
         assert tolerance(7) == mpf(10) ** -3
+
+
+def test_rationalize_accepts_a_fit_within_the_precision_tolerance():
+    with workdps(60):
+        x = mpf(1) / 3 + mpf("1e-19")
+        assert rationalize(x, 8) == Fraction(1, 3)
+        with pytest.raises(RationalizationFailure, match="within 1.0e-25 of"):
+            rationalize(x, 50)
 
 
 def test_rank_deficient_kernel_annihilates_rows():
