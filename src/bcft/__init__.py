@@ -1,163 +1,54 @@
 """Rational chiral models: modular data, fusion, modular invariants,
-boundary nimreps, exact characters, and channel-duality reports."""
+boundary nimreps, exact characters, and channel-duality reports.
 
-from .characters import (
-    DEFAULT_ORDER,
-    QSeries,
-    char_minimal,
-    char_su2,
-    characters_for,
-    eta_series,
-    s_transform_residual,
-    truncation_tail,
-)
-from .errors import (
-    BcftError,
-    CheckFailure,
-    ConvergenceWarning,
-    DegenerateExponents,
-    DocumentFormatError,
-    IntegralityFailure,
-    MigrationError,
-    ModelValidationError,
-    NegativityFailure,
-    RationalizationFailure,
-    SearchBudgetExceeded,
-    SeriesDivisionError,
-    SizeMismatch,
-    SpectralRadiusTooLarge,
-)
-from .fusion import FusionRing, fusion_matrix, verify_axioms, verlinde
-from .invariants import (
-    ModularInvariant,
-    diagonal_invariant,
-    enumerate_bruteforce,
-    enumerate_physical,
-    exponents_of,
-    invariant_document,
-    invariant_from_document,
-)
-from .modular_data import (
-    DEFAULT_PRECISION,
-    ModularData,
-    SectorLabel,
-    build_minimal,
-    build_su2,
-    global_index,
-    load_model,
-    model_name,
-    model_to_document,
-    quantum_dims,
-    validate,
-)
-from .nimreps import (
-    Nimrep,
-    PsiMatrix,
-    canonical_generator,
-    enumerate_su2_nimreps,
-    generate_from_generator,
-    nimrep_document,
-    nimrep_from_document,
-    psi_matrix,
-    regular_nimrep,
-    spectrum_match,
-    verify,
-)
-from .persistence import (
-    Cache,
-    CacheEntry,
-    cache_key,
-    canonical_json,
-    deserialize,
-    export,
-    make_entry,
-    serialize,
-)
-from .report import (
-    AnnulusSpectrum,
-    IndexReport,
-    annulus,
-    annulus_document,
-    full_report,
-    heat_kernel_check,
-    heat_kernel_residuals,
-    index_document,
-    index_report,
-)
+``import bcft`` runs no numeric code.  Each public name resolves from
+its submodule on first use (PEP 562), and the numeric submodules are
+registered through ``importlib.util.LazyLoader``, so a module body runs
+when one of its attributes is first read.
+"""
+
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnulusSpectrum",
-    "BcftError",
-    "Cache",
-    "CacheEntry",
-    "CheckFailure",
-    "ConvergenceWarning",
-    "DEFAULT_ORDER",
-    "DEFAULT_PRECISION",
-    "DegenerateExponents",
-    "DocumentFormatError",
-    "FusionRing",
-    "IndexReport",
-    "IntegralityFailure",
-    "MigrationError",
-    "ModelValidationError",
-    "ModularData",
-    "ModularInvariant",
-    "NegativityFailure",
-    "Nimrep",
-    "PsiMatrix",
-    "QSeries",
-    "RationalizationFailure",
-    "SearchBudgetExceeded",
-    "SectorLabel",
-    "SeriesDivisionError",
-    "SizeMismatch",
-    "SpectralRadiusTooLarge",
-    "annulus",
-    "annulus_document",
-    "build_minimal",
-    "build_su2",
-    "cache_key",
-    "canonical_generator",
-    "canonical_json",
-    "char_minimal",
-    "char_su2",
-    "characters_for",
-    "deserialize",
-    "diagonal_invariant",
-    "enumerate_bruteforce",
-    "enumerate_physical",
-    "enumerate_su2_nimreps",
-    "eta_series",
-    "export",
-    "exponents_of",
-    "full_report",
-    "fusion_matrix",
-    "generate_from_generator",
-    "global_index",
-    "heat_kernel_check",
-    "heat_kernel_residuals",
-    "index_document",
-    "index_report",
-    "invariant_document",
-    "invariant_from_document",
-    "load_model",
-    "make_entry",
-    "model_name",
-    "model_to_document",
-    "nimrep_document",
-    "nimrep_from_document",
-    "psi_matrix",
-    "quantum_dims",
-    "regular_nimrep",
-    "s_transform_residual",
-    "serialize",
-    "spectrum_match",
-    "truncation_tail",
-    "validate",
-    "verify",
-    "verify_axioms",
-    "verlinde",
-]
+# defining submodule -> its public names
+_PUBLIC = {
+    "characters": "QSeries char_minimal char_su2 characters_for eta_series "
+                  "s_transform_residual truncation_tail",
+    "errors": "BcftError CheckFailure ConvergenceWarning DegenerateExponents "
+              "DocumentFormatError IntegralityFailure MigrationError ModelValidationError "
+              "NegativityFailure RationalizationFailure SearchBudgetExceeded "
+              "SeriesDivisionError SizeMismatch SpectralRadiusTooLarge",
+    "fusion": "FusionRing fusion_matrix verify_axioms verlinde",
+    "invariants": "ModularInvariant diagonal_invariant enumerate_bruteforce "
+                  "enumerate_physical exponents_of invariant_document invariant_from_document",
+    "modular_data": "ModularData SectorLabel build_minimal build_su2 global_index load_model "
+                    "model_name model_to_document quantum_dims validate",
+    "nimreps": "Nimrep PsiMatrix canonical_generator enumerate_su2_nimreps "
+               "generate_from_generator nimrep_document nimrep_from_document psi_matrix "
+               "regular_nimrep spectrum_match verify",
+    "persistence": "DEFAULT_ORDER DEFAULT_PRECISION Cache CacheEntry cache_key canonical_json "
+                   "deserialize export make_entry serialize",
+    "report": "AnnulusSpectrum IndexReport annulus annulus_document full_report "
+              "heat_kernel_check heat_kernel_residuals index_document index_report",
+}
+_SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = sorted(_SUBMODULE)
+
+for _module in ("hp", "intpoly", "modular_data", "fusion", "invariants", "nimreps",
+                "characters", "report"):
+    _spec = importlib.util.find_spec("%s.%s" % (__name__, _module))
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _module, _spec
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _SUBMODULE[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -19,11 +19,9 @@ from mpmath import mp, mpf, workdps
 from .errors import ConvergenceWarning, DocumentFormatError, SeriesDivisionError
 from .hp import GUARD_DIGITS, fixed_bits, mpf_from_fraction, to_fixed
 from .modular_data import ModularData
+from .persistence import CHANNEL_TOL, DEFAULT_ORDER
 
-DEFAULT_ORDER = 400
 S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
-# default tolerance of the channel checks (S-transform and heat kernel)
-CHANNEL_TOL = 1e-8
 
 QSERIES_DOCUMENT_FORMAT = "bcft-qseries/1"
 
@@ -302,6 +300,12 @@ class _Evaluated:
         if not mp.isfinite(beta) or beta <= 0:
             raise ValueError("beta must be positive and finite")
         nomes = (mp.exp(-beta), mp.exp(-4 * mp.pi ** 2 / beta))
+        if max(nomes) >= 1:  # beta below about eps or above about 4 pi^2/eps
+            raise ValueError(
+                "beta = %s rounds q = exp(-beta) or q~ = exp(-4 pi^2/beta) to 1 at "
+                "precision %d; the usable range of --beta is %s < beta < %s"
+                % (mp.nstr(beta, 5), dps, mp.nstr(mp.eps, 3),
+                   mp.nstr(4 * mp.pi ** 2 / mp.eps, 3)))
         offset_min = min(chi.offset for chi in chis)
         self.tail_q, self.tail_qt = (truncation_tail(order, x, offset_min, dps) for x in nomes)
         self.chi_q, self.chi_qt = (tuple(chi.evaluate(x, dps) for chi in chis) for x in nomes)

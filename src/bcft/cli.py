@@ -9,6 +9,10 @@ so stdout stays machine-readable.
 Exit codes: 0 success; 1 validation error (bad flags, malformed input,
 rejected model data); 2 check failure (a mathematical consistency
 check exceeded its tolerance), kept distinct so CI can assert on it.
+
+With --cache, a command's key comes from its arguments and the bytes of
+its input files alone, so a cache hit builds no model and imports no
+numeric code.
 """
 
 from __future__ import annotations
@@ -20,39 +24,9 @@ import math
 import sys
 from pathlib import Path
 
-from .characters import (CHANNEL_TOL, DEFAULT_ORDER, characters_for, qseries_document,
-                         s_transform_residual)
 from .errors import BcftError, CheckFailure, MigrationError, ModelValidationError
-from .fusion import fusion_document, verlinde
-from .hp import num_str
-from .invariants import diagonal_invariant, enumerate_physical, invariant_document
-from .modular_data import (
-    DEFAULT_PRECISION,
-    build_minimal,
-    build_su2,
-    load_model,
-    model_name,
-    model_to_document,
-)
-from .nimreps import (
-    NIMREP_DOCUMENT_FORMAT,
-    enumerate_su2_nimreps,
-    generate_from_generator,
-    nimrep_document,
-    nimrep_from_document,
-    regular_nimrep,
-    spectrum_match,
-    verify,
-)
-from .persistence import Cache, cache_key, export, make_entry
-from .report import (
-    annulus,
-    annulus_document,
-    full_report,
-    heat_kernel_residuals,
-    index_document,
-    index_report,
-)
+from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, Cache, cache_key,
+                          export, make_entry, model_header)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,7 +83,7 @@ def _add_common(p: argparse.ArgumentParser):
     n.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION)
     n.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
     n.add_argument(
-        "--beta", type=_finite_float, default=None, help="inverse temperature (default 2*pi)"
+        "--beta", type=_positive_float, default=None, help="inverse temperature (default 2*pi)"
     )
     o = p.add_argument_group("output")
     o.add_argument("--out", default=None, help="write results to this file")
@@ -195,25 +169,48 @@ def build_parser() -> _Parser:
 
 
 def _resolve_model(args):
-    """(model, cache-key ingredient) of the selected model.
+    """(cache-key ingredient, precision, build) of the selected model.
 
-    A --model-file is read once and keyed by the SHA-256 of the bytes
-    that are parsed, so an overwritten file misses.
+    The key and the precision come from args and the bytes of a
+    --model-file alone: the file is read once and keyed by the SHA-256
+    of the bytes that build() parses, so an overwritten file misses.
+    build() makes and validates the model; numeric code is imported
+    there and not before.
     """
     if args.model_file:
-        data = Path(args.model_file).read_bytes()
-        md = load_model(json.loads(data.decode("utf-8")), args.precision)
-        return md, {"file_sha256": hashlib.sha256(data).hexdigest()}
-    if args.model == "su2":
+        data, key = _read_keyed(args.model_file)
+        doc = json.loads(data.decode("utf-8"))
+    elif args.model == "su2":
         if args.level is None:
             raise ValueError("--model su2 needs --level")
-        return build_su2(args.level, args.precision), {"family": "su2", "level": args.level}
-    if args.model == "minimal":
+        doc = {"builder": {"family": "su2", "params": [args.level]}}
+        key = {"family": "su2", "level": args.level}
+    elif args.model == "minimal":
         if args.p is None or args.pp is None:
             raise ValueError("--model minimal needs --p and --pp")
-        md = build_minimal(args.p, args.pp, args.precision)
-        return md, {"family": "minimal", "p": args.p, "pp": args.pp}
-    raise ValueError("select a model with --model or --model-file")
+        doc = {"builder": {"family": "minimal", "params": [args.p, args.pp]}}
+        key = {"family": "minimal", "p": args.p, "pp": args.pp}
+    else:
+        raise ValueError("select a model with --model or --model-file")
+    precision, _ = model_header(doc, args.precision)
+
+    def build():
+        from .modular_data import load_model
+
+        return load_model(doc, precision)
+
+    return key, precision, build
+
+
+def _build_model(args):
+    return _resolve_model(args)[2]()
+
+
+def _read_keyed(path: str) -> tuple:
+    """(bytes, cache-key ingredient) of an input file, read once: the key
+    is the SHA-256 of the bytes that are parsed later."""
+    data = Path(path).read_bytes()
+    return data, {"file_sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _parse_pair(text: str) -> tuple:
@@ -224,11 +221,14 @@ def _parse_pair(text: str) -> tuple:
     return a, b
 
 
-def _parse_theta(md, text: str) -> dict:
-    """Sector multiplicities from "KEY:MULT" items.
+def _parse_theta(text: str) -> dict:
+    """Sector multiplicities from "KEY:MULT" items, KEY an int index or a
+    sector name (resolved by _theta_indices once the model is built).
 
     Items are separated by ";" (needed when sector names contain
-    commas) or "," when unambiguous; KEY is a sector index or name.
+    commas) or "," when unambiguous.  A repeated KEY keeps its last
+    multiplicity and moves to the end, so resolving the keys in order
+    lets the last item for each sector win.
     """
     items = text.split(";") if ";" in text else text.split(",")
     theta = {}
@@ -237,21 +237,29 @@ def _parse_theta(md, text: str) -> dict:
         if not sep:
             raise ValueError('--theta items must look like "KEY:MULT"')
         try:
-            idx = int(key)
+            key = int(key)
         except ValueError:
-            try:
-                idx = md.sector_named(key)
-            except KeyError:
-                raise ValueError(
-                    "--theta item %r: no sector is named %r" % (item, key)
-                ) from None
+            pass
         try:
-            theta[idx] = int(mult)
+            mult = int(mult)
         except ValueError:
             raise ValueError(
                 "--theta item %r: multiplicity %r is not an integer" % (item, mult)
             ) from None
+        theta.pop(key, None)
+        theta[key] = mult
     return theta
+
+
+def _theta_indices(md, theta: dict) -> dict:
+    out = {}
+    for key, mult in theta.items():
+        try:
+            out[key if isinstance(key, int) else md.sector_named(key)] = mult
+        except KeyError:
+            raise ValueError("--theta item %r: no sector is named %r"
+                             % ("%s:%d" % (key, mult), key)) from None
+    return out
 
 
 def _read_generator(path: str) -> tuple:
@@ -273,6 +281,10 @@ def _read_generator(path: str) -> tuple:
 
 
 def _resolve_invariant_and_nimrep(args, md):
+    from .fusion import verlinde
+    from .invariants import diagonal_invariant, enumerate_physical
+    from .nimreps import enumerate_su2_nimreps, regular_nimrep, spectrum_match
+
     tag = args.invariant_tag
     if tag is None:
         return diagonal_invariant(md), regular_nimrep(verlinde(md))
@@ -288,14 +300,14 @@ def _resolve_invariant_and_nimrep(args, md):
     raise CheckFailure("no nimrep matches the spectrum of invariant %s" % tag)
 
 
-def _read_nimrep(flag: str, path: str):
-    """(nimrep, SHA-256 of the bytes it was parsed from) of a structured
-    document file."""
-    data = Path(path).read_bytes()
+def _parse_nimrep(flag: str, path: str, data: bytes):
+    """Nimrep of the bytes of a structured document file."""
+    from .nimreps import NIMREP_DOCUMENT_FORMAT, nimrep_from_document
+
     try:
         doc = json.loads(data.decode("utf-8"))
         if isinstance(doc, dict):
-            return nimrep_from_document(doc), hashlib.sha256(data).hexdigest()
+            return nimrep_from_document(doc)
     except (KeyError, TypeError, ValueError):
         pass
     raise ValueError(
@@ -303,23 +315,26 @@ def _read_nimrep(flag: str, path: str):
     )
 
 
-def _cached(args, md, operation: str, inputs: dict, compute):
-    """Run compute() through the cache when --cache is set, keyed on the
-    precision md computes at (a model document's own field wins over
-    --precision)."""
+def _cached(args, operation: str, inputs: dict, compute):
+    """compute(md) for the selected model as a document, through the cache
+    when --cache is set.  The key is complete before any build, so a hit
+    builds no model and imports no numeric code."""
+    key, precision, build = _resolve_model(args)
     if not args.cache:
-        return compute()
+        return compute(build())
+    inputs = dict(key, **inputs)
     cache = Cache(args.cache)
-    payload = cache.load(cache_key(operation, inputs, md.precision, args.order))
+    payload = cache.load(cache_key(operation, inputs, precision, args.order))
     if payload is not None:
         return payload
-    doc = compute()
-    cache.store(make_entry(operation, inputs, doc, md.precision, args.order))
+    doc = compute(build())
+    cache.store(make_entry(operation, inputs, doc, precision, args.order))
     return doc
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (document, exit_code)
+# subcommand handlers: each returns (document, exit_code); numeric code is
+# imported where it is used
 
 
 def _cmd_models(args):
@@ -332,19 +347,29 @@ def _cmd_models(args):
                 {"family": "custom", "flags": "--model-file PATH"},
             ],
         }, EXIT_OK
-    md, key = _resolve_model(args)
-    return _cached(args, md, "models", key, lambda: model_to_document(md)), EXIT_OK
+
+    def compute(md):
+        from .modular_data import model_to_document
+
+        return model_to_document(md)
+
+    return _cached(args, "models", {}, compute), EXIT_OK
 
 
 def _cmd_fusion(args):
-    md, key = _resolve_model(args)
-    return _cached(args, md, "fusion", key, lambda: fusion_document(verlinde(md))), EXIT_OK
+    def compute(md):
+        from .fusion import fusion_document, verlinde
+
+        return fusion_document(verlinde(md))
+
+    return _cached(args, "fusion", {}, compute), EXIT_OK
 
 
 def _cmd_invariants(args):
-    md, key = _resolve_model(args)
+    def compute(md):
+        from .invariants import enumerate_physical, invariant_document
+        from .modular_data import model_name
 
-    def compute():
         invs = enumerate_physical(md)
         return {
             "format": "bcft-invariant-list/1",
@@ -353,13 +378,14 @@ def _cmd_invariants(args):
             "invariants": [invariant_document(z) for z in invs],
         }
 
-    return _cached(args, md, "invariants", key, compute), EXIT_OK
+    return _cached(args, "invariants", {}, compute), EXIT_OK
 
 
 def _cmd_nimreps_enumerate(args):
-    md, key = _resolve_model(args)
+    def compute(md):
+        from .modular_data import model_name
+        from .nimreps import enumerate_su2_nimreps, nimrep_document
 
-    def compute():
         nrs = enumerate_su2_nimreps(md, args.size)
         return {
             "format": "bcft-nimrep-list/1",
@@ -369,12 +395,16 @@ def _cmd_nimreps_enumerate(args):
             "nimreps": [nimrep_document(nr) for nr in nrs],
         }
 
-    return _cached(args, md, "nimreps-enumerate", dict(key, size=args.size), compute), EXIT_OK
+    return _cached(args, "nimreps-enumerate", {"size": args.size}, compute), EXIT_OK
 
 
 def _cmd_nimreps_verify(args):
-    md, _ = _resolve_model(args)
-    nr, _ = _read_nimrep("--nimrep-file", args.nimrep_file)
+    from .fusion import verlinde
+    from .nimreps import verify
+
+    md = _build_model(args)
+    path = args.nimrep_file
+    nr = _parse_nimrep("--nimrep-file", path, Path(path).read_bytes())
     rep = verify(nr, verlinde(md))
     out = {
         "format": "bcft-verify/1",
@@ -385,15 +415,18 @@ def _cmd_nimreps_verify(args):
 
 
 def _cmd_nimreps_generate(args):
-    md, _ = _resolve_model(args)
+    from .nimreps import generate_from_generator, nimrep_document
+
+    md = _build_model(args)
     nr = generate_from_generator(_read_generator(args.generator_file), md)
     return nimrep_document(nr), EXIT_OK
 
 
 def _cmd_characters(args):
-    md, key = _resolve_model(args)
+    def compute(md):
+        from .characters import characters_for, qseries_document
+        from .modular_data import model_name
 
-    def compute():
         chis = characters_for(md, args.order)
         return {
             "format": "bcft-characters/1",
@@ -405,31 +438,39 @@ def _cmd_characters(args):
             ],
         }
 
-    return _cached(args, md, "characters", key, compute), EXIT_OK
+    return _cached(args, "characters", {}, compute), EXIT_OK
 
 
 def _cmd_annulus(args):
-    md, key = _resolve_model(args)
     if args.nimrep == "regular":
-        nr, nimrep_key = None, "regular"  # built in compute: a hit skips verlinde
+        data, nimrep_key = None, "regular"  # built in compute: a hit skips verlinde
     else:
-        nr, sha = _read_nimrep("--nimrep", args.nimrep)
-        nimrep_key = {"file_sha256": sha}
+        data, nimrep_key = _read_keyed(args.nimrep)
     a, b = _parse_pair(args.pair)
 
-    def compute():
-        spectrum = annulus(md, nr or regular_nimrep(verlinde(md)), a, b, args.order)
+    def compute(md):
+        from .fusion import verlinde
+        from .modular_data import model_name
+        from .nimreps import regular_nimrep
+        from .report import annulus, annulus_document
+
+        nr = (regular_nimrep(verlinde(md)) if data is None
+              else _parse_nimrep("--nimrep", args.nimrep, data))
+        spectrum = annulus(md, nr, a, b, args.order)
         doc = {"format": "bcft-annulus/1", "model": model_name(md)}
         doc.update(annulus_document(md, spectrum))
         return doc
 
-    inputs = dict(key, nimrep=nimrep_key, pair=[a, b])
-    return _cached(args, md, "annulus", inputs, compute), EXIT_OK
+    inputs = {"nimrep": nimrep_key, "pair": [a, b]}
+    return _cached(args, "annulus", inputs, compute), EXIT_OK
 
 
 def _check_document(check, md, field, res, tol, **extra):
     """(bcft-check document, exit code) of a residual held against tol,
     rendered at the model's precision."""
+    from .hp import num_str
+    from .modular_data import model_name
+
     ok = res < tol
     doc = {
         "format": "bcft-check/1",
@@ -444,13 +485,17 @@ def _check_document(check, md, field, res, tol, **extra):
 
 
 def _cmd_check_s_transform(args):
-    md, _ = _resolve_model(args)
+    from .characters import s_transform_residual
+
+    md = _build_model(args)
     res = s_transform_residual(md, args.order, args.beta, tol=args.tol)
     return _check_document("s-transform", md, "residual", res, args.tol)
 
 
 def _cmd_check_heat_kernel(args):
-    md, _ = _resolve_model(args)
+    from .report import heat_kernel_residuals
+
+    md = _build_model(args)
     Z, nr = _resolve_invariant_and_nimrep(args, md)
     residuals = heat_kernel_residuals(md, nr, Z, args.beta, args.order, tol=args.tol)
     return _check_document(
@@ -460,32 +505,37 @@ def _cmd_check_heat_kernel(args):
 
 
 def _cmd_indices(args):
-    md, key = _resolve_model(args)
-    theta = _parse_theta(md, args.theta)
+    theta = _parse_theta(args.theta)
 
-    def compute():
-        rep = index_report(md, theta)
+    def compute(md):
+        from .modular_data import model_name
+        from .report import index_document, index_report
+
+        rep = index_report(md, _theta_indices(md, theta))
         doc = {"model": model_name(md)}
         doc.update(index_document(md, rep))
         return doc
 
-    inputs = dict(key, theta=sorted([k, v] for k, v in theta.items()))
-    return _cached(args, md, "indices", inputs, compute), EXIT_OK
+    # sector names resolve in order (see _parse_theta), so only a theta of
+    # indices alone is keyed in sorted order
+    keyed = [[k, v] for k, v in theta.items()]
+    if all(isinstance(k, int) for k in theta):
+        keyed.sort()
+    return _cached(args, "indices", {"theta": keyed}, compute), EXIT_OK
 
 
 def _cmd_report(args):
-    md, key = _resolve_model(args)
+    def compute(md):
+        from .report import full_report
 
-    def compute():
         Z, nr = _resolve_invariant_and_nimrep(args, md)
         return full_report(md, Z, nr, args.order, args.beta)
 
     inputs = dict(
-        key,
         invariant_tag=args.invariant_tag,
         beta=repr(args.beta) if args.beta is not None else "2*pi",
     )
-    return _cached(args, md, "report", inputs, compute), EXIT_OK
+    return _cached(args, "report", inputs, compute), EXIT_OK
 
 
 _HANDLERS = {

@@ -39,10 +39,7 @@ from .hp import (
     to_fixed,
     tolerance,
 )
-
-DEFAULT_PRECISION = 50
-
-MODEL_DOCUMENT_FORMAT = "bcft-model/1"
+from .persistence import DEFAULT_PRECISION, MODEL_DOCUMENT_FORMAT, model_header
 
 
 @dataclass(frozen=True)
@@ -334,23 +331,10 @@ def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularDat
     produced by a named builder.  Explicit-S documents must have a
     strictly positive vacuum row.
     """
-    if not isinstance(document, dict):
-        raise DocumentFormatError("model document must be a mapping")
-    if document.get("format", MODEL_DOCUMENT_FORMAT) != MODEL_DOCUMENT_FORMAT:
-        raise DocumentFormatError("unsupported document format %r" % document.get("format"))
-    if "precision" in document:
-        precision = int(document["precision"])
-        if precision < 1:
-            raise DocumentFormatError("field 'precision' must be at least 1, not %d" % precision)
-    builder = document.get("builder")
+    precision, builder = model_header(document, precision)
     if builder is not None:
-        family = builder.get("family")
-        params = builder.get("params", [])
-        if family == "su2":
-            return build_su2(int(params[0]), precision)
-        if family == "minimal":
-            return build_minimal(int(params[0]), int(params[1]), precision)
-        raise DocumentFormatError("unknown builder family %r" % family)
+        family, params = builder
+        return (build_su2 if family == "su2" else build_minimal)(*params, precision)
     try:
         c = Fraction(document["c"])
         raw_sectors = document["sectors"]

@@ -8,6 +8,12 @@ artifacts.  The cache keeps one document per content key in
 ``<root>/<first two hash chars>/<key>.json``; writes go through an
 atomic rename, and reading a version this build does not understand
 raises MigrationError instead of silently reinterpreting the data.
+
+This module uses only the standard library and ``bcft.errors``; the
+domain modules are imported where a domain object is (de)serialized.
+It is also the one home of the numeric defaults and of the model
+document header, which the command line reads before any numeric code
+runs, so that a cache hit needs nothing else.
 """
 
 from __future__ import annotations
@@ -20,32 +26,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .characters import (
-    QSERIES_DOCUMENT_FORMAT,
-    QSeries,
-    qseries_document,
-    qseries_from_document,
-)
 from .errors import DocumentFormatError, MigrationError
-from .fusion import (
-    FUSION_DOCUMENT_FORMAT,
-    FusionRing,
-    fusion_document,
-    fusion_from_document,
-)
-from .invariants import (
-    INVARIANT_DOCUMENT_FORMAT,
-    ModularInvariant,
-    invariant_document,
-    invariant_from_document,
-)
-from .modular_data import (
-    MODEL_DOCUMENT_FORMAT,
-    ModularData,
-    load_model,
-    model_to_document,
-)
-from .nimreps import NIMREP_DOCUMENT_FORMAT, Nimrep, nimrep_document, nimrep_from_document
+
+DEFAULT_PRECISION = 50  # decimal digits
+DEFAULT_ORDER = 400  # q-series terms
+CHANNEL_TOL = 1e-8  # default tolerance of the S-transform and heat-kernel checks
+
+MODEL_DOCUMENT_FORMAT = "bcft-model/1"
+# number of integer params of each builder family
+BUILDER_PARAMS = {"su2": 1, "minimal": 2}
 
 ARTIFACT_VERSION = "0.1.0"
 CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
@@ -54,15 +43,6 @@ CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
 # Cache.load treats an entry recorded under another value, or none, as a
 # miss, so results of older code are recomputed.
 NUMERIC_SCHEMA = 3
-
-# formats whose documents decode back to a domain object
-_LOADERS = {
-    MODEL_DOCUMENT_FORMAT: load_model,
-    FUSION_DOCUMENT_FORMAT: fusion_from_document,
-    INVARIANT_DOCUMENT_FORMAT: invariant_from_document,
-    NIMREP_DOCUMENT_FORMAT: nimrep_from_document,
-    QSERIES_DOCUMENT_FORMAT: qseries_from_document,
-}
 
 # report-style formats that stay plain documents on both sides
 _PASSTHROUGH = {
@@ -78,26 +58,67 @@ _PASSTHROUGH = {
     CACHE_DOCUMENT_FORMAT,
 }
 
-_CURRENT_VERSIONS = {
-    fmt.partition("/")[0]: fmt.partition("/")[2]
-    for fmt in list(_LOADERS) + sorted(_PASSTHROUGH)
-}
+
+def model_header(document, precision: int) -> tuple:
+    """(precision, builder) of a model document, checked without numeric
+    code: the document's "precision" field, an integer >= 1, wins over
+    the precision argument; builder is None or (family, params) with the
+    family's number of integer params.  Anything else raises
+    DocumentFormatError naming the field."""
+    if not isinstance(document, dict):
+        raise DocumentFormatError("model document must be a mapping")
+    if document.get("format", MODEL_DOCUMENT_FORMAT) != MODEL_DOCUMENT_FORMAT:
+        raise DocumentFormatError("unsupported document format %r" % document.get("format"))
+    if "precision" in document:
+        precision = document["precision"]
+        if type(precision) is not int:
+            raise DocumentFormatError(
+                "field 'precision' must be an integer, not %r" % (precision,))
+        if precision < 1:
+            raise DocumentFormatError("field 'precision' must be at least 1, not %d" % precision)
+    builder = document.get("builder")
+    if builder is None:
+        return precision, None
+    if not isinstance(builder, dict):
+        raise DocumentFormatError("field 'builder' must be a mapping, not %r" % (builder,))
+    family, params = builder.get("family"), builder.get("params")
+    if family not in BUILDER_PARAMS:
+        raise DocumentFormatError("unknown builder family %r" % (family,))
+    if not (isinstance(params, list) and len(params) == BUILDER_PARAMS[family]
+            and all(type(x) is int for x in params)):
+        raise DocumentFormatError("field 'builder' needs 'params': %d integers for family %r, "
+                                  "not %r" % (BUILDER_PARAMS[family], family, params))
+    return precision, (family, tuple(params))
+
+
+def _codecs() -> tuple:
+    """(type, encoder, format, decoder) of each domain type whose
+    documents decode back to an object."""
+    from .characters import (QSERIES_DOCUMENT_FORMAT, QSeries, qseries_document,
+                             qseries_from_document)
+    from .fusion import FUSION_DOCUMENT_FORMAT, FusionRing, fusion_document, fusion_from_document
+    from .invariants import (INVARIANT_DOCUMENT_FORMAT, ModularInvariant, invariant_document,
+                             invariant_from_document)
+    from .modular_data import ModularData, load_model, model_to_document
+    from .nimreps import NIMREP_DOCUMENT_FORMAT, Nimrep, nimrep_document, nimrep_from_document
+
+    return (
+        (ModularData, model_to_document, MODEL_DOCUMENT_FORMAT, load_model),
+        (FusionRing, fusion_document, FUSION_DOCUMENT_FORMAT, fusion_from_document),
+        (ModularInvariant, invariant_document, INVARIANT_DOCUMENT_FORMAT,
+         invariant_from_document),
+        (Nimrep, nimrep_document, NIMREP_DOCUMENT_FORMAT, nimrep_from_document),
+        (QSeries, qseries_document, QSERIES_DOCUMENT_FORMAT, qseries_from_document),
+    )
 
 
 def serialize(obj) -> dict:
     """Canonical document for a domain object; documents pass through."""
-    if isinstance(obj, ModularData):
-        return model_to_document(obj)
-    if isinstance(obj, FusionRing):
-        return fusion_document(obj)
-    if isinstance(obj, ModularInvariant):
-        return invariant_document(obj)
-    if isinstance(obj, Nimrep):
-        return nimrep_document(obj)
-    if isinstance(obj, QSeries):
-        return qseries_document(obj)
     if isinstance(obj, dict) and "format" in obj:
         return obj
+    for cls, encode, _, _ in _codecs():
+        if isinstance(obj, cls):
+            return encode(obj)
     raise TypeError("no canonical document for %s" % type(obj).__name__)
 
 
@@ -111,16 +132,17 @@ def deserialize(doc: dict):
     if not isinstance(doc, dict) or "format" not in doc:
         raise DocumentFormatError("document must be a mapping with a format field")
     fmt = str(doc["format"])
-    loader = _LOADERS.get(fmt)
-    if loader is not None:
-        return loader(doc)
+    loaders = {known: decode for _, _, known, decode in _codecs()}
+    if fmt in loaders:
+        return loaders[fmt](doc)
     if fmt in _PASSTHROUGH:
         return doc
     name, _, version = fmt.partition("/")
-    if name in _CURRENT_VERSIONS:
+    current = dict(known.partition("/")[::2] for known in list(loaders) + sorted(_PASSTHROUGH))
+    if name in current:
         raise MigrationError(
             "document format %r is version %r of %r; this build reads version %r"
-            % (fmt, version, name, _CURRENT_VERSIONS[name])
+            % (fmt, version, name, current[name])
         )
     raise DocumentFormatError("unknown document format %r" % fmt)
 

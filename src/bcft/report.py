@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workdps
 
 from .characters import (
-    CHANNEL_TOL,
-    DEFAULT_ORDER,
     S_TRANSFORM_MIN_ORDER,
     _Evaluated,
     _s_residual,
@@ -34,6 +32,7 @@ from .modular_data import (
     quantum_dims,
 )
 from .nimreps import Nimrep, PsiMatrix, nimrep_document, psi_matrix
+from .persistence import CHANNEL_TOL, DEFAULT_ORDER
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bcft.errors
+import bcft.fusion
+import bcft.invariants
+import bcft.nimreps
 from bcft import cli
 from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
-from bcft.modular_data import model_to_document
+from bcft.modular_data import load_model, model_to_document
 from bcft.nimreps import e6_graph, enumerate_su2_nimreps, nimrep_document, regular_nimrep
 from conftest import su2
 
@@ -313,6 +317,13 @@ def test_validation_errors_exit_one(capsys, tmp_path):
           for tol in ("nan", "inf", "0", "-1")),
         (["models", "--model", "su2", "--level", "28", "--precision", "1"],
          "|S_{0 0}| = 0.027 is below the tolerance 0.1 at precision 1"),
+        *(([*command, "--model", "su2", "--level", "2", "--beta", beta], "argument --beta")
+          for command in (["check", "s-transform"], ["check", "heat-kernel"], ["report"])
+          for beta in ("0", "-2")),
+        *(([*command, "--model", "su2", "--level", "2", "--beta", beta],
+           "the usable range of --beta is ")
+          for command in (["check", "s-transform"], ["report"])
+          for beta in ("1e300", "1e-300")),
     ],
 )
 def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
@@ -531,8 +542,11 @@ def test_warm_report_skips_the_invariant_and_nimrep_search(capsys, tmp_path, mon
     def refuse(*args, **kwargs):
         raise AssertionError("a cache hit ran the search")
 
-    for name in ("verlinde", "enumerate_physical", "enumerate_su2_nimreps", "spectrum_match"):
-        monkeypatch.setattr(cli, name, refuse)
+    # the handlers import these from their defining modules when they run
+    for module, name in ((bcft.fusion, "verlinde"), (bcft.invariants, "enumerate_physical"),
+                         (bcft.nimreps, "enumerate_su2_nimreps"),
+                         (bcft.nimreps, "spectrum_match")):
+        monkeypatch.setattr(module, name, refuse)
     assert run(argv, capsys)[:2] == (0, cold)
 
 
@@ -579,6 +593,10 @@ def test_unknown_invariant_tag_exits_one_with_a_warm_cache(capsys, tmp_path):
     assert "no physical invariant tagged 'E7'" in err
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
 def _run_in_child_without(argv, modules):
     """Run cli.main(argv) in a fresh interpreter; fail if it exits nonzero
     or leaves any of modules in sys.modules."""
@@ -589,9 +607,8 @@ def _run_in_child_without(argv, modules):
         "assert code == 0 and not {m for m in %r if m in sys.modules}, code\n"
         % (argv, modules)
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
 
 
@@ -603,6 +620,135 @@ def test_nimrep_enumeration_imports_no_sympy():
 
 def test_invariants_import_neither_scipy_nor_sympy():
     _run_in_child_without(["invariants", "--model", "su2", "--level", "10"], ("scipy", "sympy"))
+
+
+def _imported(stderr: bytes) -> set:
+    """Names of the modules a `python -X importtime` process imported."""
+    return {line.rpartition("|")[2].strip() for line in stderr.decode().splitlines()
+            if line.startswith("import time:")}
+
+
+M43 = ["--model", "minimal", "--p", "4", "--pp", "3"]
+CACHED_COMMANDS = {
+    "models": ["models", "--model", "su2", "--level", "2"],
+    "models-file": ["models", "--model-file", "@model"],
+    "fusion": ["fusion"] + M43,
+    "invariants": ["invariants", "--model", "su2", "--level", "10"],
+    "nimreps-enumerate": ["nimreps", "enumerate", "--model", "su2", "--level", "10",
+                          "--size", "6"],
+    "characters": ["characters", "--model", "su2", "--level", "2", "--order", "30"],
+    "annulus": ["annulus"] + M43 + ["--nimrep", "regular", "--pair", "1,1", "--order", "30"],
+    "annulus-file": ["annulus", "--model", "su2", "--level", "2", "--nimrep", "@nimrep",
+                     "--pair", "0,0", "--order", "30"],
+    "indices": ["indices"] + M43 + ["--theta", "0:1,2:1"],
+    "indices-names": ["indices"] + M43 + ["--theta", "1,1:1;1,3:1"],
+    "report": ["report"] + M43 + ["--order", "30"],
+}
+
+
+@pytest.mark.parametrize("argv", list(CACHED_COMMANDS.values()), ids=list(CACHED_COMMANDS))
+def test_a_fresh_warm_process_imports_no_numeric_code(argv, tmp_path):
+    """A hit in a fresh `python -m bcft.cli` process prints the cold bytes
+    with neither numpy nor mpmath imported.  (In-process tests cannot see
+    this: the numeric modules are already loaded there.)"""
+    inputs = {"@model": tmp_path / "model.json", "@nimrep": tmp_path / "nimrep.json"}
+    inputs["@model"].write_text(json.dumps(model_to_document(su2(2, 20))))
+    inputs["@nimrep"].write_text(json.dumps(nimrep_document(regular_nimrep(verlinde(su2(2))))))
+    cache = tmp_path / "cache"
+    argv = [str(inputs.get(x, x)) for x in argv] + ["--format", "structured",
+                                                   "--cache", str(cache)]
+    runs = [subprocess.run([sys.executable, *flags, "-m", "bcft.cli", *argv],
+                           env=_child_env(), capture_output=True, timeout=300)
+            for flags in ([], ["-X", "importtime"])]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
+    cold, warm = runs
+    assert warm.stdout == cold.stdout
+    assert len(list(cache.rglob("*.json"))) == 1
+    imported = _imported(warm.stderr)
+    assert "bcft.persistence" in imported
+    assert not imported & {"numpy", "mpmath"}
+
+
+def test_import_bcft_defers_the_numeric_modules():
+    script = (
+        "import importlib, sys\n"
+        "import bcft\n"
+        "assert not {'numpy', 'mpmath'} & set(sys.modules), 'numeric stack imported'\n"
+        # the benchmark tracer looks the modules up in sys.modules at this point
+        "names = ('hp', 'modular_data', 'fusion', 'invariants', 'nimreps', 'characters',"
+        " 'report')\n"
+        "assert all('bcft.' + name in sys.modules for name in names), 'not registered'\n"
+        "from bcft import *\n"
+        "for name in bcft.__all__:\n"
+        "    obj, home = getattr(bcft, name), 'bcft.' + bcft._SUBMODULE[name]\n"
+        "    assert obj is getattr(importlib.import_module(home), name), name\n"
+        "    assert getattr(obj, '__module__', home) == home, name\n"
+        "    assert globals()[name] is obj, name\n"
+        "assert callable(bcft.fusion.fusion_document)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
+
+
+def test_invalid_input_exits_one_with_a_warm_cache(capsys, tmp_path):
+    """Each refused input has a valid neighbour in the cache; the key-first
+    lookup must not serve it."""
+    cache = tmp_path / "cache"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_document(su2(2, 20))))
+    warm = [["fusion", "--model", "su2", "--level", "2"],
+            ["fusion", "--model-file", str(model)],
+            ["report"] + M43 + ["--order", "30"]]
+    for argv in warm:
+        assert run(argv + ["--cache", str(cache)], capsys)[0] == 0
+    stored = sorted(cache.rglob("*.json"))
+    assert len(stored) == 3
+    doc = json.loads(model.read_text())
+    doc["precision"] = None
+    model.write_text(json.dumps(doc))
+    for argv in (["fusion", "--model", "su2", "--level", "0"],
+                 ["fusion", "--model", "su2", "--level", "-3"],
+                 ["fusion", "--model", "su2"],
+                 ["fusion", "--model-file", str(model)],
+                 ["report"] + M43 + ["--order", "30", "--beta", "0"]):
+        code, out, err = run(argv + ["--cache", str(cache)], capsys)
+        assert (code, out) == (1, ""), argv
+        assert "Traceback" not in err
+    assert sorted(cache.rglob("*.json")) == stored
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["fusion"] + M43, "3ab7b9d4e8147e8de49c8c9121e9966cb0fb06c18c66ab4e2fb934aee3f939a0"),
+    (["report", "--model", "su2", "--level", "10", "--invariant-tag", "E6"],
+     "77ace84ad3c38149a164d11d65c57fb929785d1351c7adaeaa3f3f22f8e87dcf"),
+    (["indices"] + M43 + ["--theta", "0:1,2:1"],
+     "7c24522f4c93e3920d219d0d611f11105fe0a7008a6ed9154dfc744593450e38"),
+], ids=["fusion", "report", "indices"])
+def test_cache_keys_stay_pinned(argv, key, tmp_path, monkeypatch):
+    """Keys recorded before the key-first lookup, so existing caches are
+    still served.  The lookup is stubbed to hit: only the key is checked."""
+    looked_up = []
+    monkeypatch.setattr(cli.Cache, "load", lambda self, k: looked_up.append(k) or {"format": "x"})
+    assert cli_main(argv + ["--cache", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert looked_up == [key]
+
+
+def test_named_theta_keys_keep_the_item_order(capsys, tmp_path):
+    """A name and an index that pick the same sector: the last item wins,
+    so the two orders give different documents and different keys."""
+    cache = tmp_path / "cache"
+    outs = set()
+    for theta in ("1,1:3;0:2", "0:2;1,1:3"):
+        argv = ["indices"] + M43 + ["--theta", theta, "--format", "structured"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert run(argv + ["--cache", str(cache)], capsys)[:2] == (0, out)
+        assert run(argv + ["--cache", str(cache)], capsys)[:2] == (0, out)
+        outs.add(out)
+    assert len(outs) == 2
+    assert len(list(cache.rglob("*.json"))) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -726,6 +872,38 @@ def test_model_document_precision_below_one_exits_one(precision, capsys, tmp_pat
     assert out == ""
     assert "field 'precision' must be at least 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("precision", None, "field 'precision' must be an integer, not None"),
+    ("precision", [1], "field 'precision' must be an integer, not [1]"),
+    ("precision", 20.7, "field 'precision' must be an integer, not 20.7"),
+    ("precision", "20", "field 'precision' must be an integer, not '20'"),
+    ("precision", True, "field 'precision' must be an integer, not True"),
+    ("builder", 5, "field 'builder' must be a mapping, not 5"),
+    ("builder", [], "field 'builder' must be a mapping, not []"),
+    ("builder", {"family": "su2", "params": []}, "field 'builder' needs 'params'"),
+    ("builder", {"family": "su2", "params": [None]}, "field 'builder' needs 'params'"),
+    ("builder", {"family": "su2", "params": [2, 3]}, "field 'builder' needs 'params'"),
+    ("builder", {"family": "su2", "params": ["2"]}, "field 'builder' needs 'params'"),
+    ("builder", {"family": "minimal", "params": [4]}, "field 'builder' needs 'params'"),
+    ("builder", {"family": "su2"}, "field 'builder' needs 'params'"),
+    ("builder", {"family": "e8", "params": [1]}, "unknown builder family 'e8'"),
+])
+def test_malformed_model_document_header_exits_one(field, value, message, capsys, tmp_path):
+    model = tmp_path / "model.json"
+    assert run(["models", "--model", "su2", "--level", "2", "--format", "structured",
+                "--out", str(model)], capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    doc[field] = value
+    model.write_text(json.dumps(doc))
+    with pytest.raises(bcft.errors.DocumentFormatError, match=re.escape(message)):
+        load_model(doc)
+    for cache in ([], ["--cache", str(tmp_path / "cache")]):
+        code, out, err = run(["fusion", "--model-file", str(model)] + cache, capsys)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
