@@ -10,7 +10,7 @@ import numpy as np
 from mpmath import mp, workdps
 
 from .errors import DocumentFormatError, IntegralityFailure
-from .hp import GUARD_DIGITS, Fixed, fixed_bits
+from .hp import GUARD_DIGITS, Fixed, exact_dtype, fixed_bits
 from .modular_data import ModularData
 
 DEFAULT_INTEGRALITY_TOL = 1e-10
@@ -30,7 +30,8 @@ class FusionRing:
     precision: int
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.N, dtype=np.int64)
+        """The tensor as a dtype=object array of Python ints, exact at any size."""
+        return np.array(self.N, dtype=object)
 
 
 def verlinde_inputs(md: ModularData):
@@ -62,9 +63,12 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
 
     The sums are exact Python-int contractions of the fixed-point inputs
     of verlinde_inputs, and the rounding is certified: every coefficient
-    must lie within integrality_tol - E of a non-negative integer; the
-    first offender in (sigma, rho >= sigma, tau) order otherwise raises
-    IntegralityFailure.
+    must lie within integrality_tol - E of a non-negative integer, or the
+    first offender raises IntegralityFailure.  For real S the sum is
+    symmetric in (sigma, rho, tau) term by term, so only the triples
+    sigma <= rho <= tau are summed, checked and reported, in that order;
+    complex S sums (sigma, rho >= sigma, tau) and N^tau_{rho sigma} is
+    N^tau_{sigma rho}.  max_residual is the worst over the summed triples.
     """
     n = md.n
     S, W, E = verlinde_inputs(md)
@@ -73,10 +77,19 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
     slack = Fraction(integrality_tol) - E
     limit = math.floor(slack * slack * one * one) if slack >= 0 else -1
     Sbar_t = S.conj().T
-    N = np.empty((n, n, n), dtype=np.int64)
+    real = S.im is None
+    N = np.empty((n, n, n), dtype=object)
     worst = 0
     for s in range(n):
-        V = (S[s] * S[s:] * W).rescale(S.bits).dot(Sbar_t)  # rows rho = s..n-1
+        U = (S[s] * S[s:] * W).rescale(S.bits)  # rows rho = s..n-1
+        if real:
+            # sum only tau >= rho; the other entries stay 0, which passes,
+            # and are read off their sorted triple below
+            V = Fixed(np.zeros((n - s, n), dtype=object), None, bits)
+            for r in range(s, n):
+                V.re[r - s, r:] = S.re[r:].dot(U.re[r - s])
+        else:
+            V = U.dot(Sbar_t)
         m = (V.re + (one >> 1)) >> bits
         resid2 = Fixed(V.re - m * one, V.im, bits).abs2()
         bad = ((resid2 > limit) | (m < 0)).astype(bool)
@@ -84,7 +97,9 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
             r, t = map(int, np.argwhere(bad)[0])
             raise IntegralityFailure((s, s + r, t), math.isqrt(int(resid2[r, t])) / one)
         worst = max(worst, int(resid2.max()))
-        N[s, s:] = N[s:, s] = m.astype(np.int64)
+        N[s, s:] = N[s:, s] = m
+    if real:
+        N = N[tuple(np.sort(np.indices((n, n, n)), axis=0))]
     return FusionRing(
         n=n,
         N=tuple(tuple(tuple(row) for row in plane) for plane in N.tolist()),
@@ -111,9 +126,11 @@ class AxiomReport:
 
 def verify_axioms(fr: FusionRing) -> AxiomReport:
     """Exact integer checks: unit, conjugation, commutativity,
-    associativity, non-negativity."""
+    associativity, non-negativity.  The products run in float64 (BLAS)
+    where hp.exact_dtype proves them exact, on Python ints otherwise."""
     n = fr.n
     A = fr.as_array()
+    A = A.astype(exact_dtype(n, A))
     bad = []
     if (A < 0).any():
         s, r, t = map(int, np.argwhere(A < 0)[0])
@@ -131,9 +148,10 @@ def verify_axioms(fr: FusionRing) -> AxiomReport:
         bad.append(("commutativity", (s, r, t)))
     # associativity: sum_m N^m_{ab} N^d_{mc} = sum_m N^m_{bc} N^d_{am}, one
     # a-slice at a time so that the memory stays n^3
+    by_m_first, by_m_last = A.reshape(n, n * n), A.reshape(n * n, n)
     for a in range(n):
-        lhs = np.einsum("bm,mcd->bcd", A[a], A)
-        rhs = np.einsum("bcm,md->bcd", A, A[a])
+        lhs = (A[a] @ by_m_first).reshape(n, n, n)
+        rhs = (by_m_last @ A[a]).reshape(n, n, n)
         if not (lhs == rhs).all():
             b, c, d = map(int, np.argwhere(lhs != rhs)[0])
             bad.append(("associativity", (a, b, c, d)))

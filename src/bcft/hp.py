@@ -116,6 +116,20 @@ def to_fixed(x, bits: int) -> int:
     return -v if sign else v
 
 
+def exact_dtype(terms: int, *arrays):
+    """The dtype in which products of these integer arrays are exact.
+
+    A product whose entries sum at most `terms` products of entries is
+    exact in float64, in any summation order (BLAS may reorder), when
+    terms * max|a| * max|b| < 2^53: every partial sum is then an integer
+    that float64 holds.  Returns float64 when terms * M^2 < 2^53 for the
+    largest modulus M >= 1 over the arrays (dtype=object arrays of Python
+    ints), so every entry also converts exactly; object otherwise.
+    """
+    big = max([1] + [int(np.abs(a).max(initial=0)) for a in arrays])
+    return np.float64 if terms * big * big < 1 << 53 else object
+
+
 class Fixed:
     """An array of complex values (re + i im) / 2^bits held as numpy
     object arrays of Python ints; im is None when every entry is real.

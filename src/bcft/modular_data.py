@@ -323,6 +323,23 @@ def model_name(md: ModularData) -> str:
     return "custom"
 
 
+def _rational(value, field: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DocumentFormatError(
+            "field %s must be a rational number, not %r" % (field, value)) from exc
+
+
+def _s_entry(value, precision: int):
+    if not isinstance(value, str):
+        raise DocumentFormatError("field 'S' entries must be decimal strings, not %r" % (value,))
+    try:
+        return parse_number(value, precision)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentFormatError("field 'S' entry %r is not a number" % value) from exc
+
+
 def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularData:
     """Build validated modular data from a structured document.
 
@@ -336,23 +353,29 @@ def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularDat
         family, params = builder
         return (build_su2 if family == "su2" else build_minimal)(*params, precision)
     try:
-        c = Fraction(document["c"])
+        c = _rational(document["c"], "'c'")
         raw_sectors = document["sectors"]
         raw_s = document["S"]
     except KeyError as exc:
         raise DocumentFormatError("missing field %s" % exc) from exc
+    if not isinstance(raw_sectors, list):
+        raise DocumentFormatError("field 'sectors' must be a list, not %r" % (raw_sectors,))
     n = len(raw_sectors)
     if n == 0:
         raise DocumentFormatError("empty sector list")
     h = []
     sectors = []
     for i, rec in enumerate(raw_sectors):
+        if not (isinstance(rec, dict) and "name" in rec and "h" in rec):
+            raise DocumentFormatError(
+                "field 'sectors' entry %d must be a mapping with 'name' and 'h', not %r" % (i, rec))
         sectors.append(SectorLabel(i, str(rec["name"])))
-        h.append(Fraction(rec["h"]))
+        h.append(_rational(rec["h"], "'sectors' entry %d 'h'" % i))
     if h[0] != 0:
         raise VacuumPlacementError("vacuum (h = 0) must be listed at index 0")
-    if len(raw_s) != n or any(len(r) != n for r in raw_s):
-        raise DocumentFormatError("S must be %d x %d" % (n, n))
+    if not (isinstance(raw_s, list) and len(raw_s) == n
+            and all(isinstance(r, list) and len(r) == n for r in raw_s)):
+        raise DocumentFormatError("field 'S' must be %d x %d" % (n, n))
     with workdps(precision + GUARD_DIGITS):
-        S = tuple(tuple(parse_number(x, precision) for x in row) for row in raw_s)
+        S = tuple(tuple(_s_entry(x, precision) for x in row) for row in raw_s)
     return _finish(sectors, c, h, S, precision, None, ())

@@ -25,7 +25,7 @@ from .errors import (
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing, fusion_matrix, verlinde_inputs
-from .hp import GUARD_DIGITS, Fixed, fixed_bits, to_fraction, tolerance
+from .hp import GUARD_DIGITS, Fixed, exact_dtype, fixed_bits, to_fraction, tolerance
 from .intpoly import charpoly, divmod_poly, psi, roots_above
 from .invariants import ModularInvariant
 from .modular_data import ModularData
@@ -87,16 +87,21 @@ def regular_nimrep(fr: FusionRing) -> Nimrep:
 
 
 def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
-    """Exact integer check of the representation laws."""
+    """Exact integer check of the representation laws.  The products run
+    in float64 (BLAS) where hp.exact_dtype proves them exact, on Python
+    ints otherwise."""
     violations = []
     m = candidate.size
     if candidate.n_sectors != fr.n:
         return VerifyReport((("sector_count", candidate.n_sectors, fr.n),))
-    mats = [np.array(mat, dtype=np.int64) for mat in candidate.nmats]
+    mats = [np.array(mat, dtype=object) for mat in candidate.nmats]
     for mat in mats:
         if mat.shape != (m, m):
             return VerifyReport((("shape", mat.shape, (m, m)),))
-    if not np.array_equal(mats[0], np.eye(m, dtype=np.int64)):
+    N, mats = fr.as_array(), np.stack(mats)
+    dtype = exact_dtype(max(fr.n, m), N, mats)
+    N, mats = N.astype(dtype), mats.astype(dtype)
+    if not np.array_equal(mats[0], np.eye(m)):
         violations.append(("unit", 0))
     for mat, sigma in zip(mats, range(fr.n)):
         if mat.min() < 0:
@@ -104,13 +109,12 @@ def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
     for sigma in range(fr.n):
         if not np.array_equal(mats[fr.conj[sigma]], mats[sigma].T):
             violations.append(("conjugate_transpose", sigma))
-    N = fr.as_array()
-    mats = np.stack(mats)
+    by_tau = mats.reshape(fr.n, m * m)
     for sigma in range(fr.n):
         # n_sigma n_rho against sum_tau N^tau_{sigma rho} n_tau, for every rho at once
-        lhs = mats[sigma] @ mats
-        rhs = np.tensordot(N[sigma], mats, axes=1)
-        for rho in np.flatnonzero((lhs != rhs).any(axis=(1, 2))):
+        lhs = (mats[sigma] @ mats).reshape(fr.n, m * m)
+        rhs = N[sigma] @ by_tau
+        for rho in np.flatnonzero((lhs != rhs).any(axis=1)):
             violations.append(("product", sigma, int(rho)))
     return VerifyReport(tuple(violations))
 

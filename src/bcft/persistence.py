@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import DocumentFormatError, MigrationError
@@ -170,11 +170,9 @@ def cache_key(
     return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    payload: dict
-    meta: dict
+# a named tuple, not a dataclass: importing dataclasses costs a cache hit
+# several milliseconds (it pulls in inspect, dis, ast and tokenize)
+CacheEntry = namedtuple("CacheEntry", "key payload meta")
 
 
 def make_entry(

@@ -25,7 +25,7 @@ from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
 from bcft.modular_data import load_model, model_to_document
 from bcft.nimreps import e6_graph, enumerate_su2_nimreps, nimrep_document, regular_nimrep
-from conftest import su2
+from conftest import minimal, su2
 
 
 def run(argv, capsys):
@@ -371,6 +371,19 @@ def test_malformed_input_file_names_the_flag_and_file(
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("x", [2**63 - 1, 2**63 + 1], ids=["int64-max", "past-int64"])
+def test_nimrep_entries_past_int64_are_checked_exactly(x, capsys, tmp_path):
+    # n^1 n^1 = n^0 at level 1; in int64, (2^63 - 1)^2 wraps to 1 mod 2^64
+    # and 2^63 + 1 does not convert at all
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps({"format": "bcft-nimrep/1", "labels": [0],
+                                "nmats": [[[1]], [[x]]]}))
+    code, doc, err = run_json(VERIFY[:-1] + ["1", "--nimrep-file", str(path)], capsys)
+    assert code == 2
+    assert doc == {"format": "bcft-verify/1", "ok": False, "violations": [["product", "1", "1"]]}
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -649,7 +662,8 @@ CACHED_COMMANDS = {
 @pytest.mark.parametrize("argv", list(CACHED_COMMANDS.values()), ids=list(CACHED_COMMANDS))
 def test_a_fresh_warm_process_imports_no_numeric_code(argv, tmp_path):
     """A hit in a fresh `python -m bcft.cli` process prints the cold bytes
-    with neither numpy nor mpmath imported.  (In-process tests cannot see
+    with neither numpy nor mpmath imported, nor dataclasses (which pulls in
+    inspect, dis, ast and tokenize).  (In-process tests cannot see
     this: the numeric modules are already loaded there.)"""
     inputs = {"@model": tmp_path / "model.json", "@nimrep": tmp_path / "nimrep.json"}
     inputs["@model"].write_text(json.dumps(model_to_document(su2(2, 20))))
@@ -667,7 +681,7 @@ def test_a_fresh_warm_process_imports_no_numeric_code(argv, tmp_path):
     assert len(list(cache.rglob("*.json"))) == 1
     imported = _imported(warm.stderr)
     assert "bcft.persistence" in imported
-    assert not imported & {"numpy", "mpmath"}
+    assert not imported & {"numpy", "mpmath", "dataclasses"}
 
 
 def test_import_bcft_defers_the_numeric_modules():
@@ -906,6 +920,37 @@ def test_malformed_model_document_header_exits_one(field, value, message, capsys
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (["sectors"], 5, "field 'sectors' must be a list, not 5"),
+    (["sectors"], [5, 6, 7],
+     "field 'sectors' entry 0 must be a mapping with 'name' and 'h', not 5"),
+    (["sectors", 1], {"h": "1/16"},
+     "field 'sectors' entry 1 must be a mapping with 'name' and 'h'"),
+    (["sectors", 1, "h"], None, "field 'sectors' entry 1 'h' must be a rational number, not None"),
+    (["c"], None, "field 'c' must be a rational number, not None"),
+    (["c"], "x", "field 'c' must be a rational number, not 'x'"),
+    (["S"], 5, "field 'S' must be 3 x 3"),
+    (["S", 1], 5, "field 'S' must be 3 x 3"),
+    (["S", 1, 1], None, "field 'S' entries must be decimal strings, not None"),
+    (["S", 1, 1], 0.5, "field 'S' entries must be decimal strings, not 0.5"),
+    (["S", 1, 1], "1/0", "field 'S' entry '1/0' is not a number"),
+], ids=["sectors-int", "sectors-ints", "sector-no-name", "h-null", "c-null", "c-text", "S-int",
+        "S-row-int", "S-null", "S-float", "S-zero-denominator"])
+def test_malformed_model_document_body_exits_one(path, value, message, capsys, tmp_path):
+    model = tmp_path / "model.json"
+    doc = model_to_document(minimal(4, 3))
+    del doc["builder"]  # an explicit-S document
+    *head, last = path
+    functools.reduce(lambda node, key: node[key], head, doc)[last] = value
+    model.write_text(json.dumps(doc))
+    with pytest.raises(bcft.errors.DocumentFormatError, match=re.escape(message)):
+        load_model(doc)
+    code, out, err = run(["fusion", "--model-file", str(model)], capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # argv fuzzing: every input ends in exit 0, 1 or 2, never a traceback
 
@@ -975,7 +1020,7 @@ def argvs(draw):
     optional = dict(COMMON, **optional)
     argv = list(command) + list(draw(MODEL)) + ["--order", draw(_value(_ints(0, 30)))]
     for flag in list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
-        argv += [flag, draw(required.get(flag) or optional[flag])]
+        argv += [flag, draw(required[flag] if flag in required else optional[flag])]
     if draw(st.integers(0, 7)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(MALFORMED))
     return argv

@@ -1,6 +1,8 @@
 """Fusion coefficients: integrality, axioms, closed-form oracle."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+import bcft.fusion
+import bcft.nimreps
 from bcft.errors import IntegralityFailure
 from bcft.fusion import (
+    DEFAULT_INTEGRALITY_TOL,
     fusion_document,
     fusion_from_document,
     fusion_matrix,
@@ -17,9 +22,11 @@ from bcft.fusion import (
     verlinde,
     verlinde_inputs,
 )
-from bcft.hp import GUARD_DIGITS, tolerance
+from bcft.hp import GUARD_DIGITS, Fixed, tolerance
 from bcft.modular_data import load_model, validate
-from conftest import fusion_minimal, fusion_su2, minimal, su3_level1_document, su2
+from bcft.nimreps import Nimrep, regular_nimrep, verify
+from conftest import (all_coprime_pairs, fusion_minimal, fusion_su2, minimal,
+                      su3_level1_document, su2)
 
 
 def test_ising_fusion_table():
@@ -74,6 +81,17 @@ def _first_associativity_violation(A):
     return tuple(map(int, bad[0])) if len(bad) else None
 
 
+def test_associativity_past_the_float64_bound_matches_the_object_oracle():
+    # 7 * (2^40)^2 is far past 2^53, so the products run on Python ints,
+    # where int64 would wrap the square of the raised coefficient to 0
+    fr = fusion_su2(6)
+    A = np.array(fr.N, dtype=object)
+    A[2, 2, 2] = 2**40
+    broken = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
+    (where,) = [v[1] for v in verify_axioms(broken).violations if v[0] == "associativity"]
+    assert where == _first_associativity_violation(A)
+
+
 @pytest.mark.parametrize("s, r, t", [(1, 1, 2), (2, 3, 1), (4, 4, 4), (3, 5, 5)])
 def test_associativity_slices_report_the_whole_array_offender(s, r, t):
     fr = fusion_su2(6)
@@ -119,6 +137,65 @@ def test_integrality_failure_on_perturbed_s():
     with pytest.raises(IntegralityFailure) as exc:
         verlinde(bad)
     assert exc.value.residual > 1e-10
+
+
+def _verlinde_reference(md):
+    """The all-tau reference: the sum for every (sigma, rho >= sigma, tau),
+    with no use of the symmetry of real S.  Returns N as a dtype=object
+    array and each summed triple's squared residual in units of 4^-2B (-1
+    where not summed)."""
+    n = md.n
+    S, W, _ = verlinde_inputs(md)
+    bits = 2 * S.bits
+    one = 1 << bits
+    N = np.empty((n, n, n), dtype=object)
+    resid2 = np.full((n, n, n), -1, dtype=object)
+    for s in range(n):
+        V = (S[s] * S[s:] * W).rescale(S.bits).dot(S.conj().T)
+        m = (V.re + (one >> 1)) >> bits
+        resid2[s, s:] = Fixed(V.re - m * one, V.im, bits).abs2()
+        N[s, s:] = N[s:, s] = m
+    return N, resid2
+
+
+# su2 k <= 30 and minimal p <= 12, thinned so that the reference loop
+# adds about 3 s to the suite
+ORACLE_MODELS = ([("su2", (k,)) for k in list(range(1, 13)) + [16, 20, 24, 30]]
+                 + [("minimal", pq) for pq in all_coprime_pairs(9)]
+                 + [("minimal", pq) for pq in [(10, 9), (12, 7), (12, 11)]])
+
+
+@pytest.mark.parametrize("family, params", ORACLE_MODELS + [("su3_k1", ())],
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_verlinde_equals_the_all_tau_reference(family, params):
+    md = (su2(*params) if family == "su2" else minimal(*params) if family == "minimal"
+          else load_model(su3_level1_document()))
+    fr = verlinde(md)
+    N, resid2 = _verlinde_reference(md)
+    assert fr.as_array().tolist() == N.tolist()
+    # max_residual is the worst over the triples summed: sigma <= rho <= tau
+    # for real S, all rho >= sigma for complex S
+    sigma, rho, tau = np.indices((md.n,) * 3)
+    summed = (sigma <= rho) & ((rho <= tau) | (family == "su3_k1"))
+    one = 1 << 2 * verlinde_inputs(md)[0].bits
+    assert fr.max_residual == math.isqrt(int(resid2[summed].max())) / one
+    assert fr.max_residual <= math.isqrt(int(resid2.max())) / one
+
+
+def test_integrality_failure_names_the_first_sorted_triple():
+    md = minimal(7, 3)
+    rows = [list(row) for row in md.S]
+    rows[2][2] += mpf("1e-6")
+    bad = dataclasses.replace(md, S=tuple(tuple(r) for r in rows))
+    N, resid2 = _verlinde_reference(bad)
+    one = 1 << 2 * verlinde_inputs(bad)[0].bits
+    slack = Fraction(DEFAULT_INTEGRALITY_TOL) - verlinde_inputs(bad)[2]
+    offenders = [(s, r, t) for s in range(md.n) for r in range(s, md.n) for t in range(r, md.n)
+                 if resid2[s, r, t] > slack * slack * one * one or N[s, r, t] < 0]
+    with pytest.raises(IntegralityFailure) as exc:
+        verlinde(bad)
+    assert exc.value.triple == offenders[0]
+    assert exc.value.residual == math.isqrt(int(resid2[offenders[0]])) / one
 
 
 def test_rounding_is_checked_against_the_error_bound():
@@ -194,3 +271,56 @@ def test_unit_and_commutativity_properties(k):
     assert np.array_equal(A[0], np.eye(fr.n, dtype=np.int64))
     assert np.array_equal(A, A.transpose(1, 0, 2))
     assert A.min() >= 0
+
+
+# the sweep workload's models (su2 k <= 20, minimal p <= 10) up to n = 16;
+# the object oracle costs n^5 Python-int operations, about 11 s for the six
+# larger ones
+SWEEP_MODELS = [("su2", (k,)) for k in range(1, 21)] + [("minimal", pq)
+                                                        for pq in all_coprime_pairs(10)]
+CHECKED_SWEEP = [(f, p) for f, p in SWEEP_MODELS
+                 if (p[0] + 1 if f == "su2" else (p[0] - 1) * (p[1] - 1) // 2) <= 16]
+
+
+def _checks(fr, nr):
+    return verify_axioms(fr).violations, verify(nr, fr).violations
+
+
+def _object_checks(fr, nr, monkeypatch):
+    """The same checks with every product on Python ints."""
+    with monkeypatch.context() as m:
+        m.setattr(bcft.fusion, "exact_dtype", lambda *args: object)
+        m.setattr(bcft.nimreps, "exact_dtype", lambda *args: object)
+        return _checks(fr, nr)
+
+
+@pytest.mark.parametrize("family, params", CHECKED_SWEEP, ids=lambda v: str(v).replace(" ", ""))
+def test_float64_checks_equal_the_object_oracle(family, params, monkeypatch):
+    fr = fusion_su2(*params) if family == "su2" else fusion_minimal(*params)
+    nr = regular_nimrep(fr)
+    assert _checks(fr, nr) == _object_checks(fr, nr, monkeypatch) == ((), ())
+    # one coefficient and one nimrep entry raised by one
+    A = fr.as_array()
+    A[-1, -1, -1] += 1
+    bumped = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
+    mats = [np.array(mat, dtype=object) for mat in nr.nmats]
+    mats[-1][0, -1] += 1
+    nr = Nimrep(nr.labels, tuple(tuple(map(tuple, m.tolist())) for m in mats))
+    got = _checks(bumped, nr)
+    assert got == _object_checks(bumped, nr, monkeypatch)
+    assert got[1]
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_checks_at_the_float64_bound_equal_the_object_oracle(excess, monkeypatch):
+    # n M^2 < 2^53 just holds (float64) or just fails (object); the raised
+    # coefficient's square is then within a factor n of 2^53
+    fr = fusion_su2(6)
+    A = fr.as_array()
+    A[2, 2, 2] = math.isqrt(((1 << 53) - 1) // fr.n) + excess
+    big = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
+    assert bcft.fusion.exact_dtype(fr.n, A) is (object if excess else np.float64)
+    nr = regular_nimrep(big)
+    got = _checks(big, nr)
+    assert got == _object_checks(big, nr, monkeypatch)
+    assert got[0] and got[1]
