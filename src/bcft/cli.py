@@ -451,11 +451,15 @@ def _cmd_annulus(args):
     def compute(md):
         from .fusion import verlinde
         from .modular_data import model_name
-        from .nimreps import regular_nimrep
+        from .nimreps import regular_nimrep, verify
         from .report import annulus, annulus_document
 
-        nr = (regular_nimrep(verlinde(md)) if data is None
-              else _parse_nimrep("--nimrep", args.nimrep, data))
+        fr = verlinde(md)
+        nr = regular_nimrep(fr) if data is None else _parse_nimrep("--nimrep", args.nimrep, data)
+        violations = data is not None and verify(nr, fr).violations
+        if violations:
+            raise CheckFailure("--nimrep %s is not a nimrep of the model: %s"
+                               % (args.nimrep, list(violations)))
         spectrum = annulus(md, nr, a, b, args.order)
         doc = {"format": "bcft-annulus/1", "model": model_name(md)}
         doc.update(annulus_document(md, spectrum))
@@ -596,13 +600,13 @@ def main(argv=None) -> int:
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
         doc, code = handler(args)
+        _emit(args, doc)
     except (ModelValidationError, MigrationError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_VALIDATION
     except BcftError as exc:
         sys.stderr.write("check failed: %s\n" % exc)
         return EXIT_CHECK
-    _emit(args, doc)
     return code
 
 

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, workdps
 
 from .errors import DocumentFormatError, IntegralityFailure
-from .hp import GUARD_DIGITS, Fixed, exact_dtype, fixed_bits
+from .hp import Fixed, exact_dtype
 from .modular_data import ModularData
 
 DEFAULT_INTEGRALITY_TOL = 1e-10
@@ -37,21 +36,18 @@ class FusionRing:
 def verlinde_inputs(md: ModularData):
     """S and the row 1/S_0k in fixed point, and the a-priori error bound.
 
-    Returns (S, W, E): S and W = (1/S_0k)_k rounded to B = fixed_bits(precision)
+    Returns (S, W, E): S and W = (1/S_0k)_k of md.fixed, at B = fixed_bits(precision)
     fraction bits.  verlinde forms U_k = S_sk S_rk W_k floored to B bits and
     the exact contraction sum_k U_k conj(S_tk); E (a Fraction) bounds its
     distance from sum_k S_sk S_rk conj(S_tk) / S_0k over the working-precision
     S and 1/S_0k, from n, max|S|, max|W|, max|U| <= max|S|^2 max|W| and 2^-B.
     """
-    bits = fixed_bits(md.precision)
-    with workdps(md.precision + GUARD_DIGITS):
-        S = Fixed.of(md.S, bits)
-        W = Fixed.of([1 / mp.mpmathify(x) for x in md.S[0]], bits)
+    S, W, _ = md.fixed
     # With eps = 2^-B: to_fixed moves an entry by at most eps in modulus and
     # the floor of U by less than 2 eps; s_max and w_max bound the entries
     # before and after rounding.  Then |U_k - S_sk S_rk / S_0k| <= e_u, and
     # each of the n terms of a sum is off by at most e_u s_max + u_max eps.
-    eps = Fraction(1, 1 << bits)
+    eps = Fraction(1, 1 << S.bits)
     s_max, w_max = S.bound(), W.bound()
     e_u = eps * (2 * s_max * w_max + s_max * s_max + 2)
     u_max = s_max * s_max * w_max + e_u

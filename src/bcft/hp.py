@@ -2,8 +2,9 @@
 
 Precision is given in decimal digits everywhere.  Matrices are plain
 tuples of tuples of mpf/mpc so domain objects stay hashable and
-immutable; mpmath matrix objects and the fixed-point arrays of Fixed,
-which carry the exact big-int contractions, are only created transiently.
+immutable; mpmath matrix objects are only created transiently.  Fixed
+arrays carry the exact big-int contractions: a model caches its rounded
+S, 1/S_0 and S^2 (ModularData.fixed, read-only), all others are transient.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ from .errors import (
     RationalizationFailure,
     SearchBudgetExceeded,
 )
-from .hp import (GUARD_DIGITS, Fixed, fixed_bits, independent_rows, nullspace,
-                 rationalize, rref_rows, to_fraction, tolerance)
+from .hp import (GUARD_DIGITS, independent_rows, nullspace, rationalize, rref_rows,
+                 to_fraction, tolerance)
 from .modular_data import ModularData, quantum_dims, vacuum_row_real
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -121,13 +121,14 @@ def _commutant(md: ModularData):
     indices).
     """
     pairs = t_allowed_pairs(md)
-    dps, bits = md.precision, fixed_bits(md.precision)
+    S, dps = md.fixed[0], md.precision
     parts = _s_parts(md)
     every_row = range(parts.size)
     floats = _s_constraint_rows(parts.astype(float), pairs, every_row)
     chosen = set(independent_rows(floats))
-    fixed = _s_constraint_rows(Fixed.of(parts, bits).re, pairs, every_row)
-    tol = math.floor(to_fraction(tolerance(dps)) * (1 << bits))
+    fixed_parts = np.array([S.re, S.re * 0 if S.im is None else S.im][:len(parts)])
+    fixed = _s_constraint_rows(fixed_parts, pairs, every_row)
+    tol = math.floor(to_fraction(tolerance(dps)) * (1 << S.bits))
     with workdps(dps + GUARD_DIGITS):
         while True:
             rows = _s_constraint_rows(parts, pairs, sorted(chosen))

@@ -1,7 +1,8 @@
 """Modular data of rational chiral models.
 
 A model is described by its sector list, exact central charge and
-conformal weights, and the S/T matrices at a chosen working precision.
+conformal weights, and the S matrix at a chosen working precision; T
+and the conjugation follow from these.
 Builders cover the su(2) level-k series and the Virasoro minimal
 models; arbitrary models can be loaded from structured documents.
 
@@ -50,22 +51,59 @@ class SectorLabel:
 
 @dataclass(frozen=True)
 class ModularData:
-    """Sectors, exact (c, h), and high-precision (S, T) of one model.
+    """Sectors, exact (c, h), and high-precision S of one model.
 
     family/params identify a builder when the model came from one
     ("su2", (k,)) or ("minimal", (p, p')); loaded models without a
-    builder reference carry family None.
+    builder reference carry family None.  T, the conjugation and the
+    fixed-point S are derived from these fields on first use and cached
+    on the instance (dataclasses.replace starts a fresh cache).
     """
 
     sectors: tuple
     c: Fraction
     h: tuple
     S: tuple
-    T: tuple
-    conj: tuple
     precision: int
     family: str | None = None
     params: tuple = ()
+
+    @functools.cached_property
+    def T(self) -> tuple:
+        """T_rho = exp(2 pi i (h_rho - c/24)) at the working precision."""
+        return tuple(phase_from_fraction(h - self.c / 24, self.precision) for h in self.h)
+
+    @functools.cached_property
+    def fixed(self) -> tuple:
+        """(S, W, S^2): S and W = (1/S_0k)_k rounded to fixed_bits(precision),
+        and S S floored to the same bits; the arrays are read-only."""
+        bits = fixed_bits(self.precision)
+        with workdps(self.precision + GUARD_DIGITS):
+            S = Fixed.of(self.S, bits)
+            W = Fixed.of([1 / mp.mpmathify(x) for x in self.S[0]], bits)
+        out = (S, W, S.dot(S).rescale(bits))
+        for part in [p for F in out for p in (F.re, F.im) if p is not None]:
+            part.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def conj(self) -> tuple:
+        """The conjugation permutation, read off C = S^2 of fixed; raises
+        unless C is an involutive permutation matrix."""
+        C, n = self.fixed[2], self.n
+        tol2 = to_fixed(tolerance(self.precision), C.bits) ** 2
+        near_one = (Fixed(C.re - (1 << C.bits), C.im, C.bits).abs2() < tol2).astype(bool)
+        near_zero = (C.abs2() < tol2).astype(bool)
+        conj = []
+        for i in range(n):
+            hits = [j for j in range(n) if near_one[i, j]]
+            zeros = all(near_zero[i, j] for j in range(n) if j not in hits)
+            if len(hits) != 1 or not zeros:
+                raise ModularRelationViolation("S^2 is not a permutation matrix")
+            conj.append(hits[0])
+        if sorted(conj) != list(range(n)) or any(conj[conj[i]] != i for i in range(n)):
+            raise ModularRelationViolation("S^2 is not an involutive permutation")
+        return tuple(conj)
 
     @property
     def n(self) -> int:
@@ -87,68 +125,36 @@ class ModularData:
 
 
 def vacuum_row_real(md: ModularData):
-    row = []
-    for x in md.S[0]:
-        v = mp.mpmathify(x)
-        row.append(v.real if hasattr(v, "real") else v)
-    return row
+    return [mp.mpmathify(x).real for x in md.S[0]]
 
 
-def _conjugation_from_s(S2: Fixed, precision):
-    """Read the conjugation permutation off C = S^2 (the fixed-point
-    product S S is passed in); raises if C is not a permutation matrix."""
-    n = len(S2.re)
-    tol2 = to_fixed(tolerance(precision), S2.bits) ** 2
-    near_one = (Fixed(S2.re - (1 << S2.bits), S2.im, S2.bits).abs2() < tol2).astype(bool)
-    near_zero = (S2.abs2() < tol2).astype(bool)
-    conj = []
-    for i in range(n):
-        hits = [j for j in range(n) if near_one[i, j]]
-        zeros = all(near_zero[i, j] for j in range(n) if j not in hits)
-        if len(hits) != 1 or not zeros:
-            raise ModularRelationViolation("S^2 is not a permutation matrix")
-        conj.append(hits[0])
-    if sorted(conj) != list(range(n)) or any(conj[conj[i]] != i for i in range(n)):
-        raise ModularRelationViolation("S^2 is not an involutive permutation")
-    return tuple(conj)
-
-
-def _square(S, precision) -> tuple:
-    """S rounded to fixed_bits(precision), and S^2 from it."""
-    F = Fixed.of(S, fixed_bits(precision))
-    return F, F.dot(F).rescale(F.bits)
-
-
-def validate(md: ModularData, require_positive_vacuum_row: bool = True, fixed=None) -> dict:
+def validate(md: ModularData) -> dict:
     """Check all structural invariants; returns the residual report.
 
-    Raises a distinct error type per violated invariant.  Positivity of
-    the vacuum row is optional because non-unitary minimal models carry
-    signed vacuum-row entries in this convention.  The products S S^dagger,
-    S^2 and (ST)^3 are exact Python-int contractions of S and T rounded
-    to fixed_bits(precision) fraction bits; fixed passes in (S, S^2) when
-    the caller has already formed them.
+    Raises a distinct error type per violated invariant.  The vacuum row
+    must be positive except in a non-unitary minimal model, whose
+    vacuum-row entries are signed in this convention.  The products
+    S S^dagger, S^2 and (ST)^3 are exact Python-int contractions of
+    md.fixed and of T rounded to the same fixed_bits(precision).
     """
     n = md.n
     tol = tolerance(md.precision)
     bits = fixed_bits(md.precision)
-    S, S2 = fixed or _square(md.S, md.precision)
     with workdps(md.precision + GUARD_DIGITS):
         if [s.id for s in md.sectors] != list(range(n)):
             raise DocumentFormatError("sector ids must be 0..n-1 in order")
         if md.h[0] != 0:
             raise VacuumPlacementError("sector 0 must have h = 0")
+        S, _, S2 = md.fixed
         res_sym = (S - S.T).max_abs()
         if res_sym > tol:
             raise SymmetryViolation("max |S - S^T| = " + mp.nstr(res_sym, 5))
         # for a real S equal to its transpose, S S^dagger is S^2
-        real_symmetric = S.im is None and res_sym == 0
-        SSd = S2 if real_symmetric else S.dot(S.conj().T).rescale(bits)
+        SSd = S2 if S.im is None and res_sym == 0 else S.dot(S.conj().T).rescale(bits)
         res_uni = (SSd - Fixed.identity(n, bits)).max_abs()
         if res_uni > tol:
             raise UnitarityViolation("max |S S^dagger - 1| = " + mp.nstr(res_uni, 5))
-        if _conjugation_from_s(S2, md.precision) != md.conj:
-            raise ModularRelationViolation("stored conjugation disagrees with S^2")
+        md.conj  # raises unless S^2 is an involutive permutation
         # (ST)^3 = S^2 with T diagonal: (ST)^2 = S (T S T), (ST)^3 = ((ST)^2 S) T,
         # so every contraction has S as one factor.  X * t scales column j of
         # X by T_j, X * t.T row i by T_i.
@@ -158,9 +164,7 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True, fixed=No
         res_st = (ST3 - S2).max_abs()
         if res_st > tol:
             raise ModularRelationViolation("max |(ST)^3 - S^2| = " + mp.nstr(res_st, 5))
-        t0 = phase_from_fraction(-md.c / 24, md.precision)
-        if abs(md.T[0] - t0) > tol:
-            raise VacuumPlacementError("T_0 differs from exp(-2 pi i c/24)")
+        signed = md.family == "minimal" and not md.is_unitary_family()
         row = vacuum_row_real(md)
         for j in range(n):
             if abs(mp.mpmathify(md.S[0][j]).imag) > tol:
@@ -170,7 +174,7 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True, fixed=No
                     "|S_{0 %d}| = %s is below the tolerance %s at precision %d"
                     % (j, mp.nstr(abs(row[j]), 3), mp.nstr(tol, 3), md.precision)
                 )
-            if require_positive_vacuum_row and row[j] < 0:
+            if not signed and row[j] < 0:
                 raise VacuumRowError("S_{0 rho} must be positive")
         return {
             "symmetry": res_sym,
@@ -180,24 +184,9 @@ def validate(md: ModularData, require_positive_vacuum_row: bool = True, fixed=No
 
 
 def _finish(sectors, c, h, S, precision, family, params):
-    """Add T and the conjugation to (sectors, c, h, S) and validate; a
-    model without a builder family must have a positive vacuum row."""
-    n = len(sectors)
-    with workdps(precision + GUARD_DIGITS):
-        T = tuple(phase_from_fraction(h[i] - c / 24, precision) for i in range(n))
-    fixed = _square(S, precision)
-    md = ModularData(
-        sectors=tuple(sectors),
-        c=c,
-        h=tuple(h),
-        S=S,
-        T=T,
-        conj=_conjugation_from_s(fixed[1], precision),
-        precision=precision,
-        family=family,
-        params=params,
-    )
-    validate(md, family is None or md.is_unitary_family(), fixed)
+    """The validated model of (sectors, c, h, S) at this precision."""
+    md = ModularData(tuple(sectors), c, tuple(h), S, precision, family, params)
+    validate(md)
     return md
 
 

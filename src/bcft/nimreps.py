@@ -24,13 +24,13 @@ from .errors import (
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
-from .fusion import FusionRing, fusion_matrix, verlinde_inputs
-from .hp import GUARD_DIGITS, Fixed, exact_dtype, fixed_bits, to_fraction, tolerance
+from .fusion import FusionRing, fusion_matrix
+from .hp import GUARD_DIGITS, Fixed, exact_dtype, to_fraction, tolerance
 from .intpoly import charpoly, divmod_poly, psi, roots_above
 from .invariants import ModularInvariant
 from .modular_data import ModularData
 
-PSI_TOL = 1e-12
+PSI_TOL = 1e-12  # fixed: full_report renders it as cardy_tolerance "1e-12"
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
 
 
 def _check_generator(G) -> np.ndarray:
-    a = np.array(G, dtype=np.int64)
+    """G as a dtype=object array of Python ints: nothing wraps before the norm check."""
+    a = np.array(G, dtype=object)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("generator must be square")
     if not np.array_equal(a, a.T):
@@ -149,11 +150,16 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
         raise ValueError("generator recursion requires level-k data")
     (k,) = md.params
     a = _check_generator(G)
-    norm = float(np.linalg.eigvalsh(a.astype(np.float64)).max())
+    # an entry past the float64 range is a lower bound on the norm
+    norm = (float(np.linalg.eigvalsh(a.astype(np.float64)).max())
+            if a.max() < 2**1023 else math.inf)
+    # fixed: a generator of a level has norm 2cos(pi/h), and 2 - 2cos(pi/h)
+    # exceeds the 1e-12 margin for every graph below about 10^6 nodes
     if norm >= 2 - 1e-12:
         raise SpectralRadiusTooLarge(
             "generator norm %.6f admits no level" % norm
         )
+    a = a.astype(np.int64)  # norm below 2: the entries are 0/1
     m = a.shape[0]
     mats = [np.eye(m, dtype=np.int64), a]
     for step in range(2, k + 1):
@@ -169,7 +175,7 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
 
 def _exponent_traces(md: ModularData, exps) -> tuple:
     """sum over lambda in exps of S_rho lambda / S_0 lambda, for every rho,
-    in fixed point from fusion.verlinde_inputs, with its error bound.
+    in fixed point from md.fixed, with its error bound.
 
     Returns (bits, re, im, err): the sum for sector rho is
     (re[rho] + i im[rho]) / 2^bits, within err / 2^bits of the sum over the
@@ -178,7 +184,7 @@ def _exponent_traces(md: ModularData, exps) -> tuple:
     than 2^-bits, so by at most delta = ceil(s_max + w_max) + 2 units; the
     m ratios of a sum give err = m delta.
     """
-    S, W, _ = verlinde_inputs(md)
+    S, W, _ = md.fixed
     cols = list(exps)
     R = (S[:, cols] * W[cols]).rescale(S.bits)
     re = R.re.sum(axis=1)
@@ -262,9 +268,9 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
             lead = next((x for x in col if abs(x) > tol), max(col, key=abs))
             cols.append([x * (abs(lead) / lead) for x in col])
         psi = tuple(tuple(col[a] for col in cols) for a in range(m))
-        bits = fixed_bits(dps)
-        R = Fixed.of([[md.S[rho][lam] / md.S[0][lam] for lam in exps]
-                      for rho in range(md.n)], bits)
+        S, W, _ = md.fixed
+        lams, bits = list(exps), S.bits
+        R = (S[:, lams] * W[lams]).rescale(bits)
         Psi = Fixed.of(psi, bits)
         # K[a, lambda, b] = psi_a lambda conj(psi_b lambda); R.dot(K)[rho] is
         # psi diag(R[rho]) psi^dagger
@@ -334,7 +340,7 @@ def canonical_generator(G) -> tuple:
     from the encoding in preorder.  Non-tree inputs fall back to the
     minimum over all permutations and must be small.
     """
-    a = np.array(G, dtype=np.int64)
+    a = np.array(G, dtype=object)
     m = a.shape[0]
     if m == 1:
         return ((int(a[0, 0]),),)
@@ -463,6 +469,8 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
         stack = np.stack([c.astype(np.float64) for c in candidates])
         tops = np.linalg.eigvalsh(stack)[:, -1]
         for c, top in zip(candidates, tops):
+            # fixed: the width only decides which candidates reach the exact
+            # _certify_norm, which decides alone
             if abs(top - target) < 1e-9:
                 survivors.append(c)
 

@@ -371,6 +371,58 @@ def test_malformed_input_file_names_the_flag_and_file(
         assert "Traceback" not in err
 
 
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+A3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+FLIP3 = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "nmats, violation",
+    [
+        ([IDENTITY3, A3], "('sector_count', 2, 3)"),
+        ([IDENTITY3, A3, [[0, 0, 1], [0, -1, 0], [1, 0, 0]]], "('negative_entry', 2)"),
+        ([IDENTITY3, [[0, 1, 0], [1, 0, 1], [0, 1]], FLIP3], "('shape', (3,), (3, 3))"),
+    ],
+    ids=["two-sectors", "negative-entry", "ragged"],
+)
+def test_annulus_nimrep_file_must_be_a_nimrep_of_the_model(nmats, violation, capsys, tmp_path):
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps({"format": "bcft-nimrep/1", "labels": [0, 1, 2], "nmats": nmats}))
+    argv = ["annulus", "--model", "su2", "--level", "2", "--pair", "0,1", "--nimrep", str(path)]
+    for fmt in ("text", "structured"):
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert "check failed: --nimrep %s is not a nimrep of the model" % path in err
+        assert violation in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", [2**62, 2**63 + 1, 10**400], ids=["2^62", "past-int64", "past-float64"])
+def test_generator_entries_past_int64_are_refused_by_their_norm(x, capsys, tmp_path):
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps([[0, x], [x, 0]]))
+    for fmt in ("text", "structured"):
+        code, out, err = run(GENERATE[:-1] + ["2", "--generator-file", str(path),
+                                              "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert re.search(r"check failed: generator norm \S+ admits no level", err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["missing", "directory"])
+def test_unwritable_out_path_exits_one(out, capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "x.json" if out == "missing" else tmp_path
+    for fmt in ("text", "structured"):
+        code, stdout, err = run(["fusion", "--model", "su2", "--level", "2",
+                                 "--format", fmt, "--out", str(path)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "error: " in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("x", [2**63 - 1, 2**63 + 1], ids=["int64-max", "past-int64"])
 def test_nimrep_entries_past_int64_are_checked_exactly(x, capsys, tmp_path):
     # n^1 n^1 = n^0 at level 1; in int64, (2^63 - 1)^2 wraps to 1 mod 2^64

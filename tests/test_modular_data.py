@@ -1,5 +1,6 @@
 """Modular data: builders, structural validation, documents."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps
 
-from bcft import modular_data
 from bcft.errors import (
     BadKacLabels,
     DocumentFormatError,
@@ -16,6 +16,7 @@ from bcft.errors import (
     VacuumPlacementError,
     VacuumRowError,
 )
+from bcft.hp import Fixed
 from bcft.modular_data import (
     build_minimal,
     build_su2,
@@ -27,7 +28,7 @@ from bcft.modular_data import (
     validate,
     vacuum_row_real,
 )
-from conftest import minimal, su2
+from conftest import minimal, su2, su3_level1_document
 
 
 def test_su2_level1_exact_data():
@@ -72,10 +73,44 @@ def test_validation_residuals_are_tiny():
 
 def test_build_forms_s_squared_once(monkeypatch):
     calls = []
-    square = modular_data._square
-    monkeypatch.setattr(modular_data, "_square", lambda *args: calls.append(args) or square(*args))
-    build_su2(7)
-    assert len(calls) == 1
+    of = Fixed.of.__func__
+    monkeypatch.setattr(
+        Fixed, "of", classmethod(lambda cls, values, bits: calls.append(values) or of(cls, values, bits)))
+    md = build_su2(7)
+    # S, 1/S_0 and T are each rounded once; S^2 comes from the rounded S
+    assert len(calls) == 3
+    assert sum(values is md.S for values in calls) == 1
+    md.fixed, md.conj, md.T
+    validate(md)
+    assert len(calls) == 4  # only T is rounded again by a second validate
+
+
+def test_replace_derives_fresh_model_data():
+    md = load_model(su3_level1_document())
+    assert md.conj == (0, 2, 1)
+    ising = minimal(4, 3)
+    moved = dataclasses.replace(md, S=ising.S)
+    assert moved.conj == (0, 1, 2)
+    assert (moved.fixed[0].re == ising.fixed[0].re).all() and moved.fixed[0].im is None
+    assert (moved.fixed[1].re == ising.fixed[1].re).all()
+    assert (moved.fixed[2].re == ising.fixed[2].re).all()
+    assert moved.T == md.T
+    shifted = dataclasses.replace(md, c=ising.c, h=ising.h)
+    assert shifted.T == ising.T != md.T
+    assert shifted.conj == md.conj
+    # the cache is no field: equality and hash cover the seven fields alone
+    assert [f.name for f in dataclasses.fields(md)] == [
+        "sectors", "c", "h", "S", "precision", "family", "params"]
+    assert dataclasses.replace(moved, S=md.S) == md
+    assert hash(dataclasses.replace(moved, S=md.S)) == hash(md)
+
+
+def test_fixed_point_arrays_are_read_only():
+    for F in su2(3).fixed + load_model(su3_level1_document()).fixed:
+        for part in (F.re, F.im):
+            if part is not None:
+                with pytest.raises(ValueError):
+                    part[0] = 0
 
 
 def test_self_conjugate_families():
@@ -111,10 +146,11 @@ def test_lee_yang_is_non_unitary_with_signed_vacuum_row():
     row = vacuum_row_real(md)
     assert any(x < 0 for x in row)
     # the structural relations still hold even though positivity fails
-    rep = validate(md, require_positive_vacuum_row=False)
+    rep = validate(md)
     assert rep["unitarity"] < 1e-50
+    # the same data without the non-unitary minimal family must be positive
     with pytest.raises(VacuumRowError):
-        validate(md, require_positive_vacuum_row=True)
+        validate(dataclasses.replace(md, family=None, params=()))
 
 
 def test_quantum_dims_and_global_index():

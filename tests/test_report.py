@@ -6,9 +6,11 @@ from mpmath import mp, workdps
 from bcft.characters import characters_for, s_transform_residual
 from bcft.cli import main as cli_main
 from bcft.errors import ConvergenceWarning
-from bcft.hp import num_str
+from bcft.fusion import verlinde
+from bcft.hp import Fixed, num_str
 from bcft.invariants import diagonal_invariant, enumerate_physical
-from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep
+from bcft.modular_data import build_su2
+from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep, spectrum_match
 from bcft.report import (
     annulus,
     annulus_document,
@@ -248,6 +250,21 @@ def test_full_report_matches_the_per_pair_functions(order, beta):
     assert doc["heat_kernel"]["max_residual"] == num_str(max(residuals.values()), dps)
     s_res = s_transform_residual(md, max(order, 200), beta)
     assert doc["s_transform"]["max_residual"] == num_str(s_res, dps)
+
+
+def test_e6_pipeline_rounds_s_and_its_vacuum_row_once(monkeypatch):
+    calls = []
+    of = Fixed.of.__func__
+    monkeypatch.setattr(
+        Fixed, "of", classmethod(lambda cls, values, bits: calls.append(values) or of(cls, values, bits)))
+    md = build_su2(10)
+    verlinde(md)
+    Z = next(z for z in enumerate_physical(md) if z.tag == "E6")
+    nr = next(nr for nr in enumerate_su2_nimreps(md, Z.size) if spectrum_match(nr, Z, md).ok)
+    full_report(md, Z, nr, order=50)
+    # S, 1/S_0, T and psi: every other contraction reads md.fixed
+    assert sum(values is md.S for values in calls) == 1
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize(
