@@ -415,10 +415,15 @@ def _cmd_nimreps_verify(args):
 
 
 def _cmd_nimreps_generate(args):
-    from .nimreps import generate_from_generator, nimrep_document
+    from .fusion import verlinde
+    from .nimreps import generate_from_generator, nimrep_document, verify
 
     md = _build_model(args)
     nr = generate_from_generator(_read_generator(args.generator_file), md)
+    violations = verify(nr, verlinde(md)).violations
+    if violations:
+        raise CheckFailure("the family grown from --generator-file %s is not a nimrep"
+                           " of the model: %s" % (args.generator_file, list(violations)))
     return nimrep_document(nr), EXIT_OK
 
 

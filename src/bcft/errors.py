@@ -26,7 +26,7 @@ class UnitarityViolation(ModelValidationError):
 
 
 class ModularRelationViolation(ModelValidationError):
-    """(ST)^3 = S^2 or S^2 = C fails within tolerance."""
+    """S^2 = C or (ST)^3 = C, checked as S T S = T^-1 S T^-1, fails within tolerance."""
 
 
 class VacuumPlacementError(ModelValidationError):

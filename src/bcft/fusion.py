@@ -107,8 +107,8 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
 
 
 def fusion_matrix(fr: FusionRing, sigma: int) -> tuple:
-    """(N_sigma)_{a b} = N^b_{sigma a}, the left-multiplication matrix."""
-    return tuple(tuple(fr.N[sigma][a][b] for b in range(fr.n)) for a in range(fr.n))
+    """(N_sigma)_{a b} = N^b_{sigma a}, the left-multiplication matrix: the stored plane."""
+    return fr.N[sigma]
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,22 @@ def test_generator_entries_past_int64_are_refused_by_their_norm(x, capsys, tmp_p
         assert "Traceback" not in err
 
 
+def test_generated_family_must_be_a_nimrep_of_the_model(capsys, tmp_path):
+    # the level-1 tadpole grows a non-negative family at level 2 whose
+    # products break the fusion rules; `nimreps verify` refuses it too
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps([[1]]))
+    argv = GENERATE[:-1] + ["2", "--generator-file", str(path)]
+    for fmt in ("text", "structured"):
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert ("check failed: the family grown from --generator-file %s is not a nimrep"
+                " of the model: " % path) in err
+        assert "('product', 1, 2)" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("out", ["missing", "directory"])
 def test_unwritable_out_path_exits_one(out, capsys, tmp_path):
     path = tmp_path / "no-such-dir" / "x.json" if out == "missing" else tmp_path

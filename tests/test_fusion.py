@@ -114,6 +114,7 @@ def test_fusion_matrix_is_left_multiplication():
     fr = fusion_su2(4)
     for sigma in range(fr.n):
         mat = fusion_matrix(fr, sigma)
+        assert mat is fr.N[sigma]  # the stored plane, not a copy
         for a in range(fr.n):
             for b in range(fr.n):
                 assert mat[a][b] == fr.N[sigma][a][b]

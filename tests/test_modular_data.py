@@ -12,6 +12,7 @@ from bcft.errors import (
     BadKacLabels,
     DocumentFormatError,
     ModelValidationError,
+    ModularRelationViolation,
     TrivialLevelError,
     VacuumPlacementError,
     VacuumRowError,
@@ -64,7 +65,8 @@ def test_t_matrix_phase_ising():
 
 
 def test_validation_residuals_are_tiny():
-    for md in [su2(1), su2(5), su2(12), minimal(4, 3), minimal(6, 5)]:
+    su3 = load_model(su3_level1_document())  # complex S, C != 1
+    for md in [su2(1), su2(5), su2(12), minimal(4, 3), minimal(6, 5), su3]:
         rep = validate(md)
         assert rep["symmetry"] < 1e-50
         assert rep["unitarity"] < 1e-50
@@ -83,6 +85,40 @@ def test_build_forms_s_squared_once(monkeypatch):
     md.fixed, md.conj, md.T
     validate(md)
     assert len(calls) == 4  # only T is rounded again by a second validate
+
+
+def test_build_makes_two_exact_products(monkeypatch):
+    calls = []
+    dot = Fixed.dot
+    monkeypatch.setattr(Fixed, "dot", lambda self, other: calls.append(1) or dot(self, other))
+    build_su2(7)
+    # S^2 in md.fixed, then S (T S) for the modular relation; a real
+    # symmetric S reuses S^2 as S S^dagger
+    assert len(calls) == 2
+
+
+def _explicit_ising():
+    doc = model_to_document(minimal(4, 3))
+    del doc["builder"]
+    return doc
+
+
+def _with_h1(doc, h):
+    doc["sectors"][1]["h"] = h
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_with_h1(_explicit_ising(), "1/8"), dict(_explicit_ising(), c="7/10"),
+     _with_h1(su3_level1_document(), "2/3")],
+    ids=["ising-h-sigma", "ising-c", "su3-complex-s"],
+)
+def test_validate_refuses_a_broken_modular_relation(doc):
+    # S is untouched, so symmetry, unitarity and S^2 = C all pass; only
+    # T, through c or one h, breaks (ST)^3 = C
+    with pytest.raises(ModularRelationViolation, match=r"max \|S T S - T\^-1 S T\^-1\| = "):
+        load_model(doc)
 
 
 def test_replace_derives_fresh_model_data():
