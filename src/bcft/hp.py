@@ -5,6 +5,7 @@ tuples of tuples of mpf/mpc so domain objects stay hashable and
 immutable; mpmath matrix objects are only created transiently.  Fixed
 arrays carry the exact big-int contractions: a model caches its rounded
 S, 1/S_0 and S^2 (ModularData.fixed, read-only), all others are transient.
+The Gauss-Jordan elimination runs on rows of fixed-point Python ints.
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ def to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def rationalize(x, dps: int, max_denominator: int = 10**6) -> Fraction:
-    """Nearest small-denominator rational, or RationalizationFailure.
+def rationalize(x: Fraction, dps: int, max_denominator: int = 10**6) -> Fraction:
+    """Nearest small-denominator rational to the exact value x, or
+    RationalizationFailure.
 
     The fit must reproduce x within tolerance(dps).
     """
-    exact = to_fraction(x)
-    fit = exact.limit_denominator(max_denominator)
+    fit = x.limit_denominator(max_denominator)
     tol = tolerance(dps)
-    if abs(fit - exact) > to_fraction(tol):
+    if abs(fit - x) > to_fraction(tol):
         raise RationalizationFailure(
             "no rational with denominator <= %d within %s of %s"
-            % (max_denominator, mp.nstr(tol, 3), mp.nstr(mp.mpf(x), 25))
+            % (max_denominator, mp.nstr(tol, 3), mp.nstr(mpf_from_fraction(x, dps), 25))
         )
     return fit
 
@@ -210,26 +211,28 @@ class Fixed:
 
 
 # ---------------------------------------------------------------------------
-# small dense linear algebra on tuple matrices
+# Gauss-Jordan on fixed-point Python ints
 
 
 def nullspace(rows, n_vars: int, dps: int):
-    """Kernel basis of a real linear system at working precision.
+    """Kernel basis of a real linear system in fixed point.
 
-    rows: iterable of coefficient sequences (mpf) over n_vars unknowns.
-    Returns one basis vector per free column, with a unit entry there:
-    reduced echelon form over the free variables, canonical for the subspace.
+    rows: iterable of coefficient sequences over n_vars unknowns, Python
+    ints scaled by 2^B with B = fixed_bits(dps).  Returns one basis
+    vector per free column at the same scale, with the unit 2^B there:
+    reduced echelon form over the free variables, canonical for the
+    subspace.
     """
-    with workdps(dps + GUARD_DIGITS):
-        a, pivots = rref_rows([r for r in rows if any(x != 0 for x in r)], dps)
-        basis = []
-        for fc in (c for c in range(n_vars) if c not in pivots):
-            v = [mpf(0)] * n_vars
-            v[fc] = mpf(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -a[r][fc]
-            basis.append(v)
-        return basis
+    a, pivots = rref_rows([r for r in rows if any(r)], dps)
+    one = 1 << fixed_bits(dps)
+    basis = []
+    for fc in (c for c in range(n_vars) if c not in pivots):
+        v = [0] * n_vars
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
 
 
 def independent_rows(matrix: np.ndarray) -> list:
@@ -250,37 +253,41 @@ def independent_rows(matrix: np.ndarray) -> list:
 
 
 def rref_rows(vectors, dps: int):
-    """Reduced row echelon form of a list of row vectors (Gauss-Jordan
-    with partial pivoting; entries below tolerance(dps) count as zero).
+    """Reduced row echelon form of row vectors of Python ints scaled by
+    2^B, B = fixed_bits(dps): Gauss-Jordan with partial pivoting (the
+    first largest entry wins), the pivot row divided as (x << B) // pivot
+    and the others reduced as x - ((f * y) >> B), so each step floors by
+    less than 2^-B.  Entries of at most floor(tolerance(dps) 2^B) count
+    as zero.
 
-    Returns (nonzero rows, pivot_columns).
+    Returns (nonzero rows at scale 2^B, pivot_columns).
     """
-    with workdps(dps + GUARD_DIGITS):
-        thresh = tolerance(dps)
-        a = [list(map(mpf, v)) for v in vectors]
-        n_vars = len(a[0]) if a else 0
-        pivots = []
-        row = 0
-        for col in range(n_vars):
-            best, best_val = None, thresh
-            for r in range(row, len(a)):
-                v = abs(a[r][col])
-                if v > best_val:
-                    best, best_val = r, v
-            if best is None:
-                continue
-            a[row], a[best] = a[best], a[row]
-            pv = a[row][col]
-            a[row] = [x / pv for x in a[row]]
-            for r in range(len(a)):
-                if r != row and abs(a[r][col]) > 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
-            if row == len(a):
-                break
-        return a[:row], pivots
+    bits = fixed_bits(dps)
+    thresh = math.floor(to_fraction(tolerance(dps)) * (1 << bits))
+    a = [list(map(int, v)) for v in vectors]
+    n_vars = len(a[0]) if a else 0
+    pivots = []
+    row = 0
+    for col in range(n_vars):
+        best, best_val = None, thresh
+        for r in range(row, len(a)):
+            v = abs(a[r][col])
+            if v > best_val:
+                best, best_val = r, v
+        if best is None:
+            continue
+        a[row], a[best] = a[best], a[row]
+        pv = a[row][col]
+        a[row] = [(x << bits) // pv for x in a[row]]
+        for r in range(len(a)):
+            f = a[r][col]
+            if r != row and f:
+                a[r] = [x - ((f * y) >> bits) for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(a):
+            break
+    return a[:row], pivots
 
 
 # unused by the package; perfbench/spans.py traces it by name until

@@ -3,10 +3,10 @@
 A physical invariant is a non-negative integer matrix Z with Z_00 = 1
 commuting with both modular generators.  T-commutation is decided
 exactly from the conformal weights; S-commutation cuts out a rational
-subspace.  Float64 elimination picks independent S-constraint rows, a
-working-precision nullspace of those rows is rationalized, and an exact
-fixed-point check against every row certifies the basis.  Physical
-matrices are the lattice points of that subspace inside the Perron box.
+subspace.  Its constraint rows are fixed-point ints: float64 picks
+independent ones, a fixed-point Gauss-Jordan solves them, and an exact
+check against every row certifies the rationalized basis.  Physical
+matrices are its lattice points in the Perron box, walked on ints.
 """
 
 from __future__ import annotations
@@ -85,20 +85,15 @@ def t_allowed_pairs(md: ModularData) -> tuple:
     return tuple(pairs)
 
 
-def _s_parts(md: ModularData) -> np.ndarray:
-    """The real part of S and, if S is complex, its imaginary part: a
-    (1 or 2, n, n) array of mpf, one constraint row per entry."""
-    parts = [[[f(x) for x in row] for row in md.S] for f in (mp.re, mp.im)]
-    return np.array(parts if any(map(any, parts[1])) else parts[:1], dtype=object)
-
-
-def _s_constraint_rows(parts: np.ndarray, pairs, rows) -> np.ndarray:
-    """The given rows of the linear system (ZS - SZ)_ab = 0 over the
-    allowed entries: row a*n + b is the real part of equation (a, b),
-    row n^2 + a*n + b its imaginary part.  parts is _s_parts, or it cast
-    to float64 or fixed-point integers."""
-    n = parts.shape[1]
-    part, ab = np.divmod(np.asarray(rows, dtype=int), n * n)
+def _s_constraint_rows(md: ModularData, pairs) -> np.ndarray:
+    """Every row of the linear system (ZS - SZ)_ab = 0 over the allowed
+    entries, with S rounded to fixed point (md.fixed): Python ints at
+    scale 2^fixed_bits(precision).  Row a*n + b is the real part of
+    equation (a, b); for complex S, row n^2 + a*n + b is its imaginary
+    part."""
+    S, n = md.fixed[0], md.n
+    parts = np.array([S.re] if S.im is None else [S.re, S.im])
+    part, ab = np.divmod(np.arange(parts.size), n * n)
     p, a, b = part[:, None], ab[:, None] // n, ab[:, None] % n
     i, j = np.array(pairs).T
     one = np.identity(n, dtype=int)
@@ -109,42 +104,37 @@ def _commutant(md: ModularData):
     """Rational basis of {M : MS = SM, MT = TM} in reduced echelon
     form over the T-allowed positions.
 
-    Float64 elimination picks independent S-constraint rows, and only
-    those are eliminated at working precision.  The rationalized basis
-    is then certified against every row: with each vector scaled to
-    integers v and the rows C taken at S rounded to fixed_bits, |C v|
-    is exact, and each coefficient of C is off by at most 2^-bits, so
-    |C v| + 2^-bits |v|_1 <= tolerance proves the row.  Rows that fail
-    join the chosen ones and the solve reruns.
+    Float64 elimination picks independent fixed-point S-constraint
+    rows, and only those go through the fixed-point Gauss-Jordan; each
+    basis entry x is rationalized from the exact Fraction(x, 2^bits).
+    The rationalized basis is certified against every row: with each
+    vector scaled to integers v and the rows C taken at S rounded to
+    fixed_bits, |C v| is exact, and each coefficient of C is off by at
+    most 2^-bits, so |C v| + 2^-bits |v|_1 <= tolerance proves the row.
+    Rows that fail join the chosen ones and the solve reruns.
 
     Returns (pairs, basis vectors as Fraction lists, pivot variable
     indices).
     """
     pairs = t_allowed_pairs(md)
-    S, dps = md.fixed[0], md.precision
-    parts = _s_parts(md)
-    every_row = range(parts.size)
-    floats = _s_constraint_rows(parts.astype(float), pairs, every_row)
-    chosen = set(independent_rows(floats))
-    fixed_parts = np.array([S.re, S.re * 0 if S.im is None else S.im][:len(parts)])
-    fixed = _s_constraint_rows(fixed_parts, pairs, every_row)
-    tol = math.floor(to_fraction(tolerance(dps)) * (1 << S.bits))
-    with workdps(dps + GUARD_DIGITS):
-        while True:
-            rows = _s_constraint_rows(parts, pairs, sorted(chosen))
-            reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
-            exact = [[rationalize(x, dps) for x in vec] for vec in reduced]
-            failed = set()
-            for vec in exact:
-                scale = math.lcm(*(x.denominator for x in vec))
-                v = np.array([int(x * scale) for x in vec], dtype=object)
-                failed.update(np.flatnonzero(abs(fixed.dot(v)) + abs(v).sum() > tol))
-            if not failed:
-                return pairs, exact, pivots
-            if failed <= chosen:
-                raise RationalizationFailure(
-                    "rationalized commutant basis does not commute with S")
-            chosen |= failed
+    dps, one = md.precision, 1 << md.fixed[0].bits
+    fixed = _s_constraint_rows(md, pairs)
+    chosen = set(independent_rows((fixed / one).astype(float)))
+    tol = math.floor(to_fraction(tolerance(dps)) * one)
+    while True:
+        reduced, pivots = rref_rows(nullspace(fixed[sorted(chosen)], len(pairs), dps), dps)
+        exact = [[rationalize(Fraction(x, one), dps) for x in vec] for vec in reduced]
+        failed = set()
+        for vec in exact:
+            scale = math.lcm(*(x.denominator for x in vec))
+            v = np.array([int(x * scale) for x in vec], dtype=object)
+            failed.update(np.flatnonzero(abs(fixed.dot(v)) + abs(v).sum() > tol))
+        if not failed:
+            return pairs, exact, pivots
+        if failed <= chosen:
+            raise RationalizationFailure(
+                "rationalized commutant basis does not commute with S")
+        chosen |= failed
 
 
 def perron_row(md: ModularData) -> int:
@@ -259,38 +249,39 @@ def _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
     """Depth-first integer search over the commutant lattice.
 
     Coordinates are the pivot-entry values.  Every matrix entry is an
-    exact rational affine function of them; intervals from the
-    remaining coordinate boxes prune infeasible prefixes.
+    exact rational affine function of them, held on ints as D times its
+    value, D the common denominator of the basis.  Intervals from the
+    remaining coordinate boxes prune infeasible prefixes; a leaf keeps
+    only entries that D divides.
     """
     d = len(basis)
     if d == 0:
         return []
     n_vars = len(pairs)
-    cols = [[vec[v] for vec in basis] for v in range(n_vars)]
+    D = math.lcm(*(x.denominator for vec in basis for x in vec))
+    cols = [[int(vec[v] * D) for vec in basis] for v in range(n_vars)]
     ubounds = [bounds_by_var[pivots[i]] for i in range(d)]
+    # the scaled entry of v must end in [floors[v], tops[v]]
+    floors = [D if v == vacuum_var else 0 for v in range(n_vars)]
+    tops = [D if v == vacuum_var else D * bounds_by_var[v] for v in range(n_vars)]
 
     # suffix interval of the contribution of coordinates >= depth
-    lo = [[Fraction(0)] * n_vars for _ in range(d + 1)]
-    hi = [[Fraction(0)] * n_vars for _ in range(d + 1)]
+    lo = [[0] * n_vars for _ in range(d + 1)]
+    hi = [[0] * n_vars for _ in range(d + 1)]
     for i in range(d - 1, -1, -1):
         for v in range(n_vars):
-            c = basis[i][v] * ubounds[i]
-            lo[i][v] = lo[i + 1][v] + min(Fraction(0), c)
-            hi[i][v] = hi[i + 1][v] + max(Fraction(0), c)
+            c = cols[v][i] * ubounds[i]
+            lo[i][v] = lo[i + 1][v] + min(0, c)
+            hi[i][v] = hi[i + 1][v] + max(0, c)
 
     solutions = []
-    partial = [Fraction(0)] * n_vars
+    partial = [0] * n_vars
     nodes = 0
 
     def feasible(depth):
-        for v in range(n_vars):
-            val, l, h = partial[v], lo[depth][v], hi[depth][v]
-            top = Fraction(1) if v == vacuum_var else Fraction(bounds_by_var[v])
-            if val + h < 0 or val + l > top:
-                return False
-            if v == vacuum_var and val + h < 1:
-                return False
-        return True
+        l, h = lo[depth], hi[depth]
+        return all(floors[v] <= partial[v] + h[v] and partial[v] + l[v] <= tops[v]
+                   for v in range(n_vars))
 
     def descend(depth):
         nonlocal nodes
@@ -300,17 +291,9 @@ def _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
                 "lattice search exceeded %d nodes" % node_budget
             )
         if depth == d:
-            vec = []
-            for v in range(n_vars):
-                x = partial[v]
-                if x.denominator != 1 or x < 0:
-                    return
-                vec.append(int(x))
-            if vec[vacuum_var] != 1:
-                return
-            if any(x > bounds_by_var[v] for v, x in enumerate(vec)):
-                return
-            solutions.append(tuple(vec))
+            # feasible(d) already put every entry in its range
+            if not any(x % D for x in partial):
+                solutions.append(tuple(x // D for x in partial))
             return
         for x in range(ubounds[depth] + 1):
             if x:
@@ -359,8 +342,7 @@ def enumerate_bruteforce(
     ub = np.array([bounds[i][j] for (i, j) in pairs], dtype=np.int64)
     vacuum_var = pairs.index((0, 0))
 
-    parts = _s_parts(md)
-    rows = _s_constraint_rows(parts.astype(float), pairs, range(parts.size))
+    rows = (_s_constraint_rows(md, pairs) / (1 << md.fixed[0].bits)).astype(float)
     keep = np.abs(rows).max(axis=1) > 1e-30
     rows = rows[keep]
     margin = 1e-9

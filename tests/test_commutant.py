@@ -1,8 +1,9 @@
 """The S,T-commutant basis behind the invariant search.
 
-_commutant eliminates only the constraint rows that float64 picks and
-certifies the result against every row; the oracle here eliminates all
-of them, as the search did before.
+_commutant eliminates only the constraint rows that float64 picks, in
+fixed point, and certifies the result against every row; the oracle
+here eliminates all of them on mpf (tests/oracles.py), as the search
+did before.
 """
 
 import dataclasses
@@ -12,10 +13,11 @@ import pytest
 from mpmath import mp, mpf, workdps
 
 from bcft.errors import RationalizationFailure
-from bcft.hp import GUARD_DIGITS, independent_rows, nullspace, rationalize, rref_rows
+from bcft.hp import GUARD_DIGITS, independent_rows, rationalize, to_fraction
 from bcft.invariants import _commutant, t_allowed_pairs
 from bcft.modular_data import load_model
 from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
+from oracles import nullspace, rref_rows
 
 
 def _full_elimination(md):
@@ -41,7 +43,8 @@ def _full_elimination(md):
                 else:
                     rows.append(coeff)
         reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
-        return pairs, [[rationalize(x, dps) for x in vec] for vec in reduced], pivots
+        exact = [[rationalize(to_fraction(x), dps) for x in vec] for vec in reduced]
+        return pairs, exact, pivots
 
 
 MODELS = (

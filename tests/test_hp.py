@@ -1,5 +1,5 @@
-"""Gauss-Jordan elimination, the precision-tied tolerance, fixed-point
-products and decimal rendering."""
+"""Fixed-point Gauss-Jordan elimination, the precision-tied tolerance,
+fixed-point products and decimal rendering."""
 
 from fractions import Fraction
 
@@ -15,10 +15,18 @@ from bcft.hp import (
     rationalize,
     rref_rows,
     to_fixed,
+    to_fraction,
     tolerance,
 )
 
 DPS = 30
+BITS = fixed_bits(DPS)
+ONE = 1 << BITS
+
+
+def _fixed(rows):
+    """Rows of mpf (or ints) as Python ints scaled by 2^BITS."""
+    return [[to_fixed(mpf(x), BITS) for x in r] for r in rows]
 
 
 def test_tolerance_is_half_the_digits_at_guard_precision():
@@ -31,38 +39,38 @@ def test_tolerance_is_half_the_digits_at_guard_precision():
 def test_rationalize_accepts_a_fit_within_the_precision_tolerance():
     with workdps(60):
         x = mpf(1) / 3 + mpf("1e-19")
-        assert rationalize(x, 8) == Fraction(1, 3)
+        assert rationalize(to_fraction(x), 8) == Fraction(1, 3)
         with pytest.raises(RationalizationFailure, match="within 1.0e-25 of"):
-            rationalize(x, 50)
+            rationalize(to_fraction(x), 50)
 
 
 def test_rank_deficient_kernel_annihilates_rows():
     # rank 2 in 4 unknowns; irrational entries so nothing is exact
     with workdps(DPS + 10):
         r2 = mp.sqrt(2)
-        rows = [[1, r2, 3, 0], [2, 2 * r2, 6, 0], [0, 1, +mp.pi, 1]]
+        rows = _fixed([[1, r2, 3, 0], [2, 2 * r2, 6, 0], [0, 1, +mp.pi, 1]])
     _, pivots = rref_rows(rows, DPS)
     free = [c for c in range(4) if c not in pivots]
     basis = nullspace(rows, 4, DPS)
     assert pivots == [0, 1]
     assert len(basis) == len(free) == 2
-    with workdps(DPS + 10):
-        for fc, v in zip(free, basis):
-            assert v[fc] == 1
-            assert all(v[c] == 0 for c in free if c != fc)
-            for r in rows:
-                assert abs(mp.fsum(a * x for a, x in zip(r, v))) < tolerance(DPS)
+    for fc, v in zip(free, basis):
+        assert v[fc] == ONE
+        assert all(v[c] == 0 for c in free if c != fc)
+        for r in rows:
+            residual = Fraction(sum(a * x for a, x in zip(r, v)), ONE * ONE)
+            assert abs(residual) < to_fraction(tolerance(DPS))
 
 
 def test_all_zero_rows_give_the_identity_basis():
     basis = nullspace([[0, 0, 0], [0, 0, 0]], 3, DPS)
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert nullspace([], 2, DPS) == [[1, 0], [0, 1]]
+    assert basis == [[ONE, 0, 0], [0, ONE, 0], [0, 0, ONE]]
+    assert nullspace([], 2, DPS) == [[ONE, 0], [0, ONE]]
 
 
 def test_full_rank_system_has_empty_kernel():
     with workdps(DPS + 10):
-        rows = [[2, 1, 0], [1, 3, 1], [0, 1, +mp.e]]
+        rows = _fixed([[2, 1, 0], [1, 3, 1], [0, 1, +mp.e]])
     assert nullspace(rows, 3, DPS) == []
 
 
@@ -76,16 +84,18 @@ def test_full_rank_system_has_empty_kernel():
     ],
 )
 def test_rref_rows_pivot_columns(vectors, pivots, reduced):
-    rows, got = rref_rows(vectors, DPS)
+    rows, got = rref_rows(_fixed(vectors), DPS)
     assert got == pivots
-    assert rows == reduced
+    assert rows == _fixed(reduced)
 
 
 def test_entries_below_tolerance_count_as_zero():
-    tiny = mpf(10) ** -(DPS // 2 + 5)
-    _, pivots = rref_rows([[tiny, 1], [0, 0]], DPS)
+    with workdps(DPS + 10):
+        tiny = to_fixed(mpf(10) ** -(DPS // 2 + 5), BITS)
+    assert 0 < tiny < to_fraction(tolerance(DPS)) * ONE
+    _, pivots = rref_rows([[tiny, ONE], [0, 0]], DPS)
     assert pivots == [1]
-    assert nullspace([[tiny, 1]], 2, DPS) == [[1, -tiny]]
+    assert nullspace([[tiny, ONE]], 2, DPS) == [[ONE, -tiny]]
 
 
 def test_to_fixed_rounds_exactly_from_the_mantissa():

@@ -6,13 +6,18 @@ sees a single matrix.  Acceptance criterion 3 in tests/test_acceptance.py
 counts the same way.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bcft.errors import SearchBudgetExceeded
 from bcft.invariants import (
     ModularInvariant,
+    _commutant,
+    _search,
     ade_tag,
     diagonal_invariant,
     entry_bounds,
@@ -154,6 +159,36 @@ def test_entry_bounds_unitary_vs_non_unitary():
 def test_node_budget_is_enforced():
     with pytest.raises(SearchBudgetExceeded):
         enumerate_physical(su2(10), node_budget=3)
+
+
+@pytest.mark.parametrize(
+    "md", [su2(10), su2(16), su2(28), minimal(6, 5), minimal(9, 8)],
+    ids=["su2-10", "su2-16", "su2-28", "minimal-6,5", "minimal-9,8"],
+)
+def test_int_walk_matches_the_fraction_walk(md):
+    pairs, basis, pivots = _commutant(md)
+    bounds = entry_bounds(md)
+    args = (pairs, basis, pivots, [bounds[i][j] for i, j in pairs],
+            pairs.index((0, 0)), 10**6)
+    assert _search(*args) == oracles.search(*args)
+
+
+def test_int_walk_scales_by_the_basis_denominator():
+    """No built-in model has a basis denominator above 1, so this basis
+    is built by hand, with denominators 2 and 3 (D = 6).  Its entries
+    are x0, x1, (x0 + x1)/2, (x0 + 2 x1)/3 and (x1 - x0)/2 over the
+    vacuum x0 = 1 and 0 <= x1 <= 3.  x1 = 3 gives a point inside every
+    bound whose fourth entry 7/3 is not an integer, so the walk must
+    drop it; only x1 = 1 is a lattice point."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    basis = [[1, 0, half, third, -half], [0, 1, half, 2 * third, half]]
+    basis = [[Fraction(x) for x in vec] for vec in basis]
+    bounds = [1, 3, 3, 3, 1]
+    point = [basis[0][v] + 3 * basis[1][v] for v in range(5)]
+    assert point == [1, 3, 2, Fraction(7, 3), 1]
+    assert all(0 <= x <= b for x, b in zip(point, bounds))
+    args = (((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)), basis, [0, 1], bounds, 0, 10**6)
+    assert _search(*args) == oracles.search(*args) == [(1, 1, 1, 1, 0)]
 
 
 def test_tags_only_name_level_k_data():
