@@ -22,8 +22,8 @@ _PUBLIC = {
               "NegativityFailure RationalizationFailure SearchBudgetExceeded "
               "SeriesDivisionError SizeMismatch SpectralRadiusTooLarge",
     "fusion": "FusionRing fusion_matrix verify_axioms verlinde",
-    "invariants": "ModularInvariant diagonal_invariant enumerate_bruteforce "
-                  "enumerate_physical exponents_of invariant_document invariant_from_document",
+    "invariants": "ModularInvariant diagonal_invariant enumerate_physical exponents_of "
+                  "invariant_document invariant_from_document",
     "modular_data": "ModularData SectorLabel build_minimal build_su2 global_index load_model "
                     "model_name model_to_document quantum_dims validate",
     "nimreps": "Nimrep PsiMatrix canonical_generator enumerate_su2_nimreps "
@@ -37,8 +37,8 @@ _PUBLIC = {
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 __all__ = sorted(_SUBMODULE)
 
-for _module in ("hp", "intpoly", "modular_data", "fusion", "invariants", "nimreps",
-                "characters", "report"):
+for _module in ("hp", "modular_data", "fusion", "invariants", "nimreps", "characters",
+                "report"):
     _spec = importlib.util.find_spec("%s.%s" % (__name__, _module))
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)

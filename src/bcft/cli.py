@@ -271,7 +271,7 @@ def _read_generator(path: str) -> tuple:
     if (
         isinstance(G, list)
         and all(isinstance(row, list) and len(row) == len(G) for row in G)
-        and all(isinstance(x, int) for row in G for x in row)
+        and all(type(x) is int for row in G for x in row)
     ):
         return tuple(tuple(row) for row in G)
     raise ValueError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf, workdps
+from mpmath import mp, workdps
 
 from .errors import (
     DocumentFormatError,
@@ -75,14 +75,11 @@ def t_allowed_pairs(md: ModularData) -> tuple:
     """Positions (i, j) not forced to zero by T-commutation.
 
     Z_ij (T_j - T_i) = 0, so an entry can be nonzero only when
-    h_i = h_j mod 1; this is decided exactly on the rational weights.
+    h_i = h_j mod 1; this is decided exactly on the rational weight
+    classes h mod 1.
     """
-    pairs = []
-    for i in range(md.n):
-        for j in range(md.n):
-            if (md.h[i] - md.h[j]).denominator == 1:
-                pairs.append((i, j))
-    return tuple(pairs)
+    cls = [h % 1 for h in md.h]
+    return tuple((i, j) for i in range(md.n) for j in range(md.n) if cls[i] == cls[j])
 
 
 def _s_constraint_rows(md: ModularData, pairs) -> np.ndarray:
@@ -206,45 +203,6 @@ def ade_tag(md: ModularData, exponents: tuple) -> str:
     return "untagged"
 
 
-def invariant_residuals(md: ModularData, Z) -> dict:
-    """Residuals of the defining properties of a candidate Z.
-
-    t_commutation is exact (0.0 or inf), the rest are numeric.
-    """
-    n = md.n
-    dps = md.precision
-    ok_t = all(
-        Z[i][j] == 0 or (md.h[i] - md.h[j]).denominator == 1
-        for i in range(n)
-        for j in range(n)
-    )
-    with workdps(dps + GUARD_DIGITS):
-        worst = mpf(0)
-        for a in range(n):
-            for b in range(n):
-                zs = mp.fsum(Z[a][j] * md.S[j][b] for j in range(n))
-                sz = mp.fsum(md.S[a][i] * Z[i][b] for i in range(n))
-                worst = max(worst, abs(zs - sz))
-        bounds = entry_bounds(md)
-        perron_ok = all(
-            Z[i][j] <= bounds[i][j] for i in range(n) for j in range(n)
-        )
-        weight = mp.fsum(
-            Z[i][j] * mp.re(md.S[0][i]) * mp.re(md.S[0][j])
-            for i in range(n)
-            for j in range(n)
-        )
-    return {
-        "vacuum": Z[0][0] == 1,
-        "nonnegative": all(x >= 0 for row in Z for x in row),
-        "integer": all(isinstance(x, int) or x.denominator == 1 for row in Z for x in row),
-        "t_commutation": 0.0 if ok_t else float("inf"),
-        "s_commutation": worst,
-        "perron_bound": perron_ok,
-        "vacuum_coupling": weight,
-    }
-
-
 def _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
     """Depth-first integer search over the commutant lattice.
 
@@ -325,79 +283,9 @@ def enumerate_physical(
     return tuple(sorted(invs, key=lambda inv: inv.flat()))
 
 
-def enumerate_bruteforce(
-    md: ModularData, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple:
-    """Independent oracle: entrywise search over the Perron box.
-
-    Assigns every T-allowed entry directly (never touching the
-    commutant basis) and prunes with float intervals on the
-    S-commutation equations; exact verification happens on the full
-    candidates only.
-    """
-    pairs = t_allowed_pairs(md)
-    n_vars = len(pairs)
-    dps = md.precision
-    bounds = entry_bounds(md)
-    ub = np.array([bounds[i][j] for (i, j) in pairs], dtype=np.int64)
-    vacuum_var = pairs.index((0, 0))
-
-    rows = (_s_constraint_rows(md, pairs) / (1 << md.fixed[0].bits)).astype(float)
-    keep = np.abs(rows).max(axis=1) > 1e-30
-    rows = rows[keep]
-    margin = 1e-9
-
-    # suffix interval of each constraint over unassigned variables
-    contrib = rows * ub[None, :]
-    lo_suf = np.zeros((n_vars + 1, rows.shape[0]))
-    hi_suf = np.zeros((n_vars + 1, rows.shape[0]))
-    for v in range(n_vars - 1, -1, -1):
-        c = contrib[:, v]
-        lo_suf[v] = lo_suf[v + 1] + np.minimum(0.0, c)
-        hi_suf[v] = hi_suf[v + 1] + np.maximum(0.0, c)
-
-    solutions = []
-    partial = np.zeros(rows.shape[0])
-    assignment = [0] * n_vars
-    nodes = 0
-
-    def descend(v, partial):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                "entrywise search exceeded %d nodes" % node_budget
-            )
-        if v == n_vars:
-            solutions.append(tuple(assignment))
-            return
-        lo_v, hi_v = (1, 1) if v == vacuum_var else (0, int(ub[v]))
-        col = rows[:, v]
-        for x in range(lo_v, hi_v + 1):
-            p = partial + x * col
-            if np.all(p + lo_suf[v + 1] <= margin) and np.all(
-                p + hi_suf[v + 1] >= -margin
-            ):
-                assignment[v] = x
-                descend(v + 1, p)
-        assignment[v] = 0
-
-    descend(0, partial)
-
-    out = []
-    tol = tolerance(dps)
-    for vec in solutions:
-        Z = _matrix(md.n, pairs, vec)
-        if invariant_residuals(md, Z)["s_commutation"] <= tol:
-            out.append(_invariant(md, Z))
-    out.sort(key=lambda inv: inv.flat())
-    return tuple(out)
-
-
 def diagonal_invariant(md: ModularData) -> ModularInvariant:
     diagonal = [(i, i) for i in range(md.n)]
     return _invariant(md, _matrix(md.n, diagonal, [1] * md.n))
-
 
 
 INVARIANT_DOCUMENT_FORMAT = "bcft-invariant/1"

@@ -4,14 +4,14 @@ A nimrep assigns to every sector rho a non-negative integer matrix
 n^rho over a set of boundary labels so that matrix products follow the
 fusion coefficients exactly.  For level-k data the whole family grows
 from the fundamental-sector generator by a three-term recursion, so
-enumeration reduces to a graph search for valid generators.
+enumeration reduces to a graph search for valid generators; a candidate
+is certified exactly when its grown family closes, n^k n^1 = n^(k-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fusion import FusionRing, fusion_matrix
 from .hp import GUARD_DIGITS, Fixed, exact_dtype, to_fraction, tolerance
-from .intpoly import charpoly, divmod_poly, psi, roots_above
 from .invariants import ModularInvariant
 from .modular_data import ModularData
 
@@ -198,8 +197,8 @@ def spectrum_match(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> MatchRep
     over the exponents lambda of Z of S_rho lambda / S_0 lambda.
 
     nr must be a nimrep (callers pass a regular one, or one of
-    enumerate_su2_nimreps, whose certified norm makes the grown family
-    one): its commuting normal n^rho have a joint spectrum of characters
+    enumerate_su2_nimreps, whose grown family closes and so is one):
+    its commuting normal n^rho have a joint spectrum of characters
     rho -> S_rho lambda / S_0 lambda, and since S is invertible the n
     traces fix the multiplicity of every lambda.  The traces match exactly when that spectrum is Exp(Z), which
     is when every characteristic polynomial of n^rho matches.  A sum of
@@ -291,54 +290,12 @@ def path_graph(m: int) -> tuple:
     )
 
 
-def d_graph(m: int) -> tuple:
-    """D_m: a path on m-1 nodes with one extra node forking at the end."""
-    if m < 4:
-        raise ValueError("D_m needs m >= 4")
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m - 2):
-        if i + 1 <= m - 3:
-            rows[i][i + 1] = rows[i + 1][i] = 1
-    rows[m - 3][m - 2] = rows[m - 2][m - 3] = 1
-    rows[m - 3][m - 1] = rows[m - 1][m - 3] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def tadpole_graph(m: int) -> tuple:
-    """Path with a unit loop at the last node."""
-    rows = [list(r) for r in path_graph(m)]
-    rows[m - 1][m - 1] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def _e_graph(spine: int, fork_at: int) -> tuple:
-    m = spine + 1
-    rows = [[0] * m for _ in range(m)]
-    for i in range(spine - 1):
-        rows[i][i + 1] = rows[i + 1][i] = 1
-    rows[fork_at][m - 1] = rows[m - 1][fork_at] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def e6_graph() -> tuple:
-    return _e_graph(5, 2)
-
-
-def e7_graph() -> tuple:
-    return _e_graph(6, 2)
-
-
-def e8_graph() -> tuple:
-    return _e_graph(7, 2)
-
-
 def canonical_generator(G) -> tuple:
     """Canonical adjacency matrix of a loop-marked tree.
 
     Rooted-tree encoding (mark, sorted child encodings) taken at the
     tree center, which is relabeling-invariant; the matrix is rebuilt
-    from the encoding in preorder.  Non-tree inputs fall back to the
-    minimum over all permutations and must be small.
+    from the encoding in preorder.  Raises ValueError for a non-tree.
     """
     a = np.array(G, dtype=object)
     m = a.shape[0]
@@ -348,13 +305,11 @@ def canonical_generator(G) -> tuple:
         [j for j in range(m) if j != i and a[i, j]] for i in range(m)
     ]
     n_edges = sum(len(x) for x in nbrs) // 2
-    if n_edges != m - 1:
-        return _canonical_bruteforce(a)
 
     deg = [len(x) for x in nbrs]
     alive = set(range(m))
     layer = [v for v in alive if deg[v] <= 1]
-    while len(alive) > 2:
+    while len(alive) > 2 and layer:
         nxt = []
         for v in layer:
             alive.discard(v)
@@ -364,6 +319,9 @@ def canonical_generator(G) -> tuple:
                     if deg[u] == 1:
                         nxt.append(u)
         layer = nxt
+    # m - 1 edges and no cycle, which would never peel: a tree
+    if n_edges != m - 1 or len(alive) > 2:
+        raise ValueError("canonical form needs a loop-marked tree")
     centers = sorted(alive)
 
     def encode(v, parent):
@@ -386,22 +344,6 @@ def canonical_generator(G) -> tuple:
 
     rebuild(enc, None)
     return tuple(tuple(r) for r in rows)
-
-
-def _canonical_bruteforce(a: np.ndarray) -> tuple:
-    from itertools import permutations
-
-    m = a.shape[0]
-    if m > 9:
-        raise ValueError("canonical form of a non-tree needs size <= 9")
-    best = None
-    for perm in permutations(range(m)):
-        cand = tuple(
-            int(a[perm[i], perm[j]]) for i in range(m) for j in range(m)
-        )
-        if best is None or cand < best:
-            best = cand
-    return tuple(tuple(best[i * m + j] for j in range(m)) for i in range(m))
 
 
 def _spider(legs) -> np.ndarray:
@@ -438,23 +380,16 @@ def _candidate_trees(m: int) -> list:
     return out
 
 
-def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
-    """All size-m nimreps of level-k data, up to relabeling.
+def _survivors(m: int, k: int) -> list:
+    """The candidate generators of size m whose float top eigenvalue
+    lies within 1e-9 of 2cos(pi/(k+2)).
 
     Any generator with norm below 2 has 0/1 entries, no cycle and at
     most one loop (a second loop, a cycle or a double edge each force
     norm >= 2 by eigenvalue monotonicity of non-negative matrices), so
     candidates are the degree-constrained trees of _candidate_trees
-    with at most one added loop.  Survivors of a float spectral filter
-    are certified exactly by _certify_norm: their top eigenvalue is
-    2cos(pi/(k+2)).
+    with at most one added loop.
     """
-    if md.family != "su2":
-        raise ValueError("enumeration requires level-k data")
-    if not 1 <= m <= 30:
-        raise ValueError("size must lie in 1..30")
-    (k,) = md.params
-
     candidates = []
     for a in _candidate_trees(m):
         candidates.append(a)
@@ -462,53 +397,58 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
             b = a.copy()
             b[v, v] = 1
             candidates.append(b)
-
     target = float(2 * np.cos(np.pi / (k + 2)))
-    survivors = []
-    if candidates:
-        stack = np.stack([c.astype(np.float64) for c in candidates])
-        tops = np.linalg.eigvalsh(stack)[:, -1]
-        for c, top in zip(candidates, tops):
-            # fixed: the width only decides which candidates reach the exact
-            # _certify_norm, which decides alone
-            if abs(top - target) < 1e-9:
-                survivors.append(c)
+    tops = np.linalg.eigvalsh(np.stack(candidates).astype(np.float64))[:, -1]
+    # fixed: the width only decides which candidates reach the exact
+    # closure check, which decides alone
+    return [c for c, top in zip(candidates, tops) if abs(top - target) < 1e-9]
 
-    certified = []
-    for c in survivors:
-        if _certify_norm(c, k):
-            certified.append(c)
 
+def _closes(nr: Nimrep) -> bool:
+    """n^k n^1 = n^(k-1) for a family n^0..n^k grown by the recursion of
+    generate_from_generator: exactly when n^(k+1) = 0.  Exact on Python
+    ints."""
+    G, prev, top = (np.array(nr.nmats[i], dtype=object) for i in (1, -2, -1))
+    return np.array_equal(top.dot(G), prev)
+
+
+def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
+    """All size-m nimreps of level-k data, up to relabeling.
+
+    The survivors of a float spectral filter (_survivors) grow their
+    family n^0..n^k by generate_from_generator, which refuses any that
+    leaves the non-negative integers; a family is kept when it closes,
+    n^k n^1 = n^(k-1) (_closes).  That certificate is exact and loses
+    nothing, with h = k + 2 and G the generator:
+
+    - Closure pins the spectrum.  n^a = U_a(G/2), Chebyshev polynomials
+      of the second kind, and G is symmetric, so n^(k+1) = U_(k+1)(G/2)
+      = 0 holds exactly when every eigenvalue of G is 2cos(pi j/h) with
+      1 <= j <= k + 1.
+    - Soundness.  G is connected and non-negative, so its top eigenvalue
+      has a Perron vector v > 0.  Were it 2cos(pi j/h) with j >= 2, take
+      an integer a + 1 in (h/j, 2h/j): the interval is longer than 1 and
+      lies inside [2, h - 1], and n^a v = sin(pi j(a+1)/h)/sin(pi j/h) v
+      < 0 contradicts n^a >= 0, which the recursion checked through step
+      k.  So the top eigenvalue is exactly 2cos(pi/h).
+    - Completeness.  A connected graph of norm 2cos(pi/h) < 2 has all its
+      eigenvalues of the form 2cos(pi j/h) (Smith 1970), so its family
+      closes.
+    """
+    if md.family != "su2":
+        raise ValueError("enumeration requires level-k data")
+    if not 1 <= m <= 30:
+        raise ValueError("size must lie in 1..30")
+    (k,) = md.params
     out = []
-    for canon in sorted({canonical_generator(c) for c in certified}):
+    for canon in sorted({canonical_generator(c) for c in _survivors(m, k)}):
         try:
             nr = generate_from_generator(canon, md)
         except NegativityFailure:
             continue
-        out.append(nr)
+        if _closes(nr):
+            out.append(nr)
     return tuple(out)
-
-
-def _certify_norm(c: np.ndarray, k: int) -> bool:
-    """Exact check that the top eigenvalue of c is t = 2cos(pi/h), h = k + 2.
-
-    t is the largest root of psi = psi_(2h), so psi | charpoly(c) puts t in
-    the spectrum, and the rest must lie below it: q, the characteristic
-    polynomial with every psi factor divided out, may have no root above
-    L = 2 - (22/7)^2/h^2 < t (cos x > 1 - x^2/2).  L is not an integer, so
-    not a root of the monic q.  Graphs of norm below 2 have the eigenvalues
-    2cos(pi m/h') (Smith 1970); with h' = h, those of q have m >= 2 and lie
-    at or below 2cos(2 pi/h) <= L, so no such graph is refused.
-    """
-    h = k + 2
-    root = psi(2 * h)
-    q, divisions = charpoly(c), 0
-    while True:
-        quot, r = divmod_poly(q, root)
-        if r:
-            break
-        q, divisions = quot, divisions + 1
-    return divisions > 0 and roots_above(q, 2 - Fraction(22, 7) ** 2 / h**2) == 0
 
 
 NIMREP_DOCUMENT_FORMAT = "bcft-nimrep/1"
@@ -522,13 +462,20 @@ def nimrep_document(nr: Nimrep) -> dict:
     }
 
 
+def _ints(x, field: str) -> tuple:
+    """A JSON list of ints as a tuple; bools, floats and strings are refused."""
+    if type(x) is not list or any(type(v) is not int for v in x):
+        raise DocumentFormatError("field %r: expected lists of integers" % field)
+    return tuple(x)
+
+
 def nimrep_from_document(doc: dict) -> Nimrep:
     if doc.get("format") != NIMREP_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % NIMREP_DOCUMENT_FORMAT)
+    nmats = doc["nmats"]
+    if type(nmats) is not list or any(type(mat) is not list for mat in nmats):
+        raise DocumentFormatError("field 'nmats': expected a list of matrices")
     return Nimrep(
-        tuple(doc["labels"]),
-        tuple(
-            tuple(tuple(int(x) for x in row) for row in mat)
-            for mat in doc["nmats"]
-        ),
+        _ints(doc["labels"], "labels"),
+        tuple(tuple(_ints(row, "nmats") for row in mat) for mat in nmats),
     )

@@ -2,7 +2,9 @@
 
 A polynomial is a list of coefficients, highest degree first, with no
 leading zeros (the zero polynomial is the empty list).  All arithmetic is
-exact, so the spectral certificates built on it involve no rounding.
+exact, so the spectral certificates built on it involve no rounding.  The
+tests use it as a reference: oracles.certify_norm and the characteristic-
+polynomial spectrum check of test_nimreps.py run on it.
 """
 
 from __future__ import annotations

@@ -6,15 +6,38 @@ now runs another way, kept only here:
 - rref_rows and nullspace: Gauss-Jordan on mpf at working precision
   (the package eliminates fixed-point Python ints);
 - search: the commutant lattice walk on Fractions (the package scales
-  the basis by its common denominator and walks on ints).
+  the basis by its common denominator and walks on ints);
+- enumerate_bruteforce and invariant_residuals: an entrywise search over
+  the Perron box that never touches the commutant basis, and the
+  defining properties of a candidate invariant;
+- certify_norm: the characteristic-polynomial certificate of a nimrep
+  generator's top eigenvalue (the package checks that the grown family
+  closes);
+- canonical_bruteforce: the canonical form of any small graph as the
+  minimum over all relabelings (the package canonicalizes trees only).
+
+It also holds the graph builders the tests draw generators from.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
-from mpmath import mpf, workdps
+import numpy as np
+from mpmath import mp, mpf, workdps
 
 from bcft.errors import SearchBudgetExceeded
 from bcft.hp import GUARD_DIGITS, tolerance
+from bcft.invariants import (
+    DEFAULT_NODE_BUDGET,
+    _invariant,
+    _matrix,
+    _s_constraint_rows,
+    entry_bounds,
+    t_allowed_pairs,
+)
+from bcft.modular_data import ModularData
+from bcft.nimreps import path_graph
+from intpoly import charpoly, divmod_poly, psi, roots_above
 
 
 def nullspace(rows, n_vars: int, dps: int):
@@ -141,3 +164,191 @@ def search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
     if feasible(0):
         descend(0)
     return solutions
+
+
+def invariant_residuals(md: ModularData, Z) -> dict:
+    """Residuals of the defining properties of a candidate Z.
+
+    t_commutation is exact (0.0 or inf), the rest are numeric.
+    """
+    n = md.n
+    dps = md.precision
+    ok_t = all(
+        Z[i][j] == 0 or (md.h[i] - md.h[j]).denominator == 1
+        for i in range(n)
+        for j in range(n)
+    )
+    with workdps(dps + GUARD_DIGITS):
+        worst = mpf(0)
+        for a in range(n):
+            for b in range(n):
+                zs = mp.fsum(Z[a][j] * md.S[j][b] for j in range(n))
+                sz = mp.fsum(md.S[a][i] * Z[i][b] for i in range(n))
+                worst = max(worst, abs(zs - sz))
+        bounds = entry_bounds(md)
+        perron_ok = all(
+            Z[i][j] <= bounds[i][j] for i in range(n) for j in range(n)
+        )
+        weight = mp.fsum(
+            Z[i][j] * mp.re(md.S[0][i]) * mp.re(md.S[0][j])
+            for i in range(n)
+            for j in range(n)
+        )
+    return {
+        "vacuum": Z[0][0] == 1,
+        "nonnegative": all(x >= 0 for row in Z for x in row),
+        "integer": all(isinstance(x, int) or x.denominator == 1 for row in Z for x in row),
+        "t_commutation": 0.0 if ok_t else float("inf"),
+        "s_commutation": worst,
+        "perron_bound": perron_ok,
+        "vacuum_coupling": weight,
+    }
+
+
+def enumerate_bruteforce(
+    md: ModularData, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple:
+    """Independent oracle: entrywise search over the Perron box.
+
+    Assigns every T-allowed entry directly (never touching the
+    commutant basis) and prunes with float intervals on the
+    S-commutation equations; exact verification happens on the full
+    candidates only.
+    """
+    pairs = t_allowed_pairs(md)
+    n_vars = len(pairs)
+    dps = md.precision
+    bounds = entry_bounds(md)
+    ub = np.array([bounds[i][j] for (i, j) in pairs], dtype=np.int64)
+    vacuum_var = pairs.index((0, 0))
+
+    rows = (_s_constraint_rows(md, pairs) / (1 << md.fixed[0].bits)).astype(float)
+    keep = np.abs(rows).max(axis=1) > 1e-30
+    rows = rows[keep]
+    margin = 1e-9
+
+    # suffix interval of each constraint over unassigned variables
+    contrib = rows * ub[None, :]
+    lo_suf = np.zeros((n_vars + 1, rows.shape[0]))
+    hi_suf = np.zeros((n_vars + 1, rows.shape[0]))
+    for v in range(n_vars - 1, -1, -1):
+        c = contrib[:, v]
+        lo_suf[v] = lo_suf[v + 1] + np.minimum(0.0, c)
+        hi_suf[v] = hi_suf[v + 1] + np.maximum(0.0, c)
+
+    solutions = []
+    partial = np.zeros(rows.shape[0])
+    assignment = [0] * n_vars
+    nodes = 0
+
+    def descend(v, partial):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                "entrywise search exceeded %d nodes" % node_budget
+            )
+        if v == n_vars:
+            solutions.append(tuple(assignment))
+            return
+        lo_v, hi_v = (1, 1) if v == vacuum_var else (0, int(ub[v]))
+        col = rows[:, v]
+        for x in range(lo_v, hi_v + 1):
+            p = partial + x * col
+            if np.all(p + lo_suf[v + 1] <= margin) and np.all(
+                p + hi_suf[v + 1] >= -margin
+            ):
+                assignment[v] = x
+                descend(v + 1, p)
+        assignment[v] = 0
+
+    descend(0, partial)
+
+    out = []
+    tol = tolerance(dps)
+    for vec in solutions:
+        Z = _matrix(md.n, pairs, vec)
+        if invariant_residuals(md, Z)["s_commutation"] <= tol:
+            out.append(_invariant(md, Z))
+    out.sort(key=lambda inv: inv.flat())
+    return tuple(out)
+
+
+def d_graph(m: int) -> tuple:
+    """D_m: a path on m-1 nodes with one extra node forking at the end."""
+    if m < 4:
+        raise ValueError("D_m needs m >= 4")
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m - 2):
+        if i + 1 <= m - 3:
+            rows[i][i + 1] = rows[i + 1][i] = 1
+    rows[m - 3][m - 2] = rows[m - 2][m - 3] = 1
+    rows[m - 3][m - 1] = rows[m - 1][m - 3] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def tadpole_graph(m: int) -> tuple:
+    """Path with a unit loop at the last node."""
+    rows = [list(r) for r in path_graph(m)]
+    rows[m - 1][m - 1] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def _e_graph(spine: int, fork_at: int) -> tuple:
+    m = spine + 1
+    rows = [[0] * m for _ in range(m)]
+    for i in range(spine - 1):
+        rows[i][i + 1] = rows[i + 1][i] = 1
+    rows[fork_at][m - 1] = rows[m - 1][fork_at] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def e6_graph() -> tuple:
+    return _e_graph(5, 2)
+
+
+def e7_graph() -> tuple:
+    return _e_graph(6, 2)
+
+
+def e8_graph() -> tuple:
+    return _e_graph(7, 2)
+
+
+def canonical_bruteforce(G) -> tuple:
+    """Canonical adjacency matrix of any graph: the lexicographic minimum
+    over all relabelings; the size must be at most 9."""
+    a = np.array(G, dtype=object)
+    m = a.shape[0]
+    if m > 9:
+        raise ValueError("canonical form of a non-tree needs size <= 9")
+    best = None
+    for perm in permutations(range(m)):
+        cand = tuple(
+            int(a[perm[i], perm[j]]) for i in range(m) for j in range(m)
+        )
+        if best is None or cand < best:
+            best = cand
+    return tuple(tuple(best[i * m + j] for j in range(m)) for i in range(m))
+
+
+def certify_norm(c: np.ndarray, k: int) -> bool:
+    """Exact check that the top eigenvalue of c is t = 2cos(pi/h), h = k + 2.
+
+    t is the largest root of psi = psi_(2h), so psi | charpoly(c) puts t in
+    the spectrum, and the rest must lie below it: q, the characteristic
+    polynomial with every psi factor divided out, may have no root above
+    L = 2 - (22/7)^2/h^2 < t (cos x > 1 - x^2/2).  L is not an integer, so
+    not a root of the monic q.  Graphs of norm below 2 have the eigenvalues
+    2cos(pi m/h') (Smith 1970); with h' = h, those of q have m >= 2 and lie
+    at or below 2cos(2 pi/h) <= L, so no such graph is refused.
+    """
+    h = k + 2
+    root = psi(2 * h)
+    q, divisions = charpoly(c), 0
+    while True:
+        quot, r = divmod_poly(q, root)
+        if r:
+            break
+        q, divisions = quot, divisions + 1
+    return divisions > 0 and roots_above(q, 2 - Fraction(22, 7) ** 2 / h**2) == 0

@@ -20,11 +20,7 @@ from mpmath import workdps
 
 from bcft.characters import s_transform_residual
 from bcft.fusion import verlinde
-from bcft.invariants import (
-    diagonal_invariant,
-    enumerate_bruteforce,
-    enumerate_physical,
-)
+from bcft.invariants import diagonal_invariant, enumerate_physical
 from bcft.modular_data import build_minimal, build_su2
 from bcft.nimreps import (
     enumerate_su2_nimreps,
@@ -34,6 +30,7 @@ from bcft.nimreps import (
 )
 from bcft.report import annulus, heat_kernel_residuals, index_report
 from conftest import count_table_builds
+from oracles import enumerate_bruteforce
 
 
 def _report(num: int, ok: bool, detail: str):

@@ -24,8 +24,9 @@ from bcft import cli
 from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
 from bcft.modular_data import load_model, model_to_document
-from bcft.nimreps import e6_graph, enumerate_su2_nimreps, nimrep_document, regular_nimrep
+from bcft.nimreps import enumerate_su2_nimreps, nimrep_document, regular_nimrep
 from conftest import minimal, su2
+from oracles import e6_graph
 
 
 def run(argv, capsys):
@@ -355,6 +356,8 @@ NOT_A_NIMREP = "expected a bcft-nimrep/1 document"
         (ANNULUS, "--nimrep", json.dumps({"format": "bcft-nimrep/1"}), NOT_A_NIMREP),
         (ANNULUS, "--nimrep", "not json", NOT_A_NIMREP),
         (VERIFY, "--nimrep-file", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
+        # [[1]] is the level-1 generator; true must not read as 1
+        (GENERATE[:-1] + ["1"], "--generator-file", json.dumps([[True]]), NOT_A_MATRIX),
     ],
 )
 def test_malformed_input_file_names_the_flag_and_file(
@@ -368,6 +371,41 @@ def test_malformed_input_file_names_the_flag_and_file(
         assert out == ""
         assert "%s %s: " % (flag, path) in err
         assert message in err
+        assert "Traceback" not in err
+
+
+def _bool_and_float_entries(doc):
+    # int() would read both back as the 1 they replace
+    n1 = doc["nmats"][1]
+    a, b = next((a, b) for a in range(3) for b in range(a + 1, 3) if n1[a][b] == 1)
+    n1[a][b], n1[b][a] = 1.9, True
+
+
+def _string_labels(doc):
+    doc["labels"] = "abc"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(VERIFY, "--nimrep-file"), (["annulus", "--model", "su2", "--level", "2", "--pair", "0,1"],
+                                 "--nimrep")],
+    ids=["verify", "annulus"],
+)
+@pytest.mark.parametrize("tamper", [_bool_and_float_entries, _string_labels])
+def test_nimrep_documents_hold_only_json_integers(argv, flag, tamper, capsys, tmp_path):
+    code, doc, _ = run_json(
+        ["nimreps", "enumerate", "--model", "su2", "--level", "2", "--size", "3"], capsys
+    )
+    assert code == 0
+    (nrdoc,) = doc["nimreps"]
+    tamper(nrdoc)
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps(nrdoc))
+    for fmt in ("text", "structured"):
+        code, out, err = run(argv + [flag, str(path), "--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert "%s %s: %s" % (flag, path, NOT_A_NIMREP) in err
         assert "Traceback" not in err
 
 

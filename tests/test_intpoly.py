@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp, workdps
 
-from bcft.intpoly import charpoly, cyclotomic, divmod_poly, mul, psi, rem, roots_above
+from intpoly import charpoly, cyclotomic, divmod_poly, mul, psi, rem, roots_above
 
 
 def test_charpoly_matches_numpy_poly_on_random_integer_matrices():
