@@ -19,7 +19,7 @@ from mpmath import mp, mpf, workdps
 from .errors import ConvergenceWarning, DocumentFormatError, SeriesDivisionError
 from .hp import GUARD_DIGITS, fixed_bits, mpf_from_fraction, to_fixed
 from .modular_data import ModularData
-from .persistence import CHANNEL_TOL, DEFAULT_ORDER
+from .persistence import CHANNEL_TOL, DEFAULT_ORDER, _ints
 
 S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
 
@@ -367,6 +367,6 @@ def qseries_from_document(doc: dict) -> QSeries:
         )
     return QSeries(
         Fraction(doc["offset"]),
-        int(doc["grid"]),
-        tuple(int(c) for c in doc["coeffs"]),
+        _ints(doc["grid"], "grid", 0),
+        _ints(doc["coeffs"], "coeffs"),
     )

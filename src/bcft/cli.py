@@ -81,21 +81,25 @@ def _add_common(p: argparse.ArgumentParser):
     g.add_argument("--model-file", help="path to a structured model document")
     n = p.add_argument_group("numeric knobs")
     n.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION)
-    n.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
-    n.add_argument(
-        "--beta", type=_positive_float, default=None, help="inverse temperature (default 2*pi)"
-    )
     o = p.add_argument_group("output")
     o.add_argument("--out", default=None, help="write results to this file")
     o.add_argument("--format", choices=["text", "structured"], default="text")
     o.add_argument("--cache", default=None, metavar="DIR", help="enable the on-disk cache")
 
 
+def _add_series(p: argparse.ArgumentParser, beta: bool = False):
+    """--order where q-series are built; --beta where they are also evaluated."""
+    n = p.add_argument_group("q-series")
+    n.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
+    if beta:
+        n.add_argument("--beta", type=_positive_float, help="inverse temperature (default 2*pi)")
+
+
 def _add_invariant_choice(p: argparse.ArgumentParser):
     g = p.add_argument_group("invariant selection")
     g.add_argument(
         "--invariant-tag",
-        help="pick the physical invariant with this tag (built-in families; "
+        help="pick the physical invariant with this tag (su2 models; "
         "default: diagonal invariant with the regular nimrep)",
     )
 
@@ -129,9 +133,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("characters", help="exact q-series of every sector")
     _add_common(p)
+    _add_series(p)
 
     p = sub.add_parser("annulus", help="boundary-pair character content")
     _add_common(p)
+    _add_series(p)
     p.add_argument(
         "--nimrep",
         default="regular",
@@ -143,9 +149,11 @@ def build_parser() -> _Parser:
     chksub = chk.add_subparsers(dest="subcommand", required=True, metavar="CHECK")
     p = chksub.add_parser("s-transform", help="characters against the S matrix")
     _add_common(p)
+    _add_series(p, beta=True)
     p.add_argument("--tol", type=_positive_float, default=CHANNEL_TOL)
     p = chksub.add_parser("heat-kernel", help="open/closed channel agreement")
     _add_common(p)
+    _add_series(p, beta=True)
     _add_invariant_choice(p)
     p.add_argument("--tol", type=_positive_float, default=CHANNEL_TOL)
 
@@ -159,6 +167,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="full document for one (model, invariant, nimrep)")
     _add_common(p)
+    _add_series(p, beta=True)
     _add_invariant_choice(p)
 
     return parser
@@ -223,7 +232,7 @@ def _parse_pair(text: str) -> tuple:
 
 def _parse_theta(text: str) -> dict:
     """Sector multiplicities from "KEY:MULT" items, KEY an int index or a
-    sector name (resolved by _theta_indices once the model is built).
+    sector name (resolved by normalize_theta once the model is built).
 
     Items are separated by ";" (needed when sector names contain
     commas) or "," when unambiguous.  A repeated KEY keeps its last
@@ -251,33 +260,12 @@ def _parse_theta(text: str) -> dict:
     return theta
 
 
-def _theta_indices(md, theta: dict) -> dict:
-    out = {}
-    for key, mult in theta.items():
-        try:
-            out[key if isinstance(key, int) else md.sector_named(key)] = mult
-        except KeyError:
-            raise ValueError("--theta item %r: no sector is named %r"
-                             % ("%s:%d" % (key, mult), key)) from None
-    return out
-
-
-def _read_generator(path: str) -> tuple:
-    """Square integer adjacency matrix from a JSON file."""
+def _read_generator(path: str):
+    """The JSON value of a generator file (None if not JSON), unchecked."""
     try:
-        G = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError:
-        G = None
-    if (
-        isinstance(G, list)
-        and all(isinstance(row, list) and len(row) == len(G) for row in G)
-        and all(type(x) is int for row in G for x in row)
-    ):
-        return tuple(tuple(row) for row in G)
-    raise ValueError(
-        "--generator-file %s: expected a square integer adjacency matrix "
-        "(a JSON list of rows)" % path
-    )
+        return None
 
 
 def _resolve_invariant_and_nimrep(args, md):
@@ -288,12 +276,12 @@ def _resolve_invariant_and_nimrep(args, md):
     tag = args.invariant_tag
     if tag is None:
         return diagonal_invariant(md), regular_nimrep(verlinde(md))
+    if md.family != "su2":
+        raise ValueError("--invariant-tag requires an su2 model")
     matches = [z for z in enumerate_physical(md) if z.tag == tag]
     if not matches:
         raise ValueError("no physical invariant tagged %r for this model" % tag)
     Z = matches[0]
-    if md.family != "su2":
-        raise ValueError("--invariant-tag requires an su2 model")
     for nr in enumerate_su2_nimreps(md, Z.size):
         if spectrum_match(nr, Z, md).ok:
             return Z, nr
@@ -323,12 +311,14 @@ def _cached(args, operation: str, inputs: dict, compute):
     if not args.cache:
         return compute(build())
     inputs = dict(key, **inputs)
+    # a subcommand without --order keys DEFAULT_ORDER, as every key stored so far did
+    order = getattr(args, "order", DEFAULT_ORDER)
     cache = Cache(args.cache)
-    payload = cache.load(cache_key(operation, inputs, precision, args.order))
+    payload = cache.load(cache_key(operation, inputs, precision, order))
     if payload is not None:
         return payload
     doc = compute(build())
-    cache.store(make_entry(operation, inputs, doc, precision, args.order))
+    cache.store(make_entry(operation, inputs, doc, precision, order))
     return doc
 
 
@@ -419,11 +409,15 @@ def _cmd_nimreps_generate(args):
     from .nimreps import generate_from_generator, nimrep_document, verify
 
     md = _build_model(args)
-    nr = generate_from_generator(_read_generator(args.generator_file), md)
+    path = args.generator_file
+    try:
+        nr = generate_from_generator(_read_generator(path), md)
+    except ValueError as exc:
+        raise ValueError("--generator-file %s: %s" % (path, exc)) from None
     violations = verify(nr, verlinde(md)).violations
     if violations:
         raise CheckFailure("the family grown from --generator-file %s is not a nimrep"
-                           " of the model: %s" % (args.generator_file, list(violations)))
+                           " of the model: %s" % (path, list(violations)))
     return nimrep_document(nr), EXIT_OK
 
 
@@ -520,7 +514,7 @@ def _cmd_indices(args):
         from .modular_data import model_name
         from .report import index_document, index_report
 
-        rep = index_report(md, _theta_indices(md, theta))
+        rep = index_report(md, theta)
         doc = {"model": model_name(md)}
         doc.update(index_document(md, rep))
         return doc

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import DocumentFormatError, IntegralityFailure
 from .hp import Fixed, exact_dtype
 from .modular_data import ModularData
+from .persistence import _ints
 
 DEFAULT_INTEGRALITY_TOL = 1e-10
 
@@ -171,13 +172,10 @@ def fusion_from_document(doc: dict) -> FusionRing:
     if doc.get("format") != FUSION_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % FUSION_DOCUMENT_FORMAT)
     return FusionRing(
-        n=int(doc["n"]),
-        N=tuple(
-            tuple(tuple(int(x) for x in row) for row in plane)
-            for plane in doc["tensor"]
-        ),
-        conj=tuple(int(x) for x in doc["conjugation"]),
+        n=_ints(doc["n"], "n", 0),
+        N=_ints(doc["tensor"], "tensor", 3),
+        conj=_ints(doc["conjugation"], "conjugation"),
         sector_names=tuple(str(x) for x in doc["sectors"]),
         max_residual=float(doc["max_residual"]),
-        precision=int(doc["precision"]),
+        precision=_ints(doc["precision"], "precision", 0),
     )

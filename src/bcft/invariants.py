@@ -26,6 +26,7 @@ from .errors import (
 from .hp import (GUARD_DIGITS, independent_rows, nullspace, rationalize, rref_rows,
                  to_fraction, tolerance)
 from .modular_data import ModularData, quantum_dims, vacuum_row_real
+from .persistence import _ints
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -306,7 +307,7 @@ def invariant_from_document(doc: dict) -> ModularInvariant:
             "expected a %s document" % INVARIANT_DOCUMENT_FORMAT
         )
     return ModularInvariant(
-        Z=tuple(tuple(int(x) for x in row) for row in doc["Z"]),
-        exponents=tuple(int(x) for x in doc["exponents"]),
+        Z=_ints(doc["Z"], "Z", 2),
+        exponents=_ints(doc["exponents"], "exponents"),
         tag=str(doc["tag"]),
     )

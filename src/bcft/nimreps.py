@@ -28,6 +28,7 @@ from .fusion import FusionRing, fusion_matrix
 from .hp import GUARD_DIGITS, Fixed, exact_dtype, to_fraction, tolerance
 from .invariants import ModularInvariant
 from .modular_data import ModularData
+from .persistence import _ints
 
 PSI_TOL = 1e-12  # fixed: full_report renders it as cardy_tolerance "1e-12"
 
@@ -119,10 +120,14 @@ def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
 
 
 def _check_generator(G) -> np.ndarray:
-    """G as a dtype=object array of Python ints: nothing wraps before the norm check."""
-    a = np.array(G, dtype=object)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("generator must be square")
+    """G as a dtype=object array of Python ints: nothing wraps before the norm check.
+    G is an integer array or rows of Python ints; bools, floats and strings are refused."""
+    rows = G.tolist() if isinstance(G, np.ndarray) and G.dtype.kind in "iu" else G
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(row, (list, tuple)) and len(row) == len(rows)
+                    and all(type(x) is int for x in row) for row in rows)):
+        raise ValueError("expected a square integer adjacency matrix")
+    a = np.array(rows, dtype=object)
     if not np.array_equal(a, a.T):
         raise ValueError("generator must be symmetric")
     if a.min() < 0:
@@ -462,20 +467,7 @@ def nimrep_document(nr: Nimrep) -> dict:
     }
 
 
-def _ints(x, field: str) -> tuple:
-    """A JSON list of ints as a tuple; bools, floats and strings are refused."""
-    if type(x) is not list or any(type(v) is not int for v in x):
-        raise DocumentFormatError("field %r: expected lists of integers" % field)
-    return tuple(x)
-
-
 def nimrep_from_document(doc: dict) -> Nimrep:
     if doc.get("format") != NIMREP_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % NIMREP_DOCUMENT_FORMAT)
-    nmats = doc["nmats"]
-    if type(nmats) is not list or any(type(mat) is not list for mat in nmats):
-        raise DocumentFormatError("field 'nmats': expected a list of matrices")
-    return Nimrep(
-        _ints(doc["labels"], "labels"),
-        tuple(tuple(_ints(row, "nmats") for row in mat) for mat in nmats),
-    )
+    return Nimrep(_ints(doc["labels"], "labels"), _ints(doc["nmats"], "nmats", 3))

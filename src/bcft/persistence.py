@@ -91,6 +91,16 @@ def model_header(document, precision: int) -> tuple:
     return precision, (family, tuple(params))
 
 
+def _ints(x, field: str, depth: int = 1):
+    """x as nested tuples of ints, depth JSON lists deep (depth 0: one int);
+    bools, floats and strings are refused, not read as int() would."""
+    if depth == 0 and type(x) is int:
+        return x
+    if depth > 0 and type(x) is list:
+        return tuple(_ints(v, field, depth - 1) for v in x)
+    raise DocumentFormatError("field %r: expected integers" % field)
+
+
 def _codecs() -> tuple:
     """(type, encoder, format, decoder) of each domain type whose
     documents decode back to an object."""

@@ -150,7 +150,11 @@ def normalize_theta(md: ModularData, theta_mult) -> tuple:
     if isinstance(theta_mult, dict):
         mults = [0] * md.n
         for key, val in theta_mult.items():
-            idx = key if isinstance(key, int) else md.sector_named(str(key))
+            try:
+                idx = key if isinstance(key, int) else md.sector_named(str(key))
+            except KeyError:
+                raise ValueError("theta item %r: no sector is named %r"
+                                 % ("%s:%s" % (key, val), str(key))) from None
             if not 0 <= idx < md.n:
                 raise ValueError(
                     "sector index %d is outside 0..%d" % (idx, md.n - 1)

@@ -112,6 +112,28 @@ def test_generator_input_validation():
         )  # disconnected
 
 
+@pytest.mark.parametrize("G, k", [
+    ([[0, 1.5], [1.5, 0]], 2),
+    ([[True]], 1),
+    ([[0, 1, 0], [1, 0, 1.0], [0, 1.0, 0]], 2),
+    (np.array(path_graph(3), dtype=float), 2),
+    (np.array([[True]]), 1),
+    ([["0"]], 1),
+    ([[0, 1], [1]], 2),
+], ids=["float", "bool", "float-path", "float-array", "bool-array", "str", "ragged"])
+def test_generator_entries_must_be_integers(G, k):
+    # truncating would grow the families of [[0, 1], [1, 0]], [[1]] and the path
+    with pytest.raises(ValueError, match="expected a square integer adjacency matrix"):
+        generate_from_generator(G, su2(k))
+
+
+def test_integer_arrays_grow_like_their_rows():
+    rows = path_graph(3)
+    for dtype in (np.int64, np.uint8):
+        assert generate_from_generator(np.array(rows, dtype=dtype), su2(2)) == \
+            generate_from_generator(rows, su2(2))
+
+
 def test_verify_flags_broken_unit():
     fr = fusion_su2(2)
     nr = regular_nimrep(fr)

@@ -50,6 +50,39 @@ def test_round_trip_is_exact(obj):
     assert deserialize(json.loads(canonical_json(doc))) == obj
 
 
+def _tampered(obj, **fields):
+    doc = serialize(obj)
+    doc.update(fields)
+    return doc
+
+
+# int() would read each tampered field back as an integer
+NON_INTEGER_DOCUMENTS = {
+    "invariant": {"format": "bcft-invariant/1", "tag": "A3", "exponents": [0, 1.9, True],
+                  "Z": [[1, 0, 0], [0, 1.5, 0], [0, 0, True]]},
+    "invariant-Z": _tampered(enumerate_physical(su2(2))[0], Z=[[1, 0, 0], [0, 1.5, 0],
+                                                              [0, 0, 1]]),
+    "invariant-exponents": _tampered(enumerate_physical(su2(2))[0], exponents=[0, 1, True]),
+    "fusion": _tampered(verlinde(su2(1)), n=2.5, conjugation=[0, True],
+                        tensor=[[[1, 0], [0, 1]], [[0, 1.9], [1, 0]]]),
+    "fusion-tensor": _tampered(verlinde(su2(1)), tensor=[[[1, 0], [0, 1]], [[0, 1.9], [1, 0]]]),
+    "fusion-n": _tampered(verlinde(su2(1)), n=2.5),
+    "fusion-conjugation": _tampered(verlinde(su2(1)), conjugation=[0, True]),
+    "fusion-precision": _tampered(verlinde(su2(1)), precision="50"),
+    "qseries": {"format": "bcft-qseries/1", "offset": "0/1", "grid": 1.7,
+                "coeffs": [1, 2.9, True]},
+    "qseries-grid": _tampered(eta_series(5), grid=1.7),
+    "qseries-coeffs": _tampered(eta_series(5), coeffs=[1, -1, -1.0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("doc", list(NON_INTEGER_DOCUMENTS.values()),
+                         ids=list(NON_INTEGER_DOCUMENTS))
+def test_documents_hold_only_json_integers(doc):
+    with pytest.raises(DocumentFormatError, match="expected integers"):
+        deserialize(doc)
+
+
 def test_report_documents_pass_through():
     md = minimal(4, 3)
     doc = index_document(md, index_report(md, (1, 0, 1)))

@@ -168,7 +168,7 @@ def test_theta_normalization_and_errors():
     assert normalize_theta(md, [1, 1, 0]) == (1, 1, 0)
     with pytest.raises(ValueError):
         normalize_theta(md, [1, 0])  # wrong length
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="theta item 'sigma:1': no sector is named 'sigma'"):
         normalize_theta(md, {"sigma": 1})  # unknown name
     with pytest.raises(ValueError):
         normalize_theta(md, {0: 1, 7: 1})  # index past the last sector
