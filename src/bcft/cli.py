@@ -24,7 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import BcftError, CheckFailure, MigrationError, ModelValidationError
+from .errors import (BcftError, CheckFailure, DocumentFormatError, MigrationError,
+                     ModelValidationError)
 from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, Cache, cache_key,
                           export, make_entry, model_header)
 
@@ -289,13 +290,16 @@ def _resolve_invariant_and_nimrep(args, md):
 
 
 def _parse_nimrep(flag: str, path: str, data: bytes):
-    """Nimrep of the bytes of a structured document file."""
+    """Nimrep of the bytes of a structured document file; a message of
+    the document decoder passes through after the flag and the file."""
     from .nimreps import NIMREP_DOCUMENT_FORMAT, nimrep_from_document
 
     try:
         doc = json.loads(data.decode("utf-8"))
         if isinstance(doc, dict):
             return nimrep_from_document(doc)
+    except DocumentFormatError as exc:
+        raise ValueError("%s %s: %s" % (flag, path, exc)) from None
     except (KeyError, TypeError, ValueError):
         pass
     raise ValueError(

@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, workdps
 
 from .errors import (
+    CheckFailure,
     DocumentFormatError,
     RationalizationFailure,
     SearchBudgetExceeded,
 )
-from .hp import (GUARD_DIGITS, independent_rows, nullspace, rationalize, rref_rows,
-                 to_fraction, tolerance)
-from .modular_data import ModularData, quantum_dims, vacuum_row_real
+from .hp import independent_rows, nullspace, rationalize, rref_rows, to_fraction, tolerance
+from .modular_data import ModularData
 from .persistence import _ints
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -145,6 +144,12 @@ def perron_row(md: ModularData) -> int:
     return min(range(md.n), key=lambda i: (md.h[i], i))
 
 
+def _floors(num, den, eps: Fraction) -> np.ndarray:
+    """floor(num/den + eps) entrywise, on Python ints."""
+    q = eps.denominator
+    return (num * q + eps.numerator * den) // (den * q)
+
+
 def entry_bounds(md: ModularData) -> tuple:
     """Finite integer bound for each entry of a physical invariant.
 
@@ -153,29 +158,41 @@ def entry_bounds(md: ModularData) -> tuple:
     signed vacuum row; there the positive S-column of the
     minimal-weight sector e gives Z_ij <= 1/(S_ie S_je), using that
     Galois symmetry forces Z_ee = Z_00 = 1 for this family.
+
+    Each bound is floor(x + tolerance(precision)), with x = d_i d_j =
+    S_0i S_0j / S_00^2 or x = 4^bits / (s_ie s_je), on the ints s of the
+    fixed-point S (md.fixed).  Every s lies within one unit of S 2^bits,
+    so x lies between the quotients formed from s - 1 and s + 1; a bound
+    is certified when both ends give the same floor, and an entry whose
+    bracket straddles an integer raises CheckFailure.
     """
-    dps = md.precision
-    with workdps(dps + GUARD_DIGITS):
-        eps = tolerance(dps)
-        if all(x > 0 for x in vacuum_row_real(md)):
-            d = [mp.re(x) for x in quantum_dims(md)]
-            return tuple(
-                tuple(int(mp.floor(d[i] * d[j] + eps)) for j in range(md.n))
-                for i in range(md.n)
-            )
-        if md.family != "minimal":
-            raise ValueError(
-                "no entry bound available: need a positive vacuum row "
-                "or a built-in minimal model"
-            )
-        e = perron_row(md)
-        col = [mp.re(md.S[lam][e]) for lam in range(md.n)]
-        if any(x <= 0 for x in col):
-            raise ValueError("minimal-weight S-column is not positive")
-        return tuple(
-            tuple(int(mp.floor(1 / (col[i] * col[j]) + eps)) for j in range(md.n))
-            for i in range(md.n)
+    S = md.fixed[0]
+    eps = to_fraction(tolerance(md.precision))
+    # an entry of one unit or less is not certified positive
+    row = S.re[0]
+    if all(row > 1):
+        lo = _floors(np.multiply.outer(row - 1, row - 1), (row[0] + 1) ** 2, eps)
+        hi = _floors(np.multiply.outer(row + 1, row + 1), (row[0] - 1) ** 2, eps)
+    elif md.family != "minimal":
+        raise ValueError(
+            "no entry bound available: need a positive vacuum row "
+            "or a built-in minimal model"
         )
+    else:
+        col = S.re[:, perron_row(md)]
+        if not all(col > 1):
+            raise ValueError("minimal-weight S-column is not positive")
+        one = 1 << 2 * S.bits
+        lo = _floors(one, np.multiply.outer(col + 1, col + 1), eps)
+        hi = _floors(one, np.multiply.outer(col - 1, col - 1), eps)
+    straddled = np.argwhere(lo != hi)
+    if straddled.size:
+        i, j = straddled[0]
+        raise CheckFailure(
+            "entry bound (%d, %d) lies between %d and %d at precision %d"
+            % (i, j, lo[i, j], hi[i, j], md.precision)
+        )
+    return tuple(tuple(int(x) for x in r) for r in lo)
 
 
 SU2_COXETER_TAGS = {

@@ -82,6 +82,8 @@ def model_header(document, precision: int) -> tuple:
     if not isinstance(builder, dict):
         raise DocumentFormatError("field 'builder' must be a mapping, not %r" % (builder,))
     family, params = builder.get("family"), builder.get("params")
+    if type(family) is not str:
+        raise DocumentFormatError("field 'builder.family' must be a string, not %r" % (family,))
     if family not in BUILDER_PARAMS:
         raise DocumentFormatError("unknown builder family %r" % (family,))
     if not (isinstance(params, list) and len(params) == BUILDER_PARAMS[family]
@@ -244,13 +246,18 @@ class Cache:
 
     def load(self, key: str):
         """The stored payload document, or None on a miss (no entry, or
-        one stored by numeric code of another NUMERIC_SCHEMA)."""
+        one stored by numeric code of another NUMERIC_SCHEMA).  A file of
+        another cache format raises MigrationError; one that is not a
+        wrapper of this key around a payload mapping raises
+        DocumentFormatError naming the file."""
         path = self.path_for(key)
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
         wrapper = json.loads(text)
+        if not isinstance(wrapper, dict):
+            raise DocumentFormatError("cache file %s must hold a mapping" % path)
         fmt = wrapper.get("format")
         if fmt != CACHE_DOCUMENT_FORMAT:
             raise MigrationError(
@@ -261,8 +268,11 @@ class Cache:
             raise DocumentFormatError(
                 "cache file %s records key %r" % (path, wrapper.get("key"))
             )
-        if wrapper.get("meta", {}).get("numeric_schema") != NUMERIC_SCHEMA:
+        meta = wrapper.get("meta")
+        if not isinstance(meta, dict) or meta.get("numeric_schema") != NUMERIC_SCHEMA:
             return None
+        if not isinstance(wrapper.get("payload"), dict):
+            raise DocumentFormatError("cache file %s: field 'payload' must be a mapping" % path)
         return wrapper["payload"]
 
 

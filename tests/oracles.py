@@ -7,6 +7,8 @@ now runs another way, kept only here:
   (the package eliminates fixed-point Python ints);
 - search: the commutant lattice walk on Fractions (the package scales
   the basis by its common denominator and walks on ints);
+- entry_bounds: the Perron bound of each invariant entry as an mpf floor
+  at guard precision (the package brackets it on the fixed-point ints);
 - enumerate_bruteforce and invariant_residuals: an entrywise search over
   the Perron box that never touches the commutant basis, and the
   defining properties of a candidate invariant;
@@ -32,10 +34,10 @@ from bcft.invariants import (
     _invariant,
     _matrix,
     _s_constraint_rows,
-    entry_bounds,
+    perron_row,
     t_allowed_pairs,
 )
-from bcft.modular_data import ModularData
+from bcft.modular_data import ModularData, quantum_dims, vacuum_row_real
 from bcft.nimreps import path_graph
 from intpoly import charpoly, divmod_poly, psi, roots_above
 
@@ -91,6 +93,32 @@ def rref_rows(vectors, dps: int):
             if row == len(a):
                 break
         return a[:row], pivots
+
+
+def entry_bounds(md: ModularData) -> tuple:
+    """Finite integer bound for each entry of a physical invariant:
+    floor(d_i d_j + eps) with a positive vacuum row, else
+    floor(1/(S_ie S_je) + eps) over the positive S-column of the
+    minimal-weight sector e of a minimal model, eps = tolerance(dps)."""
+    dps = md.precision
+    with workdps(dps + GUARD_DIGITS):
+        eps = tolerance(dps)
+        if all(x > 0 for x in vacuum_row_real(md)):
+            d = [mp.re(x) for x in quantum_dims(md)]
+            return tuple(
+                tuple(int(mp.floor(d[i] * d[j] + eps)) for j in range(md.n))
+                for i in range(md.n)
+            )
+        if md.family != "minimal":
+            raise ValueError("no entry bound available")
+        e = perron_row(md)
+        col = [mp.re(md.S[lam][e]) for lam in range(md.n)]
+        if any(x <= 0 for x in col):
+            raise ValueError("minimal-weight S-column is not positive")
+        return tuple(
+            tuple(int(mp.floor(1 / (col[i] * col[j]) + eps)) for j in range(md.n))
+            for i in range(md.n)
+        )
 
 
 def search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):

@@ -383,10 +383,12 @@ def _bool_and_float_entries(doc):
     n1 = doc["nmats"][1]
     a, b = next((a, b) for a in range(3) for b in range(a + 1, 3) if n1[a][b] == 1)
     n1[a][b], n1[b][a] = 1.9, True
+    return "nmats"
 
 
 def _string_labels(doc):
     doc["labels"] = "abc"
+    return "labels"
 
 
 @pytest.mark.parametrize(
@@ -402,14 +404,15 @@ def test_nimrep_documents_hold_only_json_integers(argv, flag, tamper, capsys, tm
     )
     assert code == 0
     (nrdoc,) = doc["nimreps"]
-    tamper(nrdoc)
+    field = tamper(nrdoc)
     path = tmp_path / "nimrep.json"
     path.write_text(json.dumps(nrdoc))
     for fmt in ("text", "structured"):
         code, out, err = run(argv + [flag, str(path), "--format", fmt], capsys)
         assert code == 1
         assert out == ""
-        assert "%s %s: %s" % (flag, path, NOT_A_NIMREP) in err
+        # the decoder's message names the field
+        assert "%s %s: field %r: expected integers" % (flag, path, field) in err
         assert "Traceback" not in err
 
 
@@ -918,6 +921,20 @@ def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):
     assert json.loads(out)["max_residual"] == "1e-99"
 
 
+def test_cache_entry_without_payload_names_the_file_and_the_field(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["fusion", "--model", "su2", "--level", "2", "--cache", str(cache)]
+    assert run(argv, capsys)[0] == 0
+    (path,) = cache.rglob("*.json")
+    wrapper = json.loads(path.read_text())
+    del wrapper["payload"]
+    path.write_text(json.dumps(wrapper))
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "error: cache file %s: field 'payload' must be a mapping" % path in err
+    assert "Traceback" not in err
+
+
 def test_cache_key_follows_the_model_document_precision(capsys, tmp_path):
     """A document's precision field overrides --precision, so the flag does
     not split its cache entries; without the field the flag still does."""
@@ -1013,6 +1030,9 @@ def test_model_document_precision_below_one_exits_one(precision, capsys, tmp_pat
     ("builder", {"family": "minimal", "params": [4]}, "field 'builder' needs 'params'"),
     ("builder", {"family": "su2"}, "field 'builder' needs 'params'"),
     ("builder", {"family": "e8", "params": [1]}, "unknown builder family 'e8'"),
+    ("builder", {"family": [], "params": [2]}, "field 'builder.family' must be a string, not []"),
+    ("builder", {"family": {}, "params": [2]}, "field 'builder.family' must be a string, not {}"),
+    ("builder", {}, "field 'builder.family' must be a string, not None"),
 ])
 def test_malformed_model_document_header_exits_one(field, value, message, capsys, tmp_path):
     model = tmp_path / "model.json"

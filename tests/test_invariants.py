@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
+import bcft.invariants
 import oracles
-from bcft.errors import SearchBudgetExceeded
+from bcft.errors import CheckFailure, SearchBudgetExceeded
 from bcft.invariants import (
     ModularInvariant,
     _commutant,
@@ -27,7 +29,7 @@ from bcft.invariants import (
     invariant_from_document,
     t_allowed_pairs,
 )
-from conftest import minimal, su2
+from conftest import all_coprime_pairs, minimal, su2
 from oracles import enumerate_bruteforce, invariant_residuals
 
 TRUE_COUNTS = {
@@ -153,6 +155,23 @@ def test_entry_bounds_unitary_vs_non_unitary():
     # non-unitary minimal: bounded through the least-weight column
     b = entry_bounds(minimal(5, 2))
     assert all(x >= 1 for row in b for x in row)
+
+
+def test_entry_bounds_equal_the_mpf_floors():
+    """The bracketed fixed-point bounds against the guard-precision mpf
+    floors, on every model of the classify benchmark and on level 28."""
+    models = [su2(k) for k in list(range(1, 21)) + [28]]
+    models += [minimal(p, pp) for p, pp in all_coprime_pairs(9)]
+    for md in models:
+        assert entry_bounds(md) == oracles.entry_bounds(md), (md.family, md.params)
+
+
+def test_entry_bounds_refuse_a_bracket_that_straddles_an_integer(monkeypatch):
+    # with no tolerance the exact product d_0 d_0 = 1 lies inside its
+    # bracket, whose ends floor to 0 and 1
+    monkeypatch.setattr(bcft.invariants, "tolerance", lambda dps: mpf(0))
+    with pytest.raises(CheckFailure, match=r"entry bound \(0, 0\) lies between 0 and 1"):
+        entry_bounds(su2(4))
 
 
 def test_node_budget_is_enforced():

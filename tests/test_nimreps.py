@@ -1,12 +1,13 @@
 """Nimreps: generation, verification, enumeration completeness, psi.
 
-The enumeration restricts generator candidates to paths and one-center
-spiders (with at most one unit loop).  Two oracles certify that this
-loses nothing: a Prufer-sequence sweep over ALL labeled trees, and an
-exhaustive sweep over ALL connected loop-marked graphs on up to five
-nodes.  Any entry >= 2 already forces spectral radius >= 2 through a
-2x2 principal submatrix, so 0/1 matrices cover every possible
-generator.
+The enumeration restricts generator candidates to the A-D-E trees,
+picked by an integer test on the legs of a one-center spider (with at
+most one unit loop).  Three checks certify that this loses nothing: a
+Prufer-sequence sweep over ALL labeled trees, an exhaustive sweep over
+ALL connected loop-marked graphs on up to five nodes, and, up to 30
+nodes, that every spider the test drops contains an affine E graph.
+Any entry >= 2 already forces spectral radius >= 2 through a 2x2
+principal submatrix, so 0/1 matrices cover every possible generator.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from bcft.nimreps import (
     _candidate_trees,
     _closes,
     _exponent_traces,
+    _spider,
     _survivors,
     canonical_generator,
     enumerate_su2_nimreps,
@@ -304,6 +306,43 @@ def test_candidates_cover_all_connected_marked_graphs(m):
             candidates.append(b)
 
     assert _small_norm_canonicals(graphs) == _small_norm_canonicals(candidates)
+
+
+# the affine E graphs with their null vectors of 2 - A (the marks)
+AFFINE_E = {
+    (2, 2, 2): (3, 2, 1, 2, 1, 2, 1),
+    (3, 3, 1): (4, 3, 2, 1, 3, 2, 1, 2),
+    (5, 2, 1): (6, 5, 4, 3, 2, 1, 4, 2, 3),
+}
+
+
+def test_affine_e_graphs_have_radius_exactly_two():
+    # a positive eigenvector is the Perron vector; float eigvalsh reads
+    # 2.0000000000000004, 1.9999999999999996 and 1.9999999999999998 on
+    # them, on both sides of 2, so only the integer check is exact
+    for legs, marks in AFFINE_E.items():
+        v = np.array(marks, dtype=object)
+        assert _spider(legs).astype(object).dot(v).tolist() == (2 * v).tolist()
+
+
+def test_candidate_spiders_are_those_without_an_affine_e_subgraph():
+    """Up to 30 nodes, a spider T(a, b, c) is dropped exactly when its legs
+    dominate those of an affine E graph, so its radius is at least 2 by
+    monotonicity; every spider kept has float radius below 2 - 1e-3."""
+    for m in range(1, 31):
+        kept = {canonical_generator(t) for t in _candidate_trees(m)}
+        assert canonical_generator(path_graph(m)) in kept
+        spiders = [(a, b, m - 1 - a - b) for a in range(1, m) for b in range(1, a + 1)
+                   if 1 <= m - 1 - a - b <= b]
+        n_kept = 0
+        for legs in spiders:
+            g = _spider(legs)
+            covers = any(all(x >= y for x, y in zip(legs, e)) for e in AFFINE_E)
+            assert (canonical_generator(g) not in kept) == covers, legs
+            if not covers:
+                assert np.linalg.eigvalsh(g.astype(np.float64))[-1] < 2 - 1e-3, legs
+                n_kept += 1
+        assert len(kept) == 1 + n_kept <= 3
 
 
 # ---------------------------------------------------------------------------

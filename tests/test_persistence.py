@@ -1,6 +1,7 @@
 """Canonical documents, the content-addressed cache, and exports."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,26 @@ def test_cache_refuses_foreign_versions_and_mismatched_keys(tmp_path):
     )
     with pytest.raises(DocumentFormatError):
         cache.load(key2)
+
+
+def test_cache_refuses_a_wrapper_without_a_payload_mapping(tmp_path):
+    cache = Cache(tmp_path)
+    entry = make_entry("model", {"level": 2}, su2(2))
+    path = cache.path_for(cache.store(entry))
+    wrapper = json.loads(path.read_text())
+    for bad, message in (
+        (dict(wrapper, payload=[1]), "field 'payload' must be a mapping"),
+        ({k: v for k, v in wrapper.items() if k != "payload"}, "field 'payload' must be a mapping"),
+        ([wrapper], "must hold a mapping"),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DocumentFormatError, match="cache file %s.*%s" % (
+                re.escape(str(path)), re.escape(message))):
+            cache.load(entry.key)
+    # a payload-less entry of other numeric code is still a miss
+    meta = dict(wrapper["meta"], numeric_schema=None)
+    path.write_text(json.dumps({"format": wrapper["format"], "key": entry.key, "meta": meta}))
+    assert cache.load(entry.key) is None
 
 
 def test_cache_writes_leave_no_temp_files(tmp_path):
