@@ -72,34 +72,34 @@ class QSeries:
         return linear_combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Product, known as far as both factors are: one slice pass per
+        nonzero term of the left factor (a sparse character numerator)."""
         g = math.lcm(self.grid, other.grid)
         a, b = self.regrid(g), other.regrid(g)
-        la, lb = len(a.coeffs), len(b.coeffs)
-        length = min(la, lb)
+        length = min(len(a.coeffs), len(b.coeffs))
         out = [0] * length
-        for i, ci in enumerate(a.coeffs):
-            if ci == 0 or i >= length:
-                continue
-            for j in range(min(lb, length - i)):
-                cj = b.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
+        for i, ci in enumerate(a.coeffs[:length]):
+            if ci:
+                out[i:] = [x + ci * y for x, y in zip(out[i:], b.coeffs)]
         return QSeries(a.offset + b.offset, g, tuple(out))
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
+        """Quotient by a divisor led by +-1: out_j = lead (a_j - sum out_(j-i) b_i)
+        over the divisor's nonzero b_i, 0 < i <= j (~2 sqrt(2j/3) for eta)."""
         g = math.lcm(self.grid, other.grid)
         a, b = self.regrid(g), other.regrid(g)
         if not b.coeffs or b.coeffs[0] not in (1, -1):
             raise SeriesDivisionError("divisor must have unit leading coefficient")
         length = min(len(a.coeffs), len(b.coeffs))
         lead = b.coeffs[0]
+        terms = [(i, bi) for i, bi in enumerate(b.coeffs[1:length], 1) if bi]
         out = [0] * length
         for j in range(length):
             acc = a.coeffs[j]
-            for i in range(j):
-                bi = b.coeffs[j - i]
-                if bi and out[i]:
-                    acc -= out[i] * bi
+            for i, bi in terms:
+                if i > j:
+                    break
+                acc -= out[j - i] * bi
             out[j] = acc * lead
         return QSeries(a.offset - b.offset, g, tuple(out))
 

@@ -483,4 +483,4 @@ def nimrep_document(nr: Nimrep) -> dict:
 def nimrep_from_document(doc: dict) -> Nimrep:
     if doc.get("format") != NIMREP_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % NIMREP_DOCUMENT_FORMAT)
-    return Nimrep(_ints(doc["labels"], "labels"), _ints(doc["nmats"], "nmats", 3))
+    return Nimrep(_ints(doc.get("labels"), "labels"), _ints(doc.get("nmats"), "nmats", 3))

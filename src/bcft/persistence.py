@@ -252,10 +252,11 @@ class Cache:
         DocumentFormatError naming the file."""
         path = self.path_for(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            wrapper = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        wrapper = json.loads(text)
+        except ValueError:  # json.JSONDecodeError and UnicodeDecodeError
+            raise DocumentFormatError("cache file %s is not a JSON document" % path) from None
         if not isinstance(wrapper, dict):
             raise DocumentFormatError("cache file %s must hold a mapping" % path)
         fmt = wrapper.get("format")

@@ -66,16 +66,19 @@ def annulus(
 ) -> AnnulusSpectrum:
     """Character content of the boundary pair (a, b)."""
     _check_labels(nr, a, b)
-    return _annulus(md, nr, characters_for(md, order), a, b)
+    return _annulus(md, nr, characters_for(md, order), a, b, {})
 
 
-def _annulus(md: ModularData, nr: Nimrep, chis: tuple, a: int, b: int):
+def _annulus(md: ModularData, nr: Nimrep, chis: tuple, a: int, b: int, combined: dict):
+    """combined maps each multiplicity vector seen to its (shared) series."""
     ai = nr.labels.index(a)
     bi = nr.labels.index(b)
     mults = tuple(int(nr.nmats[rho][ai][bi]) for rho in range(md.n))
-    # no sector at all: the zero series on the vacuum character's grid
-    terms = [(mult, chi) for mult, chi in zip(mults, chis) if mult] or [(0, chis[0])]
-    return AnnulusSpectrum((a, b), mults, linear_combination(terms), mults[0] >= 1)
+    if mults not in combined:
+        # no sector at all: the zero series on the vacuum character's grid
+        terms = [(mult, chi) for mult, chi in zip(mults, chis) if mult] or [(0, chis[0])]
+        combined[mults] = linear_combination(terms)
+    return AnnulusSpectrum((a, b), mults, combined[mults], mults[0] >= 1)
 
 
 def heat_kernel_residuals(
@@ -224,7 +227,9 @@ def full_report(
 
     Deterministic field order; every residual is reported next to the
     tolerance it was held against.  theta is read off the vacuum row
-    of Z, the sector content of the chiral extension behind Z.
+    of Z, the sector content of the chiral extension behind Z.  The
+    annulus spectra cost one character table and one combination per
+    distinct multiplicity vector (12 for the 36 pairs of E6).
     """
     dps = md.precision
     with workdps(dps + GUARD_DIGITS):
@@ -261,9 +266,10 @@ def full_report(
         ev = _Evaluated(chis, order, beta_v, dps)
         pairs = []
         vacuum_ok = True
+        combined = {}
         for a in nr.labels:
             for b in nr.labels:
-                spectrum = _annulus(md, nr, chis, a, b)
+                spectrum = _annulus(md, nr, chis, a, b, combined)
                 pairs.append(annulus_document(md, spectrum))
                 if spectrum.vacuum_present != (a == b):
                     vacuum_ok = False

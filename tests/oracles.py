@@ -16,18 +16,23 @@ now runs another way, kept only here:
   generator's top eigenvalue (the package checks that the grown family
   closes);
 - canonical_bruteforce: the canonical form of any small graph as the
-  minimum over all relabelings (the package canonicalizes trees only).
+  minimum over all relabelings (the package canonicalizes trees only);
+- qseries_mul and qseries_div: q-series product and quotient over every
+  index pair (the package visits only the nonzero terms of the left
+  factor and of the divisor).
 
 It also holds the graph builders the tests draw generators from.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from bcft.errors import SearchBudgetExceeded
+from bcft.characters import QSeries
+from bcft.errors import SearchBudgetExceeded, SeriesDivisionError
 from bcft.hp import GUARD_DIGITS, tolerance
 from bcft.invariants import (
     DEFAULT_NODE_BUDGET,
@@ -380,3 +385,37 @@ def certify_norm(c: np.ndarray, k: int) -> bool:
             break
         q, divisions = quot, divisions + 1
     return divisions > 0 and roots_above(q, 2 - Fraction(22, 7) ** 2 / h**2) == 0
+
+
+def qseries_mul(self: QSeries, other: QSeries) -> QSeries:
+    g = math.lcm(self.grid, other.grid)
+    a, b = self.regrid(g), other.regrid(g)
+    la, lb = len(a.coeffs), len(b.coeffs)
+    length = min(la, lb)
+    out = [0] * length
+    for i, ci in enumerate(a.coeffs):
+        if ci == 0 or i >= length:
+            continue
+        for j in range(min(lb, length - i)):
+            cj = b.coeffs[j]
+            if cj:
+                out[i + j] += ci * cj
+    return QSeries(a.offset + b.offset, g, tuple(out))
+
+
+def qseries_div(self: QSeries, other: QSeries) -> QSeries:
+    g = math.lcm(self.grid, other.grid)
+    a, b = self.regrid(g), other.regrid(g)
+    if not b.coeffs or b.coeffs[0] not in (1, -1):
+        raise SeriesDivisionError("divisor must have unit leading coefficient")
+    length = min(len(a.coeffs), len(b.coeffs))
+    lead = b.coeffs[0]
+    out = [0] * length
+    for j in range(length):
+        acc = a.coeffs[j]
+        for i in range(j):
+            bi = b.coeffs[j - i]
+            if bi and out[i]:
+                acc -= out[i] * bi
+        out[j] = acc * lead
+    return QSeries(a.offset - b.offset, g, tuple(out))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+import oracles
 from bcft.characters import (
     QSeries,
     char_minimal,
@@ -184,9 +185,11 @@ def minimal_quotient(p: int, pp: int, r: int, s: int, order: int) -> QSeries:
         order,
     )
     eta = lattice_series(
-        Fraction(1, 24), [(Fraction((6 * n - 1) ** 2, 24), (-1) ** n) for n in ns], order
+        Fraction(1, 24), [(Fraction((6 * n - 1) ** 2, 24), -1 if n % 2 else 1) for n in ns], order
     )
-    return num / eta
+    quotient = num / eta
+    assert all(type(c) is int for c in eta.coeffs + quotient.coeffs)
+    return quotient
 
 
 def quotient_table(md, order: int) -> tuple:
@@ -243,9 +246,11 @@ def test_one_series_division_per_character_table(family, params, monkeypatch):
 
 
 def test_division_requires_unit_leading_coefficient():
-    two = QSeries(Fraction(0), 1, (2, 1, 1))
-    with pytest.raises(SeriesDivisionError):
-        qseries_one(2) / two
+    for lead in (2, 0):
+        divisor = QSeries(Fraction(0), 1, (lead, 1, 1))
+        for divide in (QSeries.__truediv__, oracles.qseries_div):
+            with pytest.raises(SeriesDivisionError):
+                divide(qseries_one(2), divisor)
 
 
 def test_add_regrids_to_common_refinement():
@@ -340,6 +345,47 @@ def test_multiply_then_divide_round_trips(f, g):
     back = prod / g
     m = len(back.coeffs)
     assert back.coeffs == f.regrid(back.grid).coeffs[:m]
+
+
+def _coefficients(lead=None):
+    """0-60 signed coefficients, dense or with at most six nonzero terms;
+    the first drawn from the strategy `lead` when one is given."""
+    dense = st.lists(st.integers(-10**6, 10**6), max_size=60)
+    sparse = st.builds(
+        lambda n, hits: [hits.get(j, 0) for j in range(n)],
+        st.integers(0, 60),
+        st.dictionaries(st.integers(0, 59), st.integers(-9, 9).filter(bool), max_size=6),
+    )
+    coeffs = st.one_of(dense, sparse)
+    if lead is not None:
+        coeffs = st.builds(lambda c, rest: [c] + rest[:59], lead, coeffs)
+    return coeffs.map(tuple)
+
+
+def _any_series(lead=None):
+    return st.builds(
+        QSeries,
+        st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 24])),
+        st.integers(min_value=1, max_value=3),
+        _coefficients(lead),
+    )
+
+
+def _exact_equal(got: QSeries, want: QSeries):
+    assert got == want
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_series(), _any_series())
+def test_product_matches_the_every_pair_oracle(f, g):
+    _exact_equal(f * g, oracles.qseries_mul(f, g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_series(), _any_series(st.sampled_from([1, -1])))
+def test_quotient_matches_the_every_pair_oracle(f, g):
+    _exact_equal(f / g, oracles.qseries_div(f, g))
 
 
 def _aligned(a: QSeries, b: QSeries):

@@ -357,7 +357,9 @@ NOT_A_NIMREP = "expected a bcft-nimrep/1 document"
         (GENERATE, "--generator-file", json.dumps([[0, 1], [1]]), NOT_A_MATRIX),
         (GENERATE, "--generator-file", "not json", NOT_A_MATRIX),
         (ANNULUS, "--nimrep", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
-        (ANNULUS, "--nimrep", json.dumps({"format": "bcft-nimrep/1"}), NOT_A_NIMREP),
+        # a missing field is named, as a malformed one is
+        (ANNULUS, "--nimrep", json.dumps({"format": "bcft-nimrep/1"}),
+         "field 'labels': expected integers"),
         (ANNULUS, "--nimrep", "not json", NOT_A_NIMREP),
         (VERIFY, "--nimrep-file", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
         # [[1]] is the level-1 generator; true must not read as 1
@@ -391,13 +393,25 @@ def _string_labels(doc):
     return "labels"
 
 
+def _format_only(doc):
+    for field in ("labels", "nmats"):
+        del doc[field]
+    return "labels"
+
+
+def _no_nmats(doc):
+    del doc["nmats"]
+    return "nmats"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(VERIFY, "--nimrep-file"), (["annulus", "--model", "su2", "--level", "2", "--pair", "0,1"],
                                  "--nimrep")],
     ids=["verify", "annulus"],
 )
-@pytest.mark.parametrize("tamper", [_bool_and_float_entries, _string_labels])
+@pytest.mark.parametrize("tamper", [_bool_and_float_entries, _string_labels, _format_only,
+                                    _no_nmats])
 def test_nimrep_documents_hold_only_json_integers(argv, flag, tamper, capsys, tmp_path):
     code, doc, _ = run_json(
         ["nimreps", "enumerate", "--model", "su2", "--level", "2", "--size", "3"], capsys
@@ -717,6 +731,17 @@ def test_unknown_invariant_tag_exits_one_with_a_warm_cache(capsys, tmp_path):
     code, out, err = run(argv + ["--invariant-tag", "E7"], capsys)
     assert (code, out) == (1, "")
     assert "no physical invariant tagged 'E7'" in err
+
+
+def test_a_cache_file_that_is_not_json_exits_one_naming_it(capsys, tmp_path):
+    argv = ["fusion", "--model", "su2", "--level", "2", "--cache", str(tmp_path / "cache")]
+    assert run(argv, capsys)[0] == 0
+    (entry,) = (tmp_path / "cache").rglob("*.json")
+    entry.write_text("garbage")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "cache file %s is not a JSON document" % entry in err
+    assert "Traceback" not in err
 
 
 def _child_env():

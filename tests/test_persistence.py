@@ -227,6 +227,17 @@ def test_cache_refuses_a_wrapper_without_a_payload_mapping(tmp_path):
     assert cache.load(entry.key) is None
 
 
+@pytest.mark.parametrize("text", [b"garbage", b"", b'{"format": ', b"\xff\xfe"])
+def test_cache_refuses_a_file_that_is_not_json(text, tmp_path):
+    cache = Cache(tmp_path)
+    entry = make_entry("model", {"level": 2}, su2(2))
+    path = cache.path_for(cache.store(entry))
+    path.write_bytes(text)
+    with pytest.raises(DocumentFormatError, match="cache file %s is not a JSON document"
+                       % re.escape(str(path))):
+        cache.load(entry.key)
+
+
 def test_cache_writes_leave_no_temp_files(tmp_path):
     cache = Cache(tmp_path)
     for k in (1, 2, 3):

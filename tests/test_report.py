@@ -3,7 +3,8 @@
 import pytest
 from mpmath import mp, workdps
 
-from bcft.characters import characters_for, s_transform_residual
+import bcft.report
+from bcft.characters import characters_for, linear_combination, s_transform_residual
 from bcft.cli import main as cli_main
 from bcft.errors import ConvergenceWarning
 from bcft.fusion import verlinde
@@ -250,6 +251,27 @@ def test_full_report_matches_the_per_pair_functions(order, beta):
     assert doc["heat_kernel"]["max_residual"] == num_str(max(residuals.values()), dps)
     s_res = s_transform_residual(md, max(order, 200), beta)
     assert doc["s_transform"]["max_residual"] == num_str(s_res, dps)
+
+
+def test_full_report_combines_each_multiplicity_vector_once(monkeypatch):
+    md = su2(10)
+    Z = next(z for z in enumerate_physical(md) if z.tag == "E6")
+    nr = next(nr for nr in enumerate_su2_nimreps(md, Z.size) if spectrum_match(nr, Z, md).ok)
+    combined = []
+
+    def counting(terms):
+        combined.append(terms)
+        return linear_combination(terms)
+
+    monkeypatch.setattr(bcft.report, "linear_combination", counting)
+    doc = full_report(md, Z, nr, order=100)
+    assert len(doc["annulus"]) == 36
+    assert len(combined) == len({tuple(pair["multiplicities"]) for pair in doc["annulus"]}) == 12
+    monkeypatch.undo()
+    # pairs sharing a vector share its series; each equals its own annulus()
+    assert doc["annulus"] == [
+        annulus_document(md, annulus(md, nr, a, b, 100)) for a in nr.labels for b in nr.labels
+    ]
 
 
 def test_e6_pipeline_rounds_s_and_its_vacuum_row_once(monkeypatch):
