@@ -88,6 +88,14 @@ class ModularData:
         return out
 
     @functools.cached_property
+    def unitarity_defect(self) -> Fixed:
+        """S S^dagger - 1 over fixed, the product floored (S^2 if S is real symmetric)."""
+        S, _, S2 = self.fixed
+        real_symmetric = S.im is None and (S.re == S.re.T).all()
+        SSd = S2 if real_symmetric else S.dot(S.conj().T).rescale(S.bits)
+        return SSd - Fixed.identity(self.n, S.bits)
+
+    @functools.cached_property
     def conj(self) -> tuple:
         """The conjugation permutation, read off C = S^2 of fixed; raises
         unless C is an involutive permutation matrix."""
@@ -148,13 +156,11 @@ def validate(md: ModularData) -> dict:
             raise DocumentFormatError("sector ids must be 0..n-1 in order")
         if md.h[0] != 0:
             raise VacuumPlacementError("sector 0 must have h = 0")
-        S, _, S2 = md.fixed
+        S = md.fixed[0]
         res_sym = (S - S.T).max_abs()
         if res_sym > tol:
             raise SymmetryViolation("max |S - S^T| = " + mp.nstr(res_sym, 5))
-        # for a real S equal to its transpose, S S^dagger is S^2
-        SSd = S2 if S.im is None and res_sym == 0 else S.dot(S.conj().T).rescale(bits)
-        res_uni = (SSd - Fixed.identity(n, bits)).max_abs()
+        res_uni = md.unitarity_defect.max_abs()
         if res_uni > tol:
             raise UnitarityViolation("max |S S^dagger - 1| = " + mp.nstr(res_uni, 5))
         md.conj  # raises unless S^2 is an involutive permutation

@@ -39,10 +39,11 @@ BUILDER_PARAMS = {"su2": 1, "minimal": 2}
 ARTIFACT_VERSION = "0.1.0"
 CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
 # Version of the numeric code behind a cached result (2: exact spectrum
-# certificates; 3: a --model-file report at the document's own precision).
+# certificates; 3: a --model-file report at the document's own precision;
+# 4: a fusion max_residual over the summed Verlinde planes alone).
 # Cache.load treats an entry recorded under another value, or none, as a
 # miss, so results of older code are recomputed.
-NUMERIC_SCHEMA = 3
+NUMERIC_SCHEMA = 4
 
 # report-style formats that stay plain documents on both sides
 _PASSTHROUGH = {

@@ -142,9 +142,9 @@ def test_integrality_failure_on_perturbed_s():
 
 def _verlinde_reference(md):
     """The all-tau reference: the sum for every (sigma, rho >= sigma, tau),
-    with no use of the symmetry of real S.  Returns N as a dtype=object
-    array and each summed triple's squared residual in units of 4^-2B (-1
-    where not summed)."""
+    with no use of the ring law or of the symmetry of real S.  Returns N as
+    a dtype=object array and each summed triple's squared residual in units
+    of 4^-2B (-1 where not summed)."""
     n = md.n
     S, W, _ = verlinde_inputs(md)
     bits = 2 * S.bits
@@ -157,6 +157,15 @@ def _verlinde_reference(md):
         resid2[s, s:] = Fixed(V.re - m * one, V.im, bits).abs2()
         N[s, s:] = N[s:, s] = m
     return N, resid2
+
+
+def _plane_residuals(md, g):
+    """The squared residuals of the whole plane g, every rho, at 4^-2B."""
+    S, W, _ = verlinde_inputs(md)
+    V = (S[g] * S * W).rescale(S.bits).dot(S.conj().T)
+    one = 1 << 2 * S.bits
+    m = (V.re + (one >> 1)) >> 2 * S.bits
+    return m, Fixed(V.re - m * one, V.im, 2 * S.bits).abs2()
 
 
 # su2 k <= 30 and minimal p <= 12, thinned so that the reference loop
@@ -172,31 +181,34 @@ def test_verlinde_equals_the_all_tau_reference(family, params):
     md = (su2(*params) if family == "su2" else minimal(*params) if family == "minimal"
           else load_model(su3_level1_document()))
     fr = verlinde(md)
-    N, resid2 = _verlinde_reference(md)
+    N, _ = _verlinde_reference(md)
     assert fr.as_array().tolist() == N.tolist()
-    # max_residual is the worst over the triples summed: sigma <= rho <= tau
-    # for real S, all rho >= sigma for complex S
-    sigma, rho, tau = np.indices((md.n,) * 3)
-    summed = (sigma <= rho) & ((rho <= tau) | (family == "su3_k1"))
+    # a few summed planes grow every other one, and max_residual is the
+    # worst over the summed planes' entries
+    summed = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)[2]
+    assert len(summed) <= 2
     one = 1 << 2 * verlinde_inputs(md)[0].bits
-    assert fr.max_residual == math.isqrt(int(resid2[summed].max())) / one
-    assert fr.max_residual <= math.isqrt(int(resid2.max())) / one
+    worst = max([int(_plane_residuals(md, g)[1].max()) for g in summed], default=0)
+    assert fr.max_residual == math.isqrt(worst) / one
 
 
-def test_integrality_failure_names_the_first_sorted_triple():
+def test_integrality_failure_names_the_first_offender_in_summation_order():
     md = minimal(7, 3)
     rows = [list(row) for row in md.S]
     rows[2][2] += mpf("1e-6")
     bad = dataclasses.replace(md, S=tuple(tuple(r) for r in rows))
-    N, resid2 = _verlinde_reference(bad)
+    # S is then far from unitary, so no plane can be grown: the unit plane
+    # is summed first, and its first offender in row-major order is named
+    m, resid2 = _plane_residuals(bad, 0)
     one = 1 << 2 * verlinde_inputs(bad)[0].bits
     slack = Fraction(DEFAULT_INTEGRALITY_TOL) - verlinde_inputs(bad)[2]
-    offenders = [(s, r, t) for s in range(md.n) for r in range(s, md.n) for t in range(r, md.n)
-                 if resid2[s, r, t] > slack * slack * one * one or N[s, r, t] < 0]
+    offenders = [(0, r, t) for r in range(md.n) for t in range(md.n)
+                 if resid2[r, t] > slack * slack * one * one or m[r, t] < 0]
     with pytest.raises(IntegralityFailure) as exc:
         verlinde(bad)
     assert exc.value.triple == offenders[0]
-    assert exc.value.residual == math.isqrt(int(resid2[offenders[0]])) / one
+    assert exc.value.residual == math.isqrt(int(resid2[offenders[0][1:]])) / one
+    assert exc.value.residual > DEFAULT_INTEGRALITY_TOL
 
 
 def test_rounding_is_checked_against_the_error_bound():
@@ -208,6 +220,51 @@ def test_rounding_is_checked_against_the_error_bound():
     assert verlinde(md, integrality_tol=fr.max_residual + 2 * float(E)) == fr
     with pytest.raises(IntegralityFailure):
         verlinde(md, integrality_tol=fr.max_residual + float(E) / 2)
+
+
+@pytest.mark.parametrize("k, tol, n_summed", [(60, 1e-35, 3), (2, None, 3)],
+                         ids=["su2_k60_re_anchored", "su2_k2_every_plane_summed"])
+def test_re_anchored_planes_equal_the_all_tau_reference(k, tol, n_summed):
+    # a grown plane whose bound exceeds the slack is summed, and growth
+    # goes on from it; the tiny tolerance above leaves no plane to grow
+    md = su2(k)
+    if tol is None:
+        tol = verlinde(md).max_residual + 2 * float(verlinde_inputs(md)[2])
+    N, _, summed, _ = bcft.fusion._planes(md, tol)
+    assert len(summed) == n_summed
+    assert N.tolist() == _verlinde_reference(md)[0].tolist()
+
+
+def _exact_planes(md, dps=150):
+    """X_sigma of every sigma: the sums over the working-precision S and
+    1/S_0k, evaluated at dps digits."""
+    with workdps(md.precision + GUARD_DIGITS):
+        inv0 = [1 / x for x in md.S[0]]
+    with workdps(dps):
+        return [[[mp.fsum(md.S[s][k] * md.S[r][k] * mp.conj(md.S[t][k]) * inv0[k]
+                          for k in range(md.n)) for t in range(md.n)]
+                 for r in range(md.n)] for s in range(md.n)]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [lambda: su2(7), lambda: minimal(7, 3), lambda: load_model(su3_level1_document())],
+    ids=["su2_k7", "minimal_7_3", "su3_k1"],
+)
+def test_grown_planes_lie_within_their_bounds(model):
+    md = model()
+    N, bounds, summed, _ = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)
+    grown = [t for t in range(md.n) if t not in summed]
+    assert grown
+    one = mpf(2) ** (2 * verlinde_inputs(md)[0].bits)
+    X = _exact_planes(md)
+    with workdps(150):
+        for t in range(md.n):
+            norm = max(sum(abs(X[t][r][c] - int(N[t, r, c])) for c in range(md.n))
+                       for r in range(md.n))
+            assert norm <= bounds[t] / one
+            if t in grown:
+                assert bounds[t] / one < mpf("1e-30")
 
 
 @pytest.mark.parametrize(

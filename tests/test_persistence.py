@@ -189,6 +189,23 @@ def test_cache_misses_entries_of_other_numeric_code(tmp_path):
     assert cache.load(entry.key) == entry.payload
 
 
+def test_a_schema_3_fusion_entry_is_a_miss_and_is_stored_again(tmp_path):
+    # schema 3 stored max_residual over every summed triple of the
+    # Verlinde sum; schema 4 sums a few planes and grows the rest
+    assert NUMERIC_SCHEMA == 4
+    cache = Cache(tmp_path)
+    entry = make_entry("fusion", {"model": "minimal_4_3"}, fusion_minimal(4, 3))
+    path = cache.path_for(cache.store(entry))
+    wrapper = json.loads(path.read_text())
+    old_payload = dict(wrapper["payload"], max_residual="1.0e-62")
+    path.write_text(json.dumps(dict(wrapper, payload=old_payload,
+                                    meta=dict(wrapper["meta"], numeric_schema=3))))
+    assert cache.load(entry.key) is None
+    cache.store(entry)
+    assert cache.load(entry.key) == entry.payload
+    assert json.loads(path.read_text())["meta"]["numeric_schema"] == 4
+
+
 def test_cache_refuses_foreign_versions_and_mismatched_keys(tmp_path):
     cache = Cache(tmp_path)
     key1 = "aa" + "1" * 62
