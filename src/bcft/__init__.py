@@ -29,8 +29,8 @@ _PUBLIC = {
     "nimreps": "Nimrep PsiMatrix canonical_generator enumerate_su2_nimreps "
                "generate_from_generator nimrep_document nimrep_from_document psi_matrix "
                "regular_nimrep spectrum_match verify",
-    "persistence": "DEFAULT_ORDER DEFAULT_PRECISION Cache CacheEntry cache_key canonical_json "
-                   "deserialize export make_entry serialize",
+    "persistence": "DEFAULT_ORDER DEFAULT_PRECISION Cache cache_key canonical_json deserialize "
+                   "export serialize",
     "report": "AnnulusSpectrum IndexReport annulus annulus_document full_report "
               "heat_kernel_check heat_kernel_residuals index_document index_report",
 }

@@ -140,29 +140,30 @@ def qseries_one(order: int) -> QSeries:
     return QSeries(Fraction(0), 1, (1,) + (0,) * order)
 
 
-def euler_product(order: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) via the pentagonal number expansion."""
+def _theta_sum(terms, step: int, den: int, order: int) -> QSeries:
+    """sum of w(x) q^(x^2/den) over the x = x0 (mod step) of each (x0, w)
+    in terms, on the integer grid above the first term's x0^2/den and
+    known through order; an x with x^2 below that x0^2 is left out.
+    Each w returns a Python int."""
+    base = terms[0][0] ** 2
+    top = math.isqrt(order * den + base)
     coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    n = 1
-    while True:
-        g1 = n * (3 * n - 1) // 2
-        g2 = n * (3 * n + 1) // 2
-        if g1 > order and g2 > order:
-            break
-        sign = -1 if n % 2 else 1
-        if g1 <= order:
-            coeffs[g1] = sign
-        if g2 <= order:
-            coeffs[g2] = sign
-        n += 1
-    return QSeries(Fraction(0), 1, tuple(coeffs))
+    for x0, w in terms:
+        for x in range((x0 + top) % step - top, top + 1, step):
+            if x * x >= base:
+                coeffs[(x * x - base) // den] += w(x)
+    return QSeries(Fraction(base, den), 1, tuple(coeffs))
 
 
 def eta_series(order: int) -> QSeries:
-    """Dedekind eta: q^(1/24) prod (1 - q^n)."""
-    e = euler_product(order)
-    return QSeries(Fraction(1, 24), 1, e.coeffs)
+    """Dedekind eta: q^(1/24) prod (1 - q^n) = sum chi_12(x) q^(x^2/24),
+    chi_12(x) = +1 for x = +-1 and -1 for x = +-5 (mod 12)."""
+    return _theta_sum(((1, lambda x: 1), (7, lambda x: -1)), 12, 24, order)
+
+
+def euler_product(order: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n): eta without its q^(1/24)."""
+    return QSeries(Fraction(0), 1, eta_series(order).coeffs)
 
 
 def theta_prime_series(m: int, N: int, order: int) -> QSeries:
@@ -170,19 +171,7 @@ def theta_prime_series(m: int, N: int, order: int) -> QSeries:
     the n = 0 term (integer spaced)."""
     if not 0 < m < 2 * N:
         raise ValueError("need 0 < m < 2N")
-    coeffs = [0] * (order + 1)
-    n = 0
-    while True:
-        hit = False
-        for nn in ((n, -n) if n else (0,)):
-            j = N * nn * nn + m * nn
-            if 0 <= j <= order:
-                coeffs[j] += m + 2 * N * nn
-                hit = True
-        if not hit and n * (N * n - m) > order:
-            break
-        n += 1
-    return QSeries(Fraction(m * m, 4 * N), 1, tuple(coeffs))
+    return _theta_sum(((m, lambda x: x),), 2 * N, 4 * N, order)
 
 
 def _inverse(den: QSeries) -> QSeries:
@@ -221,26 +210,11 @@ def char_minimal(p: int, pp: int, r: int, s: int, order: int = DEFAULT_ORDER) ->
 
 def _char_minimal(p: int, pp: int, r: int, s: int, eta_inverse: QSeries) -> QSeries:
     """The (r, s) lattice sum times the inverse of the shared eta."""
-    order = eta_inverse.order - 1
     A = p * r - pp * s
     B = p * r + pp * s
-    coeffs = [0] * (order + 1)
-    n = 0
-    while True:
-        hit = False
-        for nn in ((n, -n) if n else (0,)):
-            ja = p * pp * nn * nn + A * nn
-            jb = p * pp * nn * nn + B * nn + r * s
-            if 0 <= ja <= order:
-                coeffs[ja] += 1
-                hit = True
-            if 0 <= jb <= order:
-                coeffs[jb] -= 1
-                hit = True
-        if not hit and n > 1:
-            break
-        n += 1
-    chi = QSeries(Fraction(A * A, 4 * p * pp), 1, tuple(coeffs)) * eta_inverse
+    lattice = _theta_sum(((A, lambda x: 1), (B, lambda x: -1)), 2 * p * pp, 4 * p * pp,
+                         eta_inverse.order - 1)
+    chi = lattice * eta_inverse
     expo, lead = chi.leading()
     h = Fraction(A * A - (p - pp) ** 2, 4 * p * pp)
     c = Fraction(1) - Fraction(6 * (p - pp) ** 2, p * pp)

@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import (BcftError, CheckFailure, DocumentFormatError, MigrationError,
                      ModelValidationError)
 from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, Cache, cache_key,
-                          export, make_entry, model_header)
+                          export, model_header)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -189,7 +189,10 @@ def _resolve_model(args):
     """
     if args.model_file:
         data, key = _read_keyed(args.model_file)
-        doc = json.loads(data.decode("utf-8"))
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError
+            raise ValueError("--model-file %s: %s" % (args.model_file, exc)) from None
     elif args.model == "su2":
         if args.level is None:
             raise ValueError("--model su2 needs --level")
@@ -308,27 +311,31 @@ def _parse_nimrep(flag: str, path: str, data: bytes):
 
 
 def _cached(args, operation: str, inputs: dict, compute):
-    """compute(md) for the selected model as a document, through the cache
-    when --cache is set.  The key is complete before any build, so a hit
-    builds no model and imports no numeric code."""
-    key, precision, build = _resolve_model(args)
+    """compute(md) for the selected model as a document, or through the
+    cache when --cache is set as the text --format structured prints of
+    it.  The key is complete before any build, so a hit builds no model
+    and imports no numeric code; a miss renders the document once, then
+    stores and prints that text."""
+    model_key, precision, build = _resolve_model(args)
     if not args.cache:
         return compute(build())
-    inputs = dict(key, **inputs)
+    inputs = dict(model_key, **inputs)
     # a subcommand without --order keys DEFAULT_ORDER, as every key stored so far did
     order = getattr(args, "order", DEFAULT_ORDER)
     cache = Cache(args.cache)
-    payload = cache.load(cache_key(operation, inputs, precision, order))
-    if payload is not None:
-        return payload
-    doc = compute(build())
-    cache.store(make_entry(operation, inputs, doc, precision, order))
-    return doc
+    key = cache_key(operation, inputs, precision, order)
+    hit = cache.load(key)
+    if hit is None:
+        doc = compute(build())
+        hit = export(doc), doc
+        cache.store(key, hit[0])
+    text, doc = hit
+    return text if args.format == "structured" else doc
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (document, exit_code); numeric code is
-# imported where it is used
+# subcommand handlers: each returns (document or its structured text,
+# exit_code); numeric code is imported where it is used
 
 
 def _cmd_models(args):
@@ -588,8 +595,8 @@ def _print_config(args):
     sys.stderr.write("\n".join(lines) + "\n")
 
 
-def _emit(args, doc):
-    text = export(doc, args.format)
+def _emit(args, out):
+    text = out if isinstance(out, str) else export(out, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -602,8 +609,8 @@ def main(argv=None) -> int:
 
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
-        doc, code = handler(args)
-        _emit(args, doc)
+        out, code = handler(args)
+        _emit(args, out)
     except (ModelValidationError, MigrationError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_VALIDATION

@@ -4,10 +4,12 @@ Every computed object serializes to a structured document carrying a
 mandatory format-version field.  Documents render to canonical text
 (sorted keys, exact integers, fractions as "p/q" strings, decimals at
 fixed precision) so that identical computations produce byte-identical
-artifacts.  The cache keeps one document per content key in
-``<root>/<first two hash chars>/<key>.json``; writes go through an
-atomic rename, and reading a version this build does not understand
-raises MigrationError instead of silently reinterpreting the data.
+artifacts.  The cache keeps one entry per content key in
+``<root>/<first two hash chars>/<key>.json``: a header line naming the
+cache format, the key and the numeric schema, then the exact text that
+``--format structured`` prints.  Writes go through an atomic rename, and
+reading a cache format this build does not understand raises
+MigrationError instead of silently reinterpreting the data.
 
 This module uses only the standard library and ``bcft.errors``; the
 domain modules are imported where a domain object is (de)serialized.
@@ -22,8 +24,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
-from collections import namedtuple
 from pathlib import Path
 
 from .errors import DocumentFormatError, MigrationError
@@ -36,8 +36,7 @@ MODEL_DOCUMENT_FORMAT = "bcft-model/1"
 # number of integer params of each builder family
 BUILDER_PARAMS = {"su2": 1, "minimal": 2}
 
-ARTIFACT_VERSION = "0.1.0"
-CACHE_DOCUMENT_FORMAT = "bcft-cache/1"
+CACHE_FORMAT = "bcft-cache/2"
 # Version of the numeric code behind a cached result (2: exact spectrum
 # certificates; 3: a --model-file report at the document's own precision;
 # 4: a fusion max_residual over the summed Verlinde planes alone).
@@ -56,7 +55,6 @@ _PASSTHROUGH = {
     "bcft-model-list/1",
     "bcft-invariant-list/1",
     "bcft-nimrep-list/1",
-    CACHE_DOCUMENT_FORMAT,
 }
 
 
@@ -183,36 +181,12 @@ def cache_key(
     return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()
 
 
-# a named tuple, not a dataclass: importing dataclasses costs a cache hit
-# several milliseconds (it pulls in inspect, dis, ast and tokenize)
-CacheEntry = namedtuple("CacheEntry", "key payload meta")
-
-
-def make_entry(
-    operation: str,
-    inputs,
-    result,
-    precision: int | None = None,
-    order: int | None = None,
-) -> CacheEntry:
-    return CacheEntry(
-        key=cache_key(operation, inputs, precision, order),
-        payload=serialize(result),
-        meta={
-            "artifact": ARTIFACT_VERSION,
-            "operation": operation,
-            "numeric_schema": NUMERIC_SCHEMA,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-    )
-
-
 class Cache:
-    """Content-addressed document store under one directory.
+    """Content-addressed store of printed documents under one directory.
 
     Concurrent reads are safe; each write lands via atomic rename, so a
     reader never sees a torn file.  Two writers racing on the same key
-    write identical payloads (keys are content hashes of the inputs and
+    write identical bytes (keys are content hashes of the inputs and
     results are deterministic), so last-writer-wins is harmless.
     """
 
@@ -222,20 +196,16 @@ class Cache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
 
-    def store(self, entry: CacheEntry) -> str:
-        wrapper = {
-            "format": CACHE_DOCUMENT_FORMAT,
-            "key": entry.key,
-            "meta": entry.meta,
-            "payload": entry.payload,
-        }
-        path = self.path_for(entry.key)
+    def store(self, key: str, text: str) -> str:
+        """Store text, the structured rendering of a document, under key."""
+        header = json.dumps({"format": CACHE_FORMAT, "key": key,
+                             "numeric_schema": NUMERIC_SCHEMA}, sort_keys=True)
+        path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(wrapper))
-                fh.write("\n")
+                fh.write(header + "\n" + text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -243,39 +213,50 @@ class Cache:
             except OSError:
                 pass
             raise
-        return entry.key
+        return key
 
     def load(self, key: str):
-        """The stored payload document, or None on a miss (no entry, or
-        one stored by numeric code of another NUMERIC_SCHEMA).  A file of
-        another cache format raises MigrationError; one that is not a
-        wrapper of this key around a payload mapping raises
+        """(stored text, its document), or None on a miss: no entry, one
+        stored by numeric code of another NUMERIC_SCHEMA, or a whole-file
+        bcft-cache/1 wrapper of older builds.  A header of another cache
+        format raises MigrationError; a header of another key, or a file
+        that is not a header line over a JSON mapping, raises
         DocumentFormatError naming the file."""
         path = self.path_for(key)
         try:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
+            data = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
-        except ValueError:  # json.JSONDecodeError and UnicodeDecodeError
-            raise DocumentFormatError("cache file %s is not a JSON document" % path) from None
-        if not isinstance(wrapper, dict):
-            raise DocumentFormatError("cache file %s must hold a mapping" % path)
-        fmt = wrapper.get("format")
-        if fmt != CACHE_DOCUMENT_FORMAT:
-            raise MigrationError(
-                "cache file %s has format %r; this build reads %r"
-                % (path, fmt, CACHE_DOCUMENT_FORMAT)
-            )
-        if wrapper.get("key") != key:
-            raise DocumentFormatError(
-                "cache file %s records key %r" % (path, wrapper.get("key"))
-            )
-        meta = wrapper.get("meta")
-        if not isinstance(meta, dict) or meta.get("numeric_schema") != NUMERIC_SCHEMA:
+        except UnicodeDecodeError:
+            data = ""  # refused below, as any other file that is not JSON
+        head, _, text = data.partition("\n")
+        header = _json_mapping(head)
+        if header is None:
+            # an older build stored one indented wrapper document: recompute
+            if (_json_mapping(data) or {}).get("format") == "bcft-cache/1":
+                return None
+            raise DocumentFormatError("cache file %s is not a JSON document" % path)
+        if header.get("format") != CACHE_FORMAT:
+            raise MigrationError("cache file %s has format %r; this build reads %r"
+                                 % (path, header.get("format"), CACHE_FORMAT))
+        if header.get("key") != key:
+            raise DocumentFormatError("cache file %s records key %r" % (path, header.get("key")))
+        if header.get("numeric_schema") != NUMERIC_SCHEMA:
             return None
-        if not isinstance(wrapper.get("payload"), dict):
-            raise DocumentFormatError("cache file %s: field 'payload' must be a mapping" % path)
-        return wrapper["payload"]
+        doc = _json_mapping(text)
+        if doc is None:
+            raise DocumentFormatError("cache file %s: the payload under its header must be a "
+                                      "JSON mapping" % path)
+        return text, doc
+
+
+def _json_mapping(text: str):
+    """The mapping that text parses to, or None."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
 
 
 def _text_lines(value, indent: int, out: list):

@@ -117,7 +117,10 @@ def heat_kernel_check(
 ):
     """The heat_kernel_residuals entry of the pair (a, b)."""
     _check_labels(nr, a, b)
-    return heat_kernel_residuals(md, nr, Z, beta, order, tol=tol)[a, b]
+    psi = psi_matrix(nr, Z, md)
+    with workdps(md.precision + GUARD_DIGITS):
+        ev = _Evaluated(characters_for(md, order), order, beta, md.precision)
+        return _heat_kernel_residuals(md, nr, psi, ev, tol)[a, b]
 
 
 def _heat_kernel_residuals(md, nr, psi: PsiMatrix, ev: _Evaluated, tol) -> dict:

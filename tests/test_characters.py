@@ -213,6 +213,18 @@ def test_characters_equal_the_direct_quotient(order):
         assert characters_for(md, order) == quotient_table(md, order), (family, params)
 
 
+@pytest.mark.parametrize("order", [0, 1, 100])
+def test_every_character_coefficient_is_an_int(order):
+    """Tuple equality does not tell 1.0 from 1; documents and the exact
+    series arithmetic need Python ints."""
+    series = [eta_series(order), euler_product(order)]
+    series += [theta_prime_series(m, 5, order) for m in range(1, 10)]
+    for family, params in MODELS:
+        series += characters_for(_model(family, params), order)
+    for f in series:
+        assert all(type(c) is int for c in f.coeffs), f
+
+
 @pytest.mark.parametrize("family, params", [("su2", (10,)), ("su2", (28,)), ("minimal", (5, 4))])
 def test_characters_equal_the_direct_quotient_at_order_400(family, params):
     md = _model(family, params)

@@ -20,11 +20,12 @@ import bcft.errors
 import bcft.fusion
 import bcft.invariants
 import bcft.nimreps
-from bcft import cli
+from bcft import cli, persistence
 from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
 from bcft.modular_data import load_model, model_to_document
 from bcft.nimreps import enumerate_su2_nimreps, nimrep_document, regular_nimrep
+from bcft.persistence import canonical_json
 from conftest import minimal, su2
 from oracles import e6_graph
 
@@ -294,6 +295,18 @@ def test_validation_errors_exit_one(capsys, tmp_path):
     for argv in cases:
         code, _, _ = run(argv, capsys)
         assert code == 1, argv
+
+
+@pytest.mark.parametrize("data", [b"garbage", b"", b"\xff\xfe"],
+                         ids=["garbage", "empty", "not-utf-8"])
+def test_a_model_file_that_is_not_json_exits_one_naming_it(data, capsys, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_bytes(data)
+    for cache in ([], ["--cache", str(tmp_path / "cache")]):
+        code, out, err = run(["fusion", "--model-file", str(model)] + cache, capsys)
+        assert (code, out) == (1, "")
+        assert "error: --model-file %s: " % model in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -882,7 +895,8 @@ def test_cache_keys_stay_pinned(argv, key, tmp_path, monkeypatch):
     """Keys recorded before the key-first lookup, so existing caches are
     still served.  The lookup is stubbed to hit: only the key is checked."""
     looked_up = []
-    monkeypatch.setattr(cli.Cache, "load", lambda self, k: looked_up.append(k) or {"format": "x"})
+    monkeypatch.setattr(cli.Cache, "load",
+                        lambda self, k: looked_up.append(k) or ("{}\n", {"format": "x"}))
     assert cli_main(argv + ["--cache", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
     assert looked_up == [key]
 
@@ -916,6 +930,16 @@ def test_text_output_of_a_cache_hit_matches_a_cold_run(argv, capsys, tmp_path):
     assert run(argv, capsys)[:2] == (0, cold)
 
 
+def _entry_parts(path):
+    """(header, document) of a cache entry."""
+    head, _, text = path.read_text().partition("\n")
+    return json.loads(head), json.loads(text)
+
+
+def _write_entry(path, header, doc):
+    path.write_text(json.dumps(header, sort_keys=True) + "\n" + canonical_json(doc) + "\n")
+
+
 def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):
     cache = tmp_path / "cache"
     argv = ["fusion", "--model", "minimal", "--p", "4", "--pp", "3",
@@ -923,27 +947,42 @@ def test_cache_entry_of_older_numeric_code_is_recomputed(capsys, tmp_path):
     code, fresh, _ = run(argv, capsys)
     assert code == 0
     (path,) = cache.rglob("*.json")
-    wrapper = json.loads(path.read_text())
+    stored = path.read_bytes()
+    header, payload = _entry_parts(path)
 
-    # an entry as the mpmath Verlinde sum stored it: no numeric schema in meta
-    stale = json.loads(json.dumps(wrapper))
-    del stale["meta"]["numeric_schema"]
-    stale["payload"]["max_residual"] = "1.5557538194652854e-61"
-    path.write_text(json.dumps(stale))
+    # an entry as the mpmath Verlinde sum stored it: no numeric schema
+    stale = dict(payload, max_residual="1.5557538194652854e-61")
+    _write_entry(path, {k: v for k, v in header.items() if k != "numeric_schema"}, stale)
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out == fresh
-    restored = json.loads(path.read_text())
-    assert restored["payload"] == wrapper["payload"]
-    assert restored["meta"]["numeric_schema"] == wrapper["meta"]["numeric_schema"]
+    assert path.read_bytes() == stored
 
     # the re-stored entry is served: a marked payload comes back unchanged
-    marked = json.loads(path.read_text())
-    marked["payload"]["max_residual"] = "1e-99"
-    path.write_text(json.dumps(marked))
+    _write_entry(path, header, dict(payload, max_residual="1e-99"))
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["max_residual"] == "1e-99"
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_a_bcft_cache_1_wrapper_is_a_miss_and_is_stored_again(fmt, capsys, tmp_path):
+    """Older builds stored one indented JSON wrapper around the payload."""
+    cache = tmp_path / "cache"
+    argv = ["report"] + M43 + ["--order", "30", "--format", fmt]
+    code, fresh, _ = run(argv, capsys)
+    assert code == 0
+    assert run(argv + ["--cache", str(cache)], capsys)[:2] == (0, fresh)
+    (path,) = cache.rglob("*.json")
+    stored = path.read_bytes()
+    header, payload = _entry_parts(path)
+    meta = {"artifact": "0.1.0", "operation": "report",
+            "numeric_schema": header["numeric_schema"], "created": "2026-01-01T00:00:00Z"}
+    path.write_text(canonical_json({"format": "bcft-cache/1", "key": header["key"],
+                                    "meta": meta, "payload": payload}) + "\n")
+    assert run(argv + ["--cache", str(cache)], capsys)[:2] == (0, fresh)
+    assert path.read_bytes() == stored
+    assert run(argv + ["--cache", str(cache)], capsys)[:2] == (0, fresh)
 
 
 def test_cache_entry_without_payload_names_the_file_and_the_field(capsys, tmp_path):
@@ -951,13 +990,61 @@ def test_cache_entry_without_payload_names_the_file_and_the_field(capsys, tmp_pa
     argv = ["fusion", "--model", "su2", "--level", "2", "--cache", str(cache)]
     assert run(argv, capsys)[0] == 0
     (path,) = cache.rglob("*.json")
-    wrapper = json.loads(path.read_text())
-    del wrapper["payload"]
-    path.write_text(json.dumps(wrapper))
+    header, _ = _entry_parts(path)
+    path.write_text(json.dumps(header) + "\n[1]\n")
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
-    assert "error: cache file %s: field 'payload' must be a mapping" % path in err
+    assert ("error: cache file %s: the payload under its header must be a JSON mapping" % path
+            in err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, code, message", [
+    ("format", "bcft-cache/9", 1, "has format 'bcft-cache/9'"),
+    ("key", "0" * 64, 1, "records key '%s'" % ("0" * 64)),
+    ("numeric_schema", 3, 0, None),
+], ids=["format", "key", "schema"])
+def test_a_cache_header_of_another_format_key_or_schema(field, value, code, message,
+                                                        capsys, tmp_path):
+    """Another format or key exits 1 naming the file; another numeric
+    schema is a miss that is computed and stored again."""
+    cache = tmp_path / "cache"
+    argv = ["fusion"] + M43 + ["--format", "structured", "--cache", str(cache)]
+    fresh = run(argv, capsys)[1]
+    (path,) = cache.rglob("*.json")
+    stored = path.read_bytes()
+    header, payload = _entry_parts(path)
+    _write_entry(path, dict(header, **{field: value}), payload)
+    got, out, err = run(argv, capsys)
+    assert got == code
+    if message is None:
+        assert out == fresh
+        assert path.read_bytes() == stored
+    else:
+        assert out == ""
+        assert "error: cache file %s %s" % (path, message) in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion"] + M43,
+    ["report"] + M43 + ["--order", "30"],
+], ids=["fusion", "report"])
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_each_command_renders_its_document_once(argv, fmt, capsys, tmp_path, monkeypatch):
+    """canonical_json runs once for the key; a miss runs it once more, for
+    the text it stores and, in structured format, prints."""
+    calls = []
+    render = persistence.canonical_json
+    monkeypatch.setattr(persistence, "canonical_json",
+                        lambda doc: calls.append(doc.get("operation", "payload")) or render(doc))
+    argv = argv + ["--format", fmt, "--cache", str(tmp_path / "cache")]
+    code, cold, _ = run(argv, capsys)
+    assert code == 0
+    assert calls == [argv[0], "payload"]
+    calls.clear()
+    assert run(argv, capsys)[:2] == (0, cold)
+    assert calls == [argv[0]]
 
 
 def test_cache_key_follows_the_model_document_precision(capsys, tmp_path):

@@ -14,14 +14,13 @@ from bcft.fusion import verlinde
 from bcft.invariants import enumerate_physical
 from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep
 from bcft.persistence import (
-    ARTIFACT_VERSION,
+    CACHE_FORMAT,
     NUMERIC_SCHEMA,
     Cache,
     cache_key,
     canonical_json,
     deserialize,
     export,
-    make_entry,
     serialize,
 )
 from bcft.report import index_document, index_report
@@ -140,53 +139,58 @@ def test_cache_key_distinguishes_every_field():
 # the cache directory
 
 
+def _entry(operation, inputs, result, precision=None):
+    """(key, printed text) of a result, as the command line stores it."""
+    return cache_key(operation, inputs, precision), export(result)
+
+
+def _header(key, **fields):
+    return json.dumps(dict({"format": CACHE_FORMAT, "key": key,
+                            "numeric_schema": NUMERIC_SCHEMA}, **fields), sort_keys=True)
+
+
 def test_cache_store_load_round_trip(tmp_path):
     cache = Cache(tmp_path / "cache")
     md = minimal(4, 3)
     fr = verlinde(md)
-    entry = make_entry("fusion", {"model": "minimal_4_3"}, fr, precision=50)
-    key = cache.store(entry)
-    assert key == entry.key
+    key, text = _entry("fusion", {"model": "minimal_4_3"}, fr, precision=50)
+    assert cache.store(key, text) == key
     path = cache.path_for(key)
     assert path.is_file()
     assert path.parent.name == key[:2]
     assert path.name == key + ".json"
-    payload = cache.load(key)
-    assert payload == serialize(fr)
-    assert canonical_json(payload) == canonical_json(serialize(fr))
-    assert deserialize(payload) == fr
+    stored, doc = cache.load(key)
+    assert stored == text == canonical_json(serialize(fr)) + "\n"
+    assert doc == serialize(fr)
+    assert deserialize(doc) == fr
 
 
 def test_cache_miss_returns_none(tmp_path):
     assert Cache(tmp_path).load("ab" + "0" * 62) is None
 
 
-def test_cache_meta_records_build_and_operation(tmp_path):
-    entry = make_entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
-    assert entry.meta["artifact"] == ARTIFACT_VERSION
-    assert entry.meta["operation"] == "fusion"
+def test_cache_entry_is_a_header_line_over_the_printed_text(tmp_path):
     cache = Cache(tmp_path)
-    cache.store(entry)
-    wrapper = json.loads(cache.path_for(entry.key).read_text())
-    assert wrapper["format"] == "bcft-cache/1"
-    assert wrapper["key"] == entry.key
-    assert wrapper["meta"]["artifact"] == ARTIFACT_VERSION
+    key, text = _entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
+    cache.store(key, text)
+    data = cache.path_for(key).read_text()
+    assert data == _header(key) + "\n" + text
+    assert json.loads(data.partition("\n")[0]) == {
+        "format": "bcft-cache/2", "key": key, "numeric_schema": NUMERIC_SCHEMA}
 
 
 def test_cache_misses_entries_of_other_numeric_code(tmp_path):
     cache = Cache(tmp_path)
-    entry = make_entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
-    assert entry.meta["numeric_schema"] == NUMERIC_SCHEMA
-    path = cache.path_for(cache.store(entry))
-    wrapper = json.loads(path.read_text())
-    for meta in (
-        {k: v for k, v in entry.meta.items() if k != "numeric_schema"},
-        dict(entry.meta, numeric_schema=NUMERIC_SCHEMA - 1),
+    key, text = _entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
+    path = cache.path_for(cache.store(key, text))
+    for header in (
+        json.dumps({"format": CACHE_FORMAT, "key": key}),
+        _header(key, numeric_schema=NUMERIC_SCHEMA - 1),
     ):
-        path.write_text(json.dumps(dict(wrapper, meta=meta)))
-        assert cache.load(entry.key) is None
-    cache.store(entry)
-    assert cache.load(entry.key) == entry.payload
+        path.write_text(header + "\n" + text)
+        assert cache.load(key) is None
+    cache.store(key, text)
+    assert cache.load(key) == (text, json.loads(text))
 
 
 def test_a_schema_3_fusion_entry_is_a_miss_and_is_stored_again(tmp_path):
@@ -194,16 +198,34 @@ def test_a_schema_3_fusion_entry_is_a_miss_and_is_stored_again(tmp_path):
     # Verlinde sum; schema 4 sums a few planes and grows the rest
     assert NUMERIC_SCHEMA == 4
     cache = Cache(tmp_path)
-    entry = make_entry("fusion", {"model": "minimal_4_3"}, fusion_minimal(4, 3))
-    path = cache.path_for(cache.store(entry))
-    wrapper = json.loads(path.read_text())
-    old_payload = dict(wrapper["payload"], max_residual="1.0e-62")
-    path.write_text(json.dumps(dict(wrapper, payload=old_payload,
-                                    meta=dict(wrapper["meta"], numeric_schema=3))))
-    assert cache.load(entry.key) is None
-    cache.store(entry)
-    assert cache.load(entry.key) == entry.payload
-    assert json.loads(path.read_text())["meta"]["numeric_schema"] == 4
+    key, text = _entry("fusion", {"model": "minimal_4_3"}, fusion_minimal(4, 3))
+    path = cache.path_for(cache.store(key, text))
+    old_payload = dict(json.loads(text), max_residual="1.0e-62")
+    path.write_text(_header(key, numeric_schema=3) + "\n" + canonical_json(old_payload))
+    assert cache.load(key) is None
+    cache.store(key, text)
+    assert cache.load(key) == (text, json.loads(text))
+    assert json.loads(path.read_text().partition("\n")[0])["numeric_schema"] == 4
+
+
+def test_a_bcft_cache_1_wrapper_is_a_miss_and_is_stored_again(tmp_path):
+    """Entries of older builds: one indented JSON wrapper around the payload."""
+    cache = Cache(tmp_path)
+    key, text = _entry("fusion", {"model": "minimal_4_3"}, fusion_minimal(4, 3))
+    path = cache.path_for(key)
+    path.parent.mkdir(parents=True)
+    meta = {"artifact": "0.1.0", "operation": "fusion", "numeric_schema": NUMERIC_SCHEMA,
+            "created": "2026-01-01T00:00:00Z"}
+    path.write_text(canonical_json({"format": "bcft-cache/1", "key": key, "meta": meta,
+                                    "payload": json.loads(text)}) + "\n")
+    assert cache.load(key) is None
+    cache.store(key, text)
+    assert path.read_text() == _header(key) + "\n" + text
+    # an indented mapping of any other format is not an entry
+    path.write_text(canonical_json({"format": "bcft-cache/0", "key": key}))
+    with pytest.raises(DocumentFormatError, match="cache file %s is not a JSON document"
+                       % re.escape(str(path))):
+        cache.load(key)
 
 
 def test_cache_refuses_foreign_versions_and_mismatched_keys(tmp_path):
@@ -212,53 +234,46 @@ def test_cache_refuses_foreign_versions_and_mismatched_keys(tmp_path):
     key2 = "bb" + "2" * 62
     p = cache.path_for(key1)
     p.parent.mkdir(parents=True)
-    p.write_text(json.dumps({"format": "bcft-cache/9", "key": key1, "payload": {}}))
-    with pytest.raises(MigrationError):
+    p.write_text(_header(key1, format="bcft-cache/9") + "\n{}\n")
+    with pytest.raises(MigrationError, match="cache file %s has format 'bcft-cache/9'"
+                       % re.escape(str(p))):
         cache.load(key1)
     p2 = cache.path_for(key2)
     p2.parent.mkdir(parents=True)
-    p2.write_text(
-        json.dumps({"format": "bcft-cache/1", "key": key1, "payload": {}})
-    )
-    with pytest.raises(DocumentFormatError):
+    p2.write_text(_header(key1) + "\n{}\n")
+    with pytest.raises(DocumentFormatError, match="records key"):
         cache.load(key2)
 
 
 def test_cache_refuses_a_wrapper_without_a_payload_mapping(tmp_path):
     cache = Cache(tmp_path)
-    entry = make_entry("model", {"level": 2}, su2(2))
-    path = cache.path_for(cache.store(entry))
-    wrapper = json.loads(path.read_text())
-    for bad, message in (
-        (dict(wrapper, payload=[1]), "field 'payload' must be a mapping"),
-        ({k: v for k, v in wrapper.items() if k != "payload"}, "field 'payload' must be a mapping"),
-        ([wrapper], "must hold a mapping"),
-    ):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(DocumentFormatError, match="cache file %s.*%s" % (
-                re.escape(str(path)), re.escape(message))):
-            cache.load(entry.key)
+    key, text = _entry("model", {"level": 2}, su2(2))
+    path = cache.path_for(cache.store(key, text))
+    for body in ("[1]\n", "", "garbage", text[:-10]):
+        path.write_text(_header(key) + "\n" + body)
+        with pytest.raises(DocumentFormatError, match="cache file %s: the payload under its "
+                           "header must be a JSON mapping" % re.escape(str(path))):
+            cache.load(key)
     # a payload-less entry of other numeric code is still a miss
-    meta = dict(wrapper["meta"], numeric_schema=None)
-    path.write_text(json.dumps({"format": wrapper["format"], "key": entry.key, "meta": meta}))
-    assert cache.load(entry.key) is None
+    path.write_text(_header(key, numeric_schema=None))
+    assert cache.load(key) is None
 
 
-@pytest.mark.parametrize("text", [b"garbage", b"", b'{"format": ', b"\xff\xfe"])
+@pytest.mark.parametrize("text", [b"garbage", b"", b'{"format": ', b"\xff\xfe", b"[1]\n{}\n"])
 def test_cache_refuses_a_file_that_is_not_json(text, tmp_path):
     cache = Cache(tmp_path)
-    entry = make_entry("model", {"level": 2}, su2(2))
-    path = cache.path_for(cache.store(entry))
+    key, printed = _entry("model", {"level": 2}, su2(2))
+    path = cache.path_for(cache.store(key, printed))
     path.write_bytes(text)
     with pytest.raises(DocumentFormatError, match="cache file %s is not a JSON document"
                        % re.escape(str(path))):
-        cache.load(entry.key)
+        cache.load(key)
 
 
 def test_cache_writes_leave_no_temp_files(tmp_path):
     cache = Cache(tmp_path)
     for k in (1, 2, 3):
-        cache.store(make_entry("model", {"level": k}, su2(k)))
+        cache.store(*_entry("model", {"level": k}, su2(k)))
     names = [p.name for p in tmp_path.rglob("*") if p.is_file()]
     assert names and all(
         n.endswith(".json") and not n.startswith(".tmp-") for n in names
@@ -267,11 +282,11 @@ def test_cache_writes_leave_no_temp_files(tmp_path):
 
 def test_cache_store_is_idempotent(tmp_path):
     cache = Cache(tmp_path)
-    entry = make_entry("model", {"level": 2}, su2(2))
-    cache.store(entry)
-    first = cache.path_for(entry.key).read_bytes()
-    cache.store(entry)
-    assert cache.path_for(entry.key).read_bytes() == first
+    key, text = _entry("model", {"level": 2}, su2(2))
+    cache.store(key, text)
+    first = cache.path_for(key).read_bytes()
+    cache.store(*_entry("model", {"level": 2}, su2(2)))
+    assert cache.path_for(key).read_bytes() == first
 
 
 # ---------------------------------------------------------------------------

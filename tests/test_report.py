@@ -1,5 +1,7 @@
 """Annulus spectra, heat-kernel consistency, and index chains."""
 
+import warnings
+
 import pytest
 from mpmath import mp, workdps
 
@@ -128,6 +130,26 @@ def test_heat_kernel_warns_when_truncation_dominates():
             md, nr, diagonal_invariant(md), 1, 1, beta=0.5, order=400
         )
     assert res > 1e-8  # the reported value is the tail bound, not the raw gap
+
+
+CHECKS = {
+    "s_transform_residual": lambda md, nr, Z: s_transform_residual(md, 400, beta=0.5),
+    "heat_kernel_residuals": lambda md, nr, Z: heat_kernel_residuals(md, nr, Z, 0.5, 400),
+    "heat_kernel_check": lambda md, nr, Z: heat_kernel_check(md, nr, Z, 1, 1, 0.5, 400),
+    "full_report": lambda md, nr, Z: full_report(md, Z, nr, 400, 0.5),
+}
+
+
+@pytest.mark.parametrize("check", list(CHECKS.values()), ids=list(CHECKS))
+def test_convergence_warnings_point_at_the_caller(check):
+    md = ISING()
+    nr = regular_nimrep(fusion_minimal(4, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check(md, nr, diagonal_invariant(md))
+    found = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+    assert found
+    assert {w.filename for w in found} == {__file__}
 
 
 # ---------------------------------------------------------------------------
