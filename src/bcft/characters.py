@@ -19,7 +19,7 @@ from mpmath import mp, mpf, workdps
 from .errors import ConvergenceWarning, DocumentFormatError, SeriesDivisionError
 from .hp import GUARD_DIGITS, fixed_bits, mpf_from_fraction, to_fixed
 from .modular_data import ModularData
-from .persistence import CHANNEL_TOL, DEFAULT_ORDER, _ints
+from .persistence import CHANNEL_TOL, DEFAULT_ORDER, _ints, _strs
 
 S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
 
@@ -336,11 +336,9 @@ def qseries_document(f: QSeries) -> dict:
 
 def qseries_from_document(doc: dict) -> QSeries:
     if doc.get("format") != QSERIES_DOCUMENT_FORMAT:
-        raise DocumentFormatError(
-            "expected a %s document" % QSERIES_DOCUMENT_FORMAT
-        )
-    return QSeries(
-        Fraction(doc["offset"]),
-        _ints(doc["grid"], "grid", 0),
-        _ints(doc["coeffs"], "coeffs"),
-    )
+        raise DocumentFormatError("expected a %s document" % QSERIES_DOCUMENT_FORMAT)
+    grid = _ints(doc.get("grid"), "grid", 0)
+    if grid < 1:
+        raise DocumentFormatError("field 'grid': expected a positive integer")
+    offset = _strs(doc.get("offset"), "offset", 0, Fraction)
+    return QSeries(offset, grid, _ints(doc.get("coeffs"), "coeffs"))

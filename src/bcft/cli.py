@@ -24,8 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (BcftError, CheckFailure, DocumentFormatError, MigrationError,
-                     ModelValidationError)
+from .errors import BcftError, CheckFailure, MigrationError
 from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, Cache, cache_key,
                           export, model_header)
 
@@ -182,17 +181,14 @@ def _resolve_model(args):
     """(cache-key ingredient, precision, build) of the selected model.
 
     The key and the precision come from args and the bytes of a
-    --model-file alone: the file is read once and keyed by the SHA-256
-    of the bytes that build() parses, so an overwritten file misses.
+    --model-file alone (see _read_input), so an overwritten file misses.
     build() makes and validates the model; numeric code is imported
     there and not before.
     """
+    flag = path = None  # no file: an error of the model flags stays bare
     if args.model_file:
-        data, key = _read_keyed(args.model_file)
-        try:
-            doc = json.loads(data.decode("utf-8"))
-        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError
-            raise ValueError("--model-file %s: %s" % (args.model_file, exc)) from None
+        flag, path = "--model-file", args.model_file
+        doc, key = _read_input(flag, path)
     elif args.model == "su2":
         if args.level is None:
             raise ValueError("--model su2 needs --level")
@@ -205,12 +201,12 @@ def _resolve_model(args):
         key = {"family": "minimal", "p": args.p, "pp": args.pp}
     else:
         raise ValueError("select a model with --model or --model-file")
-    precision, _ = model_header(doc, args.precision)
+    precision, _ = _decoded(flag, path, model_header, doc, args.precision)
 
     def build():
         from .modular_data import load_model
 
-        return load_model(doc, precision)
+        return _decoded(flag, path, load_model, doc, precision)
 
     return key, precision, build
 
@@ -219,11 +215,28 @@ def _build_model(args):
     return _resolve_model(args)[2]()
 
 
-def _read_keyed(path: str) -> tuple:
-    """(bytes, cache-key ingredient) of an input file, read once: the key
-    is the SHA-256 of the bytes that are parsed later."""
-    data = Path(path).read_bytes()
-    return data, {"file_sha256": hashlib.sha256(data).hexdigest()}
+def _read_input(flag: str, path: str) -> tuple:
+    """(JSON value, cache-key ingredient) of the input file that flag
+    names, read once: the key is the SHA-256 of the bytes decoded here.
+    A file that cannot be read, or is not UTF-8 JSON, raises ValueError
+    naming the flag and the file."""
+    try:
+        data = Path(path).read_bytes()
+        return json.loads(data.decode("utf-8")), {"file_sha256": hashlib.sha256(data).hexdigest()}
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's own text repeats the path
+        raise ValueError("%s %s: %s" % (flag, path, reason)) from None
+
+
+def _decoded(flag, path, decode, *args):
+    """decode(*args), with "FLAG PATH: " before the message of any ValueError
+    it raises (every DocumentFormatError and ModelValidationError); None: no file."""
+    try:
+        return decode(*args)
+    except ValueError as exc:
+        if flag is None:
+            raise
+        raise ValueError("%s %s: %s" % (flag, path, exc)) from None
 
 
 def _parse_pair(text: str) -> tuple:
@@ -264,14 +277,6 @@ def _parse_theta(text: str) -> dict:
     return theta
 
 
-def _read_generator(path: str):
-    """The JSON value of a generator file (None if not JSON), unchecked."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return None
-
-
 def _resolve_invariant_and_nimrep(args, md):
     from .fusion import verlinde
     from .invariants import diagonal_invariant, enumerate_physical
@@ -290,24 +295,6 @@ def _resolve_invariant_and_nimrep(args, md):
         if spectrum_match(nr, Z, md).ok:
             return Z, nr
     raise CheckFailure("no nimrep matches the spectrum of invariant %s" % tag)
-
-
-def _parse_nimrep(flag: str, path: str, data: bytes):
-    """Nimrep of the bytes of a structured document file; a message of
-    the document decoder passes through after the flag and the file."""
-    from .nimreps import NIMREP_DOCUMENT_FORMAT, nimrep_from_document
-
-    try:
-        doc = json.loads(data.decode("utf-8"))
-        if isinstance(doc, dict):
-            return nimrep_from_document(doc)
-    except DocumentFormatError as exc:
-        raise ValueError("%s %s: %s" % (flag, path, exc)) from None
-    except (KeyError, TypeError, ValueError):
-        pass
-    raise ValueError(
-        "%s %s: expected a %s document" % (flag, path, NIMREP_DOCUMENT_FORMAT)
-    )
 
 
 def _cached(args, operation: str, inputs: dict, compute):
@@ -401,12 +388,11 @@ def _cmd_nimreps_enumerate(args):
 
 def _cmd_nimreps_verify(args):
     from .fusion import verlinde
-    from .nimreps import verify
+    from .nimreps import nimrep_from_document, verify
 
-    md = _build_model(args)
-    path = args.nimrep_file
-    nr = _parse_nimrep("--nimrep-file", path, Path(path).read_bytes())
-    rep = verify(nr, verlinde(md))
+    flag, path = "--nimrep-file", args.nimrep_file
+    nr = _decoded(flag, path, nimrep_from_document, _read_input(flag, path)[0])
+    rep = verify(nr, verlinde(_build_model(args)))
     out = {
         "format": "bcft-verify/1",
         "ok": rep.ok,
@@ -419,12 +405,9 @@ def _cmd_nimreps_generate(args):
     from .fusion import verlinde
     from .nimreps import generate_from_generator, nimrep_document, verify
 
-    md = _build_model(args)
-    path = args.generator_file
-    try:
-        nr = generate_from_generator(_read_generator(path), md)
-    except ValueError as exc:
-        raise ValueError("--generator-file %s: %s" % (path, exc)) from None
+    flag, path = "--generator-file", args.generator_file
+    generator, md = _read_input(flag, path)[0], _build_model(args)  # the file first
+    nr = _decoded(flag, path, generate_from_generator, generator, md)
     violations = verify(nr, verlinde(md)).violations
     if violations:
         raise CheckFailure("the family grown from --generator-file %s is not a nimrep"
@@ -452,21 +435,20 @@ def _cmd_characters(args):
 
 
 def _cmd_annulus(args):
-    if args.nimrep == "regular":
-        data, nimrep_key = None, "regular"  # built in compute: a hit skips verlinde
-    else:
-        data, nimrep_key = _read_keyed(args.nimrep)
+    regular = args.nimrep == "regular"  # built in compute: a hit skips verlinde
+    nrdoc, nimrep_key = (None, "regular") if regular else _read_input("--nimrep", args.nimrep)
     a, b = _parse_pair(args.pair)
 
     def compute(md):
         from .fusion import verlinde
         from .modular_data import model_name
-        from .nimreps import regular_nimrep, verify
+        from .nimreps import nimrep_from_document, regular_nimrep, verify
         from .report import annulus, annulus_document
 
         fr = verlinde(md)
-        nr = regular_nimrep(fr) if data is None else _parse_nimrep("--nimrep", args.nimrep, data)
-        violations = data is not None and verify(nr, fr).violations
+        nr = (regular_nimrep(fr) if regular
+              else _decoded("--nimrep", args.nimrep, nimrep_from_document, nrdoc))
+        violations = not regular and verify(nr, fr).violations
         if violations:
             raise CheckFailure("--nimrep %s is not a nimrep of the model: %s"
                                % (args.nimrep, list(violations)))
@@ -611,7 +593,7 @@ def main(argv=None) -> int:
     try:
         out, code = handler(args)
         _emit(args, out)
-    except (ModelValidationError, MigrationError, ValueError, OSError, KeyError) as exc:
+    except (MigrationError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_VALIDATION
     except BcftError as exc:

@@ -12,7 +12,7 @@ from .errors import DocumentFormatError, IntegralityFailure
 from .hp import Fixed, exact_dtype, to_fixed, tolerance
 from .invariants import perron_row
 from .modular_data import ModularData
-from .persistence import _ints
+from .persistence import _ints, _strs
 
 # Fixed, not tied to --precision: a test of S, with E and the growth bounds
 # taken off exactly.  tolerance(dps) would pass sums 1e-3 off an integer at 6
@@ -240,10 +240,10 @@ def fusion_from_document(doc: dict) -> FusionRing:
     if doc.get("format") != FUSION_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % FUSION_DOCUMENT_FORMAT)
     return FusionRing(
-        n=_ints(doc["n"], "n", 0),
-        N=_ints(doc["tensor"], "tensor", 3),
-        conj=_ints(doc["conjugation"], "conjugation"),
-        sector_names=tuple(str(x) for x in doc["sectors"]),
-        max_residual=float(doc["max_residual"]),
-        precision=_ints(doc["precision"], "precision", 0),
+        n=_ints(doc.get("n"), "n", 0),
+        N=_ints(doc.get("tensor"), "tensor", 3),
+        conj=_ints(doc.get("conjugation"), "conjugation"),
+        sector_names=_strs(doc.get("sectors"), "sectors"),
+        max_residual=_strs(doc.get("max_residual"), "max_residual", 0, float),
+        precision=_ints(doc.get("precision"), "precision", 0),
     )

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hp import independent_rows, nullspace, rationalize, rref_rows, to_fraction, tolerance
 from .modular_data import ModularData
-from .persistence import _ints
+from .persistence import _ints, _strs
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -320,11 +320,9 @@ def invariant_document(inv: ModularInvariant) -> dict:
 
 def invariant_from_document(doc: dict) -> ModularInvariant:
     if doc.get("format") != INVARIANT_DOCUMENT_FORMAT:
-        raise DocumentFormatError(
-            "expected a %s document" % INVARIANT_DOCUMENT_FORMAT
-        )
+        raise DocumentFormatError("expected a %s document" % INVARIANT_DOCUMENT_FORMAT)
     return ModularInvariant(
-        Z=_ints(doc["Z"], "Z", 2),
-        exponents=_ints(doc["exponents"], "exponents"),
-        tag=str(doc["tag"]),
+        Z=_ints(doc.get("Z"), "Z", 2),
+        exponents=_ints(doc.get("exponents"), "exponents"),
+        tag=_strs(doc.get("tag"), "tag", 0),
     )

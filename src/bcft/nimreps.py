@@ -481,6 +481,9 @@ def nimrep_document(nr: Nimrep) -> dict:
 
 
 def nimrep_from_document(doc: dict) -> Nimrep:
-    if doc.get("format") != NIMREP_DOCUMENT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != NIMREP_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % NIMREP_DOCUMENT_FORMAT)
-    return Nimrep(_ints(doc.get("labels"), "labels"), _ints(doc.get("nmats"), "nmats", 3))
+    labels = _ints(doc.get("labels"), "labels")
+    if len(set(labels)) < len(labels):  # a repeated label names no boundary of its own
+        raise DocumentFormatError("field 'labels': a label is repeated")
+    return Nimrep(labels, _ints(doc.get("nmats"), "nmats", 3))

@@ -102,6 +102,21 @@ def _ints(x, field: str, depth: int = 1):
     raise DocumentFormatError("field %r: expected integers" % field)
 
 
+def _strs(x, field: str, depth: int = 1, parse=str):
+    """parse(s) of each JSON string s in x, depth lists deep as in _ints:
+    names, or numbers written as text ("1e-40", "-1/24"); a value of
+    another type, or text that parse refuses, is refused naming the field."""
+    if depth > 0 and type(x) is list:
+        return tuple(_strs(v, field, depth - 1, parse) for v in x)
+    if depth == 0 and type(x) is str:
+        try:
+            return parse(x)
+        except (ValueError, ZeroDivisionError):  # "x", "1/0"
+            pass
+    raise DocumentFormatError("field %r: expected %s" % (
+        field, "strings" if parse is str else "a number written as a string"))
+
+
 def _codecs() -> tuple:
     """(type, encoder, format, decoder) of each domain type whose
     documents decode back to an object."""

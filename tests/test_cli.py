@@ -358,6 +358,15 @@ ANNULUS = ["annulus", "--model", "minimal", "--p", "4", "--pp", "3", "--pair", "
 VERIFY = ["nimreps", "verify", "--model", "su2", "--level", "2"]
 NOT_A_MATRIX = "square integer adjacency matrix"
 NOT_A_NIMREP = "expected a bcft-nimrep/1 document"
+NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
+MISSING, DIRECTORY, NESTED = "<missing>", "<directory>", "<nested>"  # content placeholders
+# each flag that names an input file, with the message of a JSON list there
+FILE_FLAGS = [(["fusion"], "--model-file", "model document must be a mapping"),
+              (GENERATE, "--generator-file", NOT_A_MATRIX),
+              (ANNULUS, "--nimrep", NOT_A_NIMREP),
+              (VERIFY, "--nimrep-file", NOT_A_NIMREP)]
+REPEATED_LABELS = json.dumps(
+    nimrep_document(regular_nimrep(verlinde(su2(2)))) | {"labels": [0, 0, 2]})
 
 
 @pytest.mark.parametrize(
@@ -368,29 +377,53 @@ NOT_A_NIMREP = "expected a bcft-nimrep/1 document"
         (GENERATE, "--generator-file", json.dumps([[0, "a"], ["a", 0]]), NOT_A_MATRIX),
         (GENERATE, "--generator-file", json.dumps([[0, 1.5], [1.5, 0]]), NOT_A_MATRIX),
         (GENERATE, "--generator-file", json.dumps([[0, 1], [1]]), NOT_A_MATRIX),
-        (GENERATE, "--generator-file", "not json", NOT_A_MATRIX),
+        (GENERATE, "--generator-file", "not json", NOT_JSON),
         (ANNULUS, "--nimrep", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
         # a missing field is named, as a malformed one is
         (ANNULUS, "--nimrep", json.dumps({"format": "bcft-nimrep/1"}),
          "field 'labels': expected integers"),
-        (ANNULUS, "--nimrep", "not json", NOT_A_NIMREP),
+        (ANNULUS, "--nimrep", "not json", NOT_JSON),
         (VERIFY, "--nimrep-file", json.dumps([[0, 1], [1, 0]]), NOT_A_NIMREP),
         # [[1]] is the level-1 generator; true must not read as 1
         (GENERATE[:-1] + ["1"], "--generator-file", json.dumps([[True]]), NOT_A_MATRIX),
+        # every flag: a file that cannot be read, or is not UTF-8 JSON
+        *((argv, flag, content, message) for argv, flag, listed in FILE_FLAGS
+          for content, message in [(MISSING, "No such file or directory"),
+                                   (DIRECTORY, "Is a directory"),
+                                   (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+                                   ("{not json", "Expecting property name"),
+                                   ("[1, 2]", listed),
+                                   (NESTED, "maximum recursion depth exceeded")]),
+        # a model document fails its header, or its builder, with and without a cache hit
+        (["fusion"], "--model-file", json.dumps({"precision": "x"}),
+         "field 'precision' must be an integer, not 'x'"),
+        (["fusion"], "--model-file",
+         json.dumps({"builder": {"family": "minimal", "params": [5, 5]}}), "need 2 <= p' < p"),
+        # a repeated label would leave a boundary that no pair can reach
+        (ANNULUS, "--nimrep", REPEATED_LABELS, "field 'labels': a label is repeated"),
+        (VERIFY, "--nimrep-file", REPEATED_LABELS, "field 'labels': a label is repeated"),
+        # the nimrep file is read and decoded before the model is built
+        (VERIFY[:-1] + ["0"], "--nimrep-file", "[1, 2]", NOT_A_NIMREP),
     ],
 )
 def test_malformed_input_file_names_the_flag_and_file(
     argv, flag, content, message, capsys, tmp_path
 ):
     path = tmp_path / "input.json"
-    path.write_text(content)
-    for fmt in ("text", "structured"):
-        code, out, err = run(argv + [flag, str(path), "--format", fmt], capsys)
-        assert code == 1
-        assert out == ""
-        assert "%s %s: " % (flag, path) in err
-        assert message in err
-        assert "Traceback" not in err
+    if content == DIRECTORY:
+        path.mkdir()
+    elif content == NESTED:  # deeper than the JSON decoder recurses
+        path.write_text("[" * 10**5 + "]" * 10**5)
+    elif content != MISSING:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    for cache in ([], ["--cache", str(tmp_path / "cache")]):
+        for fmt in ("text", "structured"):
+            code, out, err = run(argv + [flag, str(path), "--format", fmt] + cache, capsys)
+            assert code == 1
+            assert out == ""
+            assert "error: %s %s: " % (flag, path) in err
+            assert message in err
+            assert "Traceback" not in err
 
 
 def _bool_and_float_entries(doc):
@@ -576,6 +609,18 @@ def test_every_domain_error_maps_to_its_exit_code(cls, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_a_stray_key_error_escapes_main(capsys, monkeypatch):
+    """A KeyError is a program fault: it must fail loudly, not exit 1 as
+    bad input would."""
+
+    def handler(args):
+        raise KeyError("raised on purpose")
+
+    monkeypatch.setitem(cli._HANDLERS, ("models", None), handler)
+    with pytest.raises(KeyError, match="raised on purpose"):
+        cli_main(["models"])
+
+
 def test_check_failures_exit_two(capsys, tmp_path):
     gen = tmp_path / "a3.json"
     gen.write_text(json.dumps([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
@@ -723,11 +768,16 @@ def test_each_input_file_is_read_once_per_run(capsys, tmp_path, monkeypatch):
                 "--out", str(model_file)], capsys)[0] == 0
     nimrep_file = tmp_path / "nr.json"
     nimrep_file.write_text(json.dumps(nimrep_document(regular_nimrep(verlinde(su2(2))))))
+    generator_file = tmp_path / "a3.json"
+    generator_file.write_text(json.dumps(A3))
     cache = ["--cache", str(tmp_path / "cache")]
     for path, argv in (
         (model_file, ["models", "--model-file", str(model_file)]),
         (nimrep_file, ["annulus", "--model", "su2", "--level", "2", "--nimrep",
                        str(nimrep_file), "--pair", "0,0", "--order", "10"]),
+        (nimrep_file, VERIFY + ["--nimrep-file", str(nimrep_file)]),
+        (generator_file, ["nimreps", "generate", "--model", "su2", "--level", "2",
+                          "--generator-file", str(generator_file)]),
     ):
         reads = _count_reads(monkeypatch, path)
         for _ in ("cold", "warm"):
