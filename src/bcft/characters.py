@@ -119,9 +119,6 @@ class QSeries:
                 acc = (acc * x >> bits) + (cj << bits)
             return mp.ldexp(acc, -bits) * q ** mpf_from_fraction(self.offset, dps)
 
-    def truncated(self, length: int) -> "QSeries":
-        return QSeries(self.offset, self.grid, self.coeffs[:length])
-
 
 def linear_combination(terms) -> QSeries:
     """sum_i m_i f_i over (m_i, f_i) pairs, on the coarsest common grid
@@ -159,11 +156,6 @@ def eta_series(order: int) -> QSeries:
     """Dedekind eta: q^(1/24) prod (1 - q^n) = sum chi_12(x) q^(x^2/24),
     chi_12(x) = +1 for x = +-1 and -1 for x = +-5 (mod 12)."""
     return _theta_sum(((1, lambda x: 1), (7, lambda x: -1)), 12, 24, order)
-
-
-def euler_product(order: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n): eta without its q^(1/24)."""
-    return QSeries(Fraction(0), 1, eta_series(order).coeffs)
 
 
 def theta_prime_series(m: int, N: int, order: int) -> QSeries:

@@ -25,8 +25,8 @@ import sys
 from pathlib import Path
 
 from .errors import BcftError, CheckFailure, MigrationError
-from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, Cache, cache_key,
-                          export, model_header)
+from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, MAX_PRECISION, Cache,
+                          cache_key, export, model_header)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,16 +41,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, "%s: error: %s\n" % (self.prog, message))
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (rejected values exit 1)."""
+def _int_at_least(low: int, high: float = math.inf):
+    """argparse type: an integer >= low, and <= high if given (rejected
+    values exit 1)."""
 
     def parse(text):
         try:
-            if int(text) >= low:
+            if low <= int(text) <= high:
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+        raise argparse.ArgumentTypeError("expected an integer >= %d%s, got %r" % (
+            low, "" if high == math.inf else " and <= %d" % high, text))
 
     return parse
 
@@ -80,7 +82,7 @@ def _add_common(p: argparse.ArgumentParser):
     g.add_argument("--pp", type=int, help="minimal-model label p' (2 <= p' < p)")
     g.add_argument("--model-file", help="path to a structured model document")
     n = p.add_argument_group("numeric knobs")
-    n.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION)
+    n.add_argument("--precision", type=_int_at_least(1, MAX_PRECISION), default=DEFAULT_PRECISION)
     o = p.add_argument_group("output")
     o.add_argument("--out", default=None, help="write results to this file")
     o.add_argument("--format", choices=["text", "structured"], default="text")

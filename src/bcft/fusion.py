@@ -44,14 +44,18 @@ def verlinde_inputs(md: ModularData):
     Returns (S, W, E): S and W = (1/S_0k)_k of md.fixed, at B = fixed_bits(precision)
     fraction bits.  verlinde forms U_k = S_sk S_rk W_k floored to B bits and
     the exact contraction sum_k U_k conj(S_tk); E (a Fraction) bounds its
-    distance from sum_k S_sk S_rk conj(S_tk) / S_0k over the working-precision
-    S and 1/S_0k, from n, max|S|, max|W|, max|U| <= max|S|^2 max|W| and 2^-B.
+    distance from sum_k S_sk S_rk conj(S_tk) / S_0k over the working S, the
+    fixed-point S, and its exact 1/S_0k, from n, max|S|, max|W|, max|U| <=
+    max|S|^2 max|W| and 2^-B.  The working S lies within 2^-B of the exact
+    S, so that sum lies within n s^2 w (3 + 2 s w) 2^-B of the exact one,
+    far inside the 1/2 that tells integers apart.
     """
     S, W, _ = md.fixed
-    # With eps = 2^-B: to_fixed moves an entry by at most eps in modulus and
-    # the floor of U by less than 2 eps; s_max and w_max bound the entries
-    # before and after rounding.  Then |U_k - S_sk S_rk / S_0k| <= e_u, and
-    # each of the n terms of a sum is off by at most e_u s_max + u_max eps.
+    # With eps = 2^-B: S is the working S, W lies within eps/2 of its 1/S_0k
+    # and the floor of U moves it by less than 2 eps; s_max and w_max bound
+    # the entries before and after rounding.  Then |U_k - S_sk S_rk / S_0k|
+    # <= e_u, and each of the n terms of a sum is off by at most
+    # e_u s_max + u_max eps.
     eps = Fraction(1, 1 << S.bits)
     s_max, w_max = S.bound(), W.bound()
     e_u = eps * (2 * s_max * w_max + s_max * s_max + 2)
@@ -62,7 +66,7 @@ def verlinde_inputs(md: ModularData):
 def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) -> FusionRing:
     """N^tau_{sigma rho} = sum_k S_sk S_rk conj(S_tk) w_k, w_k = 1/S_0k, certified.
 
-    X_sigma is the plane (rho, tau) of that sum over the working-precision S
+    X_sigma is the plane (rho, tau) of that sum over the working S
     and w, ||.|| the largest row sum.  A plane N_sigma is kept only under a
     bound ||X_sigma - N_sigma|| <= e_sigma <= slack = integrality_tol - E.
     - Summed (n^3 products): every entry of the contraction of

@@ -3,8 +3,11 @@
 Precision is given in decimal digits everywhere.  Matrices are plain
 tuples of tuples of mpf/mpc so domain objects stay hashable and
 immutable; mpmath matrix objects are only created transiently.  Fixed
-arrays carry the exact big-int contractions: a model caches its rounded
-S, 1/S_0 and S^2 (ModularData.fixed, read-only), all others are transient.
+arrays carry the exact big-int contractions.  A model's S is itself
+fixed point: the builders and the document reader write S 2^B as Python
+ints (ModularData.S_fixed), the model caches S, 1/S_0 and S^2 over them
+(ModularData.fixed, read-only), and its mpf S is a view, x / 2^B, built
+only for the readers that need mpf; all other Fixed arrays are transient.
 The Gauss-Jordan elimination runs on rows of fixed-point Python ints.
 """
 
@@ -15,7 +18,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf, mpc, workdps
+from mpmath import mp, mpf, workdps
+from mpmath.libmp import from_man_exp
 
 from .errors import RationalizationFailure
 
@@ -73,20 +77,16 @@ def num_str(x, dps: int) -> str:
         )
 
 
-def parse_number(s: str, dps: int):
-    """Inverse of num_str; also accepts exact 'p/q' rationals."""
-    s = s.strip()
-    with workdps(dps + GUARD_DIGITS):
-        if "/" in s:
-            f = Fraction(s)
-            return mpf(f.numerator) / f.denominator
-        if s.endswith("i"):
-            body = s[:-1]
-            for k in range(1, len(body)):
-                if body[k] in "+-" and body[k - 1] not in "eE":
-                    return mpc(mp.mpf(body[:k]), mp.mpf(body[k:]))
-            return mpc(0, mp.mpf(body))
-        return mp.mpf(s)
+def parse_fixed(s: str, bits: int) -> tuple:
+    """Inverse of num_str in fixed point: (re, im) of the decimal (or exact
+    'p/q') text s, each part rounded from its exact value to 2^-bits."""
+    re, im = s.strip(), "0"
+    if re.endswith("i"):
+        body = re[:-1]
+        signs = (k for k in range(1, len(body)) if body[k] in "+-" and body[k - 1] not in "eE")
+        k = next(signs, 0)
+        re, im = body[:k] or "0", body[k:]
+    return tuple(round(Fraction(x) * (1 << bits)) for x in (re, im))
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,6 +116,13 @@ def to_fixed(x, bits: int) -> int:
     shift = exp + bits
     v = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
     return -v if sign else v
+
+
+def from_fixed(x: int, bits: int, y: int = 0):
+    """(x + i y) / 2^bits exactly, at any precision: an mpf, or an mpc
+    when y is nonzero."""
+    re = from_man_exp(x, -bits)
+    return mp.make_mpc((re, from_man_exp(y, -bits))) if y else mp.make_mpf(re)
 
 
 def exact_dtype(terms: int, *arrays):
@@ -152,6 +159,11 @@ class Fixed:
         re = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).real, bits), 1, 1)(vals)
         im = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).imag, bits), 1, 1)(vals)
         return cls(re, im if im.any() else None, bits)
+
+    @classmethod
+    def exact(cls, re, im, bits: int) -> "Fixed":
+        """Nested sequences of Python ints taken as they are (im None: real)."""
+        return cls(*(None if p is None else np.array(p, dtype=object) for p in (re, im)), bits)
 
     @classmethod
     def identity(cls, n: int, bits: int) -> "Fixed":

@@ -84,7 +84,7 @@ def t_allowed_pairs(md: ModularData) -> tuple:
 
 def _s_constraint_rows(md: ModularData, pairs) -> np.ndarray:
     """Every row of the linear system (ZS - SZ)_ab = 0 over the allowed
-    entries, with S rounded to fixed point (md.fixed): Python ints at
+    entries, on the fixed-point S (md.fixed): Python ints at
     scale 2^fixed_bits(precision).  Row a*n + b is the real part of
     equation (a, b); for complex S, row n^2 + a*n + b is its imaginary
     part."""
@@ -105,8 +105,8 @@ def _commutant(md: ModularData):
     rows, and only those go through the fixed-point Gauss-Jordan; each
     basis entry x is rationalized from the exact Fraction(x, 2^bits).
     The rationalized basis is certified against every row: with each
-    vector scaled to integers v and the rows C taken at S rounded to
-    fixed_bits, |C v| is exact, and each coefficient of C is off by at
+    vector scaled to integers v and the rows C taken at the fixed-point
+    S, |C v| is exact, and each coefficient of C is off by at
     most 2^-bits, so |C v| + 2^-bits |v|_1 <= tolerance proves the row.
     Rows that fail join the chosen ones and the solve reruns.
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 
 from .errors import (
     BadKacLabels,
@@ -35,8 +35,9 @@ from .hp import (
     GUARD_DIGITS,
     Fixed,
     fixed_bits,
+    from_fixed,
     num_str,
-    parse_number,
+    parse_fixed,
     phase_from_fraction,
     to_fixed,
     tolerance,
@@ -52,22 +53,34 @@ class SectorLabel:
 
 @dataclass(frozen=True)
 class ModularData:
-    """Sectors, exact (c, h), and high-precision S of one model.
+    """Sectors, exact (c, h), and the fixed-point S of one model.
 
+    S_fixed is the model's S: (re, im), S 2^B as rows of Python ints at
+    B = fixed_bits(precision), im None for a real S; each entry lies within
+    2^-B of the exact S (_sine_table) or of a document's decimal strings.
     family/params identify a builder when the model came from one
     ("su2", (k,)) or ("minimal", (p, p')); loaded models without a
-    builder reference carry family None.  T, the conjugation and the
-    fixed-point S are derived from these fields on first use and cached
-    on the instance (dataclasses.replace starts a fresh cache).
+    builder reference carry family None.  The mpf view S, T, the
+    conjugation and the fixed arrays are derived from these fields on
+    first use and cached on the instance: equality and hash cover the
+    fields alone, and dataclasses.replace starts a fresh cache.
     """
 
     sectors: tuple
     c: Fraction
     h: tuple
-    S: tuple
+    S_fixed: tuple
     precision: int
     family: str | None = None
     params: tuple = ()
+
+    @functools.cached_property
+    def S(self) -> tuple:
+        """S as exact mpf, x / 2^B, for the readers that need mpf; an entry
+        with an imaginary part is an mpc."""
+        bits, (re, im) = fixed_bits(self.precision), self.S_fixed
+        return tuple(tuple(from_fixed(x, bits, y) for x, y in zip(rx, ry))
+                     for rx, ry in zip(re, im or [[0] * self.n] * self.n))
 
     @functools.cached_property
     def T(self) -> tuple:
@@ -76,12 +89,15 @@ class ModularData:
 
     @functools.cached_property
     def fixed(self) -> tuple:
-        """(S, W, S^2): S and W = (1/S_0k)_k rounded to fixed_bits(precision),
-        and S S floored to the same bits; the arrays are read-only."""
+        """(S, W, S^2) at B = fixed_bits(precision), read-only: S_fixed, W
+        the exact reciprocals 1/S_0k of its vacuum row rounded to the nearest
+        2^-B (one int division per part), and S S floored to B bits."""
         bits = fixed_bits(self.precision)
-        with workdps(self.precision + GUARD_DIGITS):
-            S = Fixed.of(self.S, bits)
-            W = Fixed.of([1 / mp.mpmathify(x) for x in self.S[0]], bits)
+        S = Fixed.exact(*self.S_fixed, bits)
+        x, y = S.re[0], (0 if S.im is None else S.im[0])
+        d, one = x * x + y * y, 1 << 2 * bits  # 1/(x + iy) = (x - iy)/d
+        W = Fixed((2 * one * x + d) // (2 * d),
+                  None if S.im is None else (d - 2 * one * y) // (2 * d), bits)
         out = (S, W, S.dot(S).rescale(bits))
         for part in [p for F in out for p in (F.re, F.im) if p is not None]:
             part.flags.writeable = False
@@ -125,28 +141,23 @@ class ModularData:
         raise KeyError(name)
 
     def is_unitary_family(self) -> bool:
-        if self.family == "su2":
-            return True
         if self.family == "minimal":
-            p, pp = self.params
-            return abs(p - pp) == 1
-        return all(x > 0 for x in vacuum_row_real(self))
-
-
-def vacuum_row_real(md: ModularData):
-    return [mp.mpmathify(x).real for x in md.S[0]]
+            return abs(self.params[0] - self.params[1]) == 1
+        return all(x > 0 for x in self.S_fixed[0][0])  # su2: always
 
 
 def validate(md: ModularData) -> dict:
     """Check all structural invariants; returns the residual report.
 
-    Raises a distinct error type per violated invariant.  The vacuum row
-    must be positive except in a non-unitary minimal model, whose
-    vacuum-row entries are signed in this convention.  (ST)^3 = C is
-    checked last, as S T S = T^-1 S T^-1: symmetry, unitarity and S^2 = C
-    give S^-1 C = S, and (ST)^3 - C = ST (S T S - T^-1 S T^-1) T.  The
-    products S S^dagger, S^2 and S (T S) are exact Python-int contractions
-    of md.fixed and of T rounded to the same fixed_bits(precision).
+    Raises a distinct error type per violated invariant.  The vacuum row,
+    checked first on md.S_fixed as W = 1/S_0k needs it nonzero, must be
+    real, above the tolerance and positive except in a non-unitary minimal
+    model, whose vacuum-row entries are signed in this convention.  (ST)^3
+    = C is checked last, as S T S = T^-1 S T^-1: symmetry, unitarity and
+    S^2 = C give S^-1 C = S, and (ST)^3 - C = ST (S T S - T^-1 S T^-1) T.
+    The products S S^dagger, S^2 and S (T S) are exact Python-int
+    contractions of md.fixed and of T rounded to the same bits; the mpf
+    view md.S is never built.
     """
     n = md.n
     tol = tolerance(md.precision)
@@ -156,6 +167,17 @@ def validate(md: ModularData) -> dict:
             raise DocumentFormatError("sector ids must be 0..n-1 in order")
         if md.h[0] != 0:
             raise VacuumPlacementError("sector 0 must have h = 0")
+        signed = md.family == "minimal" and not md.is_unitary_family()
+        (re, im), unit = md.S_fixed, to_fixed(tol, bits)
+        for j, x in enumerate(re[0]):
+            if im is not None and abs(im[0][j]) > unit:
+                raise VacuumRowError("S_{0 rho} must be real")
+            if abs(x) < unit:
+                raise VacuumRowError(
+                    "|S_{0 %d}| = %s is below the tolerance %s at precision %d"
+                    % (j, mp.nstr(from_fixed(abs(x), bits), 3), mp.nstr(tol, 3), md.precision))
+            if not signed and x < 0:
+                raise VacuumRowError("S_{0 rho} must be positive")
         S = md.fixed[0]
         res_sym = (S - S.T).max_abs()
         if res_sym > tol:
@@ -170,18 +192,6 @@ def validate(md: ModularData) -> dict:
         res_st = (STS - (S * t.conj() * t.conj().T).rescale(bits)).max_abs()
         if res_st > tol:
             raise ModularRelationViolation("max |S T S - T^-1 S T^-1| = " + mp.nstr(res_st, 5))
-        signed = md.family == "minimal" and not md.is_unitary_family()
-        row = vacuum_row_real(md)
-        for j in range(n):
-            if abs(mp.mpmathify(md.S[0][j]).imag) > tol:
-                raise VacuumRowError("S_{0 rho} must be real")
-            if abs(row[j]) < tol:
-                raise VacuumRowError(
-                    "|S_{0 %d}| = %s is below the tolerance %s at precision %d"
-                    % (j, mp.nstr(abs(row[j]), 3), mp.nstr(tol, 3), md.precision)
-                )
-            if not signed and row[j] < 0:
-                raise VacuumRowError("S_{0 rho} must be positive")
         return {
             "symmetry": res_sym,
             "unitarity": res_uni,
@@ -189,22 +199,41 @@ def validate(md: ModularData) -> dict:
         }
 
 
-def _finish(sectors, c, h, S, precision, family, params):
-    """The validated model of (sectors, c, h, S) at this precision."""
-    md = ModularData(tuple(sectors), c, tuple(h), S, precision, family, params)
+def _finish(sectors, c, h, S_fixed, precision, family, params):
+    """The validated model of (sectors, c, h, S_fixed) at this precision."""
+    md = ModularData(tuple(sectors), c, tuple(h), S_fixed, precision, family, params)
     validate(md)
     return md
 
 
-def _sinpi_over(den: int):
-    """num -> sin(pi num/den) at the current precision, one mp.sinpi per
-    distinct integer num.  The argument is not reduced mod 2: that would
-    change its rounding, and with it the S entries."""
-    return functools.lru_cache(maxsize=None)(lambda num: mp.sinpi(mpf(num) / den))
+SINE_GUARD_BITS = 8  # G below: bits past B that build_minimal's tables carry
+
+
+def _sine_table(den: int, bits: int, square=Fraction(1)) -> list:
+    """[round(sqrt(square) sin(pi m/den) 2^bits) for m in 0..2 den - 1],
+    square <= 4/3, from one mp.sinpi per m in 0..den//2: m is taken mod
+    2 den, sin(x + pi) = -sin x folds the sign, and sin(pi - x) = sin x.
+
+    Why a builder's S entries lie within 2^-B of the exact S.  In mpf at
+    bits + 10 bits the norm, the sine (of m/den <= 1/2, off by 2^-(bits+11))
+    and their product, all below 2, err by under 2^-(bits+6), so an entry
+    is within e = 1/2 + 2^-6 units of 2^-bits: build_su2 reads S off a
+    table at B bits.  build_minimal multiplies tables of norm sin_r and of
+    sin_s at T = B + G bits, entries below 1.16 2^T + e, so the product is
+    off by under 1.2 2^T units of 2^-2T, and rounded to 2^-B (a T + G bit
+    shift) by under 1/2 + 1.2 2^-G < 0.51 units.  verlinde_inputs,
+    invariants.entry_bounds and the nimrep bounds keep their constants.
+    """
+    with workprec(bits + 10):
+        norm = mp.sqrt(mpf(square.numerator) / square.denominator)
+        half = [to_fixed(norm * mp.sinpi(mpf(m) / den), bits) for m in range(den // 2 + 1)]
+    table = [half[min(m, den - m)] for m in range(den)]
+    return table + [-v for v in table]
 
 
 def build_su2(k: int, precision: int = DEFAULT_PRECISION) -> ModularData:
-    """su(2) level k: sectors a = 0..k (twice the spin)."""
+    """su(2) level k: sectors a = 0..k (twice the spin), with
+    S_ab = sqrt(2/N) sin(pi (a+1)(b+1)/N), N = k + 2."""
     if not isinstance(k, int) or k < 0:
         raise TrivialLevelError("level must be a positive integer")
     if k == 0:
@@ -213,14 +242,9 @@ def build_su2(k: int, precision: int = DEFAULT_PRECISION) -> ModularData:
     c = Fraction(3 * k, N)
     h = [Fraction(a * (a + 2), 4 * N) for a in range(k + 1)]
     sectors = [SectorLabel(a, str(a)) for a in range(k + 1)]
-    with workdps(precision + GUARD_DIGITS):
-        norm = mp.sqrt(mpf(2) / N)
-        sin = _sinpi_over(N)
-        S = tuple(
-            tuple(norm * sin((a + 1) * (b + 1)) for b in range(k + 1))
-            for a in range(k + 1)
-        )
-    return _finish(sectors, c, h, S, precision, "su2", (k,))
+    row = _sine_table(N, fixed_bits(precision), Fraction(2, N))
+    S = tuple(tuple(row[(a + 1) * (b + 1) % (2 * N)] for b in range(k + 1)) for a in range(k + 1))
+    return _finish(sectors, c, h, (S, None), precision, "su2", (k,))
 
 
 def minimal_sector_table(p: int, pp: int):
@@ -255,24 +279,20 @@ def build_minimal(p: int, p_prime: int, precision: int = DEFAULT_PRECISION) -> M
     ]
     h = [hv for _, hv in table]
     n = len(table)
-    with workdps(precision + GUARD_DIGITS):
-        norm = 2 * mp.sqrt(mpf(2) / (p * p_prime))
-        sin_r, sin_s = _sinpi_over(p_prime), _sinpi_over(p)
-        S_rows = []
-        for (r, s), _ in table:
-            row = []
-            for (rho, sigma), _ in table:
-                sign = -1 if (1 + s * rho + r * sigma) % 2 else 1
-                row.append(
-                    norm
-                    * sign
-                    * sin_r(p * r * rho)
-                    * sin_s(p_prime * s * sigma)
-                )
-            S_rows.append(tuple(row))
-        S = tuple(S_rows)
+    T = fixed_bits(precision) + SINE_GUARD_BITS
+    shift, half = T + SINE_GUARD_BITS, 1 << T + SINE_GUARD_BITS - 1
+    # S_(r,s)(rho,sigma) = (-1)^(1 + s rho + r sigma) 2 sqrt(2/(p p'))
+    #   sin(pi p r rho / p') sin(pi p' s sigma / p)
+    sin_r, sin_s = _sine_table(p_prime, T, Fraction(8, p * p_prime)), _sine_table(p, T)
+    S = tuple(
+        tuple(
+            ((-1 if (1 + s * rho + r * sigma) % 2 else 1)
+             * sin_r[p * r * rho % (2 * p_prime)] * sin_s[p_prime * s * sigma % (2 * p)]
+             + half) >> shift
+            for (rho, sigma), _ in table)
+        for (r, s), _ in table)
     assert n == (p - 1) * (p_prime - 1) // 2
-    return _finish(sectors, c, h, S, precision, "minimal", (p, p_prime))
+    return _finish(sectors, c, h, (S, None), precision, "minimal", (p, p_prime))
 
 
 def quantum_dims(md: ModularData) -> tuple:
@@ -282,7 +302,7 @@ def quantum_dims(md: ModularData) -> tuple:
     signed values in this vacuum-row convention.
     """
     with workdps(md.precision + GUARD_DIGITS):
-        row = vacuum_row_real(md)
+        row = [mp.mpmathify(x).real for x in md.S[0]]
         return tuple(x / row[0] for x in row)
 
 
@@ -326,11 +346,11 @@ def _rational(value, field: str) -> Fraction:
             "field %s must be a rational number, not %r" % (field, value)) from exc
 
 
-def _s_entry(value, precision: int):
+def _s_entry(value, bits: int) -> tuple:
     if not isinstance(value, str):
         raise DocumentFormatError("field 'S' entries must be decimal strings, not %r" % (value,))
     try:
-        return parse_number(value, precision)
+        return parse_fixed(value, bits)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentFormatError("field 'S' entry %r is not a number" % value) from exc
 
@@ -371,6 +391,7 @@ def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularDat
     if not (isinstance(raw_s, list) and len(raw_s) == n
             and all(isinstance(r, list) and len(r) == n for r in raw_s)):
         raise DocumentFormatError("field 'S' must be %d x %d" % (n, n))
-    with workdps(precision + GUARD_DIGITS):
-        S = tuple(tuple(_s_entry(x, precision) for x in row) for row in raw_s)
-    return _finish(sectors, c, h, S, precision, None, ())
+    bits = fixed_bits(precision)
+    entries = [[_s_entry(x, bits) for x in row] for row in raw_s]
+    re, im = (tuple(tuple(e[part] for e in row) for row in entries) for part in (0, 1))
+    return _finish(sectors, c, h, (re, im if any(map(any, im)) else None), precision, None, ())

@@ -184,7 +184,7 @@ def _exponent_traces(md: ModularData, exps) -> tuple:
 
     Returns (bits, re, im, err): the sum for sector rho is
     (re[rho] + i im[rho]) / 2^bits, within err / 2^bits of the sum over the
-    working-precision S and 1/S_0.  Rounding S and W = 1/S_0 moves a ratio
+    working S (the fixed-point S) and its 1/S_0.  Rounding W = 1/S_0 moves a ratio
     by at most (s_max + w_max) 2^-bits, and the floor of each part by less
     than 2^-bits, so by at most delta = ceil(s_max + w_max) + 2 units; the
     m ratios of a sum give err = m delta.

@@ -29,6 +29,9 @@ from pathlib import Path
 from .errors import DocumentFormatError, MigrationError
 
 DEFAULT_PRECISION = 50  # decimal digits
+# the most digits --precision or a model document may ask for: `fusion --model
+# su2 --level 10` takes 3.2 s at 10,000 on a 2-core machine (10^11 ran out of memory)
+MAX_PRECISION = 10_000
 DEFAULT_ORDER = 400  # q-series terms
 CHANNEL_TOL = 1e-8  # default tolerance of the S-transform and heat-kernel checks
 
@@ -39,10 +42,11 @@ BUILDER_PARAMS = {"su2": 1, "minimal": 2}
 CACHE_FORMAT = "bcft-cache/2"
 # Version of the numeric code behind a cached result (2: exact spectrum
 # certificates; 3: a --model-file report at the document's own precision;
-# 4: a fusion max_residual over the summed Verlinde planes alone).
-# Cache.load treats an entry recorded under another value, or none, as a
-# miss, so results of older code are recomputed.
-NUMERIC_SCHEMA = 4
+# 4: a fusion max_residual over the summed Verlinde planes alone; 5: S
+# written in fixed point by the builders, which moves residuals below the
+# working precision).  Cache.load treats an entry recorded under another
+# value, or none, as a miss, so results of older code are recomputed.
+NUMERIC_SCHEMA = 5
 
 # report-style formats that stay plain documents on both sides
 _PASSTHROUGH = {
@@ -60,9 +64,9 @@ _PASSTHROUGH = {
 
 def model_header(document, precision: int) -> tuple:
     """(precision, builder) of a model document, checked without numeric
-    code: the document's "precision" field, an integer >= 1, wins over
-    the precision argument; builder is None or (family, params) with the
-    family's number of integer params.  Anything else raises
+    code: the document's "precision" field, an integer from 1 to
+    MAX_PRECISION, wins over the precision argument; builder is None or
+    (family, params) with the family's number of integer params.  Anything else raises
     DocumentFormatError naming the field."""
     if not isinstance(document, dict):
         raise DocumentFormatError("model document must be a mapping")
@@ -75,6 +79,9 @@ def model_header(document, precision: int) -> tuple:
                 "field 'precision' must be an integer, not %r" % (precision,))
         if precision < 1:
             raise DocumentFormatError("field 'precision' must be at least 1, not %d" % precision)
+        if precision > MAX_PRECISION:
+            raise DocumentFormatError(
+                "field 'precision' must be at most %d, not %d" % (MAX_PRECISION, precision))
     builder = document.get("builder")
     if builder is None:
         return precision, None

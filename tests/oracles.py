@@ -19,11 +19,18 @@ now runs another way, kept only here:
   minimum over all relabelings (the package canonicalizes trees only);
 - qseries_mul and qseries_div: q-series product and quotient over every
   index pair (the package visits only the nonzero terms of the left
-  factor and of the divisor).
+  factor and of the divisor);
+- s_matrix: the builders' S as mpf tuples, one mp.sinpi per unreduced
+  argument (the package multiplies fixed-point ints from a reduced
+  table of sines).
 
-It also holds the graph builders the tests draw generators from.
+It also holds the graph builders the tests draw generators from, the
+series helpers only the tests read (euler_product, truncated), and
+with_s, a model with its S replaced.
 """
 
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -31,9 +38,9 @@ from itertools import permutations
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from bcft.characters import QSeries
+from bcft.characters import QSeries, eta_series
 from bcft.errors import SearchBudgetExceeded, SeriesDivisionError
-from bcft.hp import GUARD_DIGITS, tolerance
+from bcft.hp import GUARD_DIGITS, Fixed, fixed_bits, tolerance
 from bcft.invariants import (
     DEFAULT_NODE_BUDGET,
     _invariant,
@@ -42,7 +49,7 @@ from bcft.invariants import (
     perron_row,
     t_allowed_pairs,
 )
-from bcft.modular_data import ModularData, quantum_dims, vacuum_row_real
+from bcft.modular_data import ModularData, minimal_sector_table, quantum_dims
 from bcft.nimreps import path_graph
 from intpoly import charpoly, divmod_poly, psi, roots_above
 
@@ -419,3 +426,54 @@ def qseries_div(self: QSeries, other: QSeries) -> QSeries:
                 acc -= out[i] * bi
         out[j] = acc * lead
     return QSeries(a.offset - b.offset, g, tuple(out))
+
+
+def _sinpi_over(den: int):
+    """num -> sin(pi num/den) at the current precision, one mp.sinpi per
+    distinct integer num; the argument is not reduced mod 2."""
+    return functools.lru_cache(maxsize=None)(lambda num: mp.sinpi(mpf(num) / den))
+
+
+def s_matrix(family: str, params: tuple, precision: int) -> tuple:
+    """S of build_su2 (params (k,)) or build_minimal (params (p, p')) as
+    mpf tuples at precision + GUARD_DIGITS digits, in the builders' sector
+    order."""
+    with workdps(precision + GUARD_DIGITS):
+        if family == "su2":
+            (k,) = params
+            N = k + 2
+            norm, sin = mp.sqrt(mpf(2) / N), _sinpi_over(N)
+            return tuple(tuple(norm * sin((a + 1) * (b + 1)) for b in range(k + 1))
+                         for a in range(k + 1))
+        p, pp = params
+        table = minimal_sector_table(p, pp)
+        norm = 2 * mp.sqrt(mpf(2) / (p * pp))
+        sin_r, sin_s = _sinpi_over(pp), _sinpi_over(p)
+        return tuple(
+            tuple(norm * (-1 if (1 + s * rho + r * sigma) % 2 else 1)
+                  * sin_r(p * r * rho) * sin_s(pp * s * sigma)
+                  for (rho, sigma), _ in table)
+            for (r, s), _ in table)
+
+
+def vacuum_row_real(md: ModularData) -> list:
+    """The real parts of the mpf vacuum row S_0."""
+    return [mp.mpmathify(x).real for x in md.S[0]]
+
+
+def with_s(md: ModularData, rows) -> ModularData:
+    """md with its S replaced by the mpf/mpc rows, rounded to the model's
+    fixed point; nothing is validated."""
+    F = Fixed.of(rows, fixed_bits(md.precision))
+    parts = (None if part is None else tuple(map(tuple, part.tolist())) for part in (F.re, F.im))
+    return dataclasses.replace(md, S_fixed=tuple(parts))
+
+
+def euler_product(order: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n): eta without its q^(1/24)."""
+    return QSeries(Fraction(0), 1, eta_series(order).coeffs)
+
+
+def truncated(series: QSeries, length: int) -> QSeries:
+    """series known through its first length terms only."""
+    return QSeries(series.offset, series.grid, series.coeffs[:length])

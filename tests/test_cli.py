@@ -1177,6 +1177,35 @@ def test_model_document_precision_below_one_exits_one(precision, capsys, tmp_pat
     assert "Traceback" not in err
 
 
+def test_a_precision_above_the_limit_exits_one_naming_the_flag_and_limit(capsys, tmp_path):
+    # 10^11 digits ran out of memory before the limit was checked
+    limit = persistence.MAX_PRECISION
+    for cache in ([], ["--cache", str(tmp_path / "cache")]):
+        code, out, err = run(["fusion", "--model", "su2", "--level", "2",
+                              "--precision", "100000000000"] + cache, capsys)
+        assert (code, out) == (1, "")
+        assert ("argument --precision: expected an integer >= 1 and <= %d, got '100000000000'"
+                % limit in err)
+        assert "Traceback" not in err
+    assert run(["models", "--model", "su2", "--level", "1", "--precision", str(limit)],
+               capsys)[0] == 0
+
+
+def test_a_model_document_precision_above_the_limit_exits_one_naming_the_field(
+        capsys, tmp_path):
+    # 10^30 digits overflowed converting the precision to bits
+    model = tmp_path / "model.json"
+    limit = persistence.MAX_PRECISION
+    for precision in (10**30, limit + 1):
+        model.write_text(json.dumps({"builder": {"family": "su2", "params": [2]},
+                                     "precision": precision}))
+        code, out, err = run(["fusion", "--model-file", str(model)], capsys)
+        assert (code, out) == (1, "")
+        assert ("error: --model-file %s: field 'precision' must be at most %d, not %d"
+                % (model, limit, precision) in err)
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("precision", None, "field 'precision' must be an integer, not None"),
     ("precision", [1], "field 'precision' must be an integer, not [1]"),

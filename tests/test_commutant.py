@@ -6,8 +6,6 @@ here eliminates all of them on mpf (tests/oracles.py), as the search
 did before.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from mpmath import mp, mpf, workdps
@@ -17,7 +15,7 @@ from bcft.hp import GUARD_DIGITS, independent_rows, rationalize, to_fraction
 from bcft.invariants import _commutant, t_allowed_pairs
 from bcft.modular_data import load_model
 from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
-from oracles import nullspace, rref_rows
+from oracles import nullspace, rref_rows, with_s
 
 
 def _full_elimination(md):
@@ -71,7 +69,7 @@ def test_certificate_sees_below_float64_resolution():
     S = [list(row) for row in md.S]
     with workdps(md.precision + GUARD_DIGITS):
         S[0][1] = S[1][0] = S[0][1] + mpf("1e-20")
-    moved = dataclasses.replace(md, S=tuple(map(tuple, S)))
+    moved = with_s(md, S)
     assert float(moved.S[0][1]) == float(md.S[0][1])
     try:
         got = _commutant(moved)

@@ -10,8 +10,10 @@ from bcft.errors import RationalizationFailure
 from bcft.hp import (
     Fixed,
     fixed_bits,
+    from_fixed,
     num_str,
     nullspace,
+    parse_fixed,
     rationalize,
     rref_rows,
     to_fixed,
@@ -130,3 +132,26 @@ def test_num_str_renders_a_zero_imaginary_part_as_real():
         assert num_str(mpc(x, 0), 20) == num_str(x, 20) == "1.4142135623730950488"
         assert num_str(complex(0.5, 0), 5) == "0.50000"
         assert num_str(mpc(x, -x), 5) == "1.4142-1.4142i"
+
+
+def test_parse_fixed_rounds_the_exact_value_of_the_text():
+    assert parse_fixed("0.75", 1) == (2, 0)
+    assert parse_fixed(" -0.7 ", 1) == (-1, 0)
+    assert parse_fixed("1e-3", 20) == (round(Fraction(1, 1000) * 2**20), 0)
+    assert parse_fixed("1/3", 200) == (round(Fraction(1, 3) * 2**200), 0)
+    assert parse_fixed("0.5-0.25i", 4) == (8, -4)
+    assert parse_fixed("-2i", 2) == (0, -8)
+    assert parse_fixed("1.5e-2+2.5E+1i", 3) == (0, 200)
+    with workdps(60):
+        text = num_str(mpf(1) / 3, 50)
+    # every decimal of the text counts, at any number of bits
+    assert parse_fixed(text, 400) == (round(Fraction(text) * 2**400), 0)
+    for bad in ("x", "nan", "inf", "1/0", "i", "1+"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_fixed(bad, 10)
+
+
+def test_num_str_of_from_fixed_inverts_parse_fixed():
+    for text in ("0.12345678901234567890", "-0.5000000000+0.2500000000i"):
+        x, y = parse_fixed(text, fixed_bits(20))
+        assert num_str(from_fixed(x, fixed_bits(20), y), 20 if "i" not in text else 10) == text

@@ -1,6 +1,7 @@
 """Modular data: builders, structural validation, documents."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from bcft.errors import (
     VacuumPlacementError,
     VacuumRowError,
 )
-from bcft.hp import Fixed
+from bcft.fusion import verlinde
+from bcft.hp import Fixed, fixed_bits, num_str, to_fixed
 from bcft.modular_data import (
     build_minimal,
     build_su2,
@@ -27,9 +29,9 @@ from bcft.modular_data import (
     model_to_document,
     quantum_dims,
     validate,
-    vacuum_row_real,
 )
-from conftest import minimal, su2, su3_level1_document
+from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
+from oracles import s_matrix, vacuum_row_real
 
 
 def test_su2_level1_exact_data():
@@ -74,17 +76,25 @@ def test_validation_residuals_are_tiny():
 
 
 def test_build_forms_s_squared_once(monkeypatch):
-    calls = []
-    of = Fixed.of.__func__
+    rounded, products = [], []
+    of, dot = Fixed.of.__func__, Fixed.dot
     monkeypatch.setattr(
-        Fixed, "of", classmethod(lambda cls, values, bits: calls.append(values) or of(cls, values, bits)))
+        Fixed, "of", classmethod(lambda cls, values, bits: rounded.append(values) or of(cls, values, bits)))
+    monkeypatch.setattr(Fixed, "dot", lambda self, other: products.append((self, other)) or dot(self, other))
     md = build_su2(7)
-    # S, 1/S_0 and T are each rounded once; S^2 comes from the rounded S
-    assert len(calls) == 3
-    assert sum(values is md.S for values in calls) == 1
-    md.fixed, md.conj, md.T
+    # the builder writes S as ints: S is rounded zero times, T once, and
+    # the mpf view of S is never built
+    assert len(rounded) == 1 and rounded[0][0] is md.T
+    assert "S" not in vars(md)
+    assert all(type(x) is int for row in md.S_fixed[0] for x in row) and md.S_fixed[1] is None
+    S = md.fixed[0]
+    assert sum(a is S and b is S for a, b in products) == 1
+    md.fixed, md.conj, md.T, md.unitarity_defect
     validate(md)
-    assert len(calls) == 4  # only T is rounded again by a second validate
+    # only T is rounded again by a second validate, and S^2 is not formed again
+    assert len(rounded) == 2
+    assert sum(a is S and b is S for a, b in products) == 1
+    assert "S" not in vars(md)
 
 
 def test_build_makes_two_exact_products(monkeypatch):
@@ -124,21 +134,27 @@ def test_validate_refuses_a_broken_modular_relation(doc):
 def test_replace_derives_fresh_model_data():
     md = load_model(su3_level1_document())
     assert md.conj == (0, 2, 1)
+    md.S  # the mpf view is cached too
     ising = minimal(4, 3)
-    moved = dataclasses.replace(md, S=ising.S)
+    moved = dataclasses.replace(md, S_fixed=ising.S_fixed)
+    fields = [f.name for f in dataclasses.fields(md)]
+    # replace starts a fresh cache: nothing but the fields until first use
+    assert sorted(vars(moved)) == sorted(fields)
     assert moved.conj == (0, 1, 2)
     assert (moved.fixed[0].re == ising.fixed[0].re).all() and moved.fixed[0].im is None
     assert (moved.fixed[1].re == ising.fixed[1].re).all()
     assert (moved.fixed[2].re == ising.fixed[2].re).all()
+    assert moved.S == ising.S != md.S
     assert moved.T == md.T
     shifted = dataclasses.replace(md, c=ising.c, h=ising.h)
     assert shifted.T == ising.T != md.T
     assert shifted.conj == md.conj
-    # the cache is no field: equality and hash cover the seven fields alone
-    assert [f.name for f in dataclasses.fields(md)] == [
-        "sectors", "c", "h", "S", "precision", "family", "params"]
-    assert dataclasses.replace(moved, S=md.S) == md
-    assert hash(dataclasses.replace(moved, S=md.S)) == hash(md)
+    # the caches are no fields: equality and hash cover the seven fields alone
+    assert fields == ["sectors", "c", "h", "S_fixed", "precision", "family", "params"]
+    back = dataclasses.replace(moved, S_fixed=md.S_fixed)
+    assert back == md and hash(back) == hash(md)
+    assert sorted(vars(back)) == sorted(fields)
+    assert back.S == md.S and back.conj == md.conj
 
 
 def test_fixed_point_arrays_are_read_only():
@@ -234,6 +250,16 @@ def test_document_explicit_s_requires_positive_vacuum_row():
         load_model(doc)
 
 
+def test_a_zero_vacuum_entry_is_refused_as_a_vacuum_row_error():
+    # W = 1/S_0k divides by the vacuum row, so validate checks it first
+    doc = model_to_document(minimal(4, 3))
+    del doc["builder"]
+    for zero in ("0", "0.0", "-0", "1e-70"):
+        doc["S"][0][1] = doc["S"][1][0] = zero
+        with pytest.raises(VacuumRowError, match=r"\|S_\{0 1\}\| = .* is below the tolerance"):
+            load_model(doc)
+
+
 def test_document_error_paths():
     good = model_to_document(minimal(4, 3))
     del good["builder"]
@@ -283,3 +309,64 @@ def test_minimal_sector_count(labels):
     md = minimal(p, pp)
     assert md.n == (p - 1) * (pp - 1) // 2
     assert md.h[0] == 0
+
+
+ORACLE_MODELS = ([("su2", (k,)) for k in range(1, 31)]
+                 + [("minimal", pair) for pair in all_coprime_pairs(13)])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_150(family, params):
+    return s_matrix(family, params, 150)
+
+
+@pytest.mark.parametrize("precision", [20, 50, 100])
+def test_written_s_matches_the_mpf_oracle_and_lies_within_one_unit(precision):
+    """The builders' S against the mpf formula they replaced (one mp.sinpi
+    per unreduced argument): every printed string is the oracle's, and
+    every fixed-point entry lies within 2^-B of the oracle at 150 digits."""
+    bits = fixed_bits(precision)
+    for family, params in ORACLE_MODELS:
+        md = (build_su2 if family == "su2" else build_minimal)(*params, precision)
+        want = [[num_str(x, precision) for x in row] for row in s_matrix(family, params, precision)]
+        assert model_to_document(md)["S"] == want, (family, params)
+        with workdps(160):
+            exact = _oracle_150(family, params)
+            assert md.S_fixed[1] is None
+            worst = max(abs(x - mp.ldexp(e, bits)) for row, erow in zip(md.S_fixed[0], exact)
+                        for x, e in zip(row, erow))
+            assert worst <= 1, (family, params, worst)
+
+
+@pytest.mark.parametrize(
+    "model", [lambda: su2(10), lambda: minimal(5, 4), lambda: load_model(su3_level1_document())],
+    ids=["su2_k10", "minimal_5_4", "su3_k1"])
+def test_a_written_model_reads_back_to_the_same_ints_and_fusion(model):
+    """A document carries precision digits of S, and its ints about
+    precision + 12: each int read back lies within one unit of the last
+    digit printed of the one written, and prints back to the same string."""
+    md = model()
+    doc = model_to_document(md)
+    doc.pop("builder", None)
+    back = load_model(doc)
+    assert back.family is None and back.precision == md.precision
+    assert model_to_document(back)["S"] == doc["S"]
+    assert verlinde(back).N == verlinde(md).N
+    bits = fixed_bits(md.precision)
+    with workdps(md.precision + 30):
+        for part, back_part in zip(md.S_fixed, back.S_fixed):
+            assert (part is None) == (back_part is None)
+            for x, y in zip(sum(part or (), ()), sum(back_part or (), ())):
+                last = mp.floor(mp.log10(mp.ldexp(abs(x), -bits))) - md.precision + 1 if x else 0
+                assert abs(x - y) <= (mp.ldexp(mp.mpf(10) ** last, bits) if x else 0)
+
+
+def test_the_mpf_view_is_exact_at_any_working_precision():
+    # built outside any workdps, complex entries too: x / 2^B exactly
+    for md in (build_su2(5), load_model(su3_level1_document())):
+        bits, (re, im) = fixed_bits(md.precision), md.S_fixed
+        im = im or [[0] * md.n] * md.n
+        for view_row, re_row, im_row in zip(md.S, re, im):
+            for v, x, y in zip(view_row, re_row, im_row):
+                v = mp.mpmathify(v)
+                assert (to_fixed(v.real, bits), to_fixed(v.imag, bits)) == (x, y)

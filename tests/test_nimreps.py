@@ -10,7 +10,6 @@ Any entry >= 2 already forces spectral radius >= 2 through a 2x2
 principal submatrix, so 0/1 matrices cover every possible generator.
 """
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -31,7 +30,7 @@ from bcft.errors import (
 )
 import bcft.hp
 from bcft.fusion import verlinde, verlinde_inputs
-from bcft.hp import GUARD_DIGITS, to_fraction, tolerance
+from bcft.hp import to_fraction, tolerance
 from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_physical
 from bcft.modular_data import load_model
 from bcft.nimreps import (
@@ -54,7 +53,8 @@ from bcft.nimreps import (
 )
 from conftest import all_coprime_pairs, fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 from intpoly import charpoly, mul, psi, rem
-from oracles import canonical_bruteforce, certify_norm, d_graph, e6_graph, e7_graph, e8_graph, tadpole_graph
+from oracles import (canonical_bruteforce, certify_norm, d_graph, e6_graph, e7_graph, e8_graph,
+                     tadpole_graph, with_s)
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -510,7 +510,7 @@ def test_spectrum_match_on_minimal_and_complex_models():
     rows = [list(row) for row in md.S]
     with workdps(60):
         rows[1][1] += mp.mpf(10) ** -20
-    bad = dataclasses.replace(md, S=tuple(map(tuple, rows)))
+    bad = with_s(md, rows)
     assert spectrum_match(regular_nimrep(fusion_minimal(5, 4)), z, bad).mismatches == (1,)
 
 
@@ -591,7 +591,7 @@ def _oracle_cases():
     rows = [list(row) for row in minimal(5, 4).S]
     with workdps(60):
         rows[1][1] += mp.mpf(10) ** -20
-    md = dataclasses.replace(minimal(5, 4), S=tuple(map(tuple, rows)))
+    md = with_s(minimal(5, 4), rows)
     yield regular_nimrep(fusion_minimal(5, 4)), diagonal_invariant(md), md
     md = load_model(su3_level1_document())
     yield regular_nimrep(verlinde(md)), diagonal_invariant(md), md
@@ -612,13 +612,13 @@ def test_trace_verdicts_equal_the_charpoly_verdicts():
     ids=["minimal_7_5", "minimal_5_2", "su3_k1"],
 )
 def test_exponent_traces_lie_within_their_error_bound(model):
-    # against the sums over the working-precision S and 1/S_0 at 150 digits
+    # against the sums over the working S (the fixed-point S itself) and its
+    # 1/S_0, at 150 digits
     md = model()
     exps = diagonal_invariant(md).exponents
-    with workdps(md.precision + GUARD_DIGITS):
-        inv0 = [1 / x for x in md.S[0]]
     bits, re, im, err = _exponent_traces(md, exps)
     with workdps(150):
+        inv0 = [1 / x for x in md.S[0]]
         unit = mp.mpf(2) ** bits
         worst = err / unit
         for rho in range(md.n):
