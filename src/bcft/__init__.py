@@ -23,14 +23,13 @@ _PUBLIC = {
               "SeriesDivisionError SizeMismatch SpectralRadiusTooLarge",
     "fusion": "FusionRing fusion_matrix verify_axioms verlinde",
     "invariants": "ModularInvariant diagonal_invariant enumerate_physical exponents_of "
-                  "invariant_document invariant_from_document",
+                  "invariant_document",
     "modular_data": "ModularData SectorLabel build_minimal build_su2 global_index load_model "
                     "model_name model_to_document quantum_dims validate",
     "nimreps": "Nimrep PsiMatrix canonical_generator enumerate_su2_nimreps "
                "generate_from_generator nimrep_document nimrep_from_document psi_matrix "
                "regular_nimrep spectrum_match verify",
-    "persistence": "DEFAULT_ORDER DEFAULT_PRECISION Cache cache_key canonical_json deserialize "
-                   "export serialize",
+    "persistence": "DEFAULT_ORDER DEFAULT_PRECISION Cache cache_key canonical_json export",
     "report": "AnnulusSpectrum IndexReport annulus annulus_document full_report "
               "heat_kernel_check heat_kernel_residuals index_document index_report",
 }

@@ -12,7 +12,6 @@ from .errors import DocumentFormatError, IntegralityFailure
 from .hp import Fixed, exact_dtype, to_fixed, tolerance
 from .invariants import perron_row
 from .modular_data import ModularData
-from .persistence import _ints, _strs
 
 # Fixed, not tied to --precision: a test of S, with E and the growth bounds
 # taken off exactly.  tolerance(dps) would pass sums 1e-3 off an integer at 6
@@ -238,6 +237,31 @@ def fusion_document(fr: FusionRing) -> dict:
         "max_residual": repr(fr.max_residual),
         "precision": fr.precision,
     }
+
+
+def _ints(x, field: str, depth: int = 1):
+    """x as nested tuples of ints, depth JSON lists deep (depth 0: one int);
+    bools, floats and strings are refused, not read as int() would."""
+    if depth == 0 and type(x) is int:
+        return x
+    if depth > 0 and type(x) is list:
+        return tuple(_ints(v, field, depth - 1) for v in x)
+    raise DocumentFormatError("field %r: expected integers" % field)
+
+
+def _strs(x, field: str, depth: int = 1, parse=str):
+    """parse(s) of each JSON string s in x, depth lists deep as in _ints:
+    names, or numbers written as text ("1e-40"); a value of another type,
+    or text that parse refuses, is refused naming the field."""
+    if depth > 0 and type(x) is list:
+        return tuple(_strs(v, field, depth - 1, parse) for v in x)
+    if depth == 0 and type(x) is str:
+        try:
+            return parse(x)
+        except ValueError:  # "x"
+            pass
+    raise DocumentFormatError("field %r: expected %s" % (
+        field, "strings" if parse is str else "a number written as a string"))
 
 
 def fusion_from_document(doc: dict) -> FusionRing:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -79,14 +80,44 @@ def num_str(x, dps: int) -> str:
 
 def parse_fixed(s: str, bits: int) -> tuple:
     """Inverse of num_str in fixed point: (re, im) of the decimal (or exact
-    'p/q') text s, each part rounded from its exact value to 2^-bits."""
-    re, im = s.strip(), "0"
-    if re.endswith("i"):
-        body = re[:-1]
+    'p/q') text s, each part rounded from its exact value to 2^-bits.  A
+    part above 2 in modulus, which no entry of a unitary S has, raises
+    ValueError."""
+    real, imag = s.strip(), "0"
+    if real.endswith("i"):
+        body = real[:-1]
         signs = (k for k in range(1, len(body)) if body[k] in "+-" and body[k - 1] not in "eE")
         k = next(signs, 0)
-        re, im = body[:k] or "0", body[k:]
-    return tuple(round(Fraction(x) * (1 << bits)) for x in (re, im))
+        real, imag = body[:k] or "0", body[k:]
+    return tuple(_fixed_part(x, bits) for x in (real, imag))
+
+
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*\Z", re.S)
+
+
+def _fixed_part(x: str, bits: int) -> int:
+    """round(v 2^bits) of the exact value v of the text x; ValueError if
+    |v| > 2.
+
+    A decimal exponent e is weighed before 10^e is built (Fraction(x)
+    builds it first).  With L the bit length of the mantissa's numerator
+    less that of its denominator, log2|v| lies strictly between
+    L - 1 + e log2(10) and L + 1 + e log2(10), and log2(10) > 3.  So e > 0
+    with L + 3e >= 2 puts |v| above 2, and e < 0 with L + 3e <= -bits - 2
+    puts it below 2^-(bits+1), where it rounds to 0; any other e is small."""
+    m = _EXPONENT.match(x)
+    v = Fraction(x if m is None else m[1] + "e0")  # the mantissa: Fraction's own syntax
+    if m is not None and v:
+        e = int(m[2])
+        L = v.numerator.bit_length() - v.denominator.bit_length()
+        if e > 0 and L + 3 * e >= 2:
+            raise ValueError("%r is above 2 in modulus" % x)
+        if e < 0 and L + 3 * e <= -bits - 2:
+            return 0
+        v *= Fraction(10) ** e
+    if abs(v) > 2:
+        raise ValueError("%r is above 2 in modulus" % x)
+    return round(v * (1 << bits))
 
 
 @functools.lru_cache(maxsize=None)

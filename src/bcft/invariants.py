@@ -17,15 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CheckFailure,
-    DocumentFormatError,
-    RationalizationFailure,
-    SearchBudgetExceeded,
-)
+from .errors import CheckFailure, RationalizationFailure, SearchBudgetExceeded
 from .hp import independent_rows, nullspace, rationalize, rref_rows, to_fraction, tolerance
 from .modular_data import ModularData
-from .persistence import _ints, _strs
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -316,13 +310,3 @@ def invariant_document(inv: ModularInvariant) -> dict:
         "exponents": list(inv.exponents),
         "Z": [list(row) for row in inv.Z],
     }
-
-
-def invariant_from_document(doc: dict) -> ModularInvariant:
-    if doc.get("format") != INVARIANT_DOCUMENT_FORMAT:
-        raise DocumentFormatError("expected a %s document" % INVARIANT_DOCUMENT_FORMAT)
-    return ModularInvariant(
-        Z=_ints(doc.get("Z"), "Z", 2),
-        exponents=_ints(doc.get("exponents"), "exponents"),
-        tag=_strs(doc.get("tag"), "tag", 0),
-    )

@@ -352,7 +352,8 @@ def _s_entry(value, bits: int) -> tuple:
     try:
         return parse_fixed(value, bits)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentFormatError("field 'S' entry %r is not a number" % value) from exc
+        raise DocumentFormatError("field 'S' entry %r is not a number with real and imaginary "
+                                  "parts in [-2, 2]" % value) from exc
 
 
 def load_model(document: dict, precision: int = DEFAULT_PRECISION) -> ModularData:

@@ -25,11 +25,10 @@ from .errors import (
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
-from .fusion import FusionRing, fusion_matrix
+from .fusion import FusionRing, _ints, fusion_matrix
 from .hp import GUARD_DIGITS, Fixed, exact_dtype, to_fraction, tolerance
 from .invariants import ModularInvariant
 from .modular_data import ModularData
-from .persistence import _ints
 
 PSI_TOL = 1e-12  # fixed: full_report renders it as cardy_tolerance "1e-12"
 
@@ -46,11 +45,6 @@ class Nimrep:
     @property
     def n_sectors(self) -> int:
         return len(self.nmats)
-
-    def generator(self) -> tuple:
-        """The fundamental-sector matrix (meaningful for level-k data,
-        where it determines the family)."""
-        return self.nmats[1]
 
 
 @dataclass(frozen=True)

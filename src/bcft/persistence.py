@@ -11,11 +11,10 @@ cache format, the key and the numeric schema, then the exact text that
 reading a cache format this build does not understand raises
 MigrationError instead of silently reinterpreting the data.
 
-This module uses only the standard library and ``bcft.errors``; the
-domain modules are imported where a domain object is (de)serialized.
-It is also the one home of the numeric defaults and of the model
-document header, which the command line reads before any numeric code
-runs, so that a cache hit needs nothing else.
+This module uses only the standard library and ``bcft.errors``.  It is
+also the one home of the numeric defaults and of the model document
+header, which the command line reads before any numeric code runs, so
+that a cache hit needs nothing else.
 """
 
 from __future__ import annotations
@@ -47,19 +46,6 @@ CACHE_FORMAT = "bcft-cache/2"
 # working precision).  Cache.load treats an entry recorded under another
 # value, or none, as a miss, so results of older code are recomputed.
 NUMERIC_SCHEMA = 5
-
-# report-style formats that stay plain documents on both sides
-_PASSTHROUGH = {
-    "bcft-index/1",
-    "bcft-report/1",
-    "bcft-annulus/1",
-    "bcft-characters/1",
-    "bcft-check/1",
-    "bcft-verify/1",
-    "bcft-model-list/1",
-    "bcft-invariant-list/1",
-    "bcft-nimrep-list/1",
-}
 
 
 def model_header(document, precision: int) -> tuple:
@@ -97,87 +83,6 @@ def model_header(document, precision: int) -> tuple:
         raise DocumentFormatError("field 'builder' needs 'params': %d integers for family %r, "
                                   "not %r" % (BUILDER_PARAMS[family], family, params))
     return precision, (family, tuple(params))
-
-
-def _ints(x, field: str, depth: int = 1):
-    """x as nested tuples of ints, depth JSON lists deep (depth 0: one int);
-    bools, floats and strings are refused, not read as int() would."""
-    if depth == 0 and type(x) is int:
-        return x
-    if depth > 0 and type(x) is list:
-        return tuple(_ints(v, field, depth - 1) for v in x)
-    raise DocumentFormatError("field %r: expected integers" % field)
-
-
-def _strs(x, field: str, depth: int = 1, parse=str):
-    """parse(s) of each JSON string s in x, depth lists deep as in _ints:
-    names, or numbers written as text ("1e-40", "-1/24"); a value of
-    another type, or text that parse refuses, is refused naming the field."""
-    if depth > 0 and type(x) is list:
-        return tuple(_strs(v, field, depth - 1, parse) for v in x)
-    if depth == 0 and type(x) is str:
-        try:
-            return parse(x)
-        except (ValueError, ZeroDivisionError):  # "x", "1/0"
-            pass
-    raise DocumentFormatError("field %r: expected %s" % (
-        field, "strings" if parse is str else "a number written as a string"))
-
-
-def _codecs() -> tuple:
-    """(type, encoder, format, decoder) of each domain type whose
-    documents decode back to an object."""
-    from .characters import (QSERIES_DOCUMENT_FORMAT, QSeries, qseries_document,
-                             qseries_from_document)
-    from .fusion import FUSION_DOCUMENT_FORMAT, FusionRing, fusion_document, fusion_from_document
-    from .invariants import (INVARIANT_DOCUMENT_FORMAT, ModularInvariant, invariant_document,
-                             invariant_from_document)
-    from .modular_data import ModularData, load_model, model_to_document
-    from .nimreps import NIMREP_DOCUMENT_FORMAT, Nimrep, nimrep_document, nimrep_from_document
-
-    return (
-        (ModularData, model_to_document, MODEL_DOCUMENT_FORMAT, load_model),
-        (FusionRing, fusion_document, FUSION_DOCUMENT_FORMAT, fusion_from_document),
-        (ModularInvariant, invariant_document, INVARIANT_DOCUMENT_FORMAT,
-         invariant_from_document),
-        (Nimrep, nimrep_document, NIMREP_DOCUMENT_FORMAT, nimrep_from_document),
-        (QSeries, qseries_document, QSERIES_DOCUMENT_FORMAT, qseries_from_document),
-    )
-
-
-def serialize(obj) -> dict:
-    """Canonical document for a domain object; documents pass through."""
-    if isinstance(obj, dict) and "format" in obj:
-        return obj
-    for cls, encode, _, _ in _codecs():
-        if isinstance(obj, cls):
-            return encode(obj)
-    raise TypeError("no canonical document for %s" % type(obj).__name__)
-
-
-def deserialize(doc: dict):
-    """Inverse of serialize.
-
-    Domain-type documents come back as objects; report documents come
-    back unchanged.  A known document family at an unknown version is a
-    MigrationError, an unknown family is a DocumentFormatError.
-    """
-    if not isinstance(doc, dict) or "format" not in doc:
-        raise DocumentFormatError("document must be a mapping with a format field")
-    fmt = str(doc["format"])
-    loaders = {known: decode for _, _, known, decode in _codecs()}
-    if fmt in loaders:
-        return loaders[fmt](doc)
-    if fmt in _PASSTHROUGH:
-        return doc
-    name, _, version = fmt.partition("/")
-    current = dict(known.partition("/")[::2] for known in list(loaders) + sorted(_PASSTHROUGH))
-    if name in current:
-        raise MigrationError(
-            "document format %r is version %r of %r; this build reads version %r"
-            % (fmt, version, name, current[name])
-        )
-    raise DocumentFormatError("unknown document format %r" % fmt)
 
 
 def canonical_json(doc) -> str:
@@ -301,13 +206,12 @@ def _text_lines(value, indent: int, out: list):
         out.append("%s%s" % (pad, value))
 
 
-def export(obj, format: str = "structured") -> str:
-    """Render an object or document for output.
+def export(doc, format: str = "structured") -> str:
+    """Render a document for output.
 
     "structured" is the canonical JSON text; "text" is a plain indented
     listing of the same content.
     """
-    doc = serialize(obj)
     if format == "structured":
         return canonical_json(doc) + "\n"
     if format == "text":

@@ -367,6 +367,8 @@ FILE_FLAGS = [(["fusion"], "--model-file", "model document must be a mapping"),
               (VERIFY, "--nimrep-file", NOT_A_NIMREP)]
 REPEATED_LABELS = json.dumps(
     nimrep_document(regular_nimrep(verlinde(su2(2)))) | {"labels": [0, 0, 2]})
+NIMREP_2 = json.dumps(
+    nimrep_document(regular_nimrep(verlinde(su2(2)))) | {"format": "bcft-nimrep/2"})
 
 
 @pytest.mark.parametrize(
@@ -404,6 +406,12 @@ REPEATED_LABELS = json.dumps(
         (VERIFY, "--nimrep-file", REPEATED_LABELS, "field 'labels': a label is repeated"),
         # the nimrep file is read and decoded before the model is built
         (VERIFY[:-1] + ["0"], "--nimrep-file", "[1, 2]", NOT_A_NIMREP),
+        # a document of another format or version
+        (["fusion"], "--model-file",
+         json.dumps({"format": "bcft-model/2", "builder": {"family": "su2", "params": [2]}}),
+         "unsupported document format 'bcft-model/2'"),
+        (ANNULUS, "--nimrep", NIMREP_2, NOT_A_NIMREP),
+        (VERIFY, "--nimrep-file", NIMREP_2, NOT_A_NIMREP),
     ],
 )
 def test_malformed_input_file_names_the_flag_and_file(
@@ -907,6 +915,21 @@ def test_import_bcft_defers_the_numeric_modules():
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_command_line_asks_for_one_blas_thread_unless_told(preset):
+    """OpenBLAS reads the variable when numpy loads, so it is set before."""
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import os, sys\n"
+              "import bcft.cli\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.stdout == "%s False\n" % (preset or "1"), proc.stderr[-500:]
+
+
 def test_invalid_input_exits_one_with_a_warm_cache(capsys, tmp_path):
     """Each refused input has a valid neighbour in the cache; the key-first
     lookup must not serve it."""
@@ -1269,6 +1292,20 @@ def test_malformed_model_document_body_exits_one(path, value, message, capsys, t
     code, out, err = run(["fusion", "--model-file", str(model)], capsys)
     assert (code, out) == (1, "")
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_an_s_entry_above_two_exits_one_as_it_is_read(capsys, tmp_path):
+    """No entry of a unitary S exceeds 1 in modulus.  Reading 1e1000000
+    exactly, and then checking unitarity on it, took seconds."""
+    model = tmp_path / "model.json"
+    doc = model_to_document(minimal(4, 3))
+    del doc["builder"]
+    doc["S"][1][2] = doc["S"][2][1] = "1e1000000"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(["fusion", "--model-file", str(model)], capsys)
+    assert (code, out) == (1, "")
+    assert "error: --model-file %s: field 'S' entry '1e1000000'" % model in err
     assert "Traceback" not in err
 
 

@@ -4,6 +4,8 @@ fixed-point products and decimal rendering."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workdps
 
 from bcft.errors import RationalizationFailure
@@ -141,7 +143,8 @@ def test_parse_fixed_rounds_the_exact_value_of_the_text():
     assert parse_fixed("1/3", 200) == (round(Fraction(1, 3) * 2**200), 0)
     assert parse_fixed("0.5-0.25i", 4) == (8, -4)
     assert parse_fixed("-2i", 2) == (0, -8)
-    assert parse_fixed("1.5e-2+2.5E+1i", 3) == (0, 200)
+    assert parse_fixed("1.5e-2+2.5E-1i", 3) == (0, 2)
+    assert parse_fixed("0.2E+1", 3) == parse_fixed("2", 3) == (16, 0)
     with workdps(60):
         text = num_str(mpf(1) / 3, 50)
     # every decimal of the text counts, at any number of bits
@@ -149,6 +152,37 @@ def test_parse_fixed_rounds_the_exact_value_of_the_text():
     for bad in ("x", "nan", "inf", "1/0", "i", "1+"):
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_fixed(bad, 10)
+
+
+def test_parse_fixed_refuses_a_part_above_two_before_building_its_power_of_ten():
+    """No entry of a unitary S exceeds 1 in modulus.  The first three
+    would each take seconds if 10^(10^7) were built first."""
+    for text in ("1e10000000", "-1e10000000", "0+1e10000000i", "2.0000001", "-3", "1-2.5i",
+                 "0.21e1"):
+        with pytest.raises(ValueError, match="above 2 in modulus"):
+            parse_fixed(text, 10)
+
+
+def test_parse_fixed_reads_a_part_below_half_a_unit_as_zero():
+    bits = fixed_bits(50)
+    assert parse_fixed("1e-10000000", bits) == (0, 0)
+    assert parse_fixed("-1e-10000000-1e-10000000i", bits) == (0, 0)
+    assert parse_fixed("0e10000000", bits) == (0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "-", "+"]), st.integers(0, 999),
+       st.text("0123456789", min_size=1, max_size=6), st.integers(-80, 8),
+       st.sampled_from([1, 10, 64, 200]))
+def test_parse_fixed_weighs_the_exponent_exactly(sign, whole, decimals, exponent, bits):
+    """The exponent test decides only what the exact value would."""
+    text = "%s%d.%se%d" % (sign, whole, decimals, exponent)
+    value = Fraction(text)
+    if abs(value) > 2:
+        with pytest.raises(ValueError):
+            parse_fixed(text, bits)
+    else:
+        assert parse_fixed(text, bits) == (round(value * 2**bits), 0)
 
 
 def test_num_str_of_from_fixed_inverts_parse_fixed():

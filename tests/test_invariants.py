@@ -25,8 +25,6 @@ from bcft.invariants import (
     entry_bounds,
     enumerate_physical,
     exponents_of,
-    invariant_document,
-    invariant_from_document,
     t_allowed_pairs,
 )
 from conftest import all_coprime_pairs, minimal, su2
@@ -218,11 +216,6 @@ def test_tags_only_name_level_k_data():
 def test_exponents_of_reads_diagonal_multiplicity():
     Z = ((1, 0, 0), (0, 2, 0), (0, 0, 0))
     assert exponents_of(Z) == (0, 1, 1)
-
-
-def test_document_round_trip():
-    z = enumerate_physical(su2(10))[2]
-    assert invariant_from_document(invariant_document(z)) == z
 
 
 def test_size_counts_boundaries():

@@ -191,7 +191,7 @@ def test_tadpole_exists_at_size_without_invariant():
     nrs = enumerate_su2_nimreps(md, 3)
     assert len(nrs) == 1
     assert verify(nrs[0], fusion_su2(5)).ok
-    assert canonical_generator(nrs[0].generator()) == canonical_generator(
+    assert canonical_generator(nrs[0].nmats[1]) == canonical_generator(
         tadpole_graph(3)
     )
     # every invariant at level 5 has a different size

@@ -8,26 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcft.characters import QSeries, eta_series
+from bcft.characters import QSeries, eta_series, qseries_document
 from bcft.errors import DocumentFormatError, MigrationError
-from bcft.fusion import verlinde
-from bcft.invariants import enumerate_physical
-from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep
+from bcft.fusion import FusionRing, fusion_document, fusion_from_document, verlinde
+from bcft.invariants import ModularInvariant, enumerate_physical, invariant_document
+from bcft.modular_data import ModularData, load_model, model_to_document
+from bcft.nimreps import (Nimrep, enumerate_su2_nimreps, nimrep_document, nimrep_from_document,
+                          regular_nimrep)
 from bcft.persistence import (
     CACHE_FORMAT,
     NUMERIC_SCHEMA,
     Cache,
     cache_key,
     canonical_json,
-    deserialize,
     export,
-    serialize,
 )
 from bcft.report import index_document, index_report
 from conftest import fusion_minimal, minimal, su2
 
 # ---------------------------------------------------------------------------
-# serialize / deserialize round trips
+# documents: exact as JSON, and read back where they are read
+
+ENCODE = {ModularData: model_to_document, FusionRing: fusion_document,
+          ModularInvariant: invariant_document, Nimrep: nimrep_document,
+          QSeries: qseries_document}
+# the two kinds a user supplies (--model-file, and --nimrep or --nimrep-file),
+# and fusion rings, which the library reads back
+DECODE = {ModularData: load_model, Nimrep: nimrep_from_document,
+          FusionRing: fusion_from_document}
 
 
 def _domain_objects():
@@ -44,51 +52,57 @@ def _domain_objects():
 
 @pytest.mark.parametrize("obj", list(_domain_objects()), ids=lambda o: type(o).__name__)
 def test_round_trip_is_exact(obj):
-    doc = serialize(obj)
-    assert deserialize(doc) == obj
-    # and the document itself survives a JSON round trip
-    assert deserialize(json.loads(canonical_json(doc))) == obj
+    """Each document survives its canonical JSON text; a model, fusion
+    or nimrep document also reads back to the object."""
+    doc = ENCODE[type(obj)](obj)
+    assert json.loads(canonical_json(doc)) == doc
+    if type(obj) in DECODE:
+        assert DECODE[type(obj)](doc) == obj
+        assert DECODE[type(obj)](json.loads(canonical_json(doc))) == obj
 
 
-def _tampered(obj, **fields):
-    doc = serialize(obj)
-    doc.update(fields)
-    return doc
-
-
-# int() would read each tampered field back as an integer
-NON_INTEGER_DOCUMENTS = {
-    "invariant": {"format": "bcft-invariant/1", "tag": "A3", "exponents": [0, 1.9, True],
-                  "Z": [[1, 0, 0], [0, 1.5, 0], [0, 0, True]]},
-    "invariant-Z": _tampered(enumerate_physical(su2(2))[0], Z=[[1, 0, 0], [0, 1.5, 0],
-                                                              [0, 0, 1]]),
-    "invariant-exponents": _tampered(enumerate_physical(su2(2))[0], exponents=[0, 1, True]),
-    "fusion": _tampered(verlinde(su2(1)), n=2.5, conjugation=[0, True],
-                        tensor=[[[1, 0], [0, 1]], [[0, 1.9], [1, 0]]]),
-    "fusion-tensor": _tampered(verlinde(su2(1)), tensor=[[[1, 0], [0, 1]], [[0, 1.9], [1, 0]]]),
-    "fusion-n": _tampered(verlinde(su2(1)), n=2.5),
-    "fusion-conjugation": _tampered(verlinde(su2(1)), conjugation=[0, True]),
-    "fusion-precision": _tampered(verlinde(su2(1)), precision="50"),
-    "qseries": {"format": "bcft-qseries/1", "offset": "0/1", "grid": 1.7,
-                "coeffs": [1, 2.9, True]},
-    "qseries-grid": _tampered(eta_series(5), grid=1.7),
-    "qseries-coeffs": _tampered(eta_series(5), coeffs=[1, -1, -1.0, 0, 0]),
+# the exact fields of the documents that hold integers
+ENCODED = {
+    "fusion": (fusion_document(verlinde(su2(1))), ("n", "conjugation", "tensor", "precision")),
+    "invariant": (invariant_document(enumerate_physical(su2(2))[0]), ("Z", "exponents")),
+    "qseries": (qseries_document(eta_series(5)), ("grid", "coeffs")),
 }
+# int() would read each tampered field of a fusion document back as an integer
+NON_INTEGER_FUSION = {"n": 2.5, "conjugation": [0, True], "precision": "50",
+                      "tensor": [[[1, 0], [0, 1]], [[0, 1.9], [1, 0]]]}
+INTEGER_FIELDS = {"%s%s" % (kind, "-" + field if field else ""): (kind, field)
+                  for kind, (_, fields) in ENCODED.items() for field in ("",) + fields}
 
 
-@pytest.mark.parametrize("doc", list(NON_INTEGER_DOCUMENTS.values()),
-                         ids=list(NON_INTEGER_DOCUMENTS))
-def test_documents_hold_only_json_integers(doc):
-    with pytest.raises(DocumentFormatError, match="expected integers"):
-        deserialize(doc)
+def _leaves(x):
+    if isinstance(x, (list, dict)):
+        for v in (x.values() if isinstance(x, dict) else x):
+            yield from _leaves(v)
+    else:
+        yield x
 
 
-# one valid document of each decoded kind but the model document
+@pytest.mark.parametrize("kind, field", list(INTEGER_FIELDS.values()), ids=list(INTEGER_FIELDS))
+def test_documents_hold_only_json_integers(kind, field):
+    """An exact field is written as JSON integers: a float or a bool
+    equal to one would print other bytes (1.0, true) and so change the
+    text that the cache stores.  Without a field: every number of the
+    document is an integer, as decimals are written as strings.  A fusion
+    document that holds a float, a bool or a string there is refused."""
+    doc, _ = ENCODED[kind]
+    allowed = (int,) if field else (int, str)
+    assert all(type(v) in allowed for v in _leaves(doc[field] if field else doc))
+    if kind == "fusion":
+        tampered = dict(doc, **({field: NON_INTEGER_FUSION[field]} if field
+                                else NON_INTEGER_FUSION))
+        with pytest.raises(DocumentFormatError, match="expected integers"):
+            fusion_from_document(tampered)
+
+
+# one valid document of each kind the library decodes but the model document
 DECODED = {
-    "fusion": serialize(verlinde(su2(1))),
-    "invariant": serialize(enumerate_physical(su2(2))[0]),
-    "nimrep": serialize(regular_nimrep(verlinde(su2(2)))),
-    "qseries": serialize(eta_series(5)),
+    "fusion": (fusion_document(verlinde(su2(1))), fusion_from_document),
+    "nimrep": (nimrep_document(regular_nimrep(verlinde(su2(2)))), nimrep_from_document),
 }
 DELETE = "<deleted>"
 MUTATIONS = {"deleted": DELETE, "null": None, "text": "x", "float": 1.5, "bool": True,
@@ -97,55 +111,28 @@ MUTATIONS = {"deleted": DELETE, "null": None, "text": "x", "float": 1.5, "bool":
 
 @pytest.mark.parametrize("kind, field, value", [
     pytest.param(kind, field, value, id="%s-%s-%s" % (kind, field, name))
-    for kind, doc in DECODED.items() for field in sorted(doc) if field != "format"
+    for kind, (doc, _) in DECODED.items() for field in sorted(doc) if field != "format"
     for name, value in MUTATIONS.items()
 ])
 def test_a_mutated_field_decodes_or_is_refused_by_name(kind, field, value):
     """Deleting or replacing one top-level field either still decodes or
     raises DocumentFormatError naming the field; no other exception
-    leaks.  The format field is kept, so no MigrationError can arise.
+    leaks.  The format field is kept.
 
     Model documents are left out: their malformed fields are covered by
     test_malformed_model_document_{header,body}_exits_one in
-    test_cli.py, and a huge "precision" or builder param there still
-    runs without end, as no cost ceiling refuses it yet."""
-    doc = json.loads(json.dumps(DECODED[kind]))
+    test_cli.py, and a huge builder param there still runs without end,
+    as no cost ceiling refuses it yet."""
+    doc, decode = DECODED[kind]
+    doc = json.loads(json.dumps(doc))
     if value == DELETE:
         del doc[field]
     else:
         doc[field] = value
     try:
-        deserialize(doc)
+        decode(doc)
     except DocumentFormatError as exc:
         assert "field %r" % field in str(exc)
-
-
-def test_report_documents_pass_through():
-    md = minimal(4, 3)
-    doc = index_document(md, index_report(md, (1, 0, 1)))
-    assert serialize(doc) is doc
-    assert deserialize(doc) is doc
-
-
-def test_serialize_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        serialize(object())
-    with pytest.raises(TypeError):
-        serialize({"no_format_field": 1})
-
-
-def test_deserialize_version_and_format_errors():
-    with pytest.raises(DocumentFormatError):
-        deserialize({"not": "a document"})
-    with pytest.raises(DocumentFormatError):
-        deserialize("just a string")
-    with pytest.raises(DocumentFormatError):
-        deserialize({"format": "somebody-elses/1"})
-    with pytest.raises(MigrationError) as exc:
-        deserialize({"format": "bcft-model/2"})
-    assert "bcft-model" in str(exc.value)
-    with pytest.raises(MigrationError):
-        deserialize({"format": "bcft-report/0"})
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +163,9 @@ def test_cache_key_distinguishes_every_field():
 # the cache directory
 
 
-def _entry(operation, inputs, result, precision=None):
-    """(key, printed text) of a result, as the command line stores it."""
-    return cache_key(operation, inputs, precision), export(result)
+def _entry(operation, inputs, doc, precision=None):
+    """(key, printed text) of a result document, as the command line stores it."""
+    return cache_key(operation, inputs, precision), export(doc)
 
 
 def _header(key, **fields):
@@ -190,16 +177,15 @@ def test_cache_store_load_round_trip(tmp_path):
     cache = Cache(tmp_path / "cache")
     md = minimal(4, 3)
     fr = verlinde(md)
-    key, text = _entry("fusion", {"model": "minimal_4_3"}, fr, precision=50)
+    key, text = _entry("fusion", {"model": "minimal_4_3"}, fusion_document(fr), precision=50)
     assert cache.store(key, text) == key
     path = cache.path_for(key)
     assert path.is_file()
     assert path.parent.name == key[:2]
     assert path.name == key + ".json"
     stored, doc = cache.load(key)
-    assert stored == text == canonical_json(serialize(fr)) + "\n"
-    assert doc == serialize(fr)
-    assert deserialize(doc) == fr
+    assert stored == text == canonical_json(fusion_document(fr)) + "\n"
+    assert doc == fusion_document(fr)
 
 
 def test_cache_miss_returns_none(tmp_path):
@@ -208,7 +194,7 @@ def test_cache_miss_returns_none(tmp_path):
 
 def test_cache_entry_is_a_header_line_over_the_printed_text(tmp_path):
     cache = Cache(tmp_path)
-    key, text = _entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
+    key, text = _entry("fusion", {"model": "su2_1"}, fusion_document(verlinde(su2(1))))
     cache.store(key, text)
     data = cache.path_for(key).read_text()
     assert data == _header(key) + "\n" + text
@@ -218,7 +204,7 @@ def test_cache_entry_is_a_header_line_over_the_printed_text(tmp_path):
 
 def test_cache_misses_entries_of_other_numeric_code(tmp_path):
     cache = Cache(tmp_path)
-    key, text = _entry("fusion", {"model": "su2_1"}, verlinde(su2(1)))
+    key, text = _entry("fusion", {"model": "su2_1"}, fusion_document(verlinde(su2(1))))
     path = cache.path_for(cache.store(key, text))
     for header in (
         json.dumps({"format": CACHE_FORMAT, "key": key}),
@@ -236,7 +222,8 @@ def test_a_schema_3_fusion_entry_is_a_miss_and_is_stored_again(tmp_path):
     # schema 5 sums them over the S that the builders write in fixed point
     assert NUMERIC_SCHEMA == 5
     cache = Cache(tmp_path)
-    key, text = _entry("fusion", {"model": "minimal_4_3"}, fusion_minimal(4, 3))
+    key, text = _entry("fusion", {"model": "minimal_4_3"},
+                       fusion_document(fusion_minimal(4, 3)))
     path = cache.path_for(cache.store(key, text))
     for schema in (3, 4):
         old_payload = dict(json.loads(text), max_residual="1.0e-62")
@@ -250,7 +237,8 @@ def test_a_schema_3_fusion_entry_is_a_miss_and_is_stored_again(tmp_path):
 def test_a_bcft_cache_1_wrapper_is_a_miss_and_is_stored_again(tmp_path):
     """Entries of older builds: one indented JSON wrapper around the payload."""
     cache = Cache(tmp_path)
-    key, text = _entry("fusion", {"model": "minimal_4_3"}, fusion_minimal(4, 3))
+    key, text = _entry("fusion", {"model": "minimal_4_3"},
+                       fusion_document(fusion_minimal(4, 3)))
     path = cache.path_for(key)
     path.parent.mkdir(parents=True)
     meta = {"artifact": "0.1.0", "operation": "fusion", "numeric_schema": NUMERIC_SCHEMA,
@@ -286,7 +274,7 @@ def test_cache_refuses_foreign_versions_and_mismatched_keys(tmp_path):
 
 def test_cache_refuses_a_wrapper_without_a_payload_mapping(tmp_path):
     cache = Cache(tmp_path)
-    key, text = _entry("model", {"level": 2}, su2(2))
+    key, text = _entry("model", {"level": 2}, model_to_document(su2(2)))
     path = cache.path_for(cache.store(key, text))
     for body in ("[1]\n", "", "garbage", text[:-10]):
         path.write_text(_header(key) + "\n" + body)
@@ -301,7 +289,7 @@ def test_cache_refuses_a_wrapper_without_a_payload_mapping(tmp_path):
 @pytest.mark.parametrize("text", [b"garbage", b"", b'{"format": ', b"\xff\xfe", b"[1]\n{}\n"])
 def test_cache_refuses_a_file_that_is_not_json(text, tmp_path):
     cache = Cache(tmp_path)
-    key, printed = _entry("model", {"level": 2}, su2(2))
+    key, printed = _entry("model", {"level": 2}, model_to_document(su2(2)))
     path = cache.path_for(cache.store(key, printed))
     path.write_bytes(text)
     with pytest.raises(DocumentFormatError, match="cache file %s is not a JSON document"
@@ -312,7 +300,7 @@ def test_cache_refuses_a_file_that_is_not_json(text, tmp_path):
 def test_cache_writes_leave_no_temp_files(tmp_path):
     cache = Cache(tmp_path)
     for k in (1, 2, 3):
-        cache.store(*_entry("model", {"level": k}, su2(k)))
+        cache.store(*_entry("model", {"level": k}, model_to_document(su2(k))))
     names = [p.name for p in tmp_path.rglob("*") if p.is_file()]
     assert names and all(
         n.endswith(".json") and not n.startswith(".tmp-") for n in names
@@ -321,10 +309,10 @@ def test_cache_writes_leave_no_temp_files(tmp_path):
 
 def test_cache_store_is_idempotent(tmp_path):
     cache = Cache(tmp_path)
-    key, text = _entry("model", {"level": 2}, su2(2))
+    key, text = _entry("model", {"level": 2}, model_to_document(su2(2)))
     cache.store(key, text)
     first = cache.path_for(key).read_bytes()
-    cache.store(*_entry("model", {"level": 2}, su2(2)))
+    cache.store(*_entry("model", {"level": 2}, model_to_document(su2(2))))
     assert cache.path_for(key).read_bytes() == first
 
 
@@ -333,23 +321,24 @@ def test_cache_store_is_idempotent(tmp_path):
 
 
 def test_structured_export_is_deterministic():
-    fr = fusion_minimal(5, 2)
-    assert export(fr) == export(fr)
-    assert export(fr).endswith("\n")
-    assert json.loads(export(fr))["format"] == "bcft-fusion/1"
+    doc = fusion_document(fusion_minimal(5, 2))
+    assert export(doc) == export(json.loads(export(doc)))
+    assert export(doc).endswith("\n")
+    assert json.loads(export(doc))["format"] == "bcft-fusion/1"
 
 
 def test_text_export_lists_fields():
     md = minimal(4, 3)
-    text = export(index_document(md, index_report(md, (1, 0, 1))), "text")
+    doc = index_document(md, index_report(md, (1, 0, 1)))
+    text = export(doc, "text")
     assert "d_pi:" in text
     assert "two_interval:" in text
     with pytest.raises(ValueError):
-        export(md, "yaml")
+        export(doc, "yaml")
 
 
 # ---------------------------------------------------------------------------
-# document equality tracks object equality
+# distinct q-series print distinct documents
 
 
 @st.composite
@@ -365,5 +354,4 @@ def qseries_strategy(draw):
 @settings(max_examples=120, deadline=None)
 @given(qseries_strategy(), qseries_strategy())
 def test_document_equality_iff_object_equality(f, g):
-    assert (serialize(f) == serialize(g)) == (f == g)
-    assert deserialize(serialize(f)) == f
+    assert (qseries_document(f) == qseries_document(g)) == (f == g)

@@ -1,11 +1,15 @@
-"""No module of the package may import a module that lives in tests/.
+"""Import boundaries of the package, read from its parsed files.
 
+No module of the package may import a module that lives in tests/:
 pytest puts tests/ on sys.path, so an import of a test reference such as
 oracles or intpoly from bcft would resolve under pytest and fail only
-outside it.  The files are parsed, not imported.
+outside it.  And persistence, which the command line reads before any
+numeric code runs, imports only the standard library and bcft.errors.
+The files are parsed, not imported.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,3 +34,16 @@ def test_no_package_module_imports_a_test_module():
             imports += [(path.name, node.lineno, name) for name in names
                         if name.split(".")[0] in TEST_MODULES]
     assert not imports
+
+
+def test_persistence_imports_only_the_standard_library_and_errors():
+    tree = ast.parse((PACKAGE / "persistence.py").read_text())
+    imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imports.add("." * node.level + (node.module or ""))
+    package = {name for name in imports if name.startswith(".")}
+    assert package == {".errors"}
+    assert imports - package <= sys.stdlib_module_names | {"__future__"}
