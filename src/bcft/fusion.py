@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DocumentFormatError, IntegralityFailure
-from .hp import Fixed, exact_dtype, to_fixed, tolerance
+from .hp import Fixed, exact_dtype, int_array, to_fixed, tolerance
 from .invariants import perron_row
 from .modular_data import ModularData
 
@@ -33,8 +33,8 @@ class FusionRing:
     precision: int
 
     def as_array(self) -> np.ndarray:
-        """The tensor as a dtype=object array of Python ints, exact at any size."""
-        return np.array(self.N, dtype=object)
+        """The tensor as int64, or as Python ints past int64 (hp.int_array)."""
+        return int_array(self.N)
 
 
 def verlinde_inputs(md: ModularData):

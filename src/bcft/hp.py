@@ -8,7 +8,9 @@ fixed point: the builders and the document reader write S 2^B as Python
 ints (ModularData.S_fixed), the model caches S, 1/S_0 and S^2 over them
 (ModularData.fixed, read-only), and its mpf S is a view, x / 2^B, built
 only for the readers that need mpf; all other Fixed arrays are transient.
-The Gauss-Jordan elimination runs on rows of fixed-point Python ints.
+Fixed.gram forms S^2 and S T S of a real, exactly symmetric S as one
+triangle; any other S takes Fixed.dot.  Integer tensors are int64 where
+they fit (int_array).  The Gauss-Jordan elimination runs on Python ints.
 """
 
 from __future__ import annotations
@@ -163,11 +165,19 @@ def exact_dtype(terms: int, *arrays):
     exact in float64, in any summation order (BLAS may reorder), when
     terms * max|a| * max|b| < 2^53: every partial sum is then an integer
     that float64 holds.  Returns float64 when terms * M^2 < 2^53 for the
-    largest modulus M >= 1 over the arrays (dtype=object arrays of Python
-    ints), so every entry also converts exactly; object otherwise.
+    largest modulus M >= 1 over the int64 or Python-int arrays (from max and
+    min: np.abs wraps -2^63), so every entry converts exactly; object otherwise.
     """
-    big = max([1] + [int(np.abs(a).max(initial=0)) for a in arrays])
+    big = max([1] + [max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays])
     return np.float64 if terms * big * big < 1 << 53 else object
+
+
+def int_array(rows) -> np.ndarray:
+    """rows as an int64 array if every entry fits, else (or if ragged) as Python ints."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except (OverflowError, ValueError):
+        return np.array(rows, dtype=object)
 
 
 class Fixed:
@@ -218,6 +228,20 @@ class Fixed:
     def dot(self, other: "Fixed") -> "Fixed":
         """Exact matrix product."""
         return self._combine(other, np.dot, self.bits + other.bits)
+
+    def gram(self, w: "Fixed | None" = None) -> "Fixed":
+        """A diag(w) A^T for a real square A = self and a Fixed row w (None:
+        all 1), each entry i <= j formed once and mirrored: per part of w,
+        sum_k A_ik floor(w_k A_jk / 2^w.bits), which for a symmetric S is
+        S.dot((S * w.T).rescale(S.bits)) on and above the diagonal."""
+        A, out = self.re, []
+        for part in [None] if w is None else [x for x in (w.re, w.im) if x is not None]:
+            W = A if part is None else (A * part) >> w.bits  # row j weighted, floored
+            a = np.empty_like(A)
+            for i in range(len(A)):
+                a[i, i:] = a[i:, i] = W[i:].dot(A[i])
+            out.append(a)
+        return Fixed(out[0], out[1] if len(out) > 1 else None, 2 * self.bits)
 
     def rescale(self, bits: int) -> "Fixed":
         """Floor every part down to 2^-bits."""

@@ -91,24 +91,29 @@ class ModularData:
     def fixed(self) -> tuple:
         """(S, W, S^2) at B = fixed_bits(precision), read-only: S_fixed, W
         the exact reciprocals 1/S_0k of its vacuum row rounded to the nearest
-        2^-B (one int division per part), and S S floored to B bits."""
+        2^-B (one int division per part), and S S floored to B bits (gram if real_symmetric)."""
         bits = fixed_bits(self.precision)
         S = Fixed.exact(*self.S_fixed, bits)
         x, y = S.re[0], (0 if S.im is None else S.im[0])
         d, one = x * x + y * y, 1 << 2 * bits  # 1/(x + iy) = (x - iy)/d
         W = Fixed((2 * one * x + d) // (2 * d),
                   None if S.im is None else (d - 2 * one * y) // (2 * d), bits)
-        out = (S, W, S.dot(S).rescale(bits))
+        out = (S, W, (S.gram() if self.real_symmetric else S.dot(S)).rescale(bits))
         for part in [p for F in out for p in (F.re, F.im) if p is not None]:
             part.flags.writeable = False
         return out
 
     @functools.cached_property
+    def real_symmetric(self) -> bool:
+        """S_fixed is real and exactly symmetric, as every builder's S is."""
+        re, im = self.S_fixed
+        return im is None and tuple(zip(*re)) == re
+
+    @functools.cached_property
     def unitarity_defect(self) -> Fixed:
-        """S S^dagger - 1 over fixed, the product floored (S^2 if S is real symmetric)."""
+        """S S^dagger - 1 over fixed, the product floored (S^2 if real_symmetric)."""
         S, _, S2 = self.fixed
-        real_symmetric = S.im is None and (S.re == S.re.T).all()
-        SSd = S2 if real_symmetric else S.dot(S.conj().T).rescale(S.bits)
+        SSd = S2 if self.real_symmetric else S.dot(S.conj().T).rescale(S.bits)
         return SSd - Fixed.identity(self.n, S.bits)
 
     @functools.cached_property
@@ -157,7 +162,8 @@ def validate(md: ModularData) -> dict:
     S^2 = C give S^-1 C = S, and (ST)^3 - C = ST (S T S - T^-1 S T^-1) T.
     The products S S^dagger, S^2 and S (T S) are exact Python-int
     contractions of md.fixed and of T rounded to the same bits; the mpf
-    view md.S is never built.
+    view md.S is never built.  If md.real_symmetric, S S^dagger is S^2, and
+    S^2 and S T S are one triangle each (Fixed.gram); otherwise Fixed.dot.
     """
     n = md.n
     tol = tolerance(md.precision)
@@ -179,7 +185,7 @@ def validate(md: ModularData) -> dict:
             if not signed and x < 0:
                 raise VacuumRowError("S_{0 rho} must be positive")
         S = md.fixed[0]
-        res_sym = (S - S.T).max_abs()
+        res_sym = mpf(0) if md.real_symmetric else (S - S.T).max_abs()
         if res_sym > tol:
             raise SymmetryViolation("max |S - S^T| = " + mp.nstr(res_sym, 5))
         res_uni = md.unitarity_defect.max_abs()
@@ -188,7 +194,7 @@ def validate(md: ModularData) -> dict:
         md.conj  # raises unless S^2 is an involutive permutation
         # X * t.T scales row i of X by T_i, X * t column j by T_j; T^-1 = conj(T)
         t = Fixed.of([md.T], bits)
-        STS = S.dot((S * t.T).rescale(bits)).rescale(bits)
+        STS = (S.gram(t[0]) if md.real_symmetric else S.dot((S * t.T).rescale(bits))).rescale(bits)
         res_st = (STS - (S * t.conj() * t.conj().T).rescale(bits)).max_abs()
         if res_st > tol:
             raise ModularRelationViolation("max |S T S - T^-1 S T^-1| = " + mp.nstr(res_st, 5))

@@ -26,7 +26,7 @@ from .errors import (
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing, _ints, fusion_matrix
-from .hp import GUARD_DIGITS, Fixed, exact_dtype, to_fraction, tolerance
+from .hp import GUARD_DIGITS, Fixed, exact_dtype, int_array, to_fraction, tolerance
 from .invariants import ModularInvariant
 from .modular_data import ModularData
 
@@ -89,7 +89,7 @@ def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
     m = candidate.size
     if candidate.n_sectors != fr.n:
         return VerifyReport((("sector_count", candidate.n_sectors, fr.n),))
-    mats = [np.array(mat, dtype=object) for mat in candidate.nmats]
+    mats = [int_array(mat) for mat in candidate.nmats]
     for mat in mats:
         if mat.shape != (m, m):
             return VerifyReport((("shape", mat.shape, (m, m)),))

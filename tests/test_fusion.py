@@ -347,11 +347,17 @@ def _checks(fr, nr):
 
 
 def _object_checks(fr, nr, monkeypatch):
-    """The same checks with every product on Python ints."""
+    """The same checks with every product on Python ints: both modules'
+    exact_dtype answer object, and their arrays, int64 or object, become
+    arrays of Python ints."""
+    asked = []
     with monkeypatch.context() as m:
-        m.setattr(bcft.fusion, "exact_dtype", lambda *args: object)
-        m.setattr(bcft.nimreps, "exact_dtype", lambda *args: object)
-        return _checks(fr, nr)
+        for module in (bcft.fusion, bcft.nimreps):
+            m.setattr(module, "exact_dtype", lambda terms, *arrays: asked.append(arrays) or object)
+        got = _checks(fr, nr)
+    assert len(asked) == 2
+    assert all(type(x) is int for arrays in asked for a in arrays for x in a.astype(object).flat)
+    return got
 
 
 @pytest.mark.parametrize("family, params", CHECKED_SWEEP, ids=lambda v: str(v).replace(" ", ""))
@@ -371,15 +377,24 @@ def test_float64_checks_equal_the_object_oracle(family, params, monkeypatch):
     assert got[1]
 
 
-@pytest.mark.parametrize("excess", [0, 1])
-def test_checks_at_the_float64_bound_equal_the_object_oracle(excess, monkeypatch):
-    # n M^2 < 2^53 just holds (float64) or just fails (object); the raised
-    # coefficient's square is then within a factor n of 2^53
+# the largest coefficient of su2 k=6 (n = 7) with n M^2 < 2^53
+FLOAT64_BOUND = math.isqrt(((1 << 53) - 1) // 7)
+
+
+@pytest.mark.parametrize("entry", [FLOAT64_BOUND, FLOAT64_BOUND + 1, 1 << 63, -(1 << 63)],
+                         ids=["0", "1", "past-int64", "int64-min"])
+def test_checks_at_the_float64_bound_equal_the_object_oracle(entry, monkeypatch):
+    # ids 0 and 1 are the excess over the bound: n M^2 < 2^53 just holds
+    # (float64) or just fails (object), the raised coefficient's square
+    # within a factor n of 2^53.  2^63 does not fit int64, so that tensor
+    # and nimrep stay Python ints; -2^63 does, and np.abs wraps it in int64
     fr = fusion_su2(6)
-    A = fr.as_array()
-    A[2, 2, 2] = math.isqrt(((1 << 53) - 1) // fr.n) + excess
+    A = fr.as_array().astype(object)
+    A[2, 2, 2] = entry
     big = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
-    assert bcft.fusion.exact_dtype(fr.n, A) is (object if excess else np.float64)
+    B = big.as_array()
+    assert B.dtype == (object if entry == 1 << 63 else np.int64) and B.tolist() == A.tolist()
+    assert bcft.fusion.exact_dtype(fr.n, B) is (np.float64 if entry == FLOAT64_BOUND else object)
     nr = regular_nimrep(big)
     got = _checks(big, nr)
     assert got == _object_checks(big, nr, monkeypatch)

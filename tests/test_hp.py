@@ -128,6 +128,44 @@ def test_fixed_complex_product_matches_mpmath():
         assert (real - real).max_abs() == 0
 
 
+@st.composite
+def _symmetric_ints(draw):
+    """A real symmetric n x n matrix of ints up to 2^(BITS+2), n in 1..12."""
+    n = draw(st.integers(1, 12))
+    upper = iter(draw(st.lists(st.integers(-4 * ONE, 4 * ONE),
+                               min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(upper)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_ints(), st.booleans(), st.data())
+def test_gram_is_one_exact_triangle_of_the_rounded_product(rows, complex_w, data):
+    n = len(rows)
+    S = Fixed.exact(rows, None, BITS)
+    G = S.gram()
+    assert G.bits == 2 * BITS and G.im is None
+    assert G.re.tolist() == S.dot(S).re.tolist()
+    weights = st.lists(st.integers(-4 * ONE, 4 * ONE), min_size=n, max_size=n)
+    parts = [data.draw(weights) for _ in range(1 + complex_w)]
+    w = Fixed.exact(*parts + [None] * (2 - len(parts)), BITS)
+    G = S.gram(w)
+    assert G.bits == 2 * BITS and (G.im is None) == (not complex_w)
+    # entry (i, j) = sum_k A_ik floor(w_k A_jk / 2^BITS) for i <= j, mirrored
+    for p, got in zip(parts, (G.re, G.im)):
+        assert got.tolist() == [[sum(rows[min(i, j)][k] * (p[k] * rows[max(i, j)][k] // ONE)
+                                     for k in range(n)) for j in range(n)] for i in range(n)]
+    # on and above the diagonal, the general product with the weighted
+    # factor floored first, as validate formed S T S before
+    row = Fixed.exact([parts[0]], [parts[1]] if complex_w else None, BITS)
+    D = S.dot((S * row.T).rescale(BITS))
+    for got, want in [(G.re, D.re), (G.im, D.im)][:1 + complex_w]:
+        assert all(got[i, j] == want[i, j] for i in range(n) for j in range(i, n))
+
+
 def test_num_str_renders_a_zero_imaginary_part_as_real():
     with workdps(60):
         x = mp.sqrt(2)

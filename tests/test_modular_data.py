@@ -19,7 +19,7 @@ from bcft.errors import (
     VacuumRowError,
 )
 from bcft.fusion import verlinde
-from bcft.hp import Fixed, fixed_bits, num_str, to_fixed
+from bcft.hp import Fixed, fixed_bits, num_str, parse_fixed, to_fixed
 from bcft.modular_data import (
     build_minimal,
     build_su2,
@@ -75,12 +75,24 @@ def test_validation_residuals_are_tiny():
         assert rep["modular_relation"] < 1e-50
 
 
+def _count_products(monkeypatch):
+    """The (kind, left factor, weight) of every exact product from now on:
+    a triangle (Fixed.gram) or a general Fixed.dot."""
+    products = []
+    gram, dot = Fixed.gram, Fixed.dot
+    monkeypatch.setattr(Fixed, "gram",
+                        lambda self, w=None: products.append(("gram", self, w)) or gram(self, w))
+    monkeypatch.setattr(Fixed, "dot",
+                        lambda self, other: products.append(("dot", self, other)) or dot(self, other))
+    return products
+
+
 def test_build_forms_s_squared_once(monkeypatch):
-    rounded, products = [], []
-    of, dot = Fixed.of.__func__, Fixed.dot
+    rounded = []
+    of = Fixed.of.__func__
     monkeypatch.setattr(
         Fixed, "of", classmethod(lambda cls, values, bits: rounded.append(values) or of(cls, values, bits)))
-    monkeypatch.setattr(Fixed, "dot", lambda self, other: products.append((self, other)) or dot(self, other))
+    products = _count_products(monkeypatch)
     md = build_su2(7)
     # the builder writes S as ints: S is rounded zero times, T once, and
     # the mpf view of S is never built
@@ -88,23 +100,38 @@ def test_build_forms_s_squared_once(monkeypatch):
     assert "S" not in vars(md)
     assert all(type(x) is int for row in md.S_fixed[0] for x in row) and md.S_fixed[1] is None
     S = md.fixed[0]
-    assert sum(a is S and b is S for a, b in products) == 1
+    assert products.count(("gram", S, None)) == 1
     md.fixed, md.conj, md.T, md.unitarity_defect
     validate(md)
     # only T is rounded again by a second validate, and S^2 is not formed again
     assert len(rounded) == 2
-    assert sum(a is S and b is S for a, b in products) == 1
+    assert products.count(("gram", S, None)) == 1
     assert "S" not in vars(md)
 
 
 def test_build_makes_two_exact_products(monkeypatch):
-    calls = []
-    dot = Fixed.dot
-    monkeypatch.setattr(Fixed, "dot", lambda self, other: calls.append(1) or dot(self, other))
-    build_su2(7)
-    # S^2 in md.fixed, then S (T S) for the modular relation; a real
-    # symmetric S reuses S^2 as S S^dagger
-    assert len(calls) == 2
+    products = _count_products(monkeypatch)
+    md = build_su2(7)
+    # S^2 in md.fixed, then S (T S) for the modular relation, each one
+    # triangle; a real symmetric S reuses S^2 as S S^dagger
+    assert [(kind, w is None) for kind, _, w in products] == [("gram", True), ("gram", False)]
+    assert md.real_symmetric
+
+
+def test_every_sweep_model_forms_s_squared_as_the_general_product_would():
+    # su2 k <= 20 and minimal p <= 10: S is real and exactly symmetric, also
+    # read back from its explicit-S document, and the triangle gives S^2
+    # bit for bit as Fixed.dot
+    models = [su2(k) for k in range(1, 21)] + [minimal(*pq) for pq in all_coprime_pairs(10)]
+    assert len(models) == 42
+    for md in models:
+        S, _, S2 = md.fixed
+        assert md.real_symmetric and S2.im is None
+        assert (S2.re == S.dot(S).rescale(S.bits).re).all()
+        if md.is_unitary_family():
+            doc = model_to_document(md)
+            del doc["builder"]
+            assert load_model(doc).real_symmetric
 
 
 def _explicit_ising():
@@ -118,15 +145,36 @@ def _with_h1(doc, h):
     return doc
 
 
+def _off_symmetric_ising():
+    """The explicit Ising document with S_12 one unit of 2^-B above S_21,
+    written as an exact fraction: symmetric only within tolerance."""
+    doc, bits = _explicit_ising(), fixed_bits(50)
+    x, _ = parse_fixed(doc["S"][2][1], bits)
+    doc["S"][1][2] = "%d/%d" % (x + 1, 1 << bits)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [su3_level1_document(), _off_symmetric_ising()],
+                         ids=["su3-complex-s", "ising-off-symmetric"])
+def test_a_complex_or_nearly_symmetric_s_takes_the_general_product(doc, monkeypatch):
+    products = _count_products(monkeypatch)
+    md = load_model(doc)
+    assert not md.real_symmetric
+    assert md.S_fixed[1] is not None or md.S_fixed[0][1][2] - md.S_fixed[0][2][1] == 1
+    # S^2, S S^dagger and S (T S), none of them a triangle
+    assert [kind for kind, _, _ in products] == ["dot"] * 3
+    assert validate(md)["symmetry"] < 1e-50
+
+
 @pytest.mark.parametrize(
     "doc",
     [_with_h1(_explicit_ising(), "1/8"), dict(_explicit_ising(), c="7/10"),
-     _with_h1(su3_level1_document(), "2/3")],
-    ids=["ising-h-sigma", "ising-c", "su3-complex-s"],
+     _with_h1(su3_level1_document(), "2/3"), _with_h1(_off_symmetric_ising(), "1/8")],
+    ids=["ising-h-sigma", "ising-c", "su3-complex-s", "ising-off-symmetric"],
 )
 def test_validate_refuses_a_broken_modular_relation(doc):
-    # S is untouched, so symmetry, unitarity and S^2 = C all pass; only
-    # T, through c or one h, breaks (ST)^3 = C
+    # S is untouched (or one unit off symmetry), so symmetry, unitarity and
+    # S^2 = C all pass; only T, through c or one h, breaks (ST)^3 = C
     with pytest.raises(ModularRelationViolation, match=r"max \|S T S - T\^-1 S T\^-1\| = "):
         load_model(doc)
 
