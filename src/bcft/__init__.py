@@ -15,13 +15,13 @@ __version__ = "0.1.0"
 
 # defining submodule -> its public names
 _PUBLIC = {
-    "characters": "QSeries char_minimal char_su2 characters_for eta_series "
-                  "s_transform_residual truncation_tail",
+    "characters": "QSeries characters_for eta_series s_transform_residual "
+                  "truncation_tail",
     "errors": "BcftError CheckFailure ConvergenceWarning DegenerateExponents "
               "DocumentFormatError IntegralityFailure MigrationError ModelValidationError "
               "NegativityFailure RationalizationFailure SearchBudgetExceeded "
               "SeriesDivisionError SizeMismatch SpectralRadiusTooLarge",
-    "fusion": "FusionRing fusion_matrix verify_axioms verlinde",
+    "fusion": "FusionRing verify_axioms verlinde",
     "invariants": "ModularInvariant diagonal_invariant enumerate_physical exponents_of "
                   "invariant_document",
     "modular_data": "ModularData SectorLabel build_minimal build_su2 global_index load_model "

@@ -65,12 +65,6 @@ class QSeries:
             out[j * f] = cj
         return QSeries(self.offset, new_grid, tuple(out))
 
-    def __add__(self, other):
-        return linear_combination(((1, self), (1, other)))
-
-    def __sub__(self, other):
-        return linear_combination(((1, self), (-1, other)))
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Product, known as far as both factors are: one slice pass per
         nonzero term of the left factor (a sparse character numerator)."""
@@ -171,20 +165,10 @@ def _inverse(den: QSeries) -> QSeries:
     return qseries_one(den.order - 1) / den
 
 
-def char_su2(k: int, a: int, order: int = DEFAULT_ORDER) -> QSeries:
-    """Level-k character of sector a as a Weyl-Kac theta quotient.
-
-    Leading coefficient is a+1 (the dimension of the ground multiplet)
-    and the leading exponent is h_a - c/24.
-    """
-    if not 0 <= a <= k:
-        raise ValueError("sector out of range")
-    return _char_su2(k, a, _inverse(theta_prime_series(1, 2, order)))
-
-
-def _char_su2(k: int, a: int, weyl_inverse: QSeries) -> QSeries:
-    """theta'_{a+1,k+2} times the inverse of the shared Weyl denominator
-    theta'_{1,2}."""
+def _su2_character(k: int, a: int, weyl_inverse: QSeries) -> QSeries:
+    """Level-k character of sector a: theta'_{a+1,k+2} times the inverse of
+    the shared Weyl denominator theta'_{1,2}.  It leads with a+1 (the
+    dimension of the ground multiplet) at q^(h_a - c/24)."""
     N = k + 2
     chi = theta_prime_series(a + 1, N, weyl_inverse.order - 1) * weyl_inverse
     expo, lead = chi.leading()
@@ -193,15 +177,9 @@ def _char_su2(k: int, a: int, weyl_inverse: QSeries) -> QSeries:
     return chi
 
 
-def char_minimal(p: int, pp: int, r: int, s: int, order: int = DEFAULT_ORDER) -> QSeries:
-    """Kac-label (r, s) character: alternating lattice sum over eta."""
-    if not (1 <= r < pp and 1 <= s < p):
-        raise ValueError("Kac label out of range")
-    return _char_minimal(p, pp, r, s, _inverse(eta_series(order)))
-
-
-def _char_minimal(p: int, pp: int, r: int, s: int, eta_inverse: QSeries) -> QSeries:
-    """The (r, s) lattice sum times the inverse of the shared eta."""
+def _minimal_character(p: int, pp: int, r: int, s: int, eta_inverse: QSeries) -> QSeries:
+    """Kac-label (r, s) character: the alternating lattice sum times the
+    inverse of the shared eta."""
     A = p * r - pp * s
     B = p * r + pp * s
     lattice = _theta_sum(((A, lambda x: 1), (B, lambda x: -1)), 2 * p * pp, 4 * p * pp,
@@ -221,12 +199,12 @@ def characters_for(md: ModularData, order: int = DEFAULT_ORDER) -> tuple:
     if md.family == "su2":
         (k,) = md.params
         inverse = _inverse(theta_prime_series(1, 2, order))
-        return tuple(_char_su2(k, a, inverse) for a in range(md.n))
+        return tuple(_su2_character(k, a, inverse) for a in range(md.n))
     if md.family == "minimal":
         p, pp = md.params
         inverse = _inverse(eta_series(order))
         return tuple(
-            _char_minimal(p, pp, *map(int, sec.name.split(",")), inverse)
+            _minimal_character(p, pp, *map(int, sec.name.split(",")), inverse)
             for sec in md.sectors
         )
     raise ValueError("characters are only available for built-in families")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DocumentFormatError, IntegralityFailure
+from .errors import IntegralityFailure
 from .hp import Fixed, exact_dtype, int_array, to_fixed, tolerance
 from .invariants import perron_row
 from .modular_data import ModularData
@@ -23,7 +23,8 @@ FUSION_DOCUMENT_FORMAT = "bcft-fusion/1"
 
 @dataclass(frozen=True)
 class FusionRing:
-    """Integer tensor N[sigma][rho][tau] = N^tau_{sigma rho}."""
+    """Integer tensor N[sigma][rho][tau] = N^tau_{sigma rho}.  The plane
+    N[sigma] is the left-multiplication matrix of sigma, (N_sigma)_{rho tau}."""
 
     n: int
     N: tuple
@@ -178,11 +179,6 @@ def _planes(md: ModularData, integrality_tol: float):
     return (N if dt is object else N.astype(np.int64)), bounds, summed, worst
 
 
-def fusion_matrix(fr: FusionRing, sigma: int) -> tuple:
-    """(N_sigma)_{a b} = N^b_{sigma a}, the left-multiplication matrix: the stored plane."""
-    return fr.N[sigma]
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     violations: tuple
@@ -237,41 +233,3 @@ def fusion_document(fr: FusionRing) -> dict:
         "max_residual": repr(fr.max_residual),
         "precision": fr.precision,
     }
-
-
-def _ints(x, field: str, depth: int = 1):
-    """x as nested tuples of ints, depth JSON lists deep (depth 0: one int);
-    bools, floats and strings are refused, not read as int() would."""
-    if depth == 0 and type(x) is int:
-        return x
-    if depth > 0 and type(x) is list:
-        return tuple(_ints(v, field, depth - 1) for v in x)
-    raise DocumentFormatError("field %r: expected integers" % field)
-
-
-def _strs(x, field: str, depth: int = 1, parse=str):
-    """parse(s) of each JSON string s in x, depth lists deep as in _ints:
-    names, or numbers written as text ("1e-40"); a value of another type,
-    or text that parse refuses, is refused naming the field."""
-    if depth > 0 and type(x) is list:
-        return tuple(_strs(v, field, depth - 1, parse) for v in x)
-    if depth == 0 and type(x) is str:
-        try:
-            return parse(x)
-        except ValueError:  # "x"
-            pass
-    raise DocumentFormatError("field %r: expected %s" % (
-        field, "strings" if parse is str else "a number written as a string"))
-
-
-def fusion_from_document(doc: dict) -> FusionRing:
-    if doc.get("format") != FUSION_DOCUMENT_FORMAT:
-        raise DocumentFormatError("expected a %s document" % FUSION_DOCUMENT_FORMAT)
-    return FusionRing(
-        n=_ints(doc.get("n"), "n", 0),
-        N=_ints(doc.get("tensor"), "tensor", 3),
-        conj=_ints(doc.get("conjugation"), "conjugation"),
-        sector_names=_strs(doc.get("sectors"), "sectors"),
-        max_residual=_strs(doc.get("max_residual"), "max_residual", 0, float),
-        precision=_ints(doc.get("precision"), "precision", 0),
-    )

@@ -31,10 +31,6 @@ class ModularInvariant:
     tag: str
 
     @property
-    def n(self) -> int:
-        return len(self.Z)
-
-    @property
     def size(self) -> int:
         """Total diagonal multiplicity (the boundary count of a
         matching nimrep)."""

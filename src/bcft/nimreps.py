@@ -25,7 +25,7 @@ from .errors import (
     SizeMismatch,
     SpectralRadiusTooLarge,
 )
-from .fusion import FusionRing, _ints, fusion_matrix
+from .fusion import FusionRing
 from .hp import GUARD_DIGITS, Fixed, exact_dtype, int_array, to_fraction, tolerance
 from .invariants import ModularInvariant
 from .modular_data import ModularData
@@ -77,8 +77,7 @@ class PsiMatrix:
 
 def regular_nimrep(fr: FusionRing) -> Nimrep:
     """The fusion matrices acting on the sectors themselves."""
-    mats = tuple(fusion_matrix(fr, sigma) for sigma in range(fr.n))
-    return Nimrep(tuple(range(fr.n)), mats)
+    return Nimrep(tuple(range(fr.n)), fr.N)
 
 
 def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
@@ -472,6 +471,16 @@ def nimrep_document(nr: Nimrep) -> dict:
         "labels": list(nr.labels),
         "nmats": [[list(row) for row in mat] for mat in nr.nmats],
     }
+
+
+def _ints(x, field: str, depth: int = 1):
+    """x as nested tuples of ints, depth JSON lists deep (depth 0: one int);
+    bools, floats and strings are refused, not read as int() would."""
+    if depth == 0 and type(x) is int:
+        return x
+    if depth > 0 and type(x) is list:
+        return tuple(_ints(v, field, depth - 1) for v in x)
+    raise DocumentFormatError("field %r: expected integers" % field)
 
 
 def nimrep_from_document(doc: dict) -> Nimrep:

@@ -11,8 +11,6 @@ from mpmath import mp, mpf, workdps
 import oracles
 from bcft.characters import (
     QSeries,
-    char_minimal,
-    char_su2,
     characters_for,
     eta_series,
     linear_combination,
@@ -27,6 +25,19 @@ from conftest import all_coprime_pairs, minimal, su2
 
 # ---------------------------------------------------------------------------
 # frozen leading coefficients (checked against the product formulas below)
+
+
+def char_su2(k, a, order):
+    """Sector a of the level-k table, as the program builds it."""
+    md = su2(k)
+    return characters_for(md, order)[md.sector_named(str(a))]
+
+
+def char_minimal(p, pp, r, s, order):
+    """Kac label (r, s) of the (p, p') table, as the program builds it."""
+    md = minimal(p, pp)
+    return characters_for(md, order)[md.sector_named("%d,%d" % (r, s))]
+
 
 FROZEN_HEADS = [
     # (series, offset, first ten coefficients)
@@ -94,7 +105,8 @@ def test_ising_sigma_is_distinct_parts_product():
 
 def test_ising_free_fermion_sum_is_half_integer_product():
     # chi_0 + chi_eps = q^(-1/48) prod (1 + q^(n - 1/2))
-    total = char_minimal(4, 3, 1, 1, ORDER) + char_minimal(4, 3, 1, 3, ORDER)
+    total = linear_combination(((1, char_minimal(4, 3, 1, 1, ORDER)),
+                                (1, char_minimal(4, 3, 1, 3, ORDER))))
     L = 2 * ORDER - 10
     prod = QSeries(Fraction(-1, 48), 2, (1,) + (0,) * L)
     for n in range(1, ORDER + 1):
@@ -229,12 +241,6 @@ def test_characters_equal_the_direct_quotient_at_order_400(family, params):
     md = _model(family, params)
     chis = characters_for(md, 400)
     assert chis == quotient_table(md, 400)
-    # the one-sector entry points build the same series
-    if family == "su2":
-        assert char_su2(params[0], 1, 400) == chis[1]
-    else:
-        r, s = map(int, md.sectors[1].name.split(","))
-        assert char_minimal(*params, r, s, 400) == chis[1]
 
 
 @pytest.mark.parametrize("family, params", [("su2", (10,)), ("minimal", (7, 6))])
@@ -267,7 +273,7 @@ def test_division_requires_unit_leading_coefficient():
 def test_add_regrids_to_common_refinement():
     a = QSeries(Fraction(-1, 48), 1, (1, 2, 3))
     b = QSeries(Fraction(23, 48), 1, (5, 7, 11))
-    s = a + b
+    s = linear_combination(((1, a), (1, b)))
     assert s.grid == 2
     assert s.offset == Fraction(-1, 48)
     # b sits half a step up: index shift 1 on the doubled grid
@@ -413,8 +419,8 @@ def _aligned(a: QSeries, b: QSeries):
     return g, off, a, shift_a, b, shift_b
 
 
-def _addsub(a: QSeries, b: QSeries, sign: int) -> QSeries:
-    """a + sign * b as QSeries formed it, two series at a time, before the
+def _add(a: QSeries, b: QSeries) -> QSeries:
+    """a + b as QSeries formed it, two series at a time, before the
     one-pass linear combination: the oracle below."""
     g, off, a, sa, b, sb = _aligned(a, b)
     upto = min(a.known_through(), b.known_through())
@@ -425,7 +431,7 @@ def _addsub(a: QSeries, b: QSeries, sign: int) -> QSeries:
             out[sa + j] += cj
     for j, cj in enumerate(b.coeffs):
         if sb + j < length:
-            out[sb + j] += sign * cj
+            out[sb + j] += cj
     return QSeries(off, g, tuple(out))
 
 
@@ -445,12 +451,8 @@ def test_linear_combination_matches_pairwise_sums(terms):
     scaled = [QSeries(f.offset, f.grid, tuple(m * c for c in f.coeffs)) for m, f in terms]
     want = scaled[0]
     for term in scaled[1:]:
-        want = _addsub(want, term, 1)
+        want = _add(want, term)
     assert linear_combination(terms) == want
-    if len(terms) == 2:
-        (_, f), (_, g) = terms
-        assert f + g == _addsub(f, g, 1)
-        assert f - g == _addsub(f, g, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -1505,12 +1506,18 @@ def test_any_argv_exits_zero_one_or_two_without_traceback(argv, fuzz_files, tmp_
     monkeypatch.chdir(tmp_path)  # --cache and stray paths land here
     argv = [fuzz_files.get(x, x) for x in argv]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli_main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code
     assert code in (0, 1, 2), argv
+    # a small --order draw may leave a series short of convergence; that is
+    # the one warning a run may raise
+    assert all(issubclass(w.category, bcft.errors.ConvergenceWarning) for w in caught), \
+        (argv, [str(w.message) for w in caught])
     if code != 1 and not any(x.startswith(("-h", "--h")) for x in argv):
         # every --tol value that got through is positive and finite
         tols = [float(argv[i + 1]) for i, x in enumerate(argv) if x == "--tol"]

@@ -15,9 +15,6 @@ import bcft.nimreps
 from bcft.errors import IntegralityFailure
 from bcft.fusion import (
     DEFAULT_INTEGRALITY_TOL,
-    fusion_document,
-    fusion_from_document,
-    fusion_matrix,
     verify_axioms,
     verlinde,
     verlinde_inputs,
@@ -112,18 +109,19 @@ def test_conjugation_column():
 
 
 def test_fusion_matrix_is_left_multiplication():
+    """The plane N[sigma] is sigma's left-multiplication matrix: its row rho
+    holds sigma x rho.  The regular nimrep acts by the stored planes."""
     fr = fusion_su2(4)
+    nmats = regular_nimrep(fr).nmats
     for sigma in range(fr.n):
-        mat = fusion_matrix(fr, sigma)
-        assert mat is fr.N[sigma]  # the stored plane, not a copy
-        for a in range(fr.n):
-            for b in range(fr.n):
-                assert mat[a][b] == fr.N[sigma][a][b]
+        mat = fr.N[sigma]
+        assert nmats[sigma] is mat  # the stored plane, not a copy
+        assert mat[0] == tuple(int(t == sigma) for t in range(fr.n))  # sigma x 1 = sigma
 
 
 def test_fusion_matrices_represent_the_ring():
     fr = fusion_su2(5)
-    mats = [np.array(fusion_matrix(fr, s), dtype=np.int64) for s in range(fr.n)]
+    mats = [np.array(fr.N[s], dtype=np.int64) for s in range(fr.n)]
     A = fr.as_array()
     for s in range(fr.n):
         for r in range(fr.n):
@@ -316,11 +314,6 @@ def test_complex_s_su3_level1():
     assert verify_axioms(fr).ok
     rep = validate(md)
     assert all(rep[key] < tolerance(50) for key in ("symmetry", "unitarity", "modular_relation"))
-
-
-def test_document_round_trip():
-    fr = fusion_minimal(5, 4)
-    assert fusion_from_document(fusion_document(fr)) == fr
 
 
 @settings(max_examples=12, deadline=None)

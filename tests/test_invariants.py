@@ -133,7 +133,7 @@ def test_ising_has_only_the_diagonal_invariant():
 def test_minimal_6_5_has_one_exceptional_partner():
     invs = enumerate_physical(minimal(6, 5))
     assert len(invs) == 2
-    diags = sorted(tuple(z.Z[i][i] for i in range(z.n)) for z in invs)
+    diags = sorted(tuple(z.Z[i][i] for i in range(len(z.Z))) for z in invs)
     assert diags == [
         (1, 0, 2, 0, 1, 0, 2, 1, 0, 1),
         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
@@ -221,7 +221,7 @@ def test_exponents_of_reads_diagonal_multiplicity():
 def test_size_counts_boundaries():
     z = ModularInvariant(((1, 0), (0, 3)), (0, 1, 1, 1), "untagged")
     assert z.size == 4
-    assert z.n == 2
+    assert len(z.Z) == 2
 
 
 @settings(max_examples=10, deadline=None)

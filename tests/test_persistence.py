@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bcft.characters import QSeries, eta_series, qseries_document
 from bcft.errors import DocumentFormatError, MigrationError
-from bcft.fusion import FusionRing, fusion_document, fusion_from_document, verlinde
+from bcft.fusion import FusionRing, fusion_document, verlinde
 from bcft.invariants import ModularInvariant, enumerate_physical, invariant_document
 from bcft.modular_data import ModularData, load_model, model_to_document
 from bcft.nimreps import (Nimrep, enumerate_su2_nimreps, nimrep_document, nimrep_from_document,
@@ -33,9 +33,8 @@ ENCODE = {ModularData: model_to_document, FusionRing: fusion_document,
           ModularInvariant: invariant_document, Nimrep: nimrep_document,
           QSeries: qseries_document}
 # the two kinds a user supplies (--model-file, and --nimrep or --nimrep-file),
-# and fusion rings, which the library reads back
-DECODE = {ModularData: load_model, Nimrep: nimrep_from_document,
-          FusionRing: fusion_from_document}
+# the only documents the library reads back
+DECODE = {ModularData: load_model, Nimrep: nimrep_from_document}
 
 
 def _domain_objects():
@@ -52,8 +51,8 @@ def _domain_objects():
 
 @pytest.mark.parametrize("obj", list(_domain_objects()), ids=lambda o: type(o).__name__)
 def test_round_trip_is_exact(obj):
-    """Each document survives its canonical JSON text; a model, fusion
-    or nimrep document also reads back to the object."""
+    """Each document survives its canonical JSON text; a model or nimrep
+    document also reads back to the object."""
     doc = ENCODE[type(obj)](obj)
     assert json.loads(canonical_json(doc)) == doc
     if type(obj) in DECODE:
@@ -67,9 +66,6 @@ ENCODED = {
     "invariant": (invariant_document(enumerate_physical(su2(2))[0]), ("Z", "exponents")),
     "qseries": (qseries_document(eta_series(5)), ("grid", "coeffs")),
 }
-# int() would read each tampered field of a fusion document back as an integer
-NON_INTEGER_FUSION = {"n": 2.5, "conjugation": [0, True], "precision": "50",
-                      "tensor": [[[1, 0], [0, 1]], [[0, 1.9], [1, 0]]]}
 INTEGER_FIELDS = {"%s%s" % (kind, "-" + field if field else ""): (kind, field)
                   for kind, (_, fields) in ENCODED.items() for field in ("",) + fields}
 
@@ -87,21 +83,14 @@ def test_documents_hold_only_json_integers(kind, field):
     """An exact field is written as JSON integers: a float or a bool
     equal to one would print other bytes (1.0, true) and so change the
     text that the cache stores.  Without a field: every number of the
-    document is an integer, as decimals are written as strings.  A fusion
-    document that holds a float, a bool or a string there is refused."""
+    document is an integer, as decimals are written as strings."""
     doc, _ = ENCODED[kind]
     allowed = (int,) if field else (int, str)
     assert all(type(v) in allowed for v in _leaves(doc[field] if field else doc))
-    if kind == "fusion":
-        tampered = dict(doc, **({field: NON_INTEGER_FUSION[field]} if field
-                                else NON_INTEGER_FUSION))
-        with pytest.raises(DocumentFormatError, match="expected integers"):
-            fusion_from_document(tampered)
 
 
 # one valid document of each kind the library decodes but the model document
 DECODED = {
-    "fusion": (fusion_document(verlinde(su2(1))), fusion_from_document),
     "nimrep": (nimrep_document(regular_nimrep(verlinde(su2(2)))), nimrep_from_document),
 }
 DELETE = "<deleted>"

@@ -51,7 +51,8 @@ def test_annulus_series_is_the_sum_of_the_selected_characters():
     md = ISING()
     nr = regular_nimrep(fusion_minimal(4, 3))
     chis = characters_for(md, 100)
-    assert annulus(md, nr, 1, 1, order=100).Z_ab == chis[0] + chis[2]
+    both = linear_combination(((1, chis[0]), (1, chis[2])))
+    assert annulus(md, nr, 1, 1, order=100).Z_ab == both
     assert annulus(md, nr, 0, 1, order=100).Z_ab == chis[1]
 
 

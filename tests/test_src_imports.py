@@ -5,11 +5,15 @@ pytest puts tests/ on sys.path, so an import of a test reference such as
 oracles or intpoly from bcft would resolve under pytest and fail only
 outside it.  And persistence, which the command line reads before any
 numeric code runs, imports only the standard library and bcft.errors.
-The files are parsed, not imported.
+And every function and class of the package has a reader in the program
+or in what a user or the benchmark calls.  The files are parsed, not
+imported.
 """
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +51,42 @@ def test_persistence_imports_only_the_standard_library_and_errors():
     package = {name for name in imports if name.startswith(".")}
     assert package == {".errors"}
     assert imports - package <= sys.stdlib_module_names | {"__future__"}
+
+
+def _references(node) -> Counter:
+    """The names that node reads: Name ids, attribute names and imports.
+    Strings, such as the public-name table of __init__, are not reads."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            refs[sub.name.split(".")[-1]] += 1
+    return refs
+
+
+def test_every_definition_has_a_reader_in_the_program():
+    """A function or class (dunders aside) is read somewhere in the package
+    outside its own body, or is named in README.md or perfbench/*.py: the
+    entry points a user or the benchmark calls.  Code that only the tests
+    reach belongs in tests/."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = sum((_references(tree) for tree in trees.values()), Counter())
+    named = "\n".join(path.read_text() for path in
+                      [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))])
+    unread = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if reads[name] > _references(node)[name]:
+                continue
+            if re.search(r"\b%s\b" % re.escape(name), named):
+                continue
+            unread.append("%s:%d %s" % (file, node.lineno, name))
+    assert not unread
