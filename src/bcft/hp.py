@@ -56,11 +56,10 @@ def rationalize(x: Fraction, dps: int, max_denominator: int = 10**6) -> Fraction
     The fit must reproduce x within tolerance(dps).
     """
     fit = x.limit_denominator(max_denominator)
-    tol = tolerance(dps)
-    if abs(fit - x) > to_fraction(tol):
+    if abs(fit - x) > exact_tolerance(dps):
         raise RationalizationFailure(
             "no rational with denominator <= %d within %s of %s"
-            % (max_denominator, mp.nstr(tol, 3), mp.nstr(mpf_from_fraction(x, dps), 25))
+            % (max_denominator, mp.nstr(tolerance(dps), 3), mp.nstr(mpf_from_fraction(x, dps), 25))
         )
     return fit
 
@@ -130,6 +129,12 @@ def tolerance(dps: int):
     computes it once."""
     with workdps(dps + GUARD_DIGITS):
         return mpf(10) ** -max(1, dps // 2)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_tolerance(dps: int) -> Fraction:
+    """tolerance(dps) as an exact Fraction, for the checks made on ints."""
+    return to_fraction(tolerance(dps))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,7 @@ def rref_rows(vectors, dps: int):
     Returns (nonzero rows at scale 2^B, pivot_columns).
     """
     bits = fixed_bits(dps)
-    thresh = math.floor(to_fraction(tolerance(dps)) * (1 << bits))
+    thresh = math.floor(exact_tolerance(dps) * (1 << bits))
     a = [list(map(int, v)) for v in vectors]
     n_vars = len(a[0]) if a else 0
     pivots = []

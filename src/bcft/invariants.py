@@ -2,11 +2,11 @@
 
 A physical invariant is a non-negative integer matrix Z with Z_00 = 1
 commuting with both modular generators.  T-commutation is decided
-exactly from the conformal weights; S-commutation cuts out a rational
-subspace.  Its constraint rows are fixed-point ints: float64 picks
-independent ones, a fixed-point Gauss-Jordan solves them, and an exact
-check against every row certifies the rationalized basis.  Physical
-matrices are its lattice points in the Perron box, walked on ints.
+exactly on the classes h mod 1; S-commutation cuts out a rational
+subspace.  Float64 picks its constraint rows from a float64 S, only
+those are solved on fixed-point ints, and the exact V S - S V of each
+basis vector certifies it against every row.  Physical matrices are
+its lattice points in the Perron box, walked on ints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CheckFailure, RationalizationFailure, SearchBudgetExceeded
-from .hp import independent_rows, nullspace, rationalize, rref_rows, to_fraction, tolerance
+from .hp import exact_tolerance, independent_rows, nullspace, rationalize, rref_rows
 from .modular_data import ModularData
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -42,10 +42,7 @@ class ModularInvariant:
 
 def exponents_of(Z) -> tuple:
     """Diagonal labels with multiplicity, sorted."""
-    out = []
-    for i, row in enumerate(Z):
-        out.extend([i] * row[i])
-    return tuple(out)
+    return tuple(i for i, row in enumerate(Z) for _ in range(row[i]))
 
 
 def _matrix(n, pairs, vec):
@@ -65,57 +62,65 @@ def t_allowed_pairs(md: ModularData) -> tuple:
     """Positions (i, j) not forced to zero by T-commutation.
 
     Z_ij (T_j - T_i) = 0, so an entry can be nonzero only when
-    h_i = h_j mod 1; this is decided exactly on the rational weight
-    classes h mod 1.
+    h_i = h_j mod 1: row i pairs with the sectors of its exact class.
     """
-    cls = [h % 1 for h in md.h]
-    return tuple((i, j) for i in range(md.n) for j in range(md.n) if cls[i] == cls[j])
+    group = {}
+    for i, h in enumerate(md.h):
+        group.setdefault(h % 1, []).append(i)
+    return tuple((i, j) for i, h in enumerate(md.h) for j in group[h % 1])
 
 
-def _s_constraint_rows(md: ModularData, pairs) -> np.ndarray:
-    """Every row of the linear system (ZS - SZ)_ab = 0 over the allowed
-    entries, on the fixed-point S (md.fixed): Python ints at
-    scale 2^fixed_bits(precision).  Row a*n + b is the real part of
-    equation (a, b); for complex S, row n^2 + a*n + b is its imaginary
-    part."""
-    S, n = md.fixed[0], md.n
-    parts = np.array([S.re] if S.im is None else [S.re, S.im])
-    part, ab = np.divmod(np.arange(parts.size), n * n)
-    p, a, b = part[:, None], ab[:, None] // n, ab[:, None] % n
+def _s_constraint_rows(parts: np.ndarray, pairs, rows) -> np.ndarray:
+    """The given rows of the linear system (ZS - SZ)_ab = 0 over the
+    allowed entries, on a stack of S parts of any dtype.  Row
+    p n^2 + a n + b is part p of equation (a, b); its entry at the pair
+    (i, j) is [i = a] S_jb - S_ai [j = b]."""
+    p, a, b = np.unravel_index(np.asarray(rows, dtype=int)[:, None], parts.shape)
     i, j = np.array(pairs).T
-    one = np.identity(n, dtype=int)
-    return one[a, i] * parts[p, j, b] - parts[p, a, i] * one[j, b]
+    return (i == a) * parts[p, j, b] - parts[p, a, i] * (j == b)
+
+
+def _commutator(parts: np.ndarray, pairs, v) -> np.ndarray:
+    """C v, C every row of _s_constraint_rows in order, as V S - S V per
+    part of S with v on the pairs of V: each nonzero x at (i, j) adds
+    x S[j, :] to row i and takes x S[:, i] from column j.  Exact on ints."""
+    out = np.zeros_like(parts)
+    for (i, j), x in zip(pairs, v):
+        if x:
+            out[:, i, :] += x * parts[:, j, :]
+            out[:, :, j] -= x * parts[:, :, i]
+    return out.reshape(-1)
 
 
 def _commutant(md: ModularData):
     """Rational basis of {M : MS = SM, MT = TM} in reduced echelon
-    form over the T-allowed positions.
+    form over the T-allowed positions: (pairs, basis vectors as Fraction
+    lists, pivot variable indices).
 
-    Float64 elimination picks independent fixed-point S-constraint
-    rows, and only those go through the fixed-point Gauss-Jordan; each
-    basis entry x is rationalized from the exact Fraction(x, 2^bits).
-    The rationalized basis is certified against every row: with each
-    vector scaled to integers v and the rows C taken at the fixed-point
-    S, |C v| is exact, and each coefficient of C is off by at
-    most 2^-bits, so |C v| + 2^-bits |v|_1 <= tolerance proves the row.
-    Rows that fail join the chosen ones and the solve reruns.
-
-    Returns (pairs, basis vectors as Fraction lists, pivot variable
-    indices).
+    Float64 elimination picks independent S-constraint rows from a
+    float64 copy of S; only those are built on the fixed-point S
+    (md.fixed) for the fixed-point Gauss-Jordan, and each basis entry x
+    is rationalized from the exact Fraction(x, 2^bits).  Each vector,
+    scaled to integers v, is certified against every row C: C v =
+    V S - S V at the fixed-point S is exact, and each coefficient of C is
+    off by at most 2^-bits, so |C v| + 2^-bits |v|_1 <= tolerance proves
+    the row.  Failed rows join the chosen ones, and the solve reruns.
     """
     pairs = t_allowed_pairs(md)
-    dps, one = md.precision, 1 << md.fixed[0].bits
-    fixed = _s_constraint_rows(md, pairs)
-    chosen = set(independent_rows((fixed / one).astype(float)))
-    tol = math.floor(to_fraction(tolerance(dps)) * one)
+    S, dps = md.fixed[0], md.precision
+    parts, one = np.array([S.re] if S.im is None else [S.re, S.im]), 1 << S.bits
+    floats = _s_constraint_rows((parts / one).astype(float), pairs, range(parts.size))
+    chosen = set(independent_rows(floats))
+    tol = math.floor(exact_tolerance(dps) * one)
     while True:
-        reduced, pivots = rref_rows(nullspace(fixed[sorted(chosen)], len(pairs), dps), dps)
+        rows = _s_constraint_rows(parts, pairs, sorted(chosen))
+        reduced, pivots = rref_rows(nullspace(rows, len(pairs), dps), dps)
         exact = [[rationalize(Fraction(x, one), dps) for x in vec] for vec in reduced]
         failed = set()
         for vec in exact:
             scale = math.lcm(*(x.denominator for x in vec))
-            v = np.array([int(x * scale) for x in vec], dtype=object)
-            failed.update(np.flatnonzero(abs(fixed.dot(v)) + abs(v).sum() > tol))
+            v = [int(x * scale) for x in vec]
+            failed.update(np.flatnonzero(abs(_commutator(parts, pairs, v)) + sum(map(abs, v)) > tol))
         if not failed:
             return pairs, exact, pivots
         if failed <= chosen:
@@ -157,17 +162,15 @@ def entry_bounds(md: ModularData) -> tuple:
     bracket straddles an integer raises CheckFailure.
     """
     S = md.fixed[0]
-    eps = to_fraction(tolerance(md.precision))
+    eps = exact_tolerance(md.precision)
     # an entry of one unit or less is not certified positive
     row = S.re[0]
     if all(row > 1):
         lo = _floors(np.multiply.outer(row - 1, row - 1), (row[0] + 1) ** 2, eps)
         hi = _floors(np.multiply.outer(row + 1, row + 1), (row[0] - 1) ** 2, eps)
     elif md.family != "minimal":
-        raise ValueError(
-            "no entry bound available: need a positive vacuum row "
-            "or a built-in minimal model"
-        )
+        raise ValueError("no entry bound available: need a positive vacuum row "
+                         "or a built-in minimal model")
     else:
         col = S.re[:, perron_row(md)]
         if not all(col > 1):
@@ -178,10 +181,8 @@ def entry_bounds(md: ModularData) -> tuple:
     straddled = np.argwhere(lo != hi)
     if straddled.size:
         i, j = straddled[0]
-        raise CheckFailure(
-            "entry bound (%d, %d) lies between %d and %d at precision %d"
-            % (i, j, lo[i, j], hi[i, j], md.precision)
-        )
+        raise CheckFailure("entry bound (%d, %d) lies between %d and %d at precision %d"
+                           % (i, j, lo[i, j], hi[i, j], md.precision))
     return tuple(tuple(int(x) for x in r) for r in lo)
 
 
@@ -277,9 +278,7 @@ def _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
     return solutions
 
 
-def enumerate_physical(
-    md: ModularData, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple:
+def enumerate_physical(md: ModularData, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     """All physical modular invariants, in lexicographic order of the
     flattened matrix.  Raises SearchBudgetExceeded past node_budget."""
     pairs, basis, pivots = _commutant(md)

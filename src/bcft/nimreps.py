@@ -26,7 +26,7 @@ from .errors import (
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing
-from .hp import GUARD_DIGITS, Fixed, exact_dtype, int_array, to_fraction, tolerance
+from .hp import GUARD_DIGITS, Fixed, exact_dtype, exact_tolerance, int_array, tolerance
 from .invariants import ModularInvariant
 from .modular_data import ModularData
 
@@ -165,10 +165,7 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
         if nxt.min() < 0:
             raise NegativityFailure(step)
         mats.append(nxt)
-    return Nimrep(
-        tuple(range(m)),
-        tuple(tuple(tuple(int(x) for x in row) for row in mat) for mat in mats),
-    )
+    return Nimrep(tuple(range(m)), tuple(tuple(map(tuple, mat.tolist())) for mat in mats))
 
 
 def _exponent_traces(md: ModularData, exps) -> tuple:
@@ -207,11 +204,9 @@ def spectrum_match(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> MatchRep
     exps = Z.exponents
     m = len(exps)
     if nr.size != m:
-        raise SizeMismatch(
-            "nimrep has %d boundaries, invariant needs %d" % (nr.size, m)
-        )
+        raise SizeMismatch("nimrep has %d boundaries, invariant needs %d" % (nr.size, m))
     bits, re, im, err = _exponent_traces(md, exps)
-    slack = to_fraction(tolerance(md.precision)) * (1 << bits) - err
+    slack = exact_tolerance(md.precision) * (1 << bits) - err
     mismatches = []
     for rho in range(md.n):
         trace = sum(nr.nmats[rho][a][a] for a in range(m))

@@ -12,6 +12,11 @@ now runs another way, kept only here:
 - enumerate_bruteforce and invariant_residuals: an entrywise search over
   the Perron box that never touches the commutant basis, and the
   defining properties of a candidate invariant;
+- s_constraint_rows: every S-constraint row as one dense matrix of
+  fixed-point ints (the package builds only the rows it chooses, and
+  certifies a basis vector by V S - S V from its nonzero entries);
+- t_allowed_pairs_bruteforce: the T-allowed pairs by n^2 comparisons of
+  the weight classes (the package groups the sectors by class);
 - certify_norm: the characteristic-polynomial certificate of a nimrep
   generator's top eigenvalue (the package checks that the grown family
   closes);
@@ -45,7 +50,6 @@ from bcft.invariants import (
     DEFAULT_NODE_BUDGET,
     _invariant,
     _matrix,
-    _s_constraint_rows,
     perron_row,
     t_allowed_pairs,
 )
@@ -245,6 +249,27 @@ def invariant_residuals(md: ModularData, Z) -> dict:
     }
 
 
+def s_constraint_rows(md: ModularData, pairs) -> np.ndarray:
+    """Every row of the linear system (ZS - SZ)_ab = 0 over the allowed
+    entries, as one dense matrix on the fixed-point S (md.fixed): Python
+    ints at scale 2^fixed_bits(precision).  Row a*n + b is the real part
+    of equation (a, b); for complex S, row n^2 + a*n + b is its imaginary
+    part."""
+    S, n = md.fixed[0], md.n
+    parts = np.array([S.re] if S.im is None else [S.re, S.im])
+    part, ab = np.divmod(np.arange(parts.size), n * n)
+    p, a, b = part[:, None], ab[:, None] // n, ab[:, None] % n
+    i, j = np.array(pairs).T
+    one = np.identity(n, dtype=int)
+    return one[a, i] * parts[p, j, b] - parts[p, a, i] * one[j, b]
+
+
+def t_allowed_pairs_bruteforce(md: ModularData) -> tuple:
+    """The T-allowed positions by n^2 comparisons of the classes h mod 1."""
+    cls = [h % 1 for h in md.h]
+    return tuple((i, j) for i in range(md.n) for j in range(md.n) if cls[i] == cls[j])
+
+
 def enumerate_bruteforce(
     md: ModularData, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple:
@@ -262,7 +287,7 @@ def enumerate_bruteforce(
     ub = np.array([bounds[i][j] for (i, j) in pairs], dtype=np.int64)
     vacuum_var = pairs.index((0, 0))
 
-    rows = (_s_constraint_rows(md, pairs) / (1 << md.fixed[0].bits)).astype(float)
+    rows = (s_constraint_rows(md, pairs) / (1 << md.fixed[0].bits)).astype(float)
     keep = np.abs(rows).max(axis=1) > 1e-30
     rows = rows[keep]
     margin = 1e-9

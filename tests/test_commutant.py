@@ -1,10 +1,12 @@
 """The S,T-commutant basis behind the invariant search.
 
 _commutant eliminates only the constraint rows that float64 picks, in
-fixed point, and certifies the result against every row; the oracle
-here eliminates all of them on mpf (tests/oracles.py), as the search
-did before.
+fixed point, and certifies the result against every row by V S - S V;
+the oracles here eliminate all of them on mpf, and hold every row as
+one dense matrix of fixed-point ints (tests/oracles.py).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from mpmath import mp, mpf, workdps
 
 from bcft.errors import RationalizationFailure
 from bcft.hp import GUARD_DIGITS, independent_rows, rationalize, to_fraction
-from bcft.invariants import _commutant, t_allowed_pairs
+from bcft.invariants import _commutant, _commutator, _s_constraint_rows, t_allowed_pairs
 from bcft.modular_data import load_model
 from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
-from oracles import nullspace, rref_rows, with_s
+from oracles import nullspace, rref_rows, s_constraint_rows, with_s
 
 
 def _full_elimination(md):
@@ -52,24 +54,61 @@ MODELS = (
 )
 
 
-@pytest.mark.parametrize(
-    "family, params", MODELS, ids=["%s-%s" % (f, ",".join(map(str, p))) for f, p in MODELS]
-)
-def test_commutant_matches_full_elimination(family, params):
-    """su(3) level 1 has a complex S, so its rows split into real and
-    imaginary parts."""
+MODEL_IDS = ["%s-%s" % (f, ",".join(map(str, p))) for f, p in MODELS]
+
+
+def _model(family, params):
     builders = {"su2": su2, "minimal": minimal,
                 "su3": lambda k: load_model(su3_level1_document())}
-    md = builders[family](*params)
-    assert _commutant(md) == _full_elimination(md)
+    return builders[family](*params)
 
 
-def test_certificate_sees_below_float64_resolution():
+def _moved_su2_10():
+    """su2(10) with S_01 = S_10 moved by 1e-20, below float64 resolution."""
     md = su2(10)
     S = [list(row) for row in md.S]
     with workdps(md.precision + GUARD_DIGITS):
         S[0][1] = S[1][0] = S[0][1] + mpf("1e-20")
-    moved = with_s(md, S)
+    return with_s(md, S)
+
+
+@pytest.mark.parametrize("family, params", MODELS, ids=MODEL_IDS)
+def test_commutant_matches_full_elimination(family, params):
+    """su(3) level 1 has a complex S, so its rows split into real and
+    imaginary parts."""
+    md = _model(family, params)
+    assert _commutant(md) == _full_elimination(md)
+
+
+@pytest.mark.parametrize("family, params", MODELS + [("moved", ())],
+                         ids=MODEL_IDS + ["su2-10-moved"])
+def test_certificate_equals_the_dense_rows(family, params):
+    """C v = V S - S V from the nonzero entries of v equals the dense
+    oracle rows times v, row for row and with its sign (so |C v| does), for each basis
+    vector of su2(10)'s commutant scaled to ints (on the moved su2(10)
+    they fail the certificate) or of the model's own, and for a seeded
+    random vector over every pair; _s_constraint_rows gives the oracle's
+    rows on ints and, from a float64 S, its rows rounded to float64."""
+    md = _moved_su2_10() if family == "moved" else _model(family, params)
+    pairs = t_allowed_pairs(md)
+    dense = s_constraint_rows(md, pairs)
+    S = md.fixed[0]
+    parts, one = np.array([S.re] if S.im is None else [S.re, S.im]), 1 << S.bits
+    every = range(parts.size)
+    assert _s_constraint_rows(parts, pairs, every).tolist() == dense.tolist()
+    floats = _s_constraint_rows((parts / one).astype(float), pairs, every)
+    assert np.allclose(floats, (dense / one).astype(float), rtol=0, atol=1e-15)
+    _, basis, _ = _commutant(su2(10) if family == "moved" else md)
+    vecs = [[int(x * math.lcm(*(y.denominator for y in vec))) for x in vec] for vec in basis]
+    rng = np.random.default_rng(len(pairs))
+    vecs.append([int(x) for x in rng.integers(-3, 4, len(pairs))])
+    for v in vecs:
+        assert _commutator(parts, pairs, v).tolist() == dense.dot(np.array(v, dtype=object)).tolist()
+
+
+def test_certificate_sees_below_float64_resolution():
+    md = su2(10)
+    moved = _moved_su2_10()
     assert float(moved.S[0][1]) == float(md.S[0][1])
     try:
         got = _commutant(moved)

@@ -11,6 +11,7 @@ from mpmath import mp, mpc, mpf, workdps
 from bcft.errors import RationalizationFailure
 from bcft.hp import (
     Fixed,
+    exact_tolerance,
     fixed_bits,
     from_fixed,
     num_str,
@@ -38,6 +39,14 @@ def test_tolerance_is_half_the_digits_at_guard_precision():
         assert tolerance(50) == mpf(10) ** -25
     with workdps(17):
         assert tolerance(7) == mpf(10) ** -3
+
+
+@pytest.mark.parametrize("dps", [1, 7, 30, 50, 301])
+def test_exact_tolerance_is_the_exact_value_of_the_mpf(dps):
+    eps = exact_tolerance(dps)
+    assert type(eps) is Fraction and eps == to_fraction(tolerance(dps))
+    # within the guard precision, and within the 53 bits to_fraction keeps
+    assert abs(eps * 10 ** max(1, dps // 2) - 1) < Fraction(1, 10 ** min(dps + 9, 15))
 
 
 def test_rationalize_accepts_a_fit_within_the_precision_tolerance():

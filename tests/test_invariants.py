@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
 
 import bcft.invariants
 import oracles
@@ -27,7 +26,8 @@ from bcft.invariants import (
     exponents_of,
     t_allowed_pairs,
 )
-from conftest import all_coprime_pairs, minimal, su2
+from bcft.modular_data import load_model
+from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
 from oracles import enumerate_bruteforce, invariant_residuals
 
 TRUE_COUNTS = {
@@ -124,6 +124,21 @@ def test_ising_t_filter_is_diagonal_only():
     assert t_allowed_pairs(minimal(4, 3)) == ((0, 0), (1, 1), (2, 2))
 
 
+T_PAIR_MODELS = ([("su2", (k,)) for k in range(1, 29)]
+                 + [("minimal", labels) for labels in all_coprime_pairs(10)] + [("su3", (1,))])
+
+
+@pytest.mark.parametrize("family, params", T_PAIR_MODELS,
+                         ids=["%s-%s" % (f, ",".join(map(str, p))) for f, p in T_PAIR_MODELS])
+def test_t_allowed_pairs_equal_the_comparison_oracle(family, params):
+    """Grouping the sectors by h mod 1 gives the pairs of the n^2
+    comparisons, in the same order; su(3) level 1 is a loaded explicit-S
+    document, whose two sectors of weight 1/3 share a class."""
+    md = (load_model(su3_level1_document()) if family == "su3"
+          else {"su2": su2, "minimal": minimal}[family](*params))
+    assert t_allowed_pairs(md) == oracles.t_allowed_pairs_bruteforce(md)
+
+
 def test_ising_has_only_the_diagonal_invariant():
     invs = enumerate_physical(minimal(4, 3))
     assert len(invs) == 1
@@ -167,7 +182,7 @@ def test_entry_bounds_equal_the_mpf_floors():
 def test_entry_bounds_refuse_a_bracket_that_straddles_an_integer(monkeypatch):
     # with no tolerance the exact product d_0 d_0 = 1 lies inside its
     # bracket, whose ends floor to 0 and 1
-    monkeypatch.setattr(bcft.invariants, "tolerance", lambda dps: mpf(0))
+    monkeypatch.setattr(bcft.invariants, "exact_tolerance", lambda dps: Fraction(0))
     with pytest.raises(CheckFailure, match=r"entry bound \(0, 0\) lies between 0 and 1"):
         entry_bounds(su2(4))
 
