@@ -43,8 +43,9 @@ def phase_from_fraction(x: Fraction, dps: int):
 
 
 def to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf."""
-    sign, man, exp, _ = mp.mpf(x)._mpf_
+    """Exact rational value of an mpf, whatever the working precision (any
+    other number is made an mpf at the working precision first)."""
+    sign, man, exp, _ = (x if isinstance(x, mpf) else mpf(x))._mpf_
     v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
 

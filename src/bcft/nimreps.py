@@ -4,9 +4,9 @@ A nimrep assigns to every sector rho a non-negative integer matrix
 n^rho over a set of boundary labels so that matrix products follow the
 fusion coefficients exactly.  For level-k data the whole family grows
 from the fundamental-sector generator by a three-term recursion, so
-enumeration reduces to a search over the A-D-E graphs with at most one
-loop; a candidate is certified exactly when its grown family closes,
-n^k n^1 = n^(k-1).
+enumeration reads its candidates off the A-D-E-T graphs by their Coxeter
+number, an integer table; a candidate is certified exactly when its
+grown family closes, n^k n^1 = n^(k-1).
 """
 
 from __future__ import annotations
@@ -126,12 +126,15 @@ def _check_generator(G) -> np.ndarray:
         raise ValueError("generator must be symmetric")
     if a.min() < 0:
         raise ValueError("generator must be non-negative")
-    # connectivity via reachability of the boolean adjacency
-    m = a.shape[0]
-    reach = np.eye(m, dtype=bool) | (a > 0)
-    for _ in range(m):
-        reach = reach | (reach @ reach)
-    if not reach.all():
+    # breadth-first from node 0 over the nonzero entries: each row is read
+    # once, so O(m^2)
+    reached, seen = [0], {0}
+    for v in reached:
+        for u in np.flatnonzero(a[v]).tolist():
+            if u not in seen:
+                seen.add(u)
+                reached.append(u)
+    if len(reached) < len(a):
         raise ValueError("generator must be connected")
     return a
 
@@ -354,78 +357,51 @@ def _spider(legs) -> np.ndarray:
     return a
 
 
-def _candidate_trees(m: int) -> list:
-    """The trees on m nodes of spectral radius below 2: the A-D-E graphs.
-
-    A degree-4 vertex dominates the star K_{1,4} and two degree-3
-    vertices dominate an affine D-type subtree; both have spectral
-    radius exactly 2, and the radius is monotone in entrywise order,
-    so such trees are out.  What remains are paths and spiders
-    T(a, b, c), three chains of a >= b >= c nodes from one center, and
-    a spider has radius below 2 exactly when 1/(a+1) + 1/(b+1) +
-    1/(c+1) > 1 (Smith 1970): otherwise it contains the affine E6 =
-    T(2, 2, 2), E7 = T(3, 3, 1) or E8 = T(5, 2, 1), of radius 2.  The
-    test runs on ints, and leaves A_m, D_m and E6, E7, E8.
-    """
-    if m == 1:
-        return [np.zeros((1, 1), dtype=np.int64)]
-    out = [np.array(path_graph(m), dtype=np.int64)]
-    for a in range(1, m - 1):
-        for b in range(1, min(a, m - 1 - a) + 1):
-            c = m - 1 - a - b
-            p, q, r = a + 1, b + 1, c + 1
-            # 1/p + 1/q + 1/r > 1
-            if 1 <= c <= b and q * r + p * r + p * q > p * q * r:
-                out.append(_spider((a, b, c)))
+def _coxeter_candidates(m: int, h: int) -> list:
+    """The connected graphs on m nodes of norm 2cos(pi/h), loops allowed
+    (Smith 1970): A_m when h = m + 1, D_m (m >= 4) when h = 2(m - 1), E6,
+    E7 and E8 when (m, h) is (6, 12), (7, 18) or (8, 30), and the tadpole
+    T_m, a path with a loop at one end, when h = 2m + 1."""
+    out = []
+    if h == m + 1:
+        out.append(path_graph(m))
+    if m >= 4 and h == 2 * (m - 1):
+        out.append(_spider((m - 3, 1, 1)))
+    if (m, h) in ((6, 12), (7, 18), (8, 30)):
+        out.append(_spider((m - 4, 2, 1)))
+    if h == 2 * m + 1:
+        tadpole = np.array(path_graph(m), dtype=np.int64)
+        tadpole[-1, -1] = 1
+        out.append(tadpole)
     return out
-
-
-def _survivors(m: int, k: int) -> list:
-    """The candidate generators of size m whose float top eigenvalue
-    lies within 1e-9 of 2cos(pi/(k+2)).
-
-    Any generator with norm below 2 has 0/1 entries, no cycle and at
-    most one loop (a second loop, a cycle or a double edge each force
-    norm >= 2 by eigenvalue monotonicity of non-negative matrices), so
-    candidates are the A-D-E trees of _candidate_trees, each bare and
-    with one loop at every node in turn.  A loop never lowers the
-    radius, so a tree the A-D-E test drops carries no candidate.
-    """
-    candidates = []
-    for a in _candidate_trees(m):
-        candidates.append(a)
-        for v in range(m):
-            b = a.copy()
-            b[v, v] = 1
-            candidates.append(b)
-    target = float(2 * np.cos(np.pi / (k + 2)))
-    tops = np.linalg.eigvalsh(np.stack(candidates).astype(np.float64))[:, -1]
-    # fixed: the width only decides which candidates reach the exact
-    # closure check, which decides alone.  The filter stays because it
-    # pays: with closure judging every candidate, the 31 enumerations of
-    # the classify benchmark took 0.22 s instead of 0.03 s (best of 3), and
-    # k, m <= 30 took 11.1 s instead of 0.76 s (2.1 GHz Xeon VM, raw).
-    return [c for c, top in zip(candidates, tops) if abs(top - target) < 1e-9]
 
 
 def _closes(nr: Nimrep) -> bool:
     """n^k n^1 = n^(k-1) for a family n^0..n^k grown by the recursion of
-    generate_from_generator: exactly when n^(k+1) = 0.  Exact on Python
-    ints."""
-    G, prev, top = (np.array(nr.nmats[i], dtype=object) for i in (1, -2, -1))
-    return np.array_equal(top.dot(G), prev)
+    generate_from_generator: exactly when n^(k+1) = 0.
+
+    The family is read as int64 where it fits (int_array), and the product
+    runs where hp.exact_dtype proves it exact.  A generator G of norm below
+    2, as every enumerated candidate has, keeps that product small: n^a =
+    U_a(G/2) is symmetric with the eigenvalues sin((a+1)t)/sin t, t in
+    (0, pi), at most a + 1 in modulus, so no entry of n^a exceeds a + 1, and
+    m (k+1)^2 < 2^53 puts n^k G in float64.  Any other family is multiplied
+    exactly on Python ints.
+    """
+    G, prev, top = (int_array(nr.nmats[i]) for i in (1, -2, -1))
+    dtype = exact_dtype(len(G), top, G)
+    return np.array_equal(top.astype(dtype) @ G.astype(dtype), prev)
 
 
 def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
     """All size-m nimreps of level-k data, up to relabeling.
 
-    The candidates are the A-D-E trees, picked by an exact integer test
-    (_candidate_trees), bare or with one loop.  The survivors of a float
-    spectral filter over them (_survivors) grow their family n^0..n^k by
-    generate_from_generator, which refuses any that leaves the
-    non-negative integers; a family is kept when it closes,
+    The candidates are the graphs of Coxeter number h = k + 2 on m nodes
+    (_coxeter_candidates), read off an integer table.  Each grows its
+    family n^0..n^k by generate_from_generator, which refuses any that
+    leaves the non-negative integers; a family is kept when it closes,
     n^k n^1 = n^(k-1) (_closes).  That certificate is exact and loses
-    nothing, with h = k + 2 and G the generator:
+    nothing, with G the generator:
 
     - Closure pins the spectrum.  n^a = U_a(G/2), Chebyshev polynomials
       of the second kind, and G is symmetric, so n^(k+1) = U_(k+1)(G/2)
@@ -437,9 +413,21 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
       lies inside [2, h - 1], and n^a v = sin(pi j(a+1)/h)/sin(pi j/h) v
       < 0 contradicts n^a >= 0, which the recursion checked through step
       k.  So the top eigenvalue is exactly 2cos(pi/h).
-    - Completeness.  A connected graph of norm 2cos(pi/h) < 2 has all its
-      eigenvalues of the form 2cos(pi j/h) (Smith 1970), so its family
-      closes.
+    - A norm below 2 leaves a tree with at most one loop.  Each of [2],
+      [[0, 2], [2, 0]], a cycle and a path with a loop at both ends has the
+      eigenvalue 2 on the all-ones vector.  The norm of a non-negative
+      symmetric matrix is at least that of any principal submatrix and
+      grows with its entries, so no principal submatrix of G dominates one
+      of them: its entries are 0/1, it has no cycle, and two loops would lie
+      at the ends of a path.  Being connected, G is a tree with at most one
+      loop.
+    - Completeness.  The trees with at most one loop of norm below 2 are
+      A_m, D_m, E6, E7, E8 and T_m, of norms 2cos(pi/h') with h' =
+      m + 1, 2(m - 1), 12, 18, 30 and 2m + 1 (Smith 1970), and their
+      eigenvalues are all of the form 2cos(pi j/h').  A nimrep's
+      generator closes, so by soundness its norm is 2cos(pi/h) < 2; it is
+      then on that list with h' = h, which the table returns, and every
+      graph the table returns closes.
     """
     if md.family != "su2":
         raise ValueError("enumeration requires level-k data")
@@ -447,9 +435,9 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
         raise ValueError("size must lie in 1..30")
     (k,) = md.params
     out = []
-    for canon in sorted({canonical_generator(c) for c in _survivors(m, k)}):
+    for candidate in _coxeter_candidates(m, k + 2):
         try:
-            nr = generate_from_generator(canon, md)
+            nr = generate_from_generator(canonical_generator(candidate), md)
         except NegativityFailure:
             continue
         if _closes(nr):

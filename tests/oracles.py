@@ -22,6 +22,8 @@ now runs another way, kept only here:
   closes);
 - canonical_bruteforce: the canonical form of any small graph as the
   minimum over all relabelings (the package canonicalizes trees only);
+- connected_by_squaring: connectivity as the closure of m boolean
+  squarings, O(m^4) (the package walks breadth-first from one node);
 - qseries_mul and qseries_div: q-series product and quotient over every
   index pair (the package visits only the nonzero terms of the left
   factor and of the divisor);
@@ -395,6 +397,17 @@ def canonical_bruteforce(G) -> tuple:
         if best is None or cand < best:
             best = cand
     return tuple(tuple(best[i * m + j] for j in range(m)) for i in range(m))
+
+
+def connected_by_squaring(a: np.ndarray) -> np.ndarray:
+    """Whether the graph of each non-negative m x m matrix in a (one, or a
+    stack of them) is connected: m squarings of the boolean reachability
+    matrix reach every path."""
+    m = a.shape[-1]
+    reach = np.eye(m, dtype=bool) | (a > 0)
+    for _ in range(m):
+        reach = reach | (reach @ reach)
+    return reach.all(axis=(-2, -1))
 
 
 def certify_norm(c: np.ndarray, k: int) -> bool:

@@ -45,8 +45,16 @@ def test_tolerance_is_half_the_digits_at_guard_precision():
 def test_exact_tolerance_is_the_exact_value_of_the_mpf(dps):
     eps = exact_tolerance(dps)
     assert type(eps) is Fraction and eps == to_fraction(tolerance(dps))
-    # within the guard precision, and within the 53 bits to_fraction keeps
-    assert abs(eps * 10 ** max(1, dps // 2) - 1) < Fraction(1, 10 ** min(dps + 9, 15))
+    # every bit of the mpf, read back at a precision wide enough for the
+    # fraction, and so within the guard precision of the decimal value
+    with workdps(3 * dps + 50):
+        assert mpf(eps.numerator) / eps.denominator == tolerance(dps)
+    assert abs(eps * 10 ** max(1, dps // 2) - 1) < Fraction(1, 10 ** (dps + 9))
+
+
+def test_exact_tolerance_keeps_the_133_bits_of_tolerance_30():
+    # outside a workdps the context has 53 bits; the mantissa is not re-rounded
+    assert exact_tolerance(30) == Fraction(6129982163463555433433388108601236734475, 2**182)
 
 
 def test_rationalize_accepts_a_fit_within_the_precision_tolerance():

@@ -1,18 +1,20 @@
 """Nimreps: generation, verification, enumeration completeness, psi.
 
-The enumeration restricts generator candidates to the A-D-E trees,
-picked by an integer test on the legs of a one-center spider (with at
-most one unit loop).  Three checks certify that this loses nothing: a
-Prufer-sequence sweep over ALL labeled trees, an exhaustive sweep over
-ALL connected loop-marked graphs on up to five nodes, and, up to 30
-nodes, that every spider the test drops contains an affine E graph.
-Any entry >= 2 already forces spectral radius >= 2 through a 2x2
-principal submatrix, so 0/1 matrices cover every possible generator.
+The enumeration reads its generator candidates off an integer table of
+the A-D-E-T graphs by Coxeter number.  Three checks certify that this
+loses nothing: every unlabeled tree on up to 12 nodes, bare or with one
+loop, and every connected loop-marked graph on up to five nodes, has
+its norm certified by the characteristic polynomial at exactly the
+Coxeter numbers the table lists it at; and up to 30 nodes, every spider
+the table leaves out contains an affine E graph.  Any entry >= 2 already
+forces spectral radius >= 2 through a 1x1 or 2x2 principal submatrix,
+so 0/1 matrices cover every possible generator.
 """
 
-import heapq
+import functools
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -35,11 +37,11 @@ from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_phys
 from bcft.modular_data import load_model
 from bcft.nimreps import (
     Nimrep,
-    _candidate_trees,
+    _check_generator,
     _closes,
+    _coxeter_candidates,
     _exponent_traces,
     _spider,
-    _survivors,
     canonical_generator,
     enumerate_su2_nimreps,
     generate_from_generator,
@@ -53,8 +55,8 @@ from bcft.nimreps import (
 )
 from conftest import all_coprime_pairs, fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 from intpoly import charpoly, mul, psi, rem
-from oracles import (canonical_bruteforce, certify_norm, d_graph, e6_graph, e7_graph, e8_graph,
-                     tadpole_graph, with_s)
+from oracles import (canonical_bruteforce, certify_norm, connected_by_squaring, d_graph, e6_graph,
+                     e7_graph, e8_graph, tadpole_graph, with_s)
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -112,6 +114,54 @@ def test_generator_input_validation():
         generate_from_generator(
             ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), su2(2)
         )  # disconnected
+
+
+def _every_symmetric_01(m: int):
+    positions = [(i, j) for i in range(m) for j in range(i, m)]
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        rows = [[0] * m for _ in range(m)]
+        for (i, j), b in zip(positions, bits):
+            rows[i][j] = rows[j][i] = b
+        yield rows
+
+
+def _random_symmetric_01(rng, m: int):
+    rows = [[0] * m for _ in range(m)]
+    density = rng.random()
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = int(rng.random() < density)
+    return rows
+
+
+def _refused_as_disconnected(rows) -> bool:
+    try:
+        _check_generator(rows)
+    except ValueError as exc:
+        assert str(exc) == "generator must be connected"
+        return True
+    return False
+
+
+def test_connectivity_walk_refuses_what_boolean_squaring_refuses():
+    rng = random.Random(31)
+    groups = [list(_every_symmetric_01(m)) for m in range(1, 6)]
+    groups += [[_random_symmetric_01(rng, m) for _ in range(40)] for m in range(6, 13)]
+    split = []
+    while len(split) < 100:  # two connected components, shuffled together
+        a, b = (_random_symmetric_01(rng, rng.randint(1, 6)) for _ in range(2))
+        if connected_by_squaring(np.array(a)) and connected_by_squaring(np.array(b)):
+            both = _block_diagonal(a, b)
+            perm = rng.sample(range(len(both)), len(both))
+            split.append(both[np.ix_(perm, perm)].tolist())
+    groups += [[rows] for rows in split]  # one group per size
+    groups.append([_block_diagonal(path_graph(3), tadpole_graph(4)).tolist()])
+    refused = Counter()
+    for group in groups:
+        for rows, connected in zip(group, connected_by_squaring(np.array(group))):
+            assert _refused_as_disconnected(rows) == (not connected), rows
+            refused[not connected] += 1
+    assert refused[True] > 100 and refused[False] > 100
 
 
 @pytest.mark.parametrize("G, k", [
@@ -221,91 +271,76 @@ def test_enumeration_size_bounds():
 # completeness oracles for the candidate family
 
 
-def labeled_trees(m: int):
-    """All labeled trees on m nodes, decoded from Prufer sequences."""
+# Coxeter numbers up to 31 hold every table graph on up to 12 nodes
+COXETER = range(2, 32)
+
+
+@functools.lru_cache(maxsize=None)
+def unlabeled_trees(m: int) -> frozenset:
+    """The trees on m nodes up to relabeling, as canonical_generator forms.
+
+    Every tree on m >= 2 nodes is a tree on m - 1 with one leaf added, and
+    canonical_generator returns a relabeling of its input, so two trees
+    that differ never share a form."""
     if m == 1:
-        yield np.zeros((1, 1), dtype=np.int64)
-        return
-    if m == 2:
-        a = np.zeros((2, 2), dtype=np.int64)
-        a[0, 1] = a[1, 0] = 1
-        yield a
-        return
-    for seq in itertools.product(range(m), repeat=m - 2):
-        deg = [1] * m
-        for v in seq:
-            deg[v] += 1
-        heap = [u for u in range(m) if deg[u] == 1]
-        heapq.heapify(heap)
-        a = np.zeros((m, m), dtype=np.int64)
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            a[leaf, v] = a[v, leaf] = 1
-            deg[v] -= 1
-            if deg[v] == 1:
-                heapq.heappush(heap, v)
-        u, w = heapq.heappop(heap), heapq.heappop(heap)
-        a[u, w] = a[w, u] = 1
-        yield a
+        return frozenset({((0,),)})
+    out = set()
+    for tree in unlabeled_trees(m - 1):
+        for v in range(m - 1):
+            rows = [list(row) + [0] for row in tree] + [[0] * m]
+            rows[v][m - 1] = rows[m - 1][v] = 1
+            out.add(canonical_generator(rows))
+    return frozenset(out)
 
 
-def _small_norm_canonicals(mats) -> set:
-    mats = list(mats)
-    if not mats:
-        return set()
-    stack = np.stack([m.astype(np.float64) for m in mats])
-    tops = np.linalg.eigvalsh(stack)[:, -1]
-    return {
-        canonical_generator(m)
-        for m, top in zip(mats, tops)
-        if top < 2 - 1e-12
-    }
+def _certified(graphs) -> dict:
+    """h -> the canonical forms of the graphs (all of one size) whose norm
+    certify_norm certifies as 2cos(pi/h), for every h in COXETER.
+
+    Only graphs of float norm below 2 - 1e-3 reach certify_norm: the rest
+    have norm above 2cos(pi/31) = 2 - 0.0103, which no h here gives, and
+    eigvalsh is off by far less than 1e-3 on matrices this small."""
+    graphs = list(graphs)
+    tops = np.linalg.eigvalsh(np.stack(graphs).astype(np.float64))[:, -1]
+    small = {canonical_generator(g) for g, top in zip(graphs, tops) if top < 2 - 1e-3}
+    out = {h: set() for h in COXETER}
+    for g in small:
+        p = charpoly(g)
+        for h in COXETER:
+            # psi_(2h) | charpoly(g) is the first condition of certify_norm
+            if not rem(p, psi(2 * h)) and certify_norm(np.array(g), h - 2):
+                out[h].add(g)
+    return out
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+def _table(m: int) -> dict:
+    return {h: {canonical_generator(c) for c in _coxeter_candidates(m, h)} for h in COXETER}
+
+
+def _with_one_loop(rows):
+    """rows bare, then with a loop at each node in turn, as int64 arrays."""
+    bare = np.array(rows, dtype=np.int64)
+    yield bare
+    for v in range(len(bare)):
+        marked = bare.copy()
+        marked[v, v] = 1
+        yield marked
+
+
+@pytest.mark.parametrize("m", range(2, 13))
 def test_candidate_trees_cover_all_trees_below_radius_two(m):
-    everything = _small_norm_canonicals(labeled_trees(m))
-    restricted = _small_norm_canonicals(
-        np.array(t, dtype=np.int64) for t in _candidate_trees(m)
-    )
-    assert everything == restricted
+    # the unlabeled tree counts, OEIS A000055
+    assert len(unlabeled_trees(m)) == (1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)[m - 2]
+    graphs = [g for tree in unlabeled_trees(m) for g in _with_one_loop(tree)]
+    assert _certified(graphs) == _table(m)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_candidates_cover_all_connected_marked_graphs(m):
     """Exhaustive sweep: connected 0/1 graphs with optional unit loops."""
-    positions = [(i, j) for i in range(m) for j in range(i, m)]
-
-    def connected(a):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in range(m):
-                if u not in seen and (a[v, u] or (u == v and a[v, v])):
-                    if u != v:
-                        seen.add(u)
-                        frontier.append(u)
-        return len(seen) == m
-
-    graphs = []
-    for bits in itertools.product((0, 1), repeat=len(positions)):
-        a = np.zeros((m, m), dtype=np.int64)
-        for (i, j), b in zip(positions, bits):
-            a[i, j] = a[j, i] = b
-        if connected(a):
-            graphs.append(a)
-
-    candidates = []
-    for t in _candidate_trees(m):
-        base = np.array(t, dtype=np.int64)
-        candidates.append(base)
-        for v in range(m):
-            b = base.copy()
-            b[v, v] = 1
-            candidates.append(b)
-
-    assert _small_norm_canonicals(graphs) == _small_norm_canonicals(candidates)
+    graphs = [np.array(rows, dtype=np.int64) for rows in _every_symmetric_01(m)]
+    connected = connected_by_squaring(np.stack(graphs))
+    assert _certified(g for g, ok in zip(graphs, connected) if ok) == _table(m)
 
 
 # the affine E graphs with their null vectors of 2 - A (the marks)
@@ -326,23 +361,26 @@ def test_affine_e_graphs_have_radius_exactly_two():
 
 
 def test_candidate_spiders_are_those_without_an_affine_e_subgraph():
-    """Up to 30 nodes, a spider T(a, b, c) is dropped exactly when its legs
-    dominate those of an affine E graph, so its radius is at least 2 by
-    monotonicity; every spider kept has float radius below 2 - 1e-3."""
+    """Up to 30 nodes, a spider T(a, b, c) is among the table's graphs of
+    its size exactly when its legs dominate those of no affine E graph, so
+    every spider left out has radius at least 2 by monotonicity; every
+    spider kept has float radius below 2 - 1e-3.  With the path they are
+    all the loop-free graphs of the table, and the tadpole is its one
+    graph with a loop."""
     for m in range(1, 31):
-        kept = {canonical_generator(t) for t in _candidate_trees(m)}
-        assert canonical_generator(path_graph(m)) in kept
+        # h = 61 is the largest Coxeter number on 30 nodes, the tadpole's
+        table = {canonical_generator(c) for h in range(2, 62) for c in _coxeter_candidates(m, h)}
+        kept = {canonical_generator(path_graph(m))}
         spiders = [(a, b, m - 1 - a - b) for a in range(1, m) for b in range(1, a + 1)
                    if 1 <= m - 1 - a - b <= b]
-        n_kept = 0
         for legs in spiders:
             g = _spider(legs)
             covers = any(all(x >= y for x, y in zip(legs, e)) for e in AFFINE_E)
-            assert (canonical_generator(g) not in kept) == covers, legs
+            assert (canonical_generator(g) not in table) == covers, legs
             if not covers:
                 assert np.linalg.eigvalsh(g.astype(np.float64))[-1] < 2 - 1e-3, legs
-                n_kept += 1
-        assert len(kept) == 1 + n_kept <= 3
+                kept.add(canonical_generator(g))
+        assert table == kept | {canonical_generator(tadpole_graph(m))}
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +478,8 @@ def test_closure_refuses_a_root_above_the_target():
 
 
 def test_closure_refuses_a_top_root_within_the_float_filter():
-    # the 2x2 block has top eigenvalue 2cos(pi/12) + 1.05e-10, inside the
-    # 1e-9 float filter of enumerate_su2_nimreps
+    # the 2x2 block has top eigenvalue 2cos(pi/12) + 1.05e-10: a float test
+    # of width 1e-9 would take it for the norm of level 10; closure does not
     near = [[-12519, 35395], [35395, -100055]]
     target = 2 * np.cos(np.pi / 12)
     for c in (np.array(near), _block_diagonal(e6_graph(), near)):
@@ -461,20 +499,22 @@ def test_closure_alone_admits_a_family_that_turns_negative():
 
 
 def test_closure_certifies_what_the_characteristic_polynomial_certifies():
+    # every table graph on up to 12 nodes at every level up to 20: certified
+    # exactly at its own Coxeter number; elsewhere the family turns negative
+    # (a smaller norm) or fails to close (a larger one)
     verdicts = Counter()
     for k in range(1, 21):
         for m in range(1, 13):
-            for c in _survivors(m, k):
-                try:
-                    nr = generate_from_generator(c, su2(k))
-                except NegativityFailure:
-                    nr = None
-                certified = nr is not None and certify_norm(c, k)
-                assert certified == (nr is not None and _closes(nr)), (k, m, c.tolist())
-                verdicts[certified] += 1
-    # every survivor in this range is certified; the refusals are pinned by
-    # the tests above on hand-built generators
-    assert verdicts[True] > 40
+            for h in COXETER:
+                for c in _coxeter_candidates(m, h):
+                    try:
+                        nr = generate_from_generator(c, su2(k))
+                    except NegativityFailure:
+                        nr = None
+                    certified = nr is not None and certify_norm(c, k)
+                    assert certified == (nr is not None and _closes(nr)) == (h == k + 2), (k, h, c)
+                    verdicts[nr is None, certified] += 1
+    assert verdicts[False, True] > 20 and verdicts[True, False] > 100 and verdicts[False, False] > 100
 
 
 def test_spectrum_match_refuses_wrong_and_non_galois_closed_exponents():
