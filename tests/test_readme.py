@@ -18,15 +18,26 @@ def _block(heading: str, lang: str) -> str:
     return text[start:text.index("```", start)]
 
 
-def test_every_cli_line_of_the_readme_exits_zero(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the files the lines name, and the --out they write
+def cli_lines() -> list:
+    """The argv of every line of the README's CLI block, "bcft" first."""
+    return [shlex.split(line, comments=True) for line in _block("## CLI", "sh").splitlines()]
+
+
+def write_cli_inputs():
+    """The files the CLI lines name, written to the working directory: the
+    E6 nimrep of su2 level 10 (nr.json) and its fusion graph (e6.json)."""
     argv = ["nimreps", "enumerate", "--model", "su2", "--level", "10", "--size", "6",
             "--format", "structured", "--out", "e6-list.json"]
     assert cli_main(argv) == 0
     (e6,) = json.loads(Path("e6-list.json").read_text())["nimreps"]
     Path("nr.json").write_text(json.dumps(e6))
     Path("e6.json").write_text(json.dumps(e6["nmats"][1]))
-    lines = [shlex.split(line, comments=True) for line in _block("## CLI", "sh").splitlines()]
+
+
+def test_every_cli_line_of_the_readme_exits_zero(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the files the lines name, and the --out they write
+    write_cli_inputs()
+    lines = cli_lines()
     assert lines
     for line in lines:
         assert line[0] == "bcft", line
