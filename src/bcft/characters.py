@@ -10,6 +10,7 @@ re-gridded to a common refinement automatically.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,12 +258,12 @@ class _Evaluated:
 
 def _warn_if_tail_dominates(tail, tol):
     if tail > mpf(tol):
-        warnings.warn(
-            "truncation tail estimate %s exceeds tolerance %s"
-            % (mp.nstr(tail, 5), tol),
-            ConvergenceWarning,
-            stacklevel=4,  # the caller of the public check
-        )
+        # at the first caller outside the package, however deep the check runs
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals["__name__"].startswith(__package__ + "."):
+            frame, level = frame.f_back, level + 1
+        warnings.warn("truncation tail estimate %s exceeds tolerance %s"
+                      % (mp.nstr(tail, 5), tol), ConvergenceWarning, stacklevel=level)
 
 
 def _s_residual(md: ModularData, ev: _Evaluated, tol):

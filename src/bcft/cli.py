@@ -79,7 +79,7 @@ def _positive_float(text):
     raise argparse.ArgumentTypeError("expected a positive number, got %r" % text)
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, cache: bool = True):
     g = p.add_argument_group("model selection")
     g.add_argument("--model", choices=["su2", "minimal"], help="built-in family")
     g.add_argument("--level", type=int, help="su2 level k")
@@ -91,7 +91,8 @@ def _add_common(p: argparse.ArgumentParser):
     o = p.add_argument_group("output")
     o.add_argument("--out", default=None, help="write results to this file")
     o.add_argument("--format", choices=["text", "structured"], default="text")
-    o.add_argument("--cache", default=None, metavar="DIR", help="enable the on-disk cache")
+    if cache:
+        o.add_argument("--cache", default=None, metavar="DIR", help="enable the on-disk cache")
 
 
 def _add_series(p: argparse.ArgumentParser, beta: bool = False):
@@ -130,10 +131,10 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--size", type=int, required=True, help="number of boundaries")
     p = nimsub.add_parser("verify", help="check a stored nimrep against the fusion ring")
-    _add_common(p)
+    _add_common(p, cache=False)
     p.add_argument("--nimrep-file", required=True, help="structured nimrep document")
     p = nimsub.add_parser("generate", help="grow a nimrep from a fusion graph")
-    _add_common(p)
+    _add_common(p, cache=False)
     p.add_argument(
         "--generator-file", required=True, help="JSON adjacency matrix of the graph"
     )

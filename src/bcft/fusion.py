@@ -21,21 +21,22 @@ DEFAULT_INTEGRALITY_TOL = 1e-10
 FUSION_DOCUMENT_FORMAT = "bcft-fusion/1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
-    """Integer tensor N[sigma][rho][tau] = N^tau_{sigma rho}.  The plane
-    N[sigma] is the left-multiplication matrix of sigma, (N_sigma)_{rho tau}."""
+    """Integer tensor N[sigma, rho, tau] = N^tau_{sigma rho}, a read-only
+    array of shape (n, n, n) made by hp.int_array: int64 where every entry
+    fits, Python ints (dtype object) past that.  The plane N[sigma] is the
+    left-multiplication matrix of sigma, (N_sigma)_{rho tau}."""
 
     n: int
-    N: tuple
+    N: np.ndarray
     conj: tuple
     sector_names: tuple
     max_residual: float
     precision: int
 
-    def as_array(self) -> np.ndarray:
-        """The tensor as int64, or as Python ints past int64 (hp.int_array)."""
-        return int_array(self.N)
+    def __post_init__(self):
+        object.__setattr__(self, "N", int_array(self.N))
 
 
 def verlinde_inputs(md: ModularData):
@@ -100,7 +101,7 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
     N, _, _, worst = _planes(md, integrality_tol)
     return FusionRing(
         n=md.n,
-        N=tuple(tuple(tuple(row) for row in plane) for plane in N.tolist()),
+        N=N,
         conj=md.conj,
         sector_names=tuple(sec.name for sec in md.sectors),
         max_residual=math.isqrt(worst) / (1 << 2 * md.fixed[0].bits),
@@ -175,8 +176,7 @@ def _planes(md: ModularData, integrality_tol: float):
                 add_sum(int(r))
         else:
             planes[t], bounds[t] = R // c, e
-    N = np.array(planes)
-    return (N if dt is object else N.astype(np.int64)), bounds, summed, worst
+    return int_array(planes), bounds, summed, worst
 
 
 @dataclass(frozen=True)
@@ -193,20 +193,15 @@ def verify_axioms(fr: FusionRing) -> AxiomReport:
     associativity, non-negativity.  The products run in float64 (BLAS)
     where hp.exact_dtype proves them exact, on Python ints otherwise."""
     n = fr.n
-    A = fr.as_array()
-    A = A.astype(exact_dtype(n, A))
+    A = fr.N.astype(exact_dtype(n, fr.N))
     bad = []
     if (A < 0).any():
         s, r, t = map(int, np.argwhere(A < 0)[0])
         bad.append(("negativity", (s, r, t)))
-    for r in range(n):
-        for t in range(n):
-            if fr.N[0][r][t] != (1 if r == t else 0):
-                bad.append(("unit", (0, r, t)))
-    for s in range(n):
-        for r in range(n):
-            if fr.N[s][r][0] != (1 if r == fr.conj[s] else 0):
-                bad.append(("conjugation", (s, r, 0)))
+    C = np.zeros((n, n), dtype=np.int64)
+    C[range(n), fr.conj] = 1  # N^0_{s r} = 1 exactly when r = conj(s)
+    bad += [("unit", (0, r, t)) for r, t in np.argwhere(A[0] != np.eye(n)).tolist()]
+    bad += [("conjugation", (s, r, 0)) for s, r in np.argwhere(A[:, :, 0] != C).tolist()]
     if not (A == A.transpose(1, 0, 2)).all():
         s, r, t = map(int, np.argwhere(A != A.transpose(1, 0, 2))[0])
         bad.append(("commutativity", (s, r, t)))
@@ -229,7 +224,7 @@ def fusion_document(fr: FusionRing) -> dict:
         "n": fr.n,
         "sectors": list(fr.sector_names),
         "conjugation": list(fr.conj),
-        "tensor": [[list(row) for row in plane] for plane in fr.N],
+        "tensor": fr.N.tolist(),
         "max_residual": repr(fr.max_residual),
         "precision": fr.precision,
     }

@@ -1,16 +1,17 @@
 """High-precision numeric helpers built on mpmath.
 
-Precision is given in decimal digits everywhere.  Matrices are plain
-tuples of tuples of mpf/mpc so domain objects stay hashable and
-immutable; mpmath matrix objects are only created transiently.  Fixed
-arrays carry the exact big-int contractions.  A model's S is itself
-fixed point: the builders and the document reader write S 2^B as Python
-ints (ModularData.S_fixed), the model caches S, 1/S_0 and S^2 over them
-(ModularData.fixed, read-only), and its mpf S is a view, x / 2^B, built
-only for the readers that need mpf; all other Fixed arrays are transient.
-Fixed.gram forms S^2 and S T S of a real, exactly symmetric S as one
-triangle; any other S takes Fixed.dot.  Integer tensors are int64 where
-they fit (int_array).  The Gauss-Jordan elimination runs on Python ints.
+Precision is given in decimal digits everywhere.  Matrices of mpf/mpc
+are tuples of tuples, so domain objects stay hashable and immutable;
+mpmath matrices are only transient.  Integer tensors (fusion tensors,
+nimrep families) are read-only arrays made once by int_array: int64 where
+every entry fits, Python ints past that.  Fixed arrays carry the exact
+big-int contractions.  A model's S is itself fixed point: the builders
+and the document reader write S 2^B as Python ints (ModularData.S_fixed),
+the model caches S, 1/S_0 and S^2 over them (ModularData.fixed,
+read-only), and its mpf S is a view, x / 2^B, built only for the readers
+that need mpf; all other Fixed arrays are transient.  Fixed.gram forms
+S^2 and S T S of a real, exactly symmetric S as one triangle; any other S
+takes Fixed.dot.  The Gauss-Jordan elimination runs on Python ints.
 """
 
 from __future__ import annotations
@@ -179,11 +180,17 @@ def exact_dtype(terms: int, *arrays):
 
 
 def int_array(rows) -> np.ndarray:
-    """rows as an int64 array if every entry fits, else (or if ragged) as Python ints."""
+    """rows as a read-only array: int64 if every entry fits, else (or if
+    ragged) Python ints.  An array int_array made is returned as it is."""
+    if isinstance(rows, np.ndarray) and rows.dtype in (np.int64, object) \
+            and not rows.flags.writeable:
+        return rows
     try:
-        return np.array(rows, dtype=np.int64)
+        a = np.array(rows, dtype=np.int64)
     except (OverflowError, ValueError):
-        return np.array(rows, dtype=object)
+        a = np.array(rows, dtype=object)
+    a.flags.writeable = False
+    return a
 
 
 class Fixed:

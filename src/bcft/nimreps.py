@@ -33,18 +33,23 @@ from .modular_data import ModularData
 PSI_TOL = 1e-12  # fixed: full_report renders it as cardy_tolerance "1e-12"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nimrep:
+    """The matrices n^rho over the boundary labels: nmats[rho, a, b] is
+    n^rho_ab, a read-only array of shape (sectors, m, m) made by
+    hp.int_array: int64 where every entry fits, Python ints (dtype object)
+    past that.  A ragged document's nmats stays a lower-dimensional object
+    array, which verify refuses by its shape."""
+
     labels: tuple
-    nmats: tuple
+    nmats: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "nmats", int_array(self.nmats))
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.nmats)
 
 
 @dataclass(frozen=True)
@@ -85,24 +90,19 @@ def verify(candidate: Nimrep, fr: FusionRing) -> VerifyReport:
     in float64 (BLAS) where hp.exact_dtype proves them exact, on Python
     ints otherwise."""
     violations = []
-    m = candidate.size
-    if candidate.n_sectors != fr.n:
-        return VerifyReport((("sector_count", candidate.n_sectors, fr.n),))
-    mats = [int_array(mat) for mat in candidate.nmats]
-    for mat in mats:
-        if mat.shape != (m, m):
-            return VerifyReport((("shape", mat.shape, (m, m)),))
-    N, mats = fr.as_array(), np.stack(mats)
-    dtype = exact_dtype(max(fr.n, m), N, mats)
-    N, mats = N.astype(dtype), mats.astype(dtype)
+    m, n = candidate.size, len(candidate.nmats)
+    if n != fr.n:
+        return VerifyReport((("sector_count", n, fr.n),))
+    if candidate.nmats.shape[1:] != (m, m):
+        return VerifyReport((("shape", candidate.nmats.shape[1:], (m, m)),))
+    dtype = exact_dtype(max(n, m), fr.N, candidate.nmats)
+    N, mats = fr.N.astype(dtype), candidate.nmats.astype(dtype)
     if not np.array_equal(mats[0], np.eye(m)):
         violations.append(("unit", 0))
-    for mat, sigma in zip(mats, range(fr.n)):
-        if mat.min() < 0:
-            violations.append(("negative_entry", sigma))
-    for sigma in range(fr.n):
-        if not np.array_equal(mats[fr.conj[sigma]], mats[sigma].T):
-            violations.append(("conjugate_transpose", sigma))
+    negative = np.flatnonzero(mats.min(axis=(1, 2)) < 0).tolist()
+    violations += [("negative_entry", sigma) for sigma in negative]
+    unpaired = np.flatnonzero((mats[list(fr.conj)] != mats.transpose(0, 2, 1)).any(axis=(1, 2)))
+    violations += [("conjugate_transpose", sigma) for sigma in unpaired.tolist()]
     by_tau = mats.reshape(fr.n, m * m)
     for sigma in range(fr.n):
         # n_sigma n_rho against sum_tau N^tau_{sigma rho} n_tau, for every rho at once
@@ -143,8 +143,10 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
     """Grow the full level-k family from the fundamental matrix by
     n^{a+1} = n^a n^1 - n^{a-1}.
 
-    Raises SpectralRadiusTooLarge if the generator norm is >= 2 (no
-    level admits it) and NegativityFailure at the first level where
+    Raises SpectralRadiusTooLarge if the generator norm is >= 2 (no level
+    admits it), CheckFailure, before any growth, if it is not the norm
+    2cos(pi/(k+2)) that every generator of the level has (soundness in
+    enumerate_su2_nimreps), and NegativityFailure at the first level where
     the recursion leaves the non-negative integers.
     """
     if md.family != "su2":
@@ -157,9 +159,15 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
     # fixed: a generator of a level has norm 2cos(pi/h), and 2 - 2cos(pi/h)
     # exceeds the 1e-12 margin for every graph below about 10^6 nodes
     if norm >= 2 - 1e-12:
-        raise SpectralRadiusTooLarge(
-            "generator norm %.6f admits no level" % norm
-        )
+        raise SpectralRadiusTooLarge("generator norm %.6f admits no level" % norm)
+    # fixed: eigvalsh is backward stable, so its top eigenvalue lies within
+    # about m eps ||G|| < 2 m eps of the norm (LAPACK), below 1e-11 for m up
+    # to 3 10^4, where the float64 matrix alone takes 7 GB; a margin of 1e-9
+    # refuses no generator of the level
+    level_norm = 2 * math.cos(math.pi / (k + 2))
+    if abs(norm - level_norm) > 1e-9:
+        raise CheckFailure("generator norm %.12f is not the level-%d norm 2cos(pi/%d) = %.12f"
+                           % (norm, k, k + 2, level_norm))
     a = a.astype(np.int64)  # norm below 2: the entries are 0/1
     m = a.shape[0]
     mats = [np.eye(m, dtype=np.int64), a]
@@ -168,7 +176,7 @@ def generate_from_generator(G, md: ModularData) -> Nimrep:
         if nxt.min() < 0:
             raise NegativityFailure(step)
         mats.append(nxt)
-    return Nimrep(tuple(range(m)), tuple(tuple(map(tuple, mat.tolist())) for mat in mats))
+    return Nimrep(tuple(range(m)), mats)
 
 
 def _exponent_traces(md: ModularData, exps) -> tuple:
@@ -211,9 +219,10 @@ def spectrum_match(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> MatchRep
     bits, re, im, err = _exponent_traces(md, exps)
     slack = exact_tolerance(md.precision) * (1 << bits) - err
     mismatches = []
+    # summed on Python ints: an int64 sum could wrap
+    traces = [sum(d) for d in nr.nmats.diagonal(axis1=1, axis2=2).tolist()]
     for rho in range(md.n):
-        trace = sum(nr.nmats[rho][a][a] for a in range(m))
-        diff = int(re[rho]) - (trace << bits)
+        diff = int(re[rho]) - (traces[rho] << bits)
         if slack < 0 or diff * diff + int(im[rho]) ** 2 > slack * slack:
             mismatches.append(rho)
     return MatchReport(tuple(mismatches))
@@ -234,16 +243,12 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
     """
     exps = Z.exponents
     if len(set(exps)) != len(exps):
-        raise DegenerateExponents(
-            "exponents %s carry multiplicity" % (exps,)
-        )
+        raise DegenerateExponents("exponents %s carry multiplicity" % (exps,))
     if nr.size != len(exps):
-        raise SizeMismatch(
-            "nimrep has %d boundaries, invariant needs %d"
-            % (nr.size, len(exps))
-        )
+        raise SizeMismatch("nimrep has %d boundaries, invariant needs %d" % (nr.size, len(exps)))
     dps = md.precision
     m = nr.size
+    nmats = nr.nmats.tolist()  # Python ints for the mpf sums
     with workdps(dps + GUARD_DIGITS):
         tol = tolerance(dps)
         cols = []
@@ -251,7 +256,7 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
             coef = [md.S[0][lam] * mp.conj(md.S[rho][lam]) for rho in range(md.n)]
 
             def entry(a, b):
-                return mp.fsum(c * mat[a][b] for c, mat in zip(coef, nr.nmats) if mat[a][b])
+                return mp.fsum(c * mat[a][b] for c, mat in zip(coef, nmats) if mat[a][b])
 
             diag = [mp.re(entry(a, a)) for a in range(m)]
             b = max(range(m), key=diag.__getitem__)
@@ -271,13 +276,11 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
         # K[a, lambda, b] = psi_a lambda conj(psi_b lambda); R.dot(K)[rho] is
         # psi diag(R[rho]) psi^dagger
         K = (Psi[:, :, None] * Psi.conj().T[None, :, :]).rescale(bits)
-        N = np.array(nr.nmats, dtype=object) << 2 * bits
+        N = nr.nmats.astype(object) << 2 * bits
         worst = (R.dot(K) - Fixed(N, None, 2 * bits)).max_abs()
         if worst > mpf(PSI_TOL):
-            raise CheckFailure(
-                "boundary-state identity residual %s exceeds %s"
-                % (mp.nstr(worst, 5), PSI_TOL)
-            )
+            raise CheckFailure("boundary-state identity residual %s exceeds %s"
+                               % (mp.nstr(worst, 5), PSI_TOL))
     return PsiMatrix(psi, exps, float(worst))
 
 
@@ -380,15 +383,14 @@ def _closes(nr: Nimrep) -> bool:
     """n^k n^1 = n^(k-1) for a family n^0..n^k grown by the recursion of
     generate_from_generator: exactly when n^(k+1) = 0.
 
-    The family is read as int64 where it fits (int_array), and the product
-    runs where hp.exact_dtype proves it exact.  A generator G of norm below
-    2, as every enumerated candidate has, keeps that product small: n^a =
-    U_a(G/2) is symmetric with the eigenvalues sin((a+1)t)/sin t, t in
-    (0, pi), at most a + 1 in modulus, so no entry of n^a exceeds a + 1, and
-    m (k+1)^2 < 2^53 puts n^k G in float64.  Any other family is multiplied
-    exactly on Python ints.
+    The product runs where hp.exact_dtype proves it exact.  A generator G of
+    norm below 2, as every enumerated candidate has, keeps that product
+    small: n^a = U_a(G/2) is symmetric with the eigenvalues sin((a+1)t)/sin
+    t, t in (0, pi), at most a + 1 in modulus, so no entry of n^a exceeds
+    a + 1, and m (k+1)^2 < 2^53 puts n^k G in float64.  Any other family is
+    multiplied exactly on Python ints.
     """
-    G, prev, top = (int_array(nr.nmats[i]) for i in (1, -2, -1))
+    G, prev, top = nr.nmats[1], nr.nmats[-2], nr.nmats[-1]
     dtype = exact_dtype(len(G), top, G)
     return np.array_equal(top.astype(dtype) @ G.astype(dtype), prev)
 
@@ -452,24 +454,26 @@ def nimrep_document(nr: Nimrep) -> dict:
     return {
         "format": NIMREP_DOCUMENT_FORMAT,
         "labels": list(nr.labels),
-        "nmats": [[list(row) for row in mat] for mat in nr.nmats],
+        "nmats": nr.nmats.tolist(),
     }
 
 
 def _ints(x, field: str, depth: int = 1):
-    """x as nested tuples of ints, depth JSON lists deep (depth 0: one int);
-    bools, floats and strings are refused, not read as int() would."""
+    """x itself if it holds ints alone, depth JSON lists deep (depth 0: one
+    int); bools, floats and strings are refused, not read as int() would."""
     if depth == 0 and type(x) is int:
         return x
     if depth > 0 and type(x) is list:
-        return tuple(_ints(v, field, depth - 1) for v in x)
+        for v in x:
+            _ints(v, field, depth - 1)
+        return x
     raise DocumentFormatError("field %r: expected integers" % field)
 
 
 def nimrep_from_document(doc: dict) -> Nimrep:
     if not isinstance(doc, dict) or doc.get("format") != NIMREP_DOCUMENT_FORMAT:
         raise DocumentFormatError("expected a %s document" % NIMREP_DOCUMENT_FORMAT)
-    labels = _ints(doc.get("labels"), "labels")
+    labels = tuple(_ints(doc.get("labels"), "labels"))
     if len(set(labels)) < len(labels):  # a repeated label names no boundary of its own
         raise DocumentFormatError("field 'labels': a label is repeated")
     return Nimrep(labels, _ints(doc.get("nmats"), "nmats", 3))

@@ -358,6 +358,12 @@ GENERATE = ["nimreps", "generate", "--model", "su2", "--level", "10"]
 ANNULUS = ["annulus", "--model", "minimal", "--p", "4", "--pp", "3", "--pair", "0,0"]
 VERIFY = ["nimreps", "verify", "--model", "su2", "--level", "2"]
 NOT_A_MATRIX = "square integer adjacency matrix"
+UNCACHED_COMMANDS = (GENERATE[:2], VERIFY[:2])  # they store nothing and take no --cache
+
+
+def _caches(argv, cache_dir):
+    """The cache options to run argv with: none, and one where the command takes it."""
+    return [[]] + ([] if argv[:2] in UNCACHED_COMMANDS else [["--cache", str(cache_dir)]])
 NOT_A_NIMREP = "expected a bcft-nimrep/1 document"
 NOT_JSON = "Expecting value: line 1 column 1 (char 0)"
 MISSING, DIRECTORY, NESTED = "<missing>", "<directory>", "<nested>"  # content placeholders
@@ -425,7 +431,7 @@ def test_malformed_input_file_names_the_flag_and_file(
         path.write_text("[" * 10**5 + "]" * 10**5)
     elif content != MISSING:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    for cache in ([], ["--cache", str(tmp_path / "cache")]):
+    for cache in _caches(argv, tmp_path / "cache"):
         for fmt in ("text", "structured"):
             code, out, err = run(argv + [flag, str(path), "--format", fmt] + cache, capsys)
             assert code == 1
@@ -526,8 +532,10 @@ def test_generator_entries_past_int64_are_refused_by_their_norm(x, capsys, tmp_p
 
 
 def test_generated_family_must_be_a_nimrep_of_the_model(capsys, tmp_path):
-    # the level-1 tadpole grows a non-negative family at level 2 whose
-    # products break the fusion rules; `nimreps verify` refuses it too
+    # the level-1 tadpole has the norm 1 = 2cos(pi/3), not the level-2 norm,
+    # so `nimreps generate` refuses it before growing anything; the family it
+    # would grow at level 2 is non-negative, but its products break the
+    # fusion rules, and `nimreps verify` refuses it
     path = tmp_path / "generator.json"
     path.write_text(json.dumps([[1]]))
     argv = GENERATE[:-1] + ["2", "--generator-file", str(path)]
@@ -535,10 +543,16 @@ def test_generated_family_must_be_a_nimrep_of_the_model(capsys, tmp_path):
         code, out, err = run(argv + ["--format", fmt], capsys)
         assert code == 2
         assert out == ""
-        assert ("check failed: the family grown from --generator-file %s is not a nimrep"
-                " of the model: " % path) in err
-        assert "('product', 1, 2)" in err
+        assert ("check failed: generator norm 1.000000000000 is not the level-2 norm"
+                " 2cos(pi/4) = 1.414213562373") in err
         assert "Traceback" not in err
+    grown = tmp_path / "grown.json"  # n^2 = n^1 n^1 - n^0
+    grown.write_text(json.dumps({"format": "bcft-nimrep/1", "labels": [0],
+                                 "nmats": [[[1]], [[1]], [[0]]]}))
+    code, doc, err = run_json(VERIFY + ["--nimrep-file", str(grown)], capsys)
+    assert code == 2
+    assert ["product", "1", "2"] in doc["violations"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("out", ["missing", "directory"])
@@ -779,7 +793,6 @@ def test_each_input_file_is_read_once_per_run(capsys, tmp_path, monkeypatch):
     nimrep_file.write_text(json.dumps(nimrep_document(regular_nimrep(verlinde(su2(2))))))
     generator_file = tmp_path / "a3.json"
     generator_file.write_text(json.dumps(A3))
-    cache = ["--cache", str(tmp_path / "cache")]
     for path, argv in (
         (model_file, ["models", "--model-file", str(model_file)]),
         (nimrep_file, ["annulus", "--model", "su2", "--level", "2", "--nimrep",
@@ -791,7 +804,7 @@ def test_each_input_file_is_read_once_per_run(capsys, tmp_path, monkeypatch):
         reads = _count_reads(monkeypatch, path)
         for _ in ("cold", "warm"):
             reads.clear()
-            assert run(argv + cache, capsys)[0] == 0
+            assert run(argv + _caches(argv, tmp_path / "cache")[-1], capsys)[0] == 0
             assert len(reads) == 1, reads
         monkeypatch.undo()
 
@@ -1369,9 +1382,9 @@ GUARD_ARGVS = {
 # The only options a run may leave unread, each for its reason:
 # - the flags of the family not selected: these runs select su2, so --p and --pp
 UNSELECTED_FAMILY = {"p", "pp"}
-# - --cache on the four subcommands that store nothing; the benchmark's cli-cache
-#   workload passes it to `check s-transform`, so all four keep it
-UNCACHED = {"nimreps-verify", "nimreps-generate", "check-s-transform", "check-heat-kernel"}
+# - --cache on the two check subcommands, which store nothing; the benchmark's
+#   cli-cache workload passes it to `check s-transform`, so both keep it
+UNCACHED = {"check-s-transform", "check-heat-kernel"}
 
 
 def _recording(args):
@@ -1384,6 +1397,13 @@ def _recording(args):
             return super().__getattribute__(name)
 
     return Recording(**vars(args)), read
+
+
+@pytest.mark.parametrize("name", ["nimreps-verify", "nimreps-generate"])
+def test_commands_that_store_nothing_take_no_cache(name, capsys, tmp_path):
+    code, out, err = run(GUARD_ARGVS[name] + ["--cache", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --cache" in err
 
 
 @pytest.mark.parametrize("name", list(GUARD_ARGVS))
@@ -1472,6 +1492,8 @@ def argvs(draw):
     command = draw(st.sampled_from(list(EXTRA) + [("nimreps",), ("check",)]))
     always, at_will = EXTRA.get(command, ({}, {}))
     at_will = dict(COMMON, **at_will)
+    if list(command) in UNCACHED_COMMANDS:
+        del at_will["--cache"]
     argv = list(command) + list(draw(MODEL))
     for flag in list(always) + draw(st.lists(st.sampled_from(sorted(at_will)), unique=True)):
         argv += [flag, draw(always[flag] if flag in always else at_will[flag])]

@@ -56,7 +56,7 @@ def su2_closed_form(k: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_su2_fusion_matches_closed_form(k):
     fr = fusion_su2(k)
-    assert np.array_equal(fr.as_array(), su2_closed_form(k))
+    assert np.array_equal(fr.N, su2_closed_form(k))
 
 
 def test_axioms_hold_for_many_models():
@@ -83,9 +83,9 @@ def test_associativity_past_the_float64_bound_matches_the_object_oracle():
     # 7 * (2^40)^2 is far past 2^53, so the products run on Python ints,
     # where int64 would wrap the square of the raised coefficient to 0
     fr = fusion_su2(6)
-    A = np.array(fr.N, dtype=object)
+    A = fr.N.astype(object)
     A[2, 2, 2] = 2**40
-    broken = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
+    broken = dataclasses.replace(fr, N=A)
     (where,) = [v[1] for v in verify_axioms(broken).violations if v[0] == "associativity"]
     assert where == _first_associativity_violation(A)
 
@@ -93,10 +93,10 @@ def test_associativity_past_the_float64_bound_matches_the_object_oracle():
 @pytest.mark.parametrize("s, r, t", [(1, 1, 2), (2, 3, 1), (4, 4, 4), (3, 5, 5)])
 def test_associativity_slices_report_the_whole_array_offender(s, r, t):
     fr = fusion_su2(6)
-    A = fr.as_array()
+    A = fr.N.copy()
     A[s, r, t] += 1
     A[r, s, t] = A[s, r, t]  # stays commutative
-    broken = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
+    broken = dataclasses.replace(fr, N=A)
     (where,) = [v[1] for v in verify_axioms(broken).violations if v[0] == "associativity"]
     assert where == _first_associativity_violation(A)
 
@@ -112,17 +112,15 @@ def test_fusion_matrix_is_left_multiplication():
     """The plane N[sigma] is sigma's left-multiplication matrix: its row rho
     holds sigma x rho.  The regular nimrep acts by the stored planes."""
     fr = fusion_su2(4)
-    nmats = regular_nimrep(fr).nmats
+    assert regular_nimrep(fr).nmats is fr.N  # the stored planes, not a copy
     for sigma in range(fr.n):
-        mat = fr.N[sigma]
-        assert nmats[sigma] is mat  # the stored plane, not a copy
-        assert mat[0] == tuple(int(t == sigma) for t in range(fr.n))  # sigma x 1 = sigma
+        assert fr.N[sigma, 0].tolist() == [int(t == sigma) for t in range(fr.n)]  # sigma x 1
 
 
 def test_fusion_matrices_represent_the_ring():
     fr = fusion_su2(5)
     mats = [np.array(fr.N[s], dtype=np.int64) for s in range(fr.n)]
-    A = fr.as_array()
+    A = fr.N
     for s in range(fr.n):
         for r in range(fr.n):
             combo = sum(A[s][r][t] * mats[t] for t in range(fr.n))
@@ -181,7 +179,7 @@ def test_verlinde_equals_the_all_tau_reference(family, params):
           else load_model(su3_level1_document()))
     fr = verlinde(md)
     N, _ = _verlinde_reference(md)
-    assert fr.as_array().tolist() == N.tolist()
+    assert fr.N.tolist() == N.tolist()
     # a few summed planes grow every other one, and max_residual is the
     # worst over the summed planes' entries
     summed = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)[2]
@@ -219,7 +217,7 @@ def test_rounding_is_checked_against_the_error_bound():
     # so tight a tolerance leaves no plane to grow: all three are summed, and
     # max_residual is the worst of them
     tight = verlinde(md, integrality_tol=fr.max_residual + 2 * float(E))
-    assert tight.N == fr.N and tight.max_residual >= fr.max_residual
+    assert np.array_equal(tight.N, fr.N) and tight.max_residual >= fr.max_residual
     with pytest.raises(IntegralityFailure):
         verlinde(md, integrality_tol=fr.max_residual + float(E) / 2)
 
@@ -306,10 +304,9 @@ def test_complex_s_su3_level1():
     md = load_model(su3_level1_document())
     assert md.conj == (0, 2, 1)
     fr = verlinde(md)
-    assert fr.N == tuple(
-        tuple(tuple(int(t == (a + b) % 3) for t in range(3)) for b in range(3))
-        for a in range(3)
-    )
+    assert fr.N.tolist() == [
+        [[int(t == (a + b) % 3) for t in range(3)] for b in range(3)] for a in range(3)
+    ]
     assert fr.max_residual < 1e-50
     assert verify_axioms(fr).ok
     rep = validate(md)
@@ -320,7 +317,7 @@ def test_complex_s_su3_level1():
 @given(st.integers(min_value=1, max_value=12))
 def test_unit_and_commutativity_properties(k):
     fr = fusion_su2(k)
-    A = fr.as_array()
+    A = fr.N
     assert np.array_equal(A[0], np.eye(fr.n, dtype=np.int64))
     assert np.array_equal(A, A.transpose(1, 0, 2))
     assert A.min() >= 0
@@ -359,12 +356,12 @@ def test_float64_checks_equal_the_object_oracle(family, params, monkeypatch):
     nr = regular_nimrep(fr)
     assert _checks(fr, nr) == _object_checks(fr, nr, monkeypatch) == ((), ())
     # one coefficient and one nimrep entry raised by one
-    A = fr.as_array()
+    A = fr.N.copy()
     A[-1, -1, -1] += 1
-    bumped = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
-    mats = [np.array(mat, dtype=object) for mat in nr.nmats]
-    mats[-1][0, -1] += 1
-    nr = Nimrep(nr.labels, tuple(tuple(map(tuple, m.tolist())) for m in mats))
+    bumped = dataclasses.replace(fr, N=A)
+    mats = nr.nmats.astype(object)
+    mats[-1, 0, -1] += 1
+    nr = Nimrep(nr.labels, mats)
     got = _checks(bumped, nr)
     assert got == _object_checks(bumped, nr, monkeypatch)
     assert got[1]
@@ -382,10 +379,10 @@ def test_checks_at_the_float64_bound_equal_the_object_oracle(entry, monkeypatch)
     # within a factor n of 2^53.  2^63 does not fit int64, so that tensor
     # and nimrep stay Python ints; -2^63 does, and np.abs wraps it in int64
     fr = fusion_su2(6)
-    A = fr.as_array().astype(object)
+    A = fr.N.astype(object)
     A[2, 2, 2] = entry
-    big = dataclasses.replace(fr, N=tuple(tuple(map(tuple, p)) for p in A.tolist()))
-    B = big.as_array()
+    big = dataclasses.replace(fr, N=A)
+    B = big.N
     assert B.dtype == (object if entry == 1 << 63 else np.int64) and B.tolist() == A.tolist()
     assert bcft.fusion.exact_dtype(fr.n, B) is (np.float64 if entry == FLOAT64_BOUND else object)
     nr = regular_nimrep(big)

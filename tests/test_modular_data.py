@@ -4,6 +4,7 @@ import dataclasses
 import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -399,7 +400,7 @@ def test_a_written_model_reads_back_to_the_same_ints_and_fusion(model):
     back = load_model(doc)
     assert back.family is None and back.precision == md.precision
     assert model_to_document(back)["S"] == doc["S"]
-    assert verlinde(back).N == verlinde(md).N
+    assert np.array_equal(verlinde(back).N, verlinde(md).N)
     bits = fixed_bits(md.precision)
     with workdps(md.precision + 30):
         for part, back_part in zip(md.S_fixed, back.S_fixed):

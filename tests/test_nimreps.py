@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from mpmath import mp, workdps
 
 from bcft.errors import (
+    CheckFailure,
     DegenerateExponents,
     DocumentFormatError,
     NegativityFailure,
@@ -65,7 +66,7 @@ from oracles import (canonical_bruteforce, certify_norm, connected_by_squaring, 
 def test_path_generator_reproduces_regular_nimrep():
     k = 4
     nr = generate_from_generator(path_graph(k + 1), su2(k))
-    assert nr.nmats == regular_nimrep(fusion_su2(k)).nmats
+    assert np.array_equal(nr.nmats, regular_nimrep(fusion_su2(k)).nmats)
     assert verify(nr, fusion_su2(k)).ok
 
 
@@ -82,19 +83,54 @@ def test_d4_nimrep_matrices():
     md = su2(4)
     (nr,) = enumerate_su2_nimreps(md, 4)
     assert verify(nr, fusion_su2(4)).ok
-    assert nr.nmats[2] == ((2, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
+    assert nr.nmats[2].tolist() == [[2, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
 
 
-def test_wrong_level_path_fails_negativity():
+def _past_the_norm_gate(monkeypatch, k: int):
+    """From now on the generator norm that generate_from_generator computes
+    is the level-k norm, as if float64 had missed by the whole difference."""
+    norm = np.array([2 * math.cos(math.pi / (k + 2))])
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: norm)
+
+
+def test_wrong_level_path_fails_negativity(monkeypatch):
+    # A3 has the norm 2cos(pi/4) of level 2, so level 4 refuses it before
+    # growing; past that gate, its family turns negative at step 4
+    with pytest.raises(CheckFailure, match=r"norm 1\.414213562373 is not the level-4 norm"):
+        generate_from_generator(path_graph(3), su2(4))
+    _past_the_norm_gate(monkeypatch, 4)
     with pytest.raises(NegativityFailure) as exc:
         generate_from_generator(path_graph(3), su2(4))
     assert exc.value.index == 4
 
 
-def test_e6_at_wrong_level_grows_but_fails_verification():
+def test_e6_at_wrong_level_grows_but_fails_verification(monkeypatch):
+    # E6 has the norm of level 10: level 9 refuses it before growing; past
+    # that gate, it grows a non-negative family there that is no nimrep
     md = su2(9)
+    with pytest.raises(CheckFailure, match="not the level-9 norm"):
+        generate_from_generator(e6_graph(), md)
+    _past_the_norm_gate(monkeypatch, 9)
     nr = generate_from_generator(e6_graph(), md)
     assert not verify(nr, fusion_su2(9)).ok
+
+
+def test_a_generator_of_another_norm_is_refused_before_it_grows():
+    # 2,000 nodes would take about 100 s of products at level 10
+    with pytest.raises(CheckFailure) as exc:
+        generate_from_generator(path_graph(2000), su2(10))
+    assert str(exc.value) == ("generator norm %.12f is not the level-10 norm 2cos(pi/12) = %.12f"
+                              % (2 * math.cos(math.pi / 2001), 2 * math.cos(math.pi / 12)))
+
+
+def test_every_table_graph_of_the_level_passes_the_norm_gate():
+    grown = 0
+    for k in range(1, 31):
+        for m in range(1, 31):
+            for c in _coxeter_candidates(m, k + 2):
+                assert verify(generate_from_generator(c, su2(k)), fusion_su2(k)).ok, (k, c)
+                grown += 1
+    assert grown == 61
 
 
 def test_cycle_generator_has_radius_two():
@@ -181,16 +217,17 @@ def test_generator_entries_must_be_integers(G, k):
 
 def test_integer_arrays_grow_like_their_rows():
     rows = path_graph(3)
+    want = generate_from_generator(rows, su2(2))
     for dtype in (np.int64, np.uint8):
-        assert generate_from_generator(np.array(rows, dtype=dtype), su2(2)) == \
-            generate_from_generator(rows, su2(2))
+        got = generate_from_generator(np.array(rows, dtype=dtype), su2(2))
+        assert got.labels == want.labels and np.array_equal(got.nmats, want.nmats)
 
 
 def test_verify_flags_broken_unit():
     fr = fusion_su2(2)
     nr = regular_nimrep(fr)
-    bad = nr.nmats[:1] * 2 + nr.nmats[2:]
-    rep = verify(Nimrep(nr.labels, (nr.nmats[1], nr.nmats[1], nr.nmats[2])), fr)
+    bad = nr.nmats[[0, 0, 2]]
+    rep = verify(Nimrep(nr.labels, nr.nmats[[1, 1, 2]]), fr)
     assert not rep.ok
     assert any(v[0] == "unit" for v in rep.violations)
     rep = verify(Nimrep(nr.labels, bad), fr)
@@ -200,7 +237,7 @@ def test_verify_flags_broken_unit():
 def _product_violations_by_pair(candidate, fr):
     """The product check one (sigma, rho) pair at a time, as a reference."""
     mats = [np.array(mat, dtype=np.int64) for mat in candidate.nmats]
-    N = fr.as_array()
+    N = fr.N
     return [
         ("product", sigma, rho)
         for sigma in range(fr.n)
@@ -215,9 +252,9 @@ def _product_violations_by_pair(candidate, fr):
 @pytest.mark.parametrize("k, sigma, a, b", [(4, 1, 0, 1), (4, 3, 2, 2), (6, 2, 4, 3)])
 def test_verify_product_violations_match_the_pairwise_check(k, sigma, a, b):
     fr = fusion_su2(k)
-    mats = [np.array(mat, dtype=np.int64) for mat in regular_nimrep(fr).nmats]
-    mats[sigma][a, b] += 1
-    broken = Nimrep(tuple(range(fr.n)), tuple(tuple(map(tuple, m.tolist())) for m in mats))
+    mats = regular_nimrep(fr).nmats.copy()
+    mats[sigma, a, b] += 1
+    broken = Nimrep(tuple(range(fr.n)), mats)
     got = [v for v in verify(broken, fr).violations if v[0] == "product"]
     assert got and got == _product_violations_by_pair(broken, fr)
 
@@ -254,7 +291,7 @@ def test_one_boundary_nimrep_at_level_one():
     md = su2(1)
     nrs = enumerate_su2_nimreps(md, 1)
     assert len(nrs) == 1
-    assert nrs[0].nmats == (((1,),), ((1,),))
+    assert nrs[0].nmats.tolist() == [[[1]], [[1]]]
     assert verify(nrs[0], fusion_su2(1)).ok
 
 
@@ -461,7 +498,7 @@ def _grow(G, k: int) -> Nimrep:
     mats = [np.identity(len(G), dtype=object), G]
     while len(mats) <= k:
         mats.append(mats[-1].dot(G) - mats[-2])
-    return Nimrep(tuple(range(len(G))), tuple(tuple(map(tuple, m.tolist())) for m in mats))
+    return Nimrep(tuple(range(len(G))), mats)
 
 
 def test_e6_family_closes_at_level_ten():
@@ -488,11 +525,15 @@ def test_closure_refuses_a_top_root_within_the_float_filter():
         assert not _closes(_grow(c, 10))
 
 
-def test_closure_alone_admits_a_family_that_turns_negative():
+def test_closure_alone_admits_a_family_that_turns_negative(monkeypatch):
     # A2 has the eigenvalues 2cos(pi j/6), j = 2, 4, so n^5 = 0 at level 4;
     # its top eigenvalue 1 = 2cos(2 pi/6) is not the norm of the level, and
-    # n^3 = U_3(G/2) is negative on its Perron vector
+    # n^3 = U_3(G/2) is negative on its Perron vector; level 4 refuses it
+    # by its norm before growing, and past that gate at step 3
     assert _closes(_grow(path_graph(2), 4))
+    with pytest.raises(CheckFailure, match="not the level-4 norm"):
+        generate_from_generator(path_graph(2), su2(4))
+    _past_the_norm_gate(monkeypatch, 4)
     with pytest.raises(NegativityFailure) as exc:
         generate_from_generator(path_graph(2), su2(4))
     assert exc.value.index == 3
@@ -500,20 +541,25 @@ def test_closure_alone_admits_a_family_that_turns_negative():
 
 def test_closure_certifies_what_the_characteristic_polynomial_certifies():
     # every table graph on up to 12 nodes at every level up to 20: certified
-    # exactly at its own Coxeter number; elsewhere the family turns negative
-    # (a smaller norm) or fails to close (a larger one)
+    # exactly at its own Coxeter number, where generate_from_generator grows
+    # the same family; elsewhere the family turns negative (a smaller norm)
+    # or fails to close (a larger one), and generate_from_generator refuses
+    # the generator by its norm
     verdicts = Counter()
     for k in range(1, 21):
         for m in range(1, 13):
             for h in COXETER:
                 for c in _coxeter_candidates(m, h):
-                    try:
-                        nr = generate_from_generator(c, su2(k))
-                    except NegativityFailure:
-                        nr = None
-                    certified = nr is not None and certify_norm(c, k)
-                    assert certified == (nr is not None and _closes(nr)) == (h == k + 2), (k, h, c)
-                    verdicts[nr is None, certified] += 1
+                    nr = _grow(c, k)
+                    grows = nr.nmats.min() >= 0
+                    certified = grows and certify_norm(c, k)
+                    assert certified == (grows and _closes(nr)) == (h == k + 2), (k, h, c)
+                    verdicts[not grows, certified] += 1
+                    if h == k + 2:
+                        assert np.array_equal(generate_from_generator(c, su2(k)).nmats, nr.nmats)
+                    else:
+                        with pytest.raises(CheckFailure):
+                            generate_from_generator(c, su2(k))
     assert verdicts[False, True] > 20 and verdicts[True, False] > 100 and verdicts[False, False] > 100
 
 
@@ -727,8 +773,29 @@ def test_psi_size_mismatch():
         psi_matrix(nr, invs["E6"], md)
 
 
+def test_tensors_and_families_are_read_only_arrays():
+    # the rings and models of conftest are shared by every test
+    fr = fusion_su2(4)
+    big = nimrep_from_document({"format": "bcft-nimrep/1", "labels": [0],
+                                "nmats": [[[1]], [[2**63 + 1]]]})
+    made = {
+        "verlinde": fr.N,
+        "regular_nimrep": regular_nimrep(fr).nmats,
+        "generate_from_generator": generate_from_generator(path_graph(5), su2(4)).nmats,
+        "enumerate_su2_nimreps": enumerate_su2_nimreps(su2(4), 4)[0].nmats,
+        "nimrep_from_document": nimrep_from_document(nimrep_document(regular_nimrep(fr))).nmats,
+        "nimrep_from_document past int64": big.nmats,
+    }
+    assert big.nmats.dtype == object and fr.N.dtype == np.int64
+    for name, array in made.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 7
+
+
 def test_document_round_trip_and_format_check():
     (nr,) = enumerate_su2_nimreps(su2(10), 6)
-    assert nimrep_from_document(nimrep_document(nr)) == nr
+    back = nimrep_from_document(nimrep_document(nr))
+    assert back.labels == nr.labels and np.array_equal(back.nmats, nr.nmats)
     with pytest.raises(DocumentFormatError):
         nimrep_from_document({"format": "bcft-nimrep/2", "labels": [], "nmats": []})
