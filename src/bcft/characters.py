@@ -260,7 +260,7 @@ def _warn_if_tail_dominates(tail, tol):
     if tail > mpf(tol):
         # at the first caller outside the package, however deep the check runs
         frame, level = sys._getframe(1), 2
-        while frame.f_globals["__name__"].startswith(__package__ + "."):
+        while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
             frame, level = frame.f_back, level + 1
         warnings.warn("truncation tail estimate %s exceeds tolerance %s"
                       % (mp.nstr(tail, 5), tol), ConvergenceWarning, stacklevel=level)

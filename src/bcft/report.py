@@ -66,10 +66,10 @@ def annulus(
 ) -> AnnulusSpectrum:
     """Character content of the boundary pair (a, b)."""
     _check_labels(nr, a, b)
-    return _annulus(md, nr, characters_for(md, order), a, b, {})
+    return _annulus(nr, characters_for(md, order), a, b, {})
 
 
-def _annulus(md: ModularData, nr: Nimrep, chis: tuple, a: int, b: int, combined: dict):
+def _annulus(nr: Nimrep, chis: tuple, a: int, b: int, combined: dict):
     """combined maps each multiplicity vector seen to its (shared) series."""
     mults = tuple(nr.nmats[:, nr.labels.index(a), nr.labels.index(b)].tolist())
     if mults not in combined:
@@ -265,7 +265,7 @@ def full_report(
         combined = {}
         for a in nr.labels:
             for b in nr.labels:
-                spectrum = _annulus(md, nr, chis, a, b, combined)
+                spectrum = _annulus(nr, chis, a, b, combined)
                 pairs.append(annulus_document(md, spectrum))
                 # the vacuum appears once in (a, a) and never in (a, b), b != a
                 vacuum_ok &= spectrum.multiplicities[0] == (a == b)
