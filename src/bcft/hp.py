@@ -7,9 +7,10 @@ nimrep families) are read-only arrays made once by int_array: int64 where
 every entry fits, Python ints past that.  Fixed arrays carry the exact
 big-int contractions.  A model's S is itself fixed point: the builders
 and the document reader write S 2^B as Python ints (ModularData.S_fixed),
-the model caches S, 1/S_0 and S^2 over them (ModularData.fixed,
-read-only), and its mpf S is a view, x / 2^B, built only for the readers
-that need mpf; all other Fixed arrays are transient.  Fixed.gram forms
+the model caches S, 1/S_0 and S^2 over them (ModularData.fixed) and T,
+written as ints from the exact c and h (ModularData.T), all read-only,
+and its mpf S is a view, x / 2^B, built only for the readers that need
+mpf; all other Fixed arrays are transient.  Fixed.gram forms
 S^2 and S T S of a real, exactly symmetric S as one triangle; any other S
 takes Fixed.dot.  The Gauss-Jordan elimination runs on Python ints.
 """
@@ -35,12 +36,6 @@ FIXED_GUARD_BITS = 8
 def mpf_from_fraction(x: Fraction, dps: int):
     with workdps(dps + GUARD_DIGITS):
         return mpf(x.numerator) / x.denominator
-
-
-def phase_from_fraction(x: Fraction, dps: int):
-    """exp(2 pi i x) for exact rational x."""
-    with workdps(dps + GUARD_DIGITS):
-        return mp.expjpi(2 * mpf_from_fraction(x, dps))
 
 
 def to_fraction(x) -> Fraction:

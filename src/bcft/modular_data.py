@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, workdps, workprec
+from mpmath.libmp import from_rational, mpf_cos_sin_pi, round_nearest
 
 from .errors import (
     BadKacLabels,
@@ -38,7 +39,6 @@ from .hp import (
     from_fixed,
     num_str,
     parse_fixed,
-    phase_from_fraction,
     to_fixed,
     tolerance,
 )
@@ -60,7 +60,8 @@ class ModularData:
     2^-B of the exact S (_sine_table) or of a document's decimal strings.
     family/params identify a builder when the model came from one
     ("su2", (k,)) or ("minimal", (p, p')); loaded models without a
-    builder reference carry family None.  The mpf view S, T, the
+    builder reference carry family None.  The mpf view S, the fixed-point
+    row T (T 2^B as Python ints, written from the exact c and h), the
     conjugation and the fixed arrays are derived from these fields on
     first use and cached on the instance: equality and hash cover the
     fields alone, and dataclasses.replace starts a fresh cache.
@@ -83,9 +84,29 @@ class ModularData:
                      for rx, ry in zip(re, im or [[0] * self.n] * self.n))
 
     @functools.cached_property
-    def T(self) -> tuple:
-        """T_rho = exp(2 pi i (h_rho - c/24)) at the working precision."""
-        return tuple(phase_from_fraction(h - self.c / 24, self.precision) for h in self.h)
+    def T(self) -> Fixed:
+        """T_rho = exp(2 pi i (h_rho - c/24)) as a read-only Fixed row of
+        shape (1, n) at B = fixed_bits(precision), im None when every phase
+        rounds real: T 2^B written as Python ints from the exact (c, h).
+
+        Each h_rho - c/24 is m_rho / D mod 1 over one denominator D, and each
+        distinct m takes one mpf_cos_sin_pi of 2m/D, whatever the size of D:
+        the argument costs one big-int division.  Why each part lies within
+        0.51 units of 2^-B.  At P = B + 10 bits the mpf 2m/D < 2 is rounded
+        to nearest, off by at most 2^-P, so cos and sin of pi times it move by
+        at most pi 2^-P; both are rounded to nearest below 1 in modulus after
+        mpf_cos_sin_pi's own 10 guard bits, off by under 2^-P, so each part
+        errs by under 5 2^-P < 2^-(B+7), and to_fixed rounds it to 2^-B by at
+        most 1/2 unit: under 1/2 + 2^-7 < 0.51 units.
+        """
+        bits, c24 = fixed_bits(self.precision), self.c / 24
+        x = [h - c24 for h in self.h]
+        D = math.lcm(*(v.denominator for v in x))
+        m = [v.numerator * (D // v.denominator) % D for v in x]
+        cs = {k: mpf_cos_sin_pi(from_rational(2 * k, D, bits + 10, round_nearest), bits + 10,
+                                round_nearest) for k in set(m)}
+        re, im = ([[to_fixed(mp.make_mpf(cs[k][i]), bits) for k in m]] for i in (0, 1))
+        return _read_only(Fixed.exact(re, im if any(im[0]) else None, bits))[0]
 
     @functools.cached_property
     def fixed(self) -> tuple:
@@ -98,10 +119,7 @@ class ModularData:
         d, one = x * x + y * y, 1 << 2 * bits  # 1/(x + iy) = (x - iy)/d
         W = Fixed((2 * one * x + d) // (2 * d),
                   None if S.im is None else (d - 2 * one * y) // (2 * d), bits)
-        out = (S, W, (S.gram() if self.real_symmetric else S.dot(S)).rescale(bits))
-        for part in [p for F in out for p in (F.re, F.im) if p is not None]:
-            part.flags.writeable = False
-        return out
+        return _read_only(S, W, (S.gram() if self.real_symmetric else S.dot(S)).rescale(bits))
 
     @functools.cached_property
     def real_symmetric(self) -> bool:
@@ -123,17 +141,13 @@ class ModularData:
         C, n = self.fixed[2], self.n
         tol2 = to_fixed(tolerance(self.precision), C.bits) ** 2
         near_one = (Fixed(C.re - (1 << C.bits), C.im, C.bits).abs2() < tol2).astype(bool)
-        near_zero = (C.abs2() < tol2).astype(bool)
-        conj = []
-        for i in range(n):
-            hits = [j for j in range(n) if near_one[i, j]]
-            zeros = all(near_zero[i, j] for j in range(n) if j not in hits)
-            if len(hits) != 1 or not zeros:
-                raise ModularRelationViolation("S^2 is not a permutation matrix")
-            conj.append(hits[0])
-        if sorted(conj) != list(range(n)) or any(conj[conj[i]] != i for i in range(n)):
+        # one entry near 1 per row and every other near 0; an involution is a bijection
+        if not ((near_one.sum(axis=1) == 1).all() and (near_one | (C.abs2() < tol2)).all()):
+            raise ModularRelationViolation("S^2 is not a permutation matrix")
+        conj = near_one.argmax(axis=1)
+        if not (conj[conj] == range(n)).all():
             raise ModularRelationViolation("S^2 is not an involutive permutation")
-        return tuple(conj)
+        return tuple(conj.tolist())
 
     @property
     def n(self) -> int:
@@ -161,8 +175,8 @@ def validate(md: ModularData) -> dict:
     = C is checked last, as S T S = T^-1 S T^-1: symmetry, unitarity and
     S^2 = C give S^-1 C = S, and (ST)^3 - C = ST (S T S - T^-1 S T^-1) T.
     The products S S^dagger, S^2 and S (T S) are exact Python-int
-    contractions of md.fixed and of T rounded to the same bits; the mpf
-    view md.S is never built.  If md.real_symmetric, S S^dagger is S^2, and
+    contractions of md.fixed and of md.T, written at the same bits; no
+    mpf or mpc is built, the view md.S included.  If md.real_symmetric, S S^dagger is S^2, and
     S^2 and S T S are one triangle each (Fixed.gram); otherwise Fixed.dot.
     """
     n = md.n
@@ -193,7 +207,7 @@ def validate(md: ModularData) -> dict:
             raise UnitarityViolation("max |S S^dagger - 1| = " + mp.nstr(res_uni, 5))
         md.conj  # raises unless S^2 is an involutive permutation
         # X * t.T scales row i of X by T_i, X * t column j by T_j; T^-1 = conj(T)
-        t = Fixed.of([md.T], bits)
+        t = md.T
         STS = (S.gram(t[0]) if md.real_symmetric else S.dot((S * t.T).rescale(bits))).rescale(bits)
         res_st = (STS - (S * t.conj() * t.conj().T).rescale(bits)).max_abs()
         if res_st > tol:
@@ -203,6 +217,13 @@ def validate(md: ModularData) -> dict:
             "unitarity": res_uni,
             "modular_relation": res_st,
         }
+
+
+def _read_only(*arrays: Fixed) -> tuple:
+    """The Fixed arrays, every part made read-only."""
+    for part in [p for F in arrays for p in (F.re, F.im) if p is not None]:
+        part.flags.writeable = False
+    return arrays
 
 
 def _finish(sectors, c, h, S_fixed, precision, family, params):

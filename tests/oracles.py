@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 
 from bcft.characters import QSeries, eta_series
 from bcft.errors import SearchBudgetExceeded, SeriesDivisionError
@@ -497,6 +497,15 @@ def s_matrix(family: str, params: tuple, precision: int) -> tuple:
 def vacuum_row_real(md: ModularData) -> list:
     """The real parts of the mpf vacuum row S_0."""
     return [mp.mpmathify(x).real for x in md.S[0]]
+
+
+def t_row(md: ModularData) -> list:
+    """exp(2 pi i (h - c/24)) 2^B of every sector as an mpc at 2B bits,
+    B = fixed_bits(precision), from the mpf of h - c/24 reduced mod 1."""
+    bits = fixed_bits(md.precision)
+    with workprec(2 * bits):
+        return [mp.expjpi(2 * mpf(x.numerator) / x.denominator) * (1 << bits)
+                for x in ((h - md.c / 24) % 1 for h in md.h)]
 
 
 def with_s(md: ModularData, rows) -> ModularData:

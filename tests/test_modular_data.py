@@ -2,13 +2,14 @@
 
 import dataclasses
 import functools
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, workdps
+from mpmath import mp, workdps, workprec
 
 from bcft.errors import (
     BadKacLabels,
@@ -22,6 +23,8 @@ from bcft.errors import (
 from bcft.fusion import verlinde
 from bcft.hp import Fixed, fixed_bits, num_str, parse_fixed, to_fixed
 from bcft.modular_data import (
+    ModularData,
+    SectorLabel,
     build_minimal,
     build_su2,
     global_index,
@@ -32,7 +35,7 @@ from bcft.modular_data import (
     validate,
 )
 from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
-from oracles import s_matrix, vacuum_row_real
+from oracles import s_matrix, t_row, vacuum_row_real
 
 
 def test_su2_level1_exact_data():
@@ -61,10 +64,75 @@ def test_ising_sectors_weights_and_s_row():
 
 def test_t_matrix_phase_ising():
     md = minimal(4, 3)
-    with workdps(60):
-        # T_sigma = exp(2 pi i (1/16 - (1/2)/24)) = exp(pi i / 12)
-        want = mp.expjpi(mp.mpf(1) / 12)
-        assert abs(md.T[1] - want) < 1e-55
+    bits = fixed_bits(md.precision)
+    with workprec(2 * bits):
+        # T_sigma = exp(2 pi i (1/16 - (1/2)/24)) = exp(pi i / 12), times 2^B
+        want = mp.expjpi(mp.mpf(1) / 12) * (1 << bits)
+        assert abs(md.T.re[0, 1] - want.real) <= 0.51
+        assert abs(md.T.im[0, 1] - want.imag) <= 0.51
+
+
+def _t_units_off(md) -> float:
+    """The largest distance of a part of md.T from t_row(md), in units of 2^-B."""
+    T = md.T
+    im = [0] * md.n if T.im is None else T.im[0]
+    with workprec(2 * T.bits):
+        return max(max(abs(x - w.real), abs(y - w.imag)) for x, y, w in zip(T.re[0], im, t_row(md)))
+
+
+def _sweep_models():
+    return [su2(k) for k in range(1, 21)] + [minimal(*pq) for pq in all_coprime_pairs(10)]
+
+
+def test_t_row_lies_within_half_a_unit_of_the_exact_phase():
+    # the 42 sweep models and the complex-S su(3) level 1: a read-only row of
+    # shape (1, n) of Python ints, each part within 0.51 units of 2^-B
+    models = _sweep_models() + [load_model(su3_level1_document())]
+    assert len(models) == 43
+    for md in models:
+        T = md.T
+        assert T.bits == fixed_bits(md.precision) and T.re.shape == (1, md.n)
+        parts = [part for part in (T.re, T.im) if part is not None]
+        assert all(type(x) is int for part in parts for x in part[0])
+        assert not any(part.flags.writeable for part in parts)
+        assert _t_units_off(md) <= 0.51, (model_name(md), _t_units_off(md))
+
+
+def _timed_t(md) -> float:
+    """Best of five evaluations of T on fresh instances, in seconds."""
+    times = []
+    for _ in range(5):
+        fresh = dataclasses.replace(md)
+        start = time.perf_counter()
+        fresh.T
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_t_row_of_a_4000_digit_denominator_takes_no_longer_than_a_small_one():
+    # h_sigma of Ising moved by 1/q, q of 4,000 digits: the row is built
+    # straight from (c, h), nothing is validated; the argument costs one
+    # big-int division, so no step grows with the size of q
+    ising = minimal(4, 3)
+    q = 10 ** 3999 + 7
+    md = dataclasses.replace(ising, h=(ising.h[0], ising.h[1] + Fraction(1, q), ising.h[2]))
+    assert len(str(md.h[1].denominator)) >= 4000
+    assert _t_units_off(md) <= 0.51
+    assert md.T.im is not None
+    assert _timed_t(md) < 10 * _timed_t(ising) + 0.005
+
+
+def test_an_all_real_t_row_has_no_imaginary_part():
+    # one sector at c = 24: T = exp(-2 pi i) = 1, and (ST)^3 = C holds
+    md = load_model({"format": "bcft-model/1", "name": "c24", "c": "24",
+                     "sectors": [{"name": "1", "h": "0"}], "S": [["1"]]})
+    assert md.T.im is None and md.T.re.tolist() == [[1 << fixed_bits(md.precision)]]
+    assert _t_units_off(md) == 0
+    # c = 12 with h = (0, 1/2): T = (-1, 1), built without validation
+    half = dataclasses.replace(_unvalidated([[1, 0], [0, 1]]), c=Fraction(12),
+                               h=(Fraction(0), Fraction(1, 2)))
+    one = 1 << fixed_bits(half.precision)
+    assert half.T.im is None and half.T.re.tolist() == [[-one, one]]
 
 
 def test_validation_residuals_are_tiny():
@@ -95,17 +163,18 @@ def test_build_forms_s_squared_once(monkeypatch):
         Fixed, "of", classmethod(lambda cls, values, bits: rounded.append(values) or of(cls, values, bits)))
     products = _count_products(monkeypatch)
     md = build_su2(7)
-    # the builder writes S as ints: S is rounded zero times, T once, and
-    # the mpf view of S is never built
-    assert len(rounded) == 1 and rounded[0][0] is md.T
+    # the builder writes S as ints and T is ints from (c, h): neither is
+    # rounded by Fixed.of, and the mpf view of S is never built
+    assert rounded == []
+    assert all(type(x) is int for x in md.T.re[0])
     assert "S" not in vars(md)
     assert all(type(x) is int for row in md.S_fixed[0] for x in row) and md.S_fixed[1] is None
     S = md.fixed[0]
     assert products.count(("gram", S, None)) == 1
     md.fixed, md.conj, md.T, md.unitarity_defect
     validate(md)
-    # only T is rounded again by a second validate, and S^2 is not formed again
-    assert len(rounded) == 2
+    # a second validate rounds nothing either, and S^2 is not formed again
+    assert rounded == []
     assert products.count(("gram", S, None)) == 1
     assert "S" not in vars(md)
 
@@ -123,7 +192,7 @@ def test_every_sweep_model_forms_s_squared_as_the_general_product_would():
     # su2 k <= 20 and minimal p <= 10: S is real and exactly symmetric, also
     # read back from its explicit-S document, and the triangle gives S^2
     # bit for bit as Fixed.dot
-    models = [su2(k) for k in range(1, 21)] + [minimal(*pq) for pq in all_coprime_pairs(10)]
+    models = _sweep_models()
     assert len(models) == 42
     for md in models:
         S, _, S2 = md.fixed
@@ -194,9 +263,9 @@ def test_replace_derives_fresh_model_data():
     assert (moved.fixed[1].re == ising.fixed[1].re).all()
     assert (moved.fixed[2].re == ising.fixed[2].re).all()
     assert moved.S == ising.S != md.S
-    assert moved.T == md.T
+    assert _same_fixed(moved.T, md.T)
     shifted = dataclasses.replace(md, c=ising.c, h=ising.h)
-    assert shifted.T == ising.T != md.T
+    assert _same_fixed(shifted.T, ising.T) and not _same_fixed(shifted.T, md.T)
     assert shifted.conj == md.conj
     # the caches are no fields: equality and hash cover the seven fields alone
     assert fields == ["sectors", "c", "h", "S_fixed", "precision", "family", "params"]
@@ -206,12 +275,46 @@ def test_replace_derives_fresh_model_data():
     assert back.S == md.S and back.conj == md.conj
 
 
+def _same_fixed(F, G) -> bool:
+    """Equal Fixed arrays: both parts through np.array_equal."""
+    return all(np.array_equal(a, b) for a, b in ((F.re, G.re), (F.im, G.im)))
+
+
 def test_fixed_point_arrays_are_read_only():
-    for F in su2(3).fixed + load_model(su3_level1_document()).fixed:
+    su3 = load_model(su3_level1_document())
+    for F in su2(3).fixed + (su2(3).T,) + su3.fixed + (su3.T,):
         for part in (F.re, F.im):
             if part is not None:
                 with pytest.raises(ValueError):
                     part[0] = 0
+
+
+def _unvalidated(rows, precision=50):
+    """ModularData with S = rows (rationals) rounded to 2^-B and no
+    validation; every h is 0."""
+    n, bits = len(rows), fixed_bits(precision)
+    S = tuple(tuple(round(Fraction(x) * (1 << bits)) for x in row) for row in rows)
+    return ModularData(tuple(SectorLabel(i, str(i)) for i in range(n)), Fraction(0),
+                       (Fraction(0),) * n, (S, None), precision)
+
+
+def test_conj_refuses_an_s_squared_that_is_no_permutation():
+    md = _unvalidated([[1, 1, 1]] * 3)  # S^2 = 3 everywhere
+    with pytest.raises(ModularRelationViolation, match=r"^S\^2 is not a permutation matrix$"):
+        md.conj
+
+
+def test_conj_refuses_a_non_involutive_permutation():
+    # S = P^2 - 2J/3, P the 3-cycle and J all ones: the square root of P with
+    # eigenvalue -1 on the constant vector, S^2 = P (P itself has a zero vacuum
+    # entry, which W = 1/S_0 divides by)
+    third = Fraction(1, 3)
+    md = _unvalidated([[-2 * third, -2 * third, third], [third, -2 * third, -2 * third],
+                       [-2 * third, third, -2 * third]])
+    assert md.fixed[2].re.tolist() == [[x << md.fixed[2].bits for x in row]
+                                       for row in ([0, 1, 0], [0, 0, 1], [1, 0, 0])]
+    with pytest.raises(ModularRelationViolation, match=r"^S\^2 is not an involutive permutation$"):
+        md.conj
 
 
 def test_self_conjugate_families():

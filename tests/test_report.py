@@ -307,10 +307,10 @@ def test_e6_pipeline_rounds_s_and_its_vacuum_row_once(monkeypatch):
     Z = next(z for z in enumerate_physical(md) if z.tag == "E6")
     nr = next(nr for nr in enumerate_su2_nimreps(md, Z.size) if spectrum_match(nr, Z, md).ok)
     full_report(md, Z, nr, order=50)
-    # T and psi only: the builder writes S as ints, W = 1/S_0 is divided
-    # from them, and every other contraction reads md.fixed
+    # psi only: the builder writes S as ints, T is ints from (c, h), W = 1/S_0
+    # is divided from S, and every other contraction reads md.fixed
     assert not any(values is md.S for values in calls)
-    assert len(calls) <= 2
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize(

@@ -90,3 +90,25 @@ def test_every_definition_has_a_reader_in_the_program():
                 continue
             unread.append("%s:%d %s" % (file, node.lineno, name))
     assert not unread
+
+
+def test_every_top_level_import_is_read_in_its_module():
+    """A name that a package module imports at top level is read in that
+    module, so no import outlives the code that used it.  __init__ is left
+    out: its imports are the package's public table.  Names read in
+    annotations count, as they are Name nodes of the parsed file."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += ["%s:%d %s" % (path.name, node.lineno, name)
+                           for name in bound if name not in reads]
+    assert not unread
