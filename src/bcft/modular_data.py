@@ -90,14 +90,15 @@ class ModularData:
         rounds real: T 2^B written as Python ints from the exact (c, h).
 
         Each h_rho - c/24 is m_rho / D mod 1 over one denominator D, and each
-        distinct m takes one mpf_cos_sin_pi of 2m/D, whatever the size of D:
-        the argument costs one big-int division.  Why each part lies within
-        0.51 units of 2^-B.  At P = B + 10 bits the mpf 2m/D < 2 is rounded
-        to nearest, off by at most 2^-P, so cos and sin of pi times it move by
-        at most pi 2^-P; both are rounded to nearest below 1 in modulus after
-        mpf_cos_sin_pi's own 10 guard bits, off by under 2^-P, so each part
-        errs by under 5 2^-P < 2^-(B+7), and to_fixed rounds it to 2^-B by at
-        most 1/2 unit: under 1/2 + 2^-7 < 0.51 units.
+        distinct m takes one mpf_cos_sin_pi of 2m/D: a fixed number of
+        big-int steps per sector (the argument is one division), whatever
+        the size of D.  Why each part lies within 0.51 units of 2^-B.  At
+        P = B + 10 bits from_rational rounds 2m/D < 2 to nearest, off by at
+        most 2^-P, which moves cos and sin of pi times it by at most pi 2^-P.
+        mpf_cos_sin_pi carries 10 guard bits past P and rounds each part, of
+        modulus at most 1, to nearest at P bits: off by under 2^-P.  So each
+        part errs by under (pi + 1) 2^-P < 2^-(B+7) before to_fixed rounds it
+        to 2^-B by at most 1/2 unit: under 1/2 + 2^-7 < 0.51 units.
         """
         bits, c24 = fixed_bits(self.precision), self.c / 24
         x = [h - c24 for h in self.h]
@@ -175,9 +176,10 @@ def validate(md: ModularData) -> dict:
     = C is checked last, as S T S = T^-1 S T^-1: symmetry, unitarity and
     S^2 = C give S^-1 C = S, and (ST)^3 - C = ST (S T S - T^-1 S T^-1) T.
     The products S S^dagger, S^2 and S (T S) are exact Python-int
-    contractions of md.fixed and of md.T, written at the same bits; no
-    mpf or mpc is built, the view md.S included.  If md.real_symmetric, S S^dagger is S^2, and
-    S^2 and S T S are one triangle each (Fixed.gram); otherwise Fixed.dot.
+    contractions of md.fixed and of md.T, written at the same bits; no mpc
+    is made and the mpf view md.S is never built.  If md.real_symmetric,
+    S S^dagger is S^2, and S^2 and S T S are one triangle each
+    (Fixed.gram); otherwise Fixed.dot.
     """
     n = md.n
     tol = tolerance(md.precision)
