@@ -70,10 +70,16 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
     X_sigma is the plane (rho, tau) of that sum over the working S
     and w, ||.|| the largest row sum.  A plane N_sigma is kept only under a
     bound ||X_sigma - N_sigma|| <= e_sigma <= slack = integrality_tol - E.
-    - Summed (n^3 products): every entry of the contraction of
-      verlinde_inputs lies within slack of an integer >= 0, or the first
-      offender in summation order raises IntegralityFailure.  e_g = n (r_g
-      + E), r_g the worst residual; max_residual is the worst r_g.
+    - Summed: every entry of the contraction of verlinde_inputs lies
+      within slack of an integer >= 0, or the first offender in row-major
+      order raises IntegralityFailure.  e_g = n (r_g + E), r_g the worst
+      residual; max_residual is the worst r_g.  If md.real_symmetric the
+      plane is one triangle, Fixed.gram(S_g W) mirrored, about n^3/2
+      products: its weight S_gk W_k stays at 2B bits, so gram floors
+      S_tk S_gk W_k to B bits once, exactly as U is floored, and entry
+      (rho, tau), rho <= tau, is the contraction's entry (tau, rho); E holds
+      unchanged and r_g is taken over that triangle.  Any other S takes
+      Fixed.dot, all n^3 products.
     - Grown: if t is the one unknown sector with c_t > 0 in a row c =
       (N_g)_rho of a summed N_g, the ring law gives N_t = (N_g N_rho -
       sum_{tau != t} c_tau N_tau) / c_t on small ints.  An inexact division
@@ -111,7 +117,8 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
 
 def _planes(md: ModularData, integrality_tol: float):
     """verlinde's tensor, each plane's bound e at 2^-2B, the summed sectors
-    in order, and the largest squared residual of a summed entry at 4^-2B."""
+    in order, and the largest squared residual of a formed summed entry
+    (one triangle of a real symmetric S) at 4^-2B."""
     n = md.n
     S, W, E = verlinde_inputs(md)
     bits = 2 * S.bits
@@ -133,11 +140,14 @@ def _planes(md: ModularData, integrality_tol: float):
     dt = np.float64 if 2 * n * (sw // (one * one) + 1) ** 2 < 1 << 53 else object
     tol = to_fixed(tolerance(md.precision), S.bits)
     dim = [math.isqrt(int(v)) // tol for v in S[:, perron_row(md)].abs2()]
-    planes, bounds, summed, worst = [None] * n, [0] * n, [], 0
+    # norms[g] = ||N_g|| of each summed g, for the bound of every plane grown off it
+    planes, bounds, norms, summed, worst = [None] * n, [0] * n, [0] * n, [], 0
+    known = np.zeros(n, dtype=bool)
 
     def add_sum(g):
         nonlocal worst
-        V = (S[g] * S * W).rescale(S.bits).dot(S.conj().T)
+        V = (S.gram(S[g] * W) if md.real_symmetric
+             else (S[g] * S * W).rescale(S.bits).dot(S.conj().T))
         m = (V.re + (one >> 1)) >> bits
         resid2 = Fixed(V.re - m * one, V.im, bits).abs2()
         bad = ((resid2 > limit2) | (m < 0)).astype(bool)
@@ -147,35 +157,37 @@ def _planes(md: ModularData, integrality_tol: float):
         top = int(resid2.max())
         worst = max(worst, top)
         planes[g], bounds[g] = m.astype(dt), n * (math.isqrt(top) + 1 + e_sum)
+        norms[g], known[g] = int(planes[g].sum(axis=1).max()), True
         summed.append(g)
 
     if e0 <= limit:
-        planes[0], bounds[0] = np.identity(n, dtype=dt), e0
+        planes[0], bounds[0], known[0] = np.identity(n, dtype=dt), e0, True
     else:
         add_sum(0)
-    while any(P is None for P in planes):
-        known = np.array([P is not None for P in planes])
+    while not known.all():
         # the first row of a summed plane with one unknown sector
         hit = next(((g, r) for g in summed for r in
                     np.flatnonzero(known & ((planes[g][:, ~known] > 0).sum(axis=1) == 1))), None)
         if hit is None:
-            rest = [int(t) for t in np.flatnonzero(~known)]
-            add_sum(min([t for t in rest if dim[t] > dim[0]] or rest, key=lambda t: dim[t]))
+            rest = np.flatnonzero(~known).tolist()
+            add_sum(min([t for t in rest if dim[t] > dim[0]] or rest, key=dim.__getitem__))
             continue
         g, r = hit
         row = planes[g][r]
-        support = np.flatnonzero(row)
-        t = int(next(t for t in support if not known[t]))
+        support = np.flatnonzero(row).tolist()
+        t = next(v for v in support if not known[v])
         others, c = [v for v in support if v != t], int(row[t])
-        e = 2 * bounds[g] * x + int(planes[g].sum(axis=1).max()) * bounds[r] + delta
+        e = 2 * bounds[g] * x + norms[g] * bounds[r] + delta
         e = -(-(e + sum(int(row[v]) * bounds[v] for v in others)) // c)
-        R = planes[g] @ planes[r] - sum(row[v] * planes[v] for v in others)
-        if e > limit or (R % c).any() or (R < 0).any():
+        R = planes[g] @ planes[r]
+        for v in others:
+            R -= row[v] * planes[v]
+        if e > limit or (R < 0).any() or c > 1 and (R % c).any():
             add_sum(t)
             if e > limit and r not in summed:  # a fresh chain needs a fresh rho too
                 add_sum(int(r))
         else:
-            planes[t], bounds[t] = R // c, e
+            planes[t], bounds[t], known[t] = R if c == 1 else R // c, e, True
     return int_array(planes), bounds, summed, worst
 
 
@@ -194,17 +206,11 @@ def verify_axioms(fr: FusionRing) -> AxiomReport:
     where hp.exact_dtype proves them exact, on Python ints otherwise."""
     n = fr.n
     A = fr.N.astype(exact_dtype(n, fr.N))
-    bad = []
-    if (A < 0).any():
-        s, r, t = map(int, np.argwhere(A < 0)[0])
-        bad.append(("negativity", (s, r, t)))
-    C = np.zeros((n, n), dtype=np.int64)
-    C[range(n), fr.conj] = 1  # N^0_{s r} = 1 exactly when r = conj(s)
+    bad = [("negativity", tuple(v)) for v in np.argwhere(A < 0).tolist()[:1]]
+    C = np.eye(n, dtype=np.int64)[list(fr.conj)]  # N^0_{s r} = 1 exactly when r = conj(s)
     bad += [("unit", (0, r, t)) for r, t in np.argwhere(A[0] != np.eye(n)).tolist()]
     bad += [("conjugation", (s, r, 0)) for s, r in np.argwhere(A[:, :, 0] != C).tolist()]
-    if not (A == A.transpose(1, 0, 2)).all():
-        s, r, t = map(int, np.argwhere(A != A.transpose(1, 0, 2))[0])
-        bad.append(("commutativity", (s, r, t)))
+    bad += [("commutativity", tuple(v)) for v in np.argwhere(A != A.swapaxes(0, 1)).tolist()[:1]]
     # associativity: sum_m N^m_{ab} N^d_{mc} = sum_m N^m_{bc} N^d_{am}, one
     # a-slice at a time so that the memory stays n^3
     by_m_first, by_m_last = A.reshape(n, n * n), A.reshape(n * n, n)

@@ -11,8 +11,9 @@ the model caches S, 1/S_0 and S^2 over them (ModularData.fixed) and T,
 written as ints from the exact c and h (ModularData.T), all read-only,
 and its mpf S is a view, x / 2^B, built only for the readers that need
 mpf; all other Fixed arrays are transient.  Fixed.gram forms
-S^2 and S T S of a real, exactly symmetric S as one triangle; any other S
-takes Fixed.dot.  The Gauss-Jordan elimination runs on Python ints.
+S^2, S T S and the summed Verlinde planes of a real, exactly symmetric S
+as one triangle; any other S takes Fixed.dot.  The Gauss-Jordan
+elimination runs on Python ints.
 """
 
 from __future__ import annotations
@@ -241,7 +242,10 @@ class Fixed:
         """A diag(w) A^T for a real square A = self and a Fixed row w (None:
         all 1), each entry i <= j formed once and mirrored: per part of w,
         sum_k A_ik floor(w_k A_jk / 2^w.bits), which for a symmetric S is
-        S.dot((S * w.T).rescale(S.bits)) on and above the diagonal."""
+        S.dot((S * w.T).rescale(S.bits)) on and above the diagonal.  A w
+        at 2 S.bits, such as the Verlinde weight S_g W, is floored once:
+        S.gram(S[g] * W) is (S[g] * S * W).rescale(S.bits).dot(S.T) below
+        the diagonal, mirrored."""
         A, out = self.re, []
         for part in [None] if w is None else [x for x in (w.re, w.im) if x is not None]:
             W = A if part is None else (A * part) >> w.bits  # row j weighted, floored

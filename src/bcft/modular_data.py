@@ -113,11 +113,15 @@ class ModularData:
     def fixed(self) -> tuple:
         """(S, W, S^2) at B = fixed_bits(precision), read-only: S_fixed, W
         the exact reciprocals 1/S_0k of its vacuum row rounded to the nearest
-        2^-B (one int division per part), and S S floored to B bits (gram if real_symmetric)."""
+        2^-B (one int division per part), and S S floored to B bits (gram if
+        real_symmetric).  A zero S_0k, which has no reciprocal, raises
+        VacuumRowError naming k, also on a model that validate never saw."""
         bits = fixed_bits(self.precision)
         S = Fixed.exact(*self.S_fixed, bits)
         x, y = S.re[0], (0 if S.im is None else S.im[0])
         d, one = x * x + y * y, 1 << 2 * bits  # 1/(x + iy) = (x - iy)/d
+        if not d.all():
+            raise VacuumRowError("S_{0 %d} = 0 has no reciprocal" % list(d).index(0))
         W = Fixed((2 * one * x + d) // (2 * d),
                   None if S.im is None else (d - 2 * one * y) // (2 * d), bits)
         return _read_only(S, W, (S.gram() if self.real_symmetric else S.dot(S)).rescale(bits))

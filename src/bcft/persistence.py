@@ -43,9 +43,10 @@ CACHE_FORMAT = "bcft-cache/2"
 # certificates; 3: a --model-file report at the document's own precision;
 # 4: a fusion max_residual over the summed Verlinde planes alone; 5: S
 # written in fixed point by the builders, which moves residuals below the
-# working precision).  Cache.load treats an entry recorded under another
-# value, or none, as a miss, so results of older code are recomputed.
-NUMERIC_SCHEMA = 5
+# working precision; 6: a summed Verlinde plane's residual over one
+# triangle).  Cache.load treats an entry recorded under another value, or
+# none, as a miss, so results of older code are recomputed.
+NUMERIC_SCHEMA = 6
 
 
 def model_header(document, precision: int) -> tuple:

@@ -181,12 +181,46 @@ def test_verlinde_equals_the_all_tau_reference(family, params):
     N, _ = _verlinde_reference(md)
     assert fr.N.tolist() == N.tolist()
     # a few summed planes grow every other one, and max_residual is the
-    # worst over the summed planes' entries
+    # worst over the entries the summed planes form: one triangle (rho >=
+    # tau) of a real symmetric S, the whole plane otherwise
     summed = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)[2]
     assert len(summed) <= 2
     one = 1 << 2 * verlinde_inputs(md)[0].bits
-    worst = max([int(_plane_residuals(md, g)[1].max()) for g in summed], default=0)
+    full = [_plane_residuals(md, g)[1] for g in summed]
+    formed = [np.tril(r) if md.real_symmetric else r for r in full]
+    worst = max([int(r.max()) for r in formed], default=0)
     assert fr.max_residual == math.isqrt(worst) / one
+    assert fr.max_residual <= math.isqrt(max([int(r.max()) for r in full], default=0)) / one
+
+
+@pytest.mark.parametrize("model", [lambda: su2(30), lambda: minimal(10, 9)],
+                         ids=["su2_k30", "minimal_10_9"])
+def test_a_summed_plane_is_the_lower_triangle_of_the_full_contraction(model):
+    # gram's weight S_gk W_k is passed at 2B bits, unrounded, so it floors
+    # S_jk S_gk W_k once, as the full contraction's U does: entry (rho, tau)
+    # is the full V at (max, min), and verlinde_inputs' bound E holds as it is
+    md = model()
+    S, W, _ = verlinde_inputs(md)
+    n = md.n
+    lower = [(max(r, t), min(r, t)) for r in range(n) for t in range(n)]
+    for g in range(n):
+        G = S.gram(S[g] * W)
+        V = (S[g] * S * W).rescale(S.bits).dot(S.T)
+        assert G.im is None and V.im is None and G.bits == V.bits == 2 * S.bits
+        assert G.re.ravel().tolist() == [V.re[j, i] for j, i in lower]
+
+
+def test_a_real_symmetric_verlinde_makes_no_full_product(monkeypatch):
+    md, su3 = su2(12), load_model(su3_level1_document())
+    reference = _verlinde_reference(su3)[0].tolist()
+    calls = []
+    dot = Fixed.dot
+    monkeypatch.setattr(Fixed, "dot", lambda a, b: calls.append(a.re.shape) or dot(a, b))
+    assert verlinde(su3).N.tolist() == reference
+    assert calls  # a complex S keeps the full contraction
+    monkeypatch.setattr(Fixed, "dot", lambda a, b: pytest.fail("Fixed.dot on a real symmetric S"))
+    assert md.real_symmetric and not su3.real_symmetric
+    assert verify_axioms(verlinde(md)).ok
 
 
 def test_integrality_failure_names_the_first_offender_in_summation_order():
@@ -330,6 +364,17 @@ SWEEP_MODELS = [("su2", (k,)) for k in range(1, 21)] + [("minimal", pq)
                                                         for pq in all_coprime_pairs(10)]
 CHECKED_SWEEP = [(f, p) for f, p in SWEEP_MODELS
                  if (p[0] + 1 if f == "su2" else (p[0] - 1) * (p[1] - 1) // 2) <= 16]
+# _planes(...)[2] of each of SWEEP_MODELS, as the full-plane contraction
+# summed them
+SWEEP_SUMMED = [[1]] * 20 + [[], [1], [1], [1], [3, 2], [4, 3], [2], [1], [6, 1], [6, 2],
+                             [5, 4], [2], [7, 2], [6, 5], [3], [8, 1], [9, 1], [8, 4], [7, 6],
+                             [3], [10, 3], [8, 7]]
+
+
+def test_the_sweep_models_sum_the_same_planes():
+    got = [bcft.fusion._planes(su2(*p) if f == "su2" else minimal(*p), DEFAULT_INTEGRALITY_TOL)[2]
+           for f, p in SWEEP_MODELS]
+    assert got == SWEEP_SUMMED
 
 
 def _checks(fr, nr):

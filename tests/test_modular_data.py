@@ -317,6 +317,14 @@ def test_conj_refuses_a_non_involutive_permutation():
         md.conj
 
 
+@pytest.mark.parametrize("prop", ["conj", "unitarity_defect"])
+def test_a_zero_vacuum_entry_of_an_unvalidated_model_is_a_vacuum_row_error(prop):
+    # S the 3-cycle P: S_00 = 0, which W = 1/S_0k would divide by
+    md = _unvalidated([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(VacuumRowError, match=r"^S_\{0 0\} = 0 has no reciprocal$"):
+        getattr(md, prop)
+
+
 def test_self_conjugate_families():
     assert su2(7).conj == tuple(range(8))
     assert minimal(5, 4).conj == tuple(range(6))
