@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpf, workdps
 
 from .errors import ConvergenceWarning, SeriesDivisionError
@@ -68,15 +69,16 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Product, known as far as both factors are: one slice pass per
-        nonzero term of the left factor (a sparse character numerator)."""
+        nonzero term of the left factor (a sparse character numerator), on
+        object arrays of Python ints, so every sum is exact."""
         g = math.lcm(self.grid, other.grid)
         a, b = self.regrid(g), other.regrid(g)
         length = min(len(a.coeffs), len(b.coeffs))
-        out = [0] * length
+        out, bs = np.zeros(length, dtype=object), np.array(b.coeffs[:length], dtype=object)
         for i, ci in enumerate(a.coeffs[:length]):
             if ci:
-                out[i:] = [x + ci * y for x, y in zip(out[i:], b.coeffs)]
-        return QSeries(a.offset + b.offset, g, tuple(out))
+                out[i:] += ci * bs[:length - i]
+        return QSeries(a.offset + b.offset, g, tuple(out.tolist()))
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient by a divisor led by +-1: out_j = lead (a_j - sum out_(j-i) b_i)
@@ -101,31 +103,50 @@ class QSeries:
     def evaluate(self, q, dps: int):
         """Value at real 0 < q < 1: Horner's rule on ints scaled by 2^B,
         B = fixed_bits(dps) (the hp.Fixed convention), with x = q^(1/grid)
-        rounded to 2^-B, then one multiply by q^offset.  Each floor costs
-        < 2^-B and later steps damp it by x, so all cost < 2^-B / (1 - x);
-        rounding x adds <= 2^-(B+1) |f'(x)|.  Both stay far below the
-        GUARD_DIGITS carried past dps."""
+        rounded to 2^-B, then one multiply by q^offset, over the terms that
+        can reach 2^-B.
+
+        Cut: with X = round(x 2^B) and L = X.bit_length(), both x and its
+        rounding lie below 2^(L-B).  When L < B (so x < 1/2), only the
+        terms j < t = ceil((M + 1 + B + 40) / (B - L)) are summed, where
+        |c_j| < 2^M for every j.  The rest add at most
+        sum_{j >= t} 2^M x^j = 2^M x^t / (1 - x) <= 2^(M+1) 2^-(B-L)t
+        <= 2^-(B+40); at x = 0 (L = 0) that keeps 2 terms when
+        M + 41 <= B.  When L = B every term is summed.
+
+        Rounding: each floor costs < 2^-B and later steps damp it by x, so
+        all cost < 2^-B sum_j x^j <= 2^-B / (1 - x).  x is off by at most
+        2^-(B+1) from its rounding plus 2^-(P-1) from q^(1/grid) at the
+        working precision P bits, which moves the sum by that times
+        max |f'| near x.  With the cut's 2^-(B+40), all stay far below the
+        GUARD_DIGITS carried past dps; the multiply by q^offset then
+        rounds at P bits."""
         bits = fixed_bits(dps)
         with workdps(dps + GUARD_DIGITS):
             q = mpf(q)
             x = to_fixed(q ** (mpf(1) / self.grid), bits)
+            coeffs, room = self.coeffs, bits - x.bit_length()
+            if room > 0:
+                top = max(map(abs, coeffs), default=0).bit_length()
+                coeffs = coeffs[:-(-(top + 1 + bits + 40) // room)]
             acc = 0
-            for cj in reversed(self.coeffs):
+            for cj in reversed(coeffs):
                 acc = (acc * x >> bits) + (cj << bits)
             return mp.ldexp(acc, -bits) * q ** mpf_from_fraction(self.offset, dps)
 
 
 def linear_combination(terms) -> QSeries:
     """sum_i m_i f_i over (m_i, f_i) pairs, on the coarsest common grid
-    and known through the least known exponent of any term."""
+    and known through the least known exponent of any term, summed
+    exactly on an object array of Python ints."""
     off = min(f.offset for _, f in terms)
     g = math.lcm(*(math.lcm(f.grid, (f.offset - off).denominator) for _, f in terms))
     length = int((min(f.known_through() for _, f in terms) - off) * g) + 1
-    out = [0] * length
+    out = np.zeros(length, dtype=object)
     for m, f in terms:
-        at = slice(int((f.offset - off) * g), length, g // f.grid)
-        out[at] = [x + m * c for x, c in zip(out[at], f.coeffs)]
-    return QSeries(off, g, tuple(out))
+        at = out[int((f.offset - off) * g)::g // f.grid]  # a view: += writes out
+        at += m * np.array(f.coeffs[:len(at)], dtype=object)
+    return QSeries(off, g, tuple(out.tolist()))
 
 
 def qseries_one(order: int) -> QSeries:

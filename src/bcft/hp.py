@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (dps_to_prec, from_man_exp, fzero, mpf_abs, mpf_ge, mpf_pos,
+                          round_nearest, to_str)
 
 from .errors import RationalizationFailure
 
@@ -64,17 +65,21 @@ def rationalize(x: Fraction, dps: int, max_denominator: int = 10**6) -> Fraction
 
 def num_str(x, dps: int) -> str:
     """Deterministic decimal rendering at the given precision; a complex
-    value with zero imaginary part renders as its real part."""
-    with workdps(dps + GUARD_DIGITS):
-        v = mp.mpmathify(x)
-        if v.imag == 0:
-            return mp.nstr(mp.mpf(v.real), dps, strip_zeros=False)
-        v = mp.mpc(v)
-        return "%s%s%si" % (
-            mp.nstr(v.real, dps, strip_zeros=False),
-            "+" if v.imag >= 0 else "-",
-            mp.nstr(abs(v.imag), dps, strip_zeros=False),
-        )
+    value with zero imaginary part renders as its real part.
+
+    Each part is rounded to nearest at the precision of dps + GUARD_DIGITS
+    (what mp.mpf does inside workdps) and printed with dps significant
+    digits and its trailing zeros by to_str (what mp.nstr calls), with no
+    precision context set per entry.  mpmathify takes an int, float or
+    complex exactly, so the rounding is the same for every input type (a
+    lazy constant such as mp.pi is read at the caller's precision)."""
+    prec, v = dps_to_prec(dps + GUARD_DIGITS), mp.mpmathify(x)
+    re, im = (mpf_pos(part._mpf_, prec, round_nearest) for part in (v.real, v.imag))
+    text = to_str(re, dps, strip_zeros=False)
+    if im == fzero:
+        return text
+    return "%s%s%si" % (text, "+" if mpf_ge(im, fzero) else "-",
+                        to_str(mpf_abs(im), dps, strip_zeros=False))
 
 
 def parse_fixed(s: str, bits: int) -> tuple:
@@ -147,9 +152,14 @@ def fixed_bits(dps: int) -> int:
 
 def to_fixed(x, bits: int) -> int:
     """round(x * 2^bits) for a real mpf, exactly from its mantissa and
-    exponent (halves round away from zero)."""
+    exponent (halves round away from zero).  When the right shift
+    s = -(exp + bits) exceeds man.bit_length() + 1, man + 2^(s-1) < 2^s,
+    so the value rounds to 0, and 0 returns before 2^(s-1) is built: the
+    nome exp(-4 pi^2 / 1e-30) would need more than 10^31 bits."""
     sign, man, exp, _ = x._mpf_
     shift = exp + bits
+    if -shift > man.bit_length() + 1:
+        return 0
     v = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
     return -v if sign else v
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec
 
 import oracles
 from bcft.characters import (
@@ -20,6 +21,7 @@ from bcft.characters import (
     truncation_tail,
 )
 from bcft.errors import ConvergenceWarning, SeriesDivisionError
+from bcft.hp import GUARD_DIGITS, fixed_bits
 from bcft.modular_data import load_model, model_to_document
 from conftest import all_coprime_pairs, minimal, su2
 
@@ -305,9 +307,11 @@ EVALUATION_CASES = _evaluation_cases()
 @pytest.mark.parametrize("case", EVALUATION_CASES, ids=[c[0] for c in EVALUATION_CASES])
 def test_evaluate_against_a_150_digit_fsum(case):
     """The fixed-point Horner pass stays within 10^-(dps+5) relative of a
-    150-digit sum of the terms, at q and q~ on both sides of beta = 2 pi."""
+    150-digit sum of the terms, at q and q~ on both sides of beta = 2 pi,
+    at beta = 0.5 (q above 1/2, so no term is cut; q~ ~ 1e-34) and at
+    beta = 40 (q ~ 4e-18; q~ ~ 0.37, so the cut keeps most terms)."""
     series, dps = case[1], 50
-    for beta in (0.9 * 2 * mp.pi, 2 * mp.pi, 1.1 * 2 * mp.pi):
+    for beta in (0.9 * 2 * mp.pi, 2 * mp.pi, 1.1 * 2 * mp.pi, mpf("0.5"), mpf(40)):
         for nome in ("q", "q~"):
             with workdps(dps + 10):
                 q = mp.exp(-beta) if nome == "q" else mp.exp(-4 * mp.pi ** 2 / beta)
@@ -327,6 +331,29 @@ small_series = st.builds(
     st.integers(min_value=1, max_value=3),
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8).map(tuple),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_series, st.floats(0, 1, exclude_min=True, exclude_max=True),
+       st.sampled_from([5, 20, 50]))
+def test_evaluate_stays_within_its_error_bound(series, q, dps):
+    """|evaluate - sum| at most the docstring's bound: 2^-B sum_j x^j <=
+    2^-B / (1 - x) for the floors, (2^-(B+1) + 2^-(P-1)) max |f'| for x,
+    2^-(B+40) for the cut, and 2^-(P-1) |f| for the last multiply (P:
+    working bits)."""
+    bits, prec = fixed_bits(dps), dps_to_prec(dps + GUARD_DIGITS)
+    with workdps(dps + GUARD_DIGITS):
+        got = series.evaluate(mpf(q), dps)
+    with workdps(150):
+        x = mpf(q) ** (mpf(1) / series.grid)
+        dx = mp.ldexp(1, -bits - 1) + mp.ldexp(1, 1 - prec)
+        c = series.coeffs
+        want = mp.fsum(cj * x ** j for j, cj in enumerate(c))
+        slope = mp.fsum(j * abs(cj) * (x + dx) ** (j - 1) for j, cj in enumerate(c) if j)
+        floors = mp.ldexp(mp.fsum((x + dx) ** j for j in range(len(c))), -bits)
+        bound = (floors + dx * slope + mp.ldexp(1, -bits - 40)
+                 + abs(want) * mp.ldexp(1, 1 - prec))
+        assert abs(got - want) <= bound, (series, q, dps)
 
 
 @settings(max_examples=60, deadline=None)

@@ -354,6 +354,26 @@ def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("beta", ["1e-30", "1e60"])
+@pytest.mark.parametrize("command",
+                         [["report"], ["check", "s-transform"], ["check", "heat-kernel"]],
+                         ids=" ".join)
+def test_a_nome_far_below_the_fixed_point_unit_exits_without_traceback(command, beta, capsys):
+    """At beta = 1e-30 the dual nome is exp(-4 pi^2 10^30), and at 1e60 the
+    nome is exp(-10^60): both lie inside the usable range, and to_fixed
+    reads each as 0 instead of building a shift of 10^31 bits or more.  The
+    other nome lies near 1, so its truncation tail may warn."""
+    for fmt in ("text", "structured"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([*command, "--model", "su2", "--level", "2", "--beta", beta,
+                                  "--format", fmt], capsys)
+        assert all(issubclass(w.category, bcft.errors.ConvergenceWarning) for w in caught)
+        assert code in (0, 2)
+        assert out != ""
+        assert "Traceback" not in err
+
+
 GENERATE = ["nimreps", "generate", "--model", "su2", "--level", "10"]
 ANNULUS = ["annulus", "--model", "minimal", "--p", "4", "--pp", "3", "--pair", "0,0"]
 VERIFY = ["nimreps", "verify", "--model", "su2", "--level", "2"]
@@ -1461,7 +1481,8 @@ COMMON = {
 }
 # --order is always drawn where it is taken: the default of 400 would slow every run
 ORDER = _value(_ints(0, 30))
-BETA = _value(st.sampled_from(["1", "3.5", "6.283", "0", "-2", "1e-3", "1e300"]))
+BETA = _value(st.sampled_from(["1", "3.5", "6.283", "0", "-2", "1e-3", "1e300", "1e-30",
+                               "1e60"]))
 TAGS = _value(st.sampled_from(["A3", "A5", "D4", "E6", "X"]))
 TOL = _value(st.sampled_from(["1e-8", "0", "-1", "1", "nan", "inf"]))
 # per command: (flags always drawn, flags drawn at will)

@@ -10,6 +10,10 @@ lie within gate.DECIMAL_SLACK, and the bumping change records the file
 again:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, against the file it replaces, the commands whose exact
+fields or decimal fields changed and the largest relative move of a
+decimal, on the scale that gate.DECIMAL_SLACK bounds.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import json
 import shlex
 import sys
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -89,8 +94,62 @@ def test_every_printed_document_matches_its_pin(command, inputs, monkeypatch):
         assert gate.compare(recorded, doc) == [], command
 
 
+def relative_move(a: str, b: str) -> Decimal:
+    """The largest |x - y| / max(1, |x|, |y|) over the parts of two decimal
+    or complex strings, the measure gate.DECIMAL_SLACK bounds; infinite
+    when their shapes differ."""
+    pa, pb = gate._decimal_parts(a), gate._decimal_parts(b)
+    if pa is None or pb is None or len(pa) != len(pb):
+        return Decimal("Infinity")
+    with localcontext() as ctx:
+        ctx.prec = gate.PRECISION + 20
+        return max(abs(x - y) / max(Decimal(1), abs(x), abs(y)) for x, y in zip(pa, pb))
+
+
+def moves(old: dict, new: dict) -> list:
+    """Lines naming what differs between two recordings' documents
+    ({command: digest}): commands pinned on one side only, exact fields
+    that changed, each decimal field that moved, and the largest move."""
+    lines, worst = [], Decimal(0)
+    for command in sorted(old.keys() | new.keys()):
+        if command not in old or command not in new:
+            lines.append("%s: %s" % ("new pin" if command in new else "dropped pin", command))
+            continue
+        was, now = old[command], new[command]
+        if was["sha256"] != now["sha256"]:
+            lines.append("exact fields changed: %s" % command)
+        if len(was["decimals"]) != len(now["decimals"]):
+            lines.append("decimal fields %d -> %d: %s"
+                         % (len(was["decimals"]), len(now["decimals"]), command))
+            continue
+        for i, (a, b) in enumerate(zip(was["decimals"], now["decimals"])):
+            if a != b:
+                move = relative_move(a, b)
+                worst = max(worst, move)
+                lines.append("decimal %d moved by %.3g: %s\n  %s\n  %s" % (i, move, command, a, b))
+    lines.append("largest relative move of a decimal: %.3g (gate.DECIMAL_SLACK %s)"
+                 % (worst, gate.DECIMAL_SLACK) if worst else "no decimal moved")
+    return lines
+
+
+def test_moves_name_each_change_and_the_largest_move():
+    doc = {"sha256": "a", "decimals": ["1.000", "2.5e-61", "1.0+2.0i"]}
+    assert moves({"c": doc}, {"c": doc}) == ["no decimal moved"]
+    moved = {"sha256": "b", "decimals": ["1.000", "2.6e-61", "1.0+2.5i"]}
+    assert moves({"c": doc, "gone": doc}, {"c": moved, "added": doc}) == [
+        "new pin: added",
+        "exact fields changed: c",
+        "decimal 1 moved by 1e-62: c\n  2.5e-61\n  2.6e-61",
+        "decimal 2 moved by 0.2: c\n  1.0+2.0i\n  1.0+2.5i",
+        "dropped pin: gone",
+        "largest relative move of a decimal: 0.2 (gate.DECIMAL_SLACK %s)" % gate.DECIMAL_SLACK,
+    ]
+    assert relative_move("1.0", "1.0+0i") == Decimal("Infinity")
+
+
 def record():
-    """Write tests/golden.json from the documents the code prints now."""
+    """Write tests/golden.json from the documents the code prints now, and
+    print what moved against the recording it replaces."""
     with pytest.MonkeyPatch.context() as mp:
         with tempfile.TemporaryDirectory() as path:
             mp.chdir(path)
@@ -98,8 +157,11 @@ def record():
                     contextlib.redirect_stderr(io.StringIO()):
                 write_cli_inputs()
             documents = {c: gate.digest(document(c)) for c in commands()}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"documents": {}}
     GOLDEN.write_text(json.dumps({"numeric_schema": NUMERIC_SCHEMA, "documents": documents},
                                  indent=1, sort_keys=True) + "\n")
+    print("numeric_schema %s -> %s" % (old.get("numeric_schema"), NUMERIC_SCHEMA))
+    print("\n".join(moves(old["documents"], documents)))
 
 
 if __name__ == "__main__":

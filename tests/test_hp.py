@@ -1,12 +1,14 @@
 """Fixed-point Gauss-Jordan elimination, the precision-tied tolerance,
 fixed-point products and decimal rendering."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import from_man_exp
 
 from bcft.errors import RationalizationFailure
 from bcft.hp import (
@@ -129,6 +131,24 @@ def test_to_fixed_rounds_exactly_from_the_mantissa():
         assert abs(to_fixed(third, 200) - third * 2**200) <= mpf(1) / 2
 
 
+def test_to_fixed_reads_a_value_far_below_the_unit_as_zero():
+    """2^-(10^12) 2^208 would round through a shift of 10^12 bits (125 GB);
+    it is 0 before any shift is built."""
+    assert to_fixed(mp.ldexp(1, -10**12), 208) == 0
+    assert to_fixed(-mp.ldexp(3, -10**12), 208) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**70), st.integers(-8, 8), st.booleans(), st.sampled_from([1, 10, 208]))
+def test_to_fixed_rounds_exactly_on_both_sides_of_the_zero_cut(man, past, negative, bits):
+    """round(x 2^bits), halves away from zero, where the right shift is
+    man.bit_length() - past bits: the cut to 0 applies from past < -1."""
+    exp = -bits - man.bit_length() + past
+    x = mp.make_mpf(from_man_exp(-man if negative else man, exp))
+    want = math.floor(Fraction(man) * Fraction(2) ** (exp + bits) + Fraction(1, 2))
+    assert to_fixed(x, bits) == (-want if negative else want)
+
+
 def test_fixed_complex_product_matches_mpmath():
     bits = fixed_bits(DPS)
     with workdps(DPS + 10):
@@ -189,6 +209,51 @@ def test_num_str_renders_a_zero_imaginary_part_as_real():
         assert num_str(mpc(x, 0), 20) == num_str(x, 20) == "1.4142135623730950488"
         assert num_str(complex(0.5, 0), 5) == "0.50000"
         assert num_str(mpc(x, -x), 5) == "1.4142-1.4142i"
+
+
+def _num_str_through_nstr(x, dps: int) -> str:
+    """The rendering num_str reproduces: each part made an mpf or mpc inside
+    workdps(dps + GUARD_DIGITS), then printed by mp.nstr."""
+    with workdps(dps + 10):
+        v = mp.mpmathify(x)
+        if v.imag == 0:
+            return mp.nstr(mp.mpf(v.real), dps, strip_zeros=False)
+        v = mp.mpc(v)
+        return "%s%s%si" % (
+            mp.nstr(v.real, dps, strip_zeros=False),
+            "+" if v.imag >= 0 else "-",
+            mp.nstr(abs(v.imag), dps, strip_zeros=False),
+        )
+
+
+def _num_str_inputs(dps: int) -> list:
+    with workdps(dps + 10):  # the working precision
+        working = [+mp.pi, -mp.sqrt(2), mpf(2) / 3, mpf("1e-70"), mpf(0)]
+    with workdps(3 * (dps + 10)):  # carried at three times the digits: rounded twice
+        wide = [+mp.pi, -mp.e / 7, mpf(1) / 3, mpf(10) ** 40 / 7, mpf("-1e-70") / 3]
+        complexes = [mpc(mp.pi, 0), mpc(-mp.e, mp.pi / 3), mpc(1, -mpf(1) / 3), mpc(0, -mp.pi),
+                     mpc(mpf(1) / 7, mpf("1e-70"))]
+    return working + wide + complexes + [
+        0, 7, -12345678901234567890123, 10**80, 0.1, -2.5e-300, 1e-70, 1.5,
+        complex(0.5, 0), complex(0.1, -0.2)]
+
+
+@pytest.mark.parametrize("dps", [1, 5, 15, 50])
+def test_num_str_renders_as_nstr_did_inside_workdps(dps):
+    for x in _num_str_inputs(dps):
+        with workdps(7):  # num_str sets no context, so the caller's is not read
+            got = num_str(x, dps)
+        assert got == _num_str_through_nstr(x, dps), (x, dps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+              st.integers(-2**400, 2**400), st.integers(-800, 200)),
+    st.floats(), st.complex_numbers(), st.integers(-10**90, 10**90)),
+    st.integers(1, 60))
+def test_num_str_renders_any_part_as_nstr_did(x, dps):
+    assert num_str(x, dps) == _num_str_through_nstr(x, dps)
 
 
 def test_parse_fixed_rounds_the_exact_value_of_the_text():

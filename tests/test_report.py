@@ -1,5 +1,6 @@
 """Annulus spectra, heat-kernel consistency, and index chains."""
 
+import json
 import warnings
 
 import pytest
@@ -236,6 +237,27 @@ def test_full_report_ising_diagonal():
     assert float(doc["s_transform"]["max_residual"]) < 1e-8
     assert doc["index"]["theta"] == [1, 0, 0]
     assert len(doc["annulus"]) == 9
+
+
+@pytest.mark.parametrize("model", ["su2_10", "minimal_4_3", "minimal_5_4"])
+def test_every_coefficient_is_a_python_int_and_the_report_is_json(model):
+    """Products and combinations sum on object arrays; what they hand back
+    are the Python ints themselves, so every document stays JSON."""
+    family, *params = model.split("_")
+    if family == "su2":
+        md = su2(10)
+        Z = next(z for z in enumerate_physical(md) if z.tag == "E6")
+        nr = next(n for n in enumerate_su2_nimreps(md, Z.size) if spectrum_match(n, Z, md).ok)
+    else:
+        md = minimal(*map(int, params))
+        Z, nr = diagonal_invariant(md), regular_nimrep(verlinde(md))
+    chis = characters_for(md, 400)
+    assert all(type(c) is int for chi in chis for c in chi.coeffs)
+    combined = linear_combination([(m + 1, chi) for m, chi in enumerate(chis)])
+    assert all(type(c) is int for c in combined.coeffs)
+    doc = full_report(md, Z, nr, order=400)
+    assert all(type(c) is int for pair in doc["annulus"] for c in pair["coeffs"])
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_full_report_degenerate_exponents_are_reported_not_fatal():
