@@ -3,10 +3,11 @@
 A nimrep assigns to every sector rho a non-negative integer matrix
 n^rho over a set of boundary labels so that matrix products follow the
 fusion coefficients exactly.  For level-k data the whole family grows
-from the fundamental-sector generator by a three-term recursion, so
-enumeration reads its candidates off the A-D-E-T graphs by their Coxeter
-number, an integer table; a candidate is certified exactly when its
-grown family closes, n^k n^1 = n^(k-1).
+from the fundamental-sector generator by a three-term recursion.  The
+generators are the A-D-E-T graphs of Coxeter number k + 2, an integer
+table: enumeration reads its candidates off it, and a user's generator
+is refused unless the table lists it at k + 2.  A candidate is certified
+exactly when its grown family closes, n^k n^1 = n^(k-1).
 """
 
 from __future__ import annotations
@@ -141,42 +142,45 @@ def _check_generator(G) -> np.ndarray:
 
 def generate_from_generator(G, md: ModularData) -> Nimrep:
     """Grow the full level-k family from the fundamental matrix by
-    n^{a+1} = n^a n^1 - n^{a-1}.
+    n^{a+1} = n^a n^1 - n^{a-1} (_grow), labelled as G.
 
-    Raises SpectralRadiusTooLarge if the generator norm is >= 2 (no level
-    admits it), CheckFailure, before any growth, if it is not the norm
+    Raises, before any growth, CheckFailure if G has more than k + 1
+    nodes (no level-k generator is larger than A_(k+1)),
+    SpectralRadiusTooLarge if its norm is 2 or more (_coxeter_number finds
+    no h'), and CheckFailure if its norm 2cos(pi/h') is not the norm
     2cos(pi/(k+2)) that every generator of the level has (soundness in
-    enumerate_su2_nimreps), and NegativityFailure at the first level where
-    the recursion leaves the non-negative integers.
+    enumerate_su2_nimreps); then NegativityFailure at the first level
+    where the recursion leaves the non-negative integers.
     """
     if md.family != "su2":
         raise ValueError("generator recursion requires level-k data")
     (k,) = md.params
     a = _check_generator(G)
-    # an entry past the float64 range is a lower bound on the norm
-    norm = (float(np.linalg.eigvalsh(a.astype(np.float64)).max())
-            if a.max() < 2**1023 else math.inf)
-    # fixed: a generator of a level has norm 2cos(pi/h), and 2 - 2cos(pi/h)
-    # exceeds the 1e-12 margin for every graph below about 10^6 nodes
-    if norm >= 2 - 1e-12:
-        raise SpectralRadiusTooLarge("generator norm %.6f admits no level" % norm)
-    # fixed: eigvalsh is backward stable, so its top eigenvalue lies within
-    # about m eps ||G|| < 2 m eps of the norm (LAPACK), below 1e-11 for m up
-    # to 3 10^4, where the float64 matrix alone takes 7 GB; a margin of 1e-9
-    # refuses no generator of the level
-    level_norm = 2 * math.cos(math.pi / (k + 2))
-    if abs(norm - level_norm) > 1e-9:
+    if len(a) > k + 1:
+        raise CheckFailure("generator has %d nodes; level %d admits at most %d" % (len(a), k, k + 1))
+    h = _coxeter_number(a)
+    if h is None:
+        raise SpectralRadiusTooLarge("generator norm is 2 or more, which no level admits")
+    if h != k + 2:
+        norm, level_norm = (2 * math.cos(math.pi / x) for x in (h, k + 2))
         raise CheckFailure("generator norm %.12f is not the level-%d norm 2cos(pi/%d) = %.12f"
                            % (norm, k, k + 2, level_norm))
-    a = a.astype(np.int64)  # norm below 2: the entries are 0/1
-    m = a.shape[0]
-    mats = [np.eye(m, dtype=np.int64), a]
+    return _grow(a, k)
+
+
+def _grow(G, k: int) -> Nimrep:
+    """n^0..n^k from a generator G of norm below 2 by n^(a+1) = n^a G -
+    n^(a-1), in int64: no entry of n^a exceeds a + 1 (_closes).  Raises
+    NegativityFailure at the first step that leaves the non-negative
+    integers."""
+    a = np.array(G, dtype=np.int64)
+    mats = [np.eye(len(a), dtype=np.int64), a]
     for step in range(2, k + 1):
         nxt = mats[-1] @ a - mats[-2]
         if nxt.min() < 0:
             raise NegativityFailure(step)
         mats.append(nxt)
-    return Nimrep(tuple(range(m)), mats)
+    return Nimrep(tuple(range(len(a))), mats)
 
 
 def _exponent_traces(md: ModularData, exps) -> tuple:
@@ -296,6 +300,9 @@ def canonical_generator(G) -> tuple:
     Rooted-tree encoding (mark, sorted child encodings) taken at the
     tree center, which is relabeling-invariant; the matrix is rebuilt
     from the encoding in preorder.  Raises ValueError for a non-tree.
+    Encoding recurses about two frames per level below the center, so a
+    tree of radius near 500, such as the path on 996 nodes, passes
+    Python's default limit of 1,000 frames and raises RecursionError.
     """
     a = np.array(G, dtype=object)
     m = a.shape[0]
@@ -379,9 +386,26 @@ def _coxeter_candidates(m: int, h: int) -> list:
     return out
 
 
+def _coxeter_number(a: np.ndarray):
+    """The h' at which _coxeter_candidates lists the connected graph a up
+    to relabeling, so that its norm is 2cos(pi/h'); None when there is
+    none, which is when its norm is 2 or more (Smith 1970, see
+    enumerate_su2_nimreps).  An entry above 1 already forces that, and
+    canonical_generator would read it as an edge."""
+    if a.max() > 1:
+        return None
+    m = len(a)
+    try:
+        form = canonical_generator(a)
+    except ValueError:  # a cycle
+        return None
+    return next((h for h in (m + 1, 2 * (m - 1), 2 * m + 1, 12, 18, 30)
+                 for c in _coxeter_candidates(m, h) if canonical_generator(c) == form), None)
+
+
 def _closes(nr: Nimrep) -> bool:
     """n^k n^1 = n^(k-1) for a family n^0..n^k grown by the recursion of
-    generate_from_generator: exactly when n^(k+1) = 0.
+    _grow: exactly when n^(k+1) = 0.
 
     The product runs where hp.exact_dtype proves it exact.  A generator G of
     norm below 2, as every enumerated candidate has, keeps that product
@@ -400,10 +424,11 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
 
     The candidates are the graphs of Coxeter number h = k + 2 on m nodes
     (_coxeter_candidates), read off an integer table.  Each grows its
-    family n^0..n^k by generate_from_generator, which refuses any that
-    leaves the non-negative integers; a family is kept when it closes,
-    n^k n^1 = n^(k-1) (_closes).  That certificate is exact and loses
-    nothing, with G the generator:
+    family n^0..n^k by _grow, labelled as canonical_generator orders it,
+    and none passes the checks of user input that generate_from_generator
+    makes; a family that leaves the non-negative integers is dropped, and
+    one is kept when it closes, n^k n^1 = n^(k-1) (_closes).  That
+    certificate is exact and loses nothing, with G the generator:
 
     - Closure pins the spectrum.  n^a = U_a(G/2), Chebyshev polynomials
       of the second kind, and G is symmetric, so n^(k+1) = U_(k+1)(G/2)
@@ -439,7 +464,7 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
     out = []
     for candidate in _coxeter_candidates(m, k + 2):
         try:
-            nr = generate_from_generator(canonical_generator(candidate), md)
+            nr = _grow(canonical_generator(candidate), k)
         except NegativityFailure:
             continue
         if _closes(nr):

@@ -32,6 +32,7 @@ from bcft.errors import (
     SpectralRadiusTooLarge,
 )
 import bcft.hp
+import bcft.nimreps as nimreps
 from bcft.fusion import verlinde, verlinde_inputs
 from bcft.hp import to_fraction, tolerance
 from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_physical
@@ -41,6 +42,7 @@ from bcft.nimreps import (
     _check_generator,
     _closes,
     _coxeter_candidates,
+    _coxeter_number,
     _exponent_traces,
     _spider,
     canonical_generator,
@@ -86,41 +88,47 @@ def test_d4_nimrep_matrices():
     assert nr.nmats[2].tolist() == [[2, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
 
 
-def _past_the_norm_gate(monkeypatch, k: int):
-    """From now on the generator norm that generate_from_generator computes
-    is the level-k norm, as if float64 had missed by the whole difference."""
-    norm = np.array([2 * math.cos(math.pi / (k + 2))])
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: norm)
-
-
-def test_wrong_level_path_fails_negativity(monkeypatch):
+def test_wrong_level_path_fails_negativity():
     # A3 has the norm 2cos(pi/4) of level 2, so level 4 refuses it before
     # growing; past that gate, its family turns negative at step 4
     with pytest.raises(CheckFailure, match=r"norm 1\.414213562373 is not the level-4 norm"):
         generate_from_generator(path_graph(3), su2(4))
-    _past_the_norm_gate(monkeypatch, 4)
     with pytest.raises(NegativityFailure) as exc:
-        generate_from_generator(path_graph(3), su2(4))
+        nimreps._grow(path_graph(3), 4)
     assert exc.value.index == 4
 
 
-def test_e6_at_wrong_level_grows_but_fails_verification(monkeypatch):
+def test_e6_at_wrong_level_grows_but_fails_verification():
     # E6 has the norm of level 10: level 9 refuses it before growing; past
     # that gate, it grows a non-negative family there that is no nimrep
-    md = su2(9)
     with pytest.raises(CheckFailure, match="not the level-9 norm"):
-        generate_from_generator(e6_graph(), md)
-    _past_the_norm_gate(monkeypatch, 9)
-    nr = generate_from_generator(e6_graph(), md)
-    assert not verify(nr, fusion_su2(9)).ok
+        generate_from_generator(e6_graph(), su2(9))
+    assert not verify(nimreps._grow(e6_graph(), 9), fusion_su2(9)).ok
 
 
-def test_a_generator_of_another_norm_is_refused_before_it_grows():
-    # 2,000 nodes would take about 100 s of products at level 10
+def test_a_generator_of_another_norm_is_refused_before_it_grows(monkeypatch):
+    # 2,000 nodes would take about 100 s of products at level 10, and
+    # canonical_generator would pass the recursion limit on them
+    def refuse(G):
+        raise AssertionError("canonical_generator ran")
+
+    monkeypatch.setattr(nimreps, "canonical_generator", refuse)
     with pytest.raises(CheckFailure) as exc:
         generate_from_generator(path_graph(2000), su2(10))
-    assert str(exc.value) == ("generator norm %.12f is not the level-10 norm 2cos(pi/12) = %.12f"
-                              % (2 * math.cos(math.pi / 2001), 2 * math.cos(math.pi / 12)))
+    assert str(exc.value) == "generator has 2000 nodes; level 10 admits at most 11"
+
+
+def test_enumeration_runs_none_of_the_user_input_checks(monkeypatch):
+    md = su2(10)
+    (e6,) = enumerate_su2_nimreps(md, 6)
+
+    def refuse(*args):
+        raise AssertionError("a user-input check ran")
+
+    monkeypatch.setattr(nimreps, "_check_generator", refuse)
+    monkeypatch.setattr(nimreps, "generate_from_generator", refuse)
+    (again,) = enumerate_su2_nimreps(md, 6)
+    assert np.array_equal(again.nmats, e6.nmats)
 
 
 def test_every_table_graph_of_the_level_passes_the_norm_gate():
@@ -364,12 +372,27 @@ def _with_one_loop(rows):
         yield marked
 
 
+def _certified_at(graphs, certified) -> list:
+    """For each graph, the h at which certified holds its canonical form,
+    or None; a graph that is no tree has norm at least 2, so none."""
+    at = {form: h for h, forms in certified.items() for form in forms}
+    out = []
+    for g in graphs:
+        try:
+            out.append(at.get(canonical_generator(g)))
+        except ValueError:
+            out.append(None)
+    return out
+
+
 @pytest.mark.parametrize("m", range(2, 13))
 def test_candidate_trees_cover_all_trees_below_radius_two(m):
     # the unlabeled tree counts, OEIS A000055
     assert len(unlabeled_trees(m)) == (1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)[m - 2]
     graphs = [g for tree in unlabeled_trees(m) for g in _with_one_loop(tree)]
-    assert _certified(graphs) == _table(m)
+    certified = _certified(graphs)
+    assert certified == _table(m)
+    assert [_coxeter_number(g) for g in graphs] == _certified_at(graphs, certified)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -377,7 +400,10 @@ def test_candidates_cover_all_connected_marked_graphs(m):
     """Exhaustive sweep: connected 0/1 graphs with optional unit loops."""
     graphs = [np.array(rows, dtype=np.int64) for rows in _every_symmetric_01(m)]
     connected = connected_by_squaring(np.stack(graphs))
-    assert _certified(g for g, ok in zip(graphs, connected) if ok) == _table(m)
+    graphs = [g for g, ok in zip(graphs, connected) if ok]
+    certified = _certified(graphs)
+    assert certified == _table(m)
+    assert [_coxeter_number(g) for g in graphs] == _certified_at(graphs, certified)
 
 
 # the affine E graphs with their null vectors of 2 - A (the marks)
@@ -493,7 +519,8 @@ def _block_diagonal(a, b) -> np.ndarray:
 
 def _grow(G, k: int) -> Nimrep:
     """n^0..n^k by n^(a+1) = n^a G - n^(a-1) on Python ints, with none of
-    the checks of generate_from_generator."""
+    the checks of generate_from_generator, not even the sign check of
+    nimreps._grow."""
     G = np.array(G, dtype=object)
     mats = [np.identity(len(G), dtype=object), G]
     while len(mats) <= k:
@@ -525,7 +552,7 @@ def test_closure_refuses_a_top_root_within_the_float_filter():
         assert not _closes(_grow(c, 10))
 
 
-def test_closure_alone_admits_a_family_that_turns_negative(monkeypatch):
+def test_closure_alone_admits_a_family_that_turns_negative():
     # A2 has the eigenvalues 2cos(pi j/6), j = 2, 4, so n^5 = 0 at level 4;
     # its top eigenvalue 1 = 2cos(2 pi/6) is not the norm of the level, and
     # n^3 = U_3(G/2) is negative on its Perron vector; level 4 refuses it
@@ -533,9 +560,8 @@ def test_closure_alone_admits_a_family_that_turns_negative(monkeypatch):
     assert _closes(_grow(path_graph(2), 4))
     with pytest.raises(CheckFailure, match="not the level-4 norm"):
         generate_from_generator(path_graph(2), su2(4))
-    _past_the_norm_gate(monkeypatch, 4)
     with pytest.raises(NegativityFailure) as exc:
-        generate_from_generator(path_graph(2), su2(4))
+        nimreps._grow(path_graph(2), 4)
     assert exc.value.index == 3
 
 

@@ -53,6 +53,19 @@ def test_persistence_imports_only_the_standard_library_and_errors():
     assert imports - package <= sys.stdlib_module_names | {"__future__"}
 
 
+def test_no_package_module_reads_linalg():
+    """No float eigensolver decides anything: no module reads a linalg
+    module, as an attribute (np.linalg) or by import."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = [node.module.split(".") for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module]
+        if _references(tree)["linalg"] or any("linalg" in parts for parts in modules):
+            readers.append(path.name)
+    assert not readers
+
+
 def _references(node) -> Counter:
     """The names that node reads: Name ids, attribute names and imports.
     Strings, such as the public-name table of __init__, are not reads."""
