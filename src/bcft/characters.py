@@ -19,7 +19,7 @@ import numpy as np
 from mpmath import mp, mpf, workdps
 
 from .errors import ConvergenceWarning, SeriesDivisionError
-from .hp import GUARD_DIGITS, fixed_bits, mpf_from_fraction, to_fixed
+from .hp import GUARD_DIGITS, Fixed, fixed_bits, mpf_from_fraction, to_fixed
 from .modular_data import ModularData
 from .persistence import CHANNEL_TOL, DEFAULT_ORDER
 
@@ -257,9 +257,13 @@ def truncation_tail(order: int, q_abs, offset_min: Fraction, dps: int):
 class _Evaluated:
     """One (model, order) character table at q = exp(-beta) and
     q~ = exp(-4 pi^2 / beta) (beta defaults to 2 pi): every sector's
-    value at each nome (chi_q, chi_qt) and the truncation tail estimate
-    at each nome, shared by every channel check of the same call.
-    Create and use it at the working precision dps + GUARD_DIGITS."""
+    value at each nome (chi_q, chi_qt), each rounded once to 2^-B as a
+    Fixed row at B = fixed_bits(dps), and the truncation tail estimate at
+    each nome, shared by every channel check of the same call.  When a
+    tail is +inf every residual is +inf, and chi_q and chi_qt are None:
+    nothing is evaluated, as the other nome can give a value of some
+    10^60 bits (beta = 1e60 or 1e-30).  Create and use it at the working
+    precision dps + GUARD_DIGITS."""
 
     def __init__(self, chis: tuple, order: int, beta, dps: int):
         beta = mpf(beta) if beta is not None else 2 * mp.pi
@@ -274,7 +278,12 @@ class _Evaluated:
                    mp.nstr(4 * mp.pi ** 2 / mp.eps, 3)))
         offset_min = min(chi.offset for chi in chis)
         self.tail_q, self.tail_qt = (truncation_tail(order, x, offset_min, dps) for x in nomes)
-        self.chi_q, self.chi_qt = (tuple(chi.evaluate(x, dps) for chi in chis) for x in nomes)
+        self.chi_q = self.chi_qt = None
+        if mp.isfinite(self.tail_q) and mp.isfinite(self.tail_qt):
+            bits = fixed_bits(dps)
+            self.chi_q, self.chi_qt = (
+                Fixed.exact([to_fixed(chi.evaluate(x, dps), bits) for chi in chis], None, bits)
+                for x in nomes)
 
 
 def _warn_if_tail_dominates(tail, tol):
@@ -288,13 +297,17 @@ def _warn_if_tail_dominates(tail, tol):
 
 
 def _s_residual(md: ModularData, ev: _Evaluated, tol):
-    raw = mpf(0)
-    for lam in range(md.n):
-        transformed = mp.fsum(md.S[lam][mu] * ev.chi_q[mu] for mu in range(md.n))
-        raw = max(raw, abs(ev.chi_qt[lam] - transformed))
+    """max |S chi(q) - chi(q~)| over md.fixed and the rounded characters,
+    raised to the larger tail (+inf when a tail is).  S chi(q) is exact
+    and floored once, so with the rounding of each chi by 1/2 unit and
+    sum_mu |S_lambda mu| <= sqrt(n) the value lies within (sqrt(n) + 3) / 2
+    units of 2^-B of the residual over the unrounded characters."""
     tail = max(ev.tail_q, ev.tail_qt)
     _warn_if_tail_dominates(tail, tol)
-    return max(raw, tail)
+    if ev.chi_q is None:
+        return tail
+    S = md.fixed[0]
+    return max((S.dot(ev.chi_q).rescale(S.bits) - ev.chi_qt).max_abs(), tail)
 
 
 def s_transform_residual(
@@ -308,7 +321,8 @@ def s_transform_residual(
 
     q = exp(-beta), q~ = exp(-4 pi^2 / beta).  The reported value is
     raised to the analytic truncation tail estimate when that is
-    larger, and a ConvergenceWarning fires if the estimate exceeds tol.
+    larger (+inf when a tail is; _s_residual bounds the rounding), and
+    a ConvergenceWarning fires if the estimate exceeds tol.
     """
     if order < S_TRANSFORM_MIN_ORDER:
         raise ValueError("order must be at least %d" % S_TRANSFORM_MIN_ORDER)

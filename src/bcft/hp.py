@@ -8,9 +8,10 @@ every entry fits, Python ints past that.  Fixed arrays carry the exact
 big-int contractions.  A model's S is itself fixed point: the builders
 and the document reader write S 2^B as Python ints (ModularData.S_fixed),
 the model caches S, 1/S_0 and S^2 over them (ModularData.fixed) and T,
-written as ints from the exact c and h (ModularData.T), all read-only,
-and its mpf S is a view, x / 2^B, built only for the readers that need
-mpf; all other Fixed arrays are transient.  Fixed.gram forms
+written as ints from the exact c and h (ModularData.T), all read-only;
+every check contracts these, and a printed S or quantity is read off the
+ints by from_fixed.  The psi-matrix is a read-only Fixed too; all other
+Fixed arrays are transient.  Fixed.gram forms
 S^2, S T S and the summed Verlinde planes of a real, exactly symmetric S
 as one triangle; any other S takes Fixed.dot.  The Gauss-Jordan
 elimination runs on Python ints.
@@ -211,14 +212,6 @@ class Fixed:
 
     def __init__(self, re, im, bits: int):
         self.re, self.im, self.bits = re, im, bits
-
-    @classmethod
-    def of(cls, values, bits: int) -> "Fixed":
-        """Each entry of a nested sequence of mpf/mpc, rounded to 2^-bits."""
-        vals = np.array(values, dtype=object)
-        re = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).real, bits), 1, 1)(vals)
-        im = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).imag, bits), 1, 1)(vals)
-        return cls(re, im if im.any() else None, bits)
 
     @classmethod
     def exact(cls, re, im, bits: int) -> "Fixed":

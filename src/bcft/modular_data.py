@@ -60,11 +60,13 @@ class ModularData:
     2^-B of the exact S (_sine_table) or of a document's decimal strings.
     family/params identify a builder when the model came from one
     ("su2", (k,)) or ("minimal", (p, p')); loaded models without a
-    builder reference carry family None.  The mpf view S, the fixed-point
-    row T (T 2^B as Python ints, written from the exact c and h), the
-    conjugation and the fixed arrays are derived from these fields on
-    first use and cached on the instance: equality and hash cover the
-    fields alone, and dataclasses.replace starts a fresh cache.
+    builder reference carry family None.  S_fixed is the only form of S:
+    every check contracts it (fixed), and what prints S reads it through
+    from_fixed.  The fixed-point row T (T 2^B as Python ints, written from
+    the exact c and h), the conjugation and the fixed arrays are derived
+    from these fields on first use and cached on the instance: equality
+    and hash cover the fields alone, and dataclasses.replace starts a
+    fresh cache.
     """
 
     sectors: tuple
@@ -74,14 +76,6 @@ class ModularData:
     precision: int
     family: str | None = None
     params: tuple = ()
-
-    @functools.cached_property
-    def S(self) -> tuple:
-        """S as exact mpf, x / 2^B, for the readers that need mpf; an entry
-        with an imaginary part is an mpc."""
-        bits, (re, im) = fixed_bits(self.precision), self.S_fixed
-        return tuple(tuple(from_fixed(x, bits, y) for x, y in zip(rx, ry))
-                     for rx, ry in zip(re, im or [[0] * self.n] * self.n))
 
     @functools.cached_property
     def T(self) -> Fixed:
@@ -181,9 +175,8 @@ def validate(md: ModularData) -> dict:
     S^2 = C give S^-1 C = S, and (ST)^3 - C = ST (S T S - T^-1 S T^-1) T.
     The products S S^dagger, S^2 and S (T S) are exact Python-int
     contractions of md.fixed and of md.T, written at the same bits; no mpc
-    is made and the mpf view md.S is never built.  If md.real_symmetric,
-    S S^dagger is S^2, and S^2 and S T S are one triangle each
-    (Fixed.gram); otherwise Fixed.dot.
+    is made.  If md.real_symmetric, S S^dagger is S^2, and S^2 and S T S
+    are one triangle each (Fixed.gram); otherwise Fixed.dot.
     """
     n = md.n
     tol = tolerance(md.precision)
@@ -334,8 +327,9 @@ def quantum_dims(md: ModularData) -> tuple:
     For unitary models these are >= 1; non-unitary minimal models give
     signed values in this vacuum-row convention.
     """
+    bits = fixed_bits(md.precision)
     with workdps(md.precision + GUARD_DIGITS):
-        row = [mp.mpmathify(x).real for x in md.S[0]]
+        row = [from_fixed(x, bits) for x in md.S_fixed[0][0]]
         return tuple(x / row[0] for x in row)
 
 
@@ -350,13 +344,15 @@ def global_index(md: ModularData):
 
 
 def model_to_document(md: ModularData) -> dict:
+    (re, im), bits = md.S_fixed, fixed_bits(md.precision)
     doc = {
         "format": MODEL_DOCUMENT_FORMAT,
         "name": model_name(md),
         "c": str(md.c),
         "precision": md.precision,
         "sectors": [{"name": s.name, "h": str(md.h[s.id])} for s in md.sectors],
-        "S": [[num_str(x, md.precision) for x in row] for row in md.S],
+        "S": [[num_str(from_fixed(x, bits, y), md.precision) for x, y in zip(rx, ry)]
+              for rx, ry in zip(re, im or [[0] * md.n] * md.n)],
     }
     if md.family is not None:
         doc["builder"] = {"family": md.family, "params": list(md.params)}

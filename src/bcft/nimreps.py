@@ -27,9 +27,9 @@ from .errors import (
     SpectralRadiusTooLarge,
 )
 from .fusion import FusionRing
-from .hp import GUARD_DIGITS, Fixed, exact_dtype, exact_tolerance, int_array, tolerance
+from .hp import GUARD_DIGITS, Fixed, exact_dtype, exact_tolerance, int_array
 from .invariants import ModularInvariant
-from .modular_data import ModularData
+from .modular_data import ModularData, _read_only
 
 PSI_TOL = 1e-12  # fixed: full_report renders it as cardy_tolerance "1e-12"
 
@@ -76,7 +76,7 @@ class MatchReport:
 
 @dataclass(frozen=True)
 class PsiMatrix:
-    psi: tuple
+    psi: Fixed
     exponents: tuple
     cardy_residual: float
 
@@ -241,51 +241,56 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
     Petkova and Zuber 2000).  For a simple exponent P_lambda is
     psi_lambda psi_lambda^dagger, so its column b over sqrt(P_bb), at the
     largest diagonal entry, is psi_lambda up to a phase; the phase makes the
-    first entry above tolerance real positive.  cardy_residual is the
-    largest entry of psi diag(S_rho lambda / S_0 lambda) psi^dagger - n^rho
-    over every rho, from exact fixed-point products.
+    first entry above tolerance real positive.  psi is a read-only Fixed of
+    shape (m, e) at B = fixed_bits(precision).
+
+    Every P_lambda is one exact contraction of md.fixed with the family at
+    2^-2B, and column lambda is P_ab conj(P_lb) / (sqrt(P_bb) |P_lb|) at
+    the lead row l, with both roots floored by isqrt and one floored
+    division: for a projector (P_bb >= 1/m) each entry lies within
+    sqrt(m) + 2 units of 2^-B of the unit vector over the exact P.
+    cardy_residual is the largest entry of
+    psi diag(S_rho lambda / S_0 lambda) psi^dagger - n^rho over every rho,
+    from exact fixed-point products.
     """
     exps = Z.exponents
     if len(set(exps)) != len(exps):
         raise DegenerateExponents("exponents %s carry multiplicity" % (exps,))
     if nr.size != len(exps):
         raise SizeMismatch("nimrep has %d boundaries, invariant needs %d" % (nr.size, len(exps)))
-    dps = md.precision
-    m = nr.size
-    nmats = nr.nmats.tolist()  # Python ints for the mpf sums
-    with workdps(dps + GUARD_DIGITS):
-        tol = tolerance(dps)
-        cols = []
-        for lam in exps:
-            coef = [md.S[0][lam] * mp.conj(md.S[rho][lam]) for rho in range(md.n)]
-
-            def entry(a, b):
-                return mp.fsum(c * mat[a][b] for c, mat in zip(coef, nmats) if mat[a][b])
-
-            diag = [mp.re(entry(a, a)) for a in range(m)]
-            b = max(range(m), key=diag.__getitem__)
-            # tr P = 1, so a projector of rank one has a diagonal entry >= 1/m
-            if diag[b] * m <= tol:
-                raise CheckFailure("no eigenvector matches exponent %d" % lam)
-            norm = mp.sqrt(diag[b])
-            col = [entry(a, b) / norm for a in range(m)]
-            # a unit vector longer than tol^-2 may have no entry above tol
-            lead = next((x for x in col if abs(x) > tol), max(col, key=abs))
-            cols.append([x * (abs(lead) / lead) for x in col])
-        psi = tuple(tuple(col[a] for col in cols) for a in range(m))
-        S, W, _ = md.fixed
-        lams, bits = list(exps), S.bits
-        R = (S[:, lams] * W[lams]).rescale(bits)
-        Psi = Fixed.of(psi, bits)
-        # K[a, lambda, b] = psi_a lambda conj(psi_b lambda); R.dot(K)[rho] is
-        # psi diag(R[rho]) psi^dagger
-        K = (Psi[:, :, None] * Psi.conj().T[None, :, :]).rescale(bits)
-        N = nr.nmats.astype(object) << 2 * bits
-        worst = (R.dot(K) - Fixed(N, None, 2 * bits)).max_abs()
+    S, W, _ = md.fixed
+    lams, bits, m = list(exps), S.bits, nr.size
+    one, tol = 1 << 2 * bits, exact_tolerance(md.precision)
+    N = nr.nmats.astype(object)
+    coef = S[0, lams] * S[:, lams].conj()  # [rho, lambda]
+    P = Fixed(*(None if c is None else np.tensordot(c, N, (0, 0)) for c in (coef.re, coef.im)),
+              2 * bits)
+    cols = []
+    for i, lam in enumerate(exps):
+        diag = P.re[i].diagonal()
+        b = max(range(m), key=diag.__getitem__)
+        # tr P = 1, so a projector of rank one has a diagonal entry >= 1/m
+        if diag[b] * m <= tol * one:
+            raise CheckFailure("no eigenvector matches exponent %d" % lam)
+        col = P[i, :, b]
+        size, above = col.abs2(), tol * tol * diag[b] * one
+        # entry a is above tol when |P_ab| / sqrt(P_bb) is; a unit vector
+        # longer than tol^-2 may have no entry above tol
+        lead = next((a for a in range(m) if size[a] > above), max(range(m), key=size.__getitem__))
+        x, d = col * col[lead].conj(), math.isqrt(diag[b]) * math.isqrt(size[lead])
+        cols.append([None if part is None else part // d for part in (x.re, x.im)])
+    re, im = zip(*cols)
+    Psi = _read_only(Fixed(np.stack(re, 1), None if P.im is None else np.stack(im, 1), bits))[0]
+    R = (S[:, lams] * W[lams]).rescale(bits)
+    # K[a, lambda, b] = psi_a lambda conj(psi_b lambda); R.dot(K)[rho] is
+    # psi diag(R[rho]) psi^dagger
+    K = (Psi[:, :, None] * Psi.conj().T[None, :, :]).rescale(bits)
+    with workdps(md.precision + GUARD_DIGITS):
+        worst = (R.dot(K) - Fixed(N << 2 * bits, None, 2 * bits)).max_abs()
         if worst > mpf(PSI_TOL):
             raise CheckFailure("boundary-state identity residual %s exceeds %s"
                                % (mp.nstr(worst, 5), PSI_TOL))
-    return PsiMatrix(psi, exps, float(worst))
+    return PsiMatrix(Psi, exps, float(worst))
 
 
 def path_graph(m: int) -> tuple:

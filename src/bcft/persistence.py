@@ -44,9 +44,9 @@ CACHE_FORMAT = "bcft-cache/2"
 # 4: a fusion max_residual over the summed Verlinde planes alone; 5: S
 # written in fixed point by the builders, which moves residuals below the
 # working precision; 6: a summed Verlinde plane's residual over one
-# triangle).  Cache.load treats an entry recorded under another value, or
+# triangle; 7: residuals of the fixed-point channel checks).  Cache.load treats an entry recorded under another value, or
 # none, as a miss, so results of older code are recomputed.
-NUMERIC_SCHEMA = 6
+NUMERIC_SCHEMA = 7
 
 
 def model_header(document, precision: int) -> tuple:

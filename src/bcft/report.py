@@ -9,8 +9,10 @@ identity is the main numerical certificate of every report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp, mpf, workdps
 
 from .characters import (
@@ -22,7 +24,7 @@ from .characters import (
     linear_combination,
 )
 from .errors import DegenerateExponents
-from .hp import GUARD_DIGITS, num_str
+from .hp import GUARD_DIGITS, Fixed, from_fixed, num_str
 from .invariants import ModularInvariant, invariant_document
 from .modular_data import (
     ModularData,
@@ -93,8 +95,11 @@ def heat_kernel_residuals(
 
     Open channel: sum_rho n^rho_ab chi_rho(q) at q = exp(-beta).
     Closed channel: sum_lambda psi_a psi_b* chi_lambda(q~) / S_0lambda
-    at q~ = exp(-4 pi^2 / beta).  Each residual is raised to its
-    truncation tail estimate when that is larger.
+    at q~ = exp(-4 pi^2 / beta).  Both are fixed-point products of
+    md.fixed, the psi-matrix and the characters rounded once to 2^-B
+    (_heat_kernel_residuals bounds their rounding).  Each residual is
+    raised to its truncation tail estimate when that is larger, and is
+    +inf when a tail is.
     """
     psi = psi_matrix(nr, Z, md)
     with workdps(md.precision + GUARD_DIGITS):
@@ -119,28 +124,35 @@ def heat_kernel_check(
 
 
 def _heat_kernel_residuals(md, nr, psi: PsiMatrix, ev: _Evaluated, tol) -> dict:
+    """{(a, b): |open - closed|}, each raised to its tail, from md.fixed,
+    psi.psi and the rounded characters; every residual is +inf when a
+    tail is.
+
+    The open channel chi(q) . n is exact.  The closed channel
+    psi diag(chi(q~) W) psi^dagger floors chi(q~) W, its product with psi
+    and the final sum once each: within sqrt(e) + 2 units of 2^-B of the
+    product over the rounded chi(q~) and W, for a unitary psi of e columns.
+    The tail weights sum_rho n^rho_ab and sum_lambda |psi_a lambda
+    psi_b lambda W_lambda| are read off the same ints."""
+    S, W, _ = md.fixed
+    lams, bits, Psi = list(psi.exponents), S.bits, psi.psi
+    N = nr.nmats.astype(object)
+    moduli = np.frompyfunc(math.isqrt, 1, 1)  # of abs2: |x| 2^bits, floored
+    A = moduli(Psi.abs2())
+    weight_open, weight_closed = N.sum(axis=0), (A * moduli(W[lams].abs2())).dot(A.T)
+    raw = None
+    if ev.chi_q is not None:
+        weights = (ev.chi_qt[lams] * W[lams]).rescale(bits)
+        closed = (Psi * weights).rescale(bits).dot(Psi.conj().T).rescale(bits)
+        raw = (closed - Fixed(np.tensordot(ev.chi_q.re, N, (0, 0)), None, bits)).abs2()
     residuals = {}
-    by_pair = nr.nmats.transpose(1, 2, 0).tolist()  # [a][b][rho], Python ints for mpf
     for ai, a in enumerate(nr.labels):
         for bi, b in enumerate(nr.labels):
-            mults = by_pair[ai][bi]
-            open_channel = mp.fsum(x * chi for x, chi in zip(mults, ev.chi_q) if x)
-            closed_channel = mp.fsum(
-                psi.psi[ai][i]
-                * mp.conj(psi.psi[bi][i])
-                * ev.chi_qt[lam]
-                / md.S[0][lam]
-                for i, lam in enumerate(psi.exponents)
-            )
-            raw = abs(open_channel - closed_channel)
-            weight_open = sum(mults)
-            weight_closed = mp.fsum(
-                abs(psi.psi[ai][i] * psi.psi[bi][i] / md.S[0][lam])
-                for i, lam in enumerate(psi.exponents)
-            )
-            tail = max(weight_open * ev.tail_q, weight_closed * ev.tail_qt)
+            tail = max(weight_open[ai, bi] * ev.tail_q,
+                       from_fixed(weight_closed[ai, bi], 3 * bits) * ev.tail_qt)
             _warn_if_tail_dominates(tail, tol)
-            residuals[a, b] = max(raw, tail)
+            residuals[a, b] = mp.inf if raw is None else max(
+                mp.ldexp(mp.sqrt(raw[ai, bi]), -bits), tail)
     return residuals
 
 
@@ -247,12 +259,13 @@ def full_report(
             psi = None
             doc["psi"] = {"status": "degenerate-exponents", "detail": str(exc)}
         if psi is not None:
+            Psi = psi.psi
+            im = Psi.re * 0 if Psi.im is None else Psi.im
             doc["psi"] = {
                 "status": "ok",
                 "exponents": list(psi.exponents),
-                "matrix": [
-                    [num_str(x, dps) for x in row] for row in psi.psi
-                ],
+                "matrix": [[num_str(from_fixed(x, Psi.bits, y), dps) for x, y in zip(rx, ry)]
+                           for rx, ry in zip(Psi.re.tolist(), im.tolist())],
                 "cardy_residual": num_str(psi.cardy_residual, dps),
                 "cardy_tolerance": "1e-12",
             }

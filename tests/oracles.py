@@ -29,7 +29,13 @@ now runs another way, kept only here:
   factor and of the divisor);
 - s_matrix: the builders' S as mpf tuples, one mp.sinpi per unreduced
   argument (the package multiplies fixed-point ints from a reduced
-  table of sines).
+  table of sines);
+- mpf_s and fixed_of: a model's S as exact mpf, and mpf/mpc values
+  rounded to fixed point (the package reads S only as its fixed-point
+  ints, and rounds nothing back from mpf);
+- psi_columns: the psi-matrix from each spectral projector summed entry
+  by entry in mpf with mp.fsum (the package contracts the fixed-point S
+  with the whole family at once and normalises by integer square roots).
 
 It also holds the graph builders the tests draw generators from, the
 series helpers only the tests read (euler_product, truncated), and
@@ -47,7 +53,7 @@ from mpmath import mp, mpf, workdps, workprec
 
 from bcft.characters import QSeries, eta_series
 from bcft.errors import SearchBudgetExceeded, SeriesDivisionError
-from bcft.hp import GUARD_DIGITS, Fixed, fixed_bits, tolerance
+from bcft.hp import GUARD_DIGITS, Fixed, fixed_bits, from_fixed, to_fixed, tolerance
 from bcft.invariants import (
     DEFAULT_NODE_BUDGET,
     _invariant,
@@ -130,7 +136,7 @@ def entry_bounds(md: ModularData) -> tuple:
         if md.family != "minimal":
             raise ValueError("no entry bound available")
         e = perron_row(md)
-        col = [mp.re(md.S[lam][e]) for lam in range(md.n)]
+        col = [mp.re(x[e]) for x in mpf_s(md)]
         if any(x <= 0 for x in col):
             raise ValueError("minimal-weight S-column is not positive")
         return tuple(
@@ -224,19 +230,20 @@ def invariant_residuals(md: ModularData, Z) -> dict:
         for i in range(n)
         for j in range(n)
     )
+    S = mpf_s(md)
     with workdps(dps + GUARD_DIGITS):
         worst = mpf(0)
         for a in range(n):
             for b in range(n):
-                zs = mp.fsum(Z[a][j] * md.S[j][b] for j in range(n))
-                sz = mp.fsum(md.S[a][i] * Z[i][b] for i in range(n))
+                zs = mp.fsum(Z[a][j] * S[j][b] for j in range(n))
+                sz = mp.fsum(S[a][i] * Z[i][b] for i in range(n))
                 worst = max(worst, abs(zs - sz))
         bounds = entry_bounds(md)
         perron_ok = all(
             Z[i][j] <= bounds[i][j] for i in range(n) for j in range(n)
         )
         weight = mp.fsum(
-            Z[i][j] * mp.re(md.S[0][i]) * mp.re(md.S[0][j])
+            Z[i][j] * mp.re(S[0][i]) * mp.re(S[0][j])
             for i in range(n)
             for j in range(n)
         )
@@ -494,9 +501,49 @@ def s_matrix(family: str, params: tuple, precision: int) -> tuple:
             for (r, s), _ in table)
 
 
+def mpf_s(md: ModularData) -> tuple:
+    """S as exact mpf, x / 2^B, at any working precision; an entry with an
+    imaginary part is an mpc."""
+    bits, (re, im) = fixed_bits(md.precision), md.S_fixed
+    return tuple(tuple(from_fixed(x, bits, y) for x, y in zip(rx, ry))
+                 for rx, ry in zip(re, im or [[0] * md.n] * md.n))
+
+
+def fixed_of(values, bits: int) -> Fixed:
+    """Each entry of a nested sequence of mpf/mpc, rounded to 2^-bits."""
+    vals = np.array(values, dtype=object)
+    re = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).real, bits), 1, 1)(vals)
+    im = np.frompyfunc(lambda v: to_fixed(mp.mpmathify(v).imag, bits), 1, 1)(vals)
+    return Fixed(re, im if im.any() else None, bits)
+
+
+def psi_columns(nr, exps, md: ModularData) -> list:
+    """Column lambda of psi for each exponent: column b of P_lambda =
+    S_0 lambda sum_rho conj(S_rho lambda) n^rho at its largest diagonal
+    entry, over sqrt(P_bb), its first entry above tolerance made real
+    positive; mpf/mpc at dps + GUARD_DIGITS."""
+    S, dps, m = mpf_s(md), md.precision, nr.size
+    nmats = nr.nmats.tolist()
+    with workdps(dps + GUARD_DIGITS):
+        tol, cols = tolerance(dps), []
+        for lam in exps:
+            coef = [S[0][lam] * mp.conj(S[rho][lam]) for rho in range(md.n)]
+
+            def entry(a, b):
+                return mp.fsum(c * mat[a][b] for c, mat in zip(coef, nmats) if mat[a][b])
+
+            diag = [mp.re(entry(a, a)) for a in range(m)]
+            b = max(range(m), key=diag.__getitem__)
+            norm = mp.sqrt(diag[b])
+            col = [entry(a, b) / norm for a in range(m)]
+            lead = next((x for x in col if abs(x) > tol), max(col, key=abs))
+            cols.append([x * (abs(lead) / lead) for x in col])
+        return cols
+
+
 def vacuum_row_real(md: ModularData) -> list:
     """The real parts of the mpf vacuum row S_0."""
-    return [mp.mpmathify(x).real for x in md.S[0]]
+    return [mp.mpmathify(x).real for x in mpf_s(md)[0]]
 
 
 def t_row(md: ModularData) -> list:
@@ -511,7 +558,7 @@ def t_row(md: ModularData) -> list:
 def with_s(md: ModularData, rows) -> ModularData:
     """md with its S replaced by the mpf/mpc rows, rounded to the model's
     fixed point; nothing is validated."""
-    F = Fixed.of(rows, fixed_bits(md.precision))
+    F = fixed_of(rows, fixed_bits(md.precision))
     parts = (None if part is None else tuple(map(tuple, part.tolist())) for part in (F.re, F.im))
     return dataclasses.replace(md, S_fixed=tuple(parts))
 

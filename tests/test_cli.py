@@ -362,7 +362,8 @@ def test_a_nome_far_below_the_fixed_point_unit_exits_without_traceback(command, 
     """At beta = 1e-30 the dual nome is exp(-4 pi^2 10^30), and at 1e60 the
     nome is exp(-10^60): both lie inside the usable range, and to_fixed
     reads each as 0 instead of building a shift of 10^31 bits or more.  The
-    other nome lies near 1, so its truncation tail may warn."""
+    other nome lies near 1, so its truncation tail may warn.  That tail is
+    +inf, so both checks print the residual +inf and exit 2."""
     for fmt in ("text", "structured"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -372,6 +373,10 @@ def test_a_nome_far_below_the_fixed_point_unit_exits_without_traceback(command, 
         assert code in (0, 2)
         assert out != ""
         assert "Traceback" not in err
+        if command[0] == "check":
+            field = "max_residual" if command[1] == "heat-kernel" else "residual"
+            assert code == 2
+            assert ('"%s": "+inf"' if fmt == "structured" else "%s: +inf") % field in out
 
 
 GENERATE = ["nimreps", "generate", "--model", "su2", "--level", "10"]

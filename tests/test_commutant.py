@@ -17,7 +17,7 @@ from bcft.hp import GUARD_DIGITS, independent_rows, rationalize, to_fraction
 from bcft.invariants import _commutant, _commutator, _s_constraint_rows, t_allowed_pairs
 from bcft.modular_data import load_model
 from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
-from oracles import nullspace, rref_rows, s_constraint_rows, with_s
+from oracles import mpf_s, nullspace, rref_rows, s_constraint_rows, with_s
 
 
 def _full_elimination(md):
@@ -25,7 +25,7 @@ def _full_elimination(md):
     SZ)_ab = 0 for all a, b split into real and imaginary parts."""
     pairs = t_allowed_pairs(md)
     index = {v: t for t, v in enumerate(pairs)}
-    n, dps = md.n, md.precision
+    n, dps, S = md.n, md.precision, mpf_s(md)
     with workdps(dps + GUARD_DIGITS):
         rows = []
         for a in range(n):
@@ -33,10 +33,10 @@ def _full_elimination(md):
                 coeff = [mpf(0)] * len(pairs)
                 for j in range(n):
                     if (a, j) in index:
-                        coeff[index[a, j]] += md.S[j][b]
+                        coeff[index[a, j]] += S[j][b]
                 for i in range(n):
                     if (i, b) in index:
-                        coeff[index[i, b]] -= md.S[a][i]
+                        coeff[index[i, b]] -= S[a][i]
                 if any(getattr(x, "imag", 0) != 0 for x in coeff):
                     rows.append([mp.re(x) for x in coeff])
                     rows.append([mp.im(x) for x in coeff])
@@ -66,7 +66,7 @@ def _model(family, params):
 def _moved_su2_10():
     """su2(10) with S_01 = S_10 moved by 1e-20, below float64 resolution."""
     md = su2(10)
-    S = [list(row) for row in md.S]
+    S = [list(row) for row in mpf_s(md)]
     with workdps(md.precision + GUARD_DIGITS):
         S[0][1] = S[1][0] = S[0][1] + mpf("1e-20")
     return with_s(md, S)
@@ -109,7 +109,7 @@ def test_certificate_equals_the_dense_rows(family, params):
 def test_certificate_sees_below_float64_resolution():
     md = su2(10)
     moved = _moved_su2_10()
-    assert float(moved.S[0][1]) == float(md.S[0][1])
+    assert float(mpf_s(moved)[0][1]) == float(mpf_s(md)[0][1])
     try:
         got = _commutant(moved)
     except RationalizationFailure:

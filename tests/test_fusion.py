@@ -24,7 +24,7 @@ from bcft.modular_data import load_model, validate
 from bcft.nimreps import Nimrep, regular_nimrep, verify
 from conftest import (all_coprime_pairs, fusion_minimal, fusion_su2, minimal,
                       su3_level1_document, su2)
-from oracles import with_s
+from oracles import mpf_s, with_s
 
 
 def test_ising_fusion_table():
@@ -129,7 +129,7 @@ def test_fusion_matrices_represent_the_ring():
 
 def test_integrality_failure_on_perturbed_s():
     md = minimal(4, 3)
-    rows = [list(row) for row in md.S]
+    rows = [list(row) for row in mpf_s(md)]
     rows[1][1] += mpf("1e-6")
     bad = with_s(md, rows)
     with pytest.raises(IntegralityFailure) as exc:
@@ -225,7 +225,7 @@ def test_a_real_symmetric_verlinde_makes_no_full_product(monkeypatch):
 
 def test_integrality_failure_names_the_first_offender_in_summation_order():
     md = minimal(7, 3)
-    rows = [list(row) for row in md.S]
+    rows = [list(row) for row in mpf_s(md)]
     rows[2][2] += mpf("1e-6")
     bad = with_s(md, rows)
     # S is then far from unitary, so no plane can be grown: the unit plane
@@ -272,9 +272,10 @@ def test_re_anchored_planes_equal_the_all_tau_reference(k, tol, n_summed):
 def _exact_planes(md, dps=150):
     """X_sigma of every sigma: the sums over the working S (the fixed-point
     S itself) and its 1/S_0k, evaluated at dps digits."""
+    S = mpf_s(md)
     with workdps(dps):
-        inv0 = [1 / x for x in md.S[0]]
-        return [[[mp.fsum(md.S[s][k] * md.S[r][k] * mp.conj(md.S[t][k]) * inv0[k]
+        inv0 = [1 / x for x in S[0]]
+        return [[[mp.fsum(S[s][k] * S[r][k] * mp.conj(S[t][k]) * inv0[k]
                           for k in range(md.n)) for t in range(md.n)]
                  for r in range(md.n)] for s in range(md.n)]
 
@@ -310,14 +311,14 @@ def test_fixed_point_sums_lie_within_the_bound(model):
     # working S (the fixed-point S itself) and its 1/S_0k, at 150 digits
     md = model()
     S, W, E = verlinde_inputs(md)
-    worst = 0
+    S_mpf, worst = mpf_s(md), 0
     with workdps(150):
-        inv0 = [1 / x for x in md.S[0]]
+        inv0 = [1 / x for x in S_mpf[0]]
         for s in range(md.n):
             V = (S[s] * S[s:] * W).rescale(S.bits).dot(S.conj().T)
             for r in range(s, md.n):
                 for t in range(md.n):
-                    exact = mp.fsum(md.S[s][k] * md.S[r][k] * mp.conj(md.S[t][k]) * inv0[k]
+                    exact = mp.fsum(S_mpf[s][k] * S_mpf[r][k] * mp.conj(S_mpf[t][k]) * inv0[k]
                                     for k in range(md.n))
                     im = 0 if V.im is None else V.im[r - s, t]
                     got = mp.mpc(V.re[r - s, t], im) / mp.mpf(2) ** (2 * S.bits)

@@ -25,6 +25,7 @@ from bcft.hp import (
     to_fraction,
     tolerance,
 )
+from oracles import fixed_of
 
 DPS = 30
 BITS = fixed_bits(DPS)
@@ -150,13 +151,13 @@ def test_fixed_complex_product_matches_mpmath():
     with workdps(DPS + 10):
         a = [[mpc(1, 2) / 3, mp.sqrt(2)], [mp.pi, mpc(-1, mp.e)]]
         b = [[mp.sqrt(3), mpc(0, 1) / 7], [mpc(2, -1), mp.ln(2)]]
-        prod = Fixed.of(a, bits).dot(Fixed.of(b, bits)).rescale(bits)
+        prod = fixed_of(a, bits).dot(fixed_of(b, bits)).rescale(bits)
         want = mp.matrix(a) * mp.matrix(b)
         for i in range(2):
             for j in range(2):
                 got = mpc(prod.re[i, j], prod.im[i, j]) / mpf(2) ** bits
                 assert abs(got - want[i, j]) < mpf(2) ** (-bits + 4)
-        real = Fixed.of([[mp.sqrt(2), 1]], bits)
+        real = fixed_of([[mp.sqrt(2), 1]], bits)
         assert real.im is None
         assert (real - real).max_abs() == 0
 

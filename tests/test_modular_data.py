@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps, workprec
 
+import bcft.modular_data
 from bcft.errors import (
     BadKacLabels,
     DocumentFormatError,
@@ -35,7 +36,7 @@ from bcft.modular_data import (
     validate,
 )
 from conftest import all_coprime_pairs, minimal, su2, su3_level1_document
-from oracles import s_matrix, t_row, vacuum_row_real
+from oracles import mpf_s, s_matrix, t_row, vacuum_row_real
 
 
 def test_su2_level1_exact_data():
@@ -43,11 +44,12 @@ def test_su2_level1_exact_data():
     assert md.n == 2
     assert md.c == Fraction(3, 3)
     assert md.h == (Fraction(0), Fraction(1, 4))
+    S = mpf_s(md)
     with workdps(60):
         root = mp.mpf(1) / mp.sqrt(2)
-        assert abs(md.S[0][0] - root) < 1e-55
-        assert abs(md.S[0][1] - root) < 1e-55
-        assert abs(md.S[1][1] + root) < 1e-55
+        assert abs(S[0][0] - root) < 1e-55
+        assert abs(S[0][1] - root) < 1e-55
+        assert abs(S[1][1] + root) < 1e-55
 
 
 def test_ising_sectors_weights_and_s_row():
@@ -157,26 +159,24 @@ def _count_products(monkeypatch):
 
 
 def test_build_forms_s_squared_once(monkeypatch):
-    rounded = []
-    of = Fixed.of.__func__
-    monkeypatch.setattr(
-        Fixed, "of", classmethod(lambda cls, values, bits: rounded.append(values) or of(cls, values, bits)))
+    made = []
+    monkeypatch.setattr(bcft.modular_data, "from_fixed", lambda *args: made.append(args))
     products = _count_products(monkeypatch)
     md = build_su2(7)
-    # the builder writes S as ints and T is ints from (c, h): neither is
-    # rounded by Fixed.of, and the mpf view of S is never built
-    assert rounded == []
+    # the builder writes S as ints and T is ints from (c, h): no mpf of S
+    # is made, so nothing rounds S again
+    assert made == []
     assert all(type(x) is int for x in md.T.re[0])
-    assert "S" not in vars(md)
+    assert not hasattr(md, "S")
     assert all(type(x) is int for row in md.S_fixed[0] for x in row) and md.S_fixed[1] is None
     S = md.fixed[0]
     assert products.count(("gram", S, None)) == 1
     md.fixed, md.conj, md.T, md.unitarity_defect
     validate(md)
-    # a second validate rounds nothing either, and S^2 is not formed again
-    assert rounded == []
+    # a second validate makes no mpf of S either, and S^2 is not formed again
+    assert made == []
     assert products.count(("gram", S, None)) == 1
-    assert "S" not in vars(md)
+    assert not hasattr(md, "S")
 
 
 def test_build_makes_two_exact_products(monkeypatch):
@@ -252,7 +252,7 @@ def test_validate_refuses_a_broken_modular_relation(doc):
 def test_replace_derives_fresh_model_data():
     md = load_model(su3_level1_document())
     assert md.conj == (0, 2, 1)
-    md.S  # the mpf view is cached too
+    md.fixed, md.T  # the fixed arrays are cached too
     ising = minimal(4, 3)
     moved = dataclasses.replace(md, S_fixed=ising.S_fixed)
     fields = [f.name for f in dataclasses.fields(md)]
@@ -262,7 +262,7 @@ def test_replace_derives_fresh_model_data():
     assert (moved.fixed[0].re == ising.fixed[0].re).all() and moved.fixed[0].im is None
     assert (moved.fixed[1].re == ising.fixed[1].re).all()
     assert (moved.fixed[2].re == ising.fixed[2].re).all()
-    assert moved.S == ising.S != md.S
+    assert not _same_fixed(moved.fixed[0], md.fixed[0])
     assert _same_fixed(moved.T, md.T)
     shifted = dataclasses.replace(md, c=ising.c, h=ising.h)
     assert _same_fixed(shifted.T, ising.T) and not _same_fixed(shifted.T, md.T)
@@ -272,7 +272,7 @@ def test_replace_derives_fresh_model_data():
     back = dataclasses.replace(moved, S_fixed=md.S_fixed)
     assert back == md and hash(back) == hash(md)
     assert sorted(vars(back)) == sorted(fields)
-    assert back.S == md.S and back.conj == md.conj
+    assert _same_fixed(back.fixed[0], md.fixed[0]) and back.conj == md.conj
 
 
 def _same_fixed(F, G) -> bool:
@@ -400,7 +400,8 @@ def test_document_explicit_s_reproduces_model():
     assert loaded.h == md.h
     assert loaded.c == md.c
     with workdps(60):
-        assert max(abs(x - y) for ra, rb in zip(loaded.S, md.S) for x, y in zip(ra, rb)) < 1e-45
+        assert max(abs(x - y) for ra, rb in zip(mpf_s(loaded), mpf_s(md))
+                   for x, y in zip(ra, rb)) < 1e-45
 
 
 def test_document_explicit_s_requires_positive_vacuum_row():
@@ -522,11 +523,18 @@ def test_a_written_model_reads_back_to_the_same_ints_and_fusion(model):
 
 
 def test_the_mpf_view_is_exact_at_any_working_precision():
-    # built outside any workdps, complex entries too: x / 2^B exactly
+    # built outside any workdps, complex entries too: x / 2^B exactly, and
+    # model_to_document prints those values whatever the working precision
     for md in (build_su2(5), load_model(su3_level1_document())):
         bits, (re, im) = fixed_bits(md.precision), md.S_fixed
         im = im or [[0] * md.n] * md.n
-        for view_row, re_row, im_row in zip(md.S, re, im):
+        view = mpf_s(md)
+        for view_row, re_row, im_row in zip(view, re, im):
             for v, x, y in zip(view_row, re_row, im_row):
                 v = mp.mpmathify(v)
                 assert (to_fixed(v.real, bits), to_fixed(v.imag, bits)) == (x, y)
+        printed = [[num_str(v, md.precision) for v in row] for row in view]
+        assert model_to_document(md)["S"] == printed
+        for dps in (5, 200):
+            with workdps(dps):
+                assert model_to_document(md)["S"] == printed

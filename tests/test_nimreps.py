@@ -34,7 +34,7 @@ from bcft.errors import (
 import bcft.hp
 import bcft.nimreps as nimreps
 from bcft.fusion import verlinde, verlinde_inputs
-from bcft.hp import to_fraction, tolerance
+from bcft.hp import from_fixed, to_fraction, tolerance
 from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_physical
 from bcft.modular_data import load_model
 from bcft.nimreps import (
@@ -59,7 +59,7 @@ from bcft.nimreps import (
 from conftest import all_coprime_pairs, fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 from intpoly import charpoly, mul, psi, rem
 from oracles import (canonical_bruteforce, certify_norm, connected_by_squaring, d_graph, e6_graph,
-                     e7_graph, e8_graph, tadpole_graph, with_s)
+                     e7_graph, e8_graph, mpf_s, psi_columns, tadpole_graph, with_s)
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -619,7 +619,7 @@ def test_spectrum_match_on_minimal_and_complex_models():
     assert not rep.ok and rep.mismatches
     # S_11 off by 1e-20 moves the sector-1 trace sum far less than 1, and
     # far more than tolerance(50) = 1e-25
-    rows = [list(row) for row in md.S]
+    rows = [list(row) for row in mpf_s(md)]
     with workdps(60):
         rows[1][1] += mp.mpf(10) ** -20
     bad = with_s(md, rows)
@@ -700,7 +700,7 @@ def _oracle_cases():
     exps = list(diagonal_invariant(minimal(5, 4)).exponents)
     exps[-1] = exps[-2]
     yield regular_nimrep(fusion_minimal(5, 4)), ModularInvariant((), tuple(exps), "wrong"), minimal(5, 4)
-    rows = [list(row) for row in minimal(5, 4).S]
+    rows = [list(row) for row in mpf_s(minimal(5, 4))]
     with workdps(60):
         rows[1][1] += mp.mpf(10) ** -20
     md = with_s(minimal(5, 4), rows)
@@ -729,12 +729,13 @@ def test_exponent_traces_lie_within_their_error_bound(model):
     md = model()
     exps = diagonal_invariant(md).exponents
     bits, re, im, err = _exponent_traces(md, exps)
+    S = mpf_s(md)
     with workdps(150):
-        inv0 = [1 / x for x in md.S[0]]
+        inv0 = [1 / x for x in S[0]]
         unit = mp.mpf(2) ** bits
         worst = err / unit
         for rho in range(md.n):
-            exact = mp.fsum(md.S[rho][lam] * inv0[lam] for lam in exps)
+            exact = mp.fsum(S[rho][lam] * inv0[lam] for lam in exps)
             assert abs(mp.mpc(int(re[rho]), int(im[rho])) / unit - exact) <= worst
         assert 0 < worst < 1e-50
 
@@ -756,15 +757,39 @@ def test_enumeration_and_matching_run_no_eigensolve(monkeypatch):
     assert psi.cardy_residual < 1e-12
 
 
+def test_psi_equals_the_mpf_projector_columns():
+    # every su2 invariant with simple exponents at k <= 12 with its nimrep,
+    # minimal models, and the complex su(3)_1; both carry 10 guard digits
+    cases = []
+    for k in range(1, 13):
+        md = su2(k)
+        for z in enumerate_physical(md):
+            if len(set(z.exponents)) == z.size:
+                cases += [(nr, z, md) for nr in enumerate_su2_nimreps(md, z.size)
+                          if spectrum_match(nr, z, md).ok]
+    for md in (minimal(4, 3), minimal(5, 2), minimal(7, 5), load_model(su3_level1_document())):
+        cases.append((regular_nimrep(verlinde(md)), diagonal_invariant(md), md))
+    assert len(cases) == 19  # A2..A13, D5, D7, E6 and the four regular ones
+    for nr, z, md in cases:
+        P = psi_matrix(nr, z, md).psi
+        with workdps(md.precision + 20):
+            for i, col in enumerate(psi_columns(nr, z.exponents, md)):
+                for a, x in enumerate(col):
+                    y = 0 if P.im is None else P.im[a, i]
+                    assert abs(from_fixed(P.re[a, i], P.bits, y) - x) < mp.mpf(10) ** -(md.precision + 5)
+
+
 def test_regular_psi_equals_s_matrix():
     # su(3)_1 has the complex ratios omega, omega^2
     for md in (minimal(4, 3), load_model(su3_level1_document())):
         nr = regular_nimrep(verlinde(md))
         psi = psi_matrix(nr, diagonal_invariant(md), md)
         assert psi.cardy_residual < 1e-12
+        assert psi.psi.re.shape == (3, 3) and not psi.psi.re.flags.writeable
+        P, S = psi.psi, mpf_s(md)
         with workdps(60):
             worst = max(
-                abs(psi.psi[a][i] - md.S[a][i])
+                abs(from_fixed(P.re[a, i], P.bits, 0 if P.im is None else P.im[a, i]) - S[a][i])
                 for a in range(3)
                 for i in range(3)
             )
@@ -778,7 +803,7 @@ def test_e6_psi_top_row():
     psi = psi_matrix(nr, invs["E6"], md)
     assert psi.exponents == (0, 3, 4, 6, 7, 10)
     assert psi.cardy_residual < 1e-12
-    row = [float(x) for x in psi.psi[0]]
+    row = [float(from_fixed(x, psi.psi.bits)) for x in psi.psi.re[0]]
     expected = [0.627963, 0.0, 0.325058, 0.325058, 0.0, 0.627963]
     assert max(abs(a - b) for a, b in zip(row, expected)) < 1e-6
 

@@ -217,19 +217,20 @@ def test_a_schema_3_fusion_entry_is_a_miss_and_is_stored_again(tmp_path):
     # schema 3 stored max_residual over every summed triple of the
     # Verlinde sum; schema 4 summed a few planes, over an S rounded from mpf;
     # schema 5 sums them over the S that the builders write in fixed point;
-    # schema 6 takes a summed plane's residual over the one triangle it forms
-    assert NUMERIC_SCHEMA == 6
+    # schema 6 takes a summed plane's residual over the one triangle it forms;
+    # schema 7 moves the residuals of the channel checks, now in fixed point
+    assert NUMERIC_SCHEMA == 7
     cache = Cache(tmp_path)
     key, text = _entry("fusion", {"model": "minimal_4_3"},
                        fusion_document(fusion_minimal(4, 3)))
     path = cache.path_for(cache.store(key, text))
-    for schema in (3, 4, 5):
+    for schema in (3, 4, 5, 6):
         old_payload = dict(json.loads(text), max_residual="1.0e-62")
         path.write_text(_header(key, numeric_schema=schema) + "\n" + canonical_json(old_payload))
         assert cache.load(key) is None
         cache.store(key, text)
         assert cache.load(key) == (text, json.loads(text))
-        assert json.loads(path.read_text().partition("\n")[0])["numeric_schema"] == 6
+        assert json.loads(path.read_text().partition("\n")[0])["numeric_schema"] == 7
 
 
 def test_a_bcft_cache_1_wrapper_is_a_miss_and_is_stored_again(tmp_path):

@@ -6,15 +6,18 @@ import warnings
 import pytest
 from mpmath import mp, workdps
 
+import bcft.characters
+import bcft.modular_data
+import bcft.nimreps
 import bcft.report
-from bcft.characters import characters_for, linear_combination, s_transform_residual
+from bcft.characters import QSeries, characters_for, linear_combination, s_transform_residual
 from bcft.cli import main as cli_main
 from bcft.errors import ConvergenceWarning
 from bcft.fusion import verlinde
 from bcft.hp import Fixed, num_str
 from bcft.invariants import diagonal_invariant, enumerate_physical
 from bcft.modular_data import build_su2
-from bcft.nimreps import enumerate_su2_nimreps, regular_nimrep, spectrum_match
+from bcft.nimreps import enumerate_su2_nimreps, psi_matrix, regular_nimrep, spectrum_match
 from bcft.report import (
     annulus,
     annulus_document,
@@ -114,6 +117,30 @@ def test_heat_kernel_e6_pairs():
     for pair in [(0, 0), (2, 3), (5, 1)]:
         res = heat_kernel_check(md, nr, e6, *pair)
         assert res < 1e-8
+
+
+def test_psi_and_both_channel_checks_make_no_mpf_sum(monkeypatch):
+    """psi and both checks contract the fixed-point S: no mp.fsum runs, and
+    neither the mpf view of S nor the rounding of mpf values back to Fixed
+    is left in the package."""
+    assert not hasattr(bcft.modular_data.ModularData, "S")
+    assert not hasattr(Fixed, "of")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.fsum called")
+
+    monkeypatch.setattr(mp, "fsum", refuse)
+    e6_model = su2(10)
+    (e6,) = [z for z in enumerate_physical(e6_model) if z.tag == "E6"]
+    (e6_nimrep,) = enumerate_su2_nimreps(e6_model, 6)
+    ising = ISING()
+    cases = [(e6_model, e6, e6_nimrep),
+             (ising, diagonal_invariant(ising), regular_nimrep(fusion_minimal(4, 3)))]
+    for md, Z, nr in cases:
+        assert psi_matrix(nr, Z, md).cardy_residual < 1e-12
+        residuals = heat_kernel_residuals(md, nr, Z)
+        assert len(residuals) == nr.size ** 2 and max(residuals.values()) < 1e-8
+        assert s_transform_residual(md) < 1e-8
 
 
 def test_heat_kernel_beta_must_be_positive():
@@ -320,19 +347,28 @@ def test_full_report_combines_each_multiplicity_vector_once(monkeypatch):
 
 
 def test_e6_pipeline_rounds_s_and_its_vacuum_row_once(monkeypatch):
-    calls = []
-    of = Fixed.of.__func__
-    monkeypatch.setattr(
-        Fixed, "of", classmethod(lambda cls, values, bits: calls.append(values) or of(cls, values, bits)))
     md = build_su2(10)
     verlinde(md)
     Z = next(z for z in enumerate_physical(md) if z.tag == "E6")
     nr = next(nr for nr in enumerate_su2_nimreps(md, Z.size) if spectrum_match(nr, Z, md).ok)
+    # the builder wrote S as ints, T is ints from (c, h), W = 1/S_0 is
+    # divided from S, and psi and every check contract md.fixed: the report
+    # rounds nothing of S again, and no mpf of S or psi is rounded back
+    assert not hasattr(md, "S") and not hasattr(Fixed, "of")
+    assert not any(hasattr(m, "to_fixed") for m in (bcft.nimreps, bcft.report))
+    monkeypatch.setattr(bcft.modular_data, "to_fixed", lambda *args: pytest.fail("rounded"))
+    # the only values rounded are the characters', each once, and the
+    # nome x of each evaluate
+    rounded, evaluated = [], []
+    to_fixed, evaluate = bcft.characters.to_fixed, QSeries.evaluate
+    monkeypatch.setattr(bcft.characters, "to_fixed",
+                        lambda x, bits: rounded.append(x) or to_fixed(x, bits))
+    monkeypatch.setattr(QSeries, "evaluate",
+                        lambda self, q, dps: evaluated.append(q) or evaluate(self, q, dps))
     full_report(md, Z, nr, order=50)
-    # psi only: the builder writes S as ints, T is ints from (c, h), W = 1/S_0
-    # is divided from S, and every other contraction reads md.fixed
-    assert not any(values is md.S for values in calls)
-    assert len(calls) <= 1
+    # tables at orders 50 and 200, each at both nomes
+    assert len(evaluated) == 2 * 2 * md.n
+    assert len(rounded) == 2 * len(evaluated)
 
 
 @pytest.mark.parametrize(
@@ -362,7 +398,7 @@ def test_check_heat_kernel_builds_once_with_unchanged_output(monkeypatch, capsys
     assert out == (
         '{\n "check": "heat-kernel",\n "format": "bcft-check/1",\n'
         ' "invariant_tag": "E6",\n'
-        ' "max_residual": "6.2230152778611417071440640537801242405902521687212e-61",\n'
+        ' "max_residual": "6.8307316135897688269823515590320894984603939820728e-61",\n'
         ' "model": "su2_k10",\n "ok": true,\n "pairs": 36,\n'
         ' "tolerance": "1e-08"\n}\n'
     )
