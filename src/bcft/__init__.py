@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "characters": "QSeries characters_for eta_series s_transform_residual "
                   "truncation_tail",
-    "errors": "BcftError CheckFailure ConvergenceWarning DegenerateExponents "
+    "errors": "BcftError CheckFailure DegenerateExponents "
               "DocumentFormatError IntegralityFailure MigrationError ModelValidationError "
               "NegativityFailure RationalizationFailure SearchBudgetExceeded "
               "SeriesDivisionError SizeMismatch SpectralRadiusTooLarge",

@@ -10,18 +10,16 @@ re-gridded to a common refinement automatically.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .errors import ConvergenceWarning, SeriesDivisionError
+from .errors import SeriesDivisionError
 from .hp import GUARD_DIGITS, Fixed, fixed_bits, mpf_from_fraction, to_fixed
 from .modular_data import ModularData
-from .persistence import CHANNEL_TOL, DEFAULT_ORDER
+from .persistence import DEFAULT_ORDER
 
 S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
 
@@ -286,49 +284,32 @@ class _Evaluated:
                 for x in nomes)
 
 
-def _warn_if_tail_dominates(tail, tol):
-    if tail > mpf(tol):
-        # at the first caller outside the package, however deep the check runs
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
-            frame, level = frame.f_back, level + 1
-        warnings.warn("truncation tail estimate %s exceeds tolerance %s"
-                      % (mp.nstr(tail, 5), tol), ConvergenceWarning, stacklevel=level)
-
-
-def _s_residual(md: ModularData, ev: _Evaluated, tol):
+def _s_residual(md: ModularData, ev: _Evaluated):
     """max |S chi(q) - chi(q~)| over md.fixed and the rounded characters,
     raised to the larger tail (+inf when a tail is).  S chi(q) is exact
     and floored once, so with the rounding of each chi by 1/2 unit and
     sum_mu |S_lambda mu| <= sqrt(n) the value lies within (sqrt(n) + 3) / 2
     units of 2^-B of the residual over the unrounded characters."""
     tail = max(ev.tail_q, ev.tail_qt)
-    _warn_if_tail_dominates(tail, tol)
     if ev.chi_q is None:
         return tail
     S = md.fixed[0]
     return max((S.dot(ev.chi_q).rescale(S.bits) - ev.chi_qt).max_abs(), tail)
 
 
-def s_transform_residual(
-    md: ModularData,
-    order: int = DEFAULT_ORDER,
-    beta=None,
-    *,
-    tol: float = CHANNEL_TOL,
-):
+def s_transform_residual(md: ModularData, order: int = DEFAULT_ORDER, beta=None):
     """max_lambda |chi_lambda(q~) - sum_mu S_{lambda mu} chi_mu(q)|.
 
     q = exp(-beta), q~ = exp(-4 pi^2 / beta).  The reported value is
     raised to the analytic truncation tail estimate when that is
-    larger (+inf when a tail is; _s_residual bounds the rounding), and
-    a ConvergenceWarning fires if the estimate exceeds tol.
+    larger (+inf when a tail is; _s_residual bounds the rounding), so
+    a residual below a tolerance is never one the tail could hide.
     """
     if order < S_TRANSFORM_MIN_ORDER:
         raise ValueError("order must be at least %d" % S_TRANSFORM_MIN_ORDER)
     with workdps(md.precision + GUARD_DIGITS):
         ev = _Evaluated(characters_for(md, order), order, beta, md.precision)
-        return _s_residual(md, ev, tol)
+        return _s_residual(md, ev)
 
 
 def qseries_document(f: QSeries) -> dict:

@@ -29,6 +29,7 @@ from pathlib import Path
 # thread only spins; set before numpy loads, and a value already set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import characters, fusion, hp, invariants, modular_data, nimreps, report
 from .errors import BcftError, CheckFailure, MigrationError
 from .persistence import (CHANNEL_TOL, DEFAULT_ORDER, DEFAULT_PRECISION, MAX_PRECISION, Cache,
                           cache_key, export, model_header)
@@ -190,7 +191,7 @@ def _resolve_model(args):
 
     The key and the precision come from args and the bytes of a
     --model-file alone (see _read_input), so an overwritten file misses.
-    build() makes and validates the model; numeric code is imported
+    build() makes and validates the model; numeric code is loaded
     there and not before.
     """
     flag = path = None  # no file: an error of the model flags stays bare
@@ -212,9 +213,7 @@ def _resolve_model(args):
     precision, _ = _decoded(flag, path, model_header, doc, args.precision)
 
     def build():
-        from .modular_data import load_model
-
-        return _decoded(flag, path, load_model, doc, precision)
+        return _decoded(flag, path, modular_data.load_model, doc, precision)
 
     return key, precision, build
 
@@ -286,51 +285,54 @@ def _parse_theta(text: str) -> dict:
 
 
 def _resolve_invariant_and_nimrep(args, md):
-    from .fusion import verlinde
-    from .invariants import diagonal_invariant, enumerate_physical
-    from .nimreps import enumerate_su2_nimreps, regular_nimrep, spectrum_match
-
     tag = args.invariant_tag
     if tag is None:
-        return diagonal_invariant(md), regular_nimrep(verlinde(md))
+        return invariants.diagonal_invariant(md), nimreps.regular_nimrep(fusion.verlinde(md))
     if md.family != "su2":
         raise ValueError("--invariant-tag requires an su2 model")
-    matches = [z for z in enumerate_physical(md) if z.tag == tag]
+    matches = [z for z in invariants.enumerate_physical(md) if z.tag == tag]
     if not matches:
         raise ValueError("no physical invariant tagged %r for this model" % tag)
     Z = matches[0]
-    for nr in enumerate_su2_nimreps(md, Z.size):
-        if spectrum_match(nr, Z, md).ok:
+    for nr in nimreps.enumerate_su2_nimreps(md, Z.size):
+        if nimreps.spectrum_match(nr, Z, md).ok:
             return Z, nr
     raise CheckFailure("no nimrep matches the spectrum of invariant %s" % tag)
 
 
-def _cached(args, operation: str, inputs: dict, compute):
-    """compute(md) for the selected model as a document, or through the
-    cache when --cache is set as the text --format structured prints of
-    it.  The key is complete before any build, so a hit builds no model
-    and imports no numeric code; a miss renders the document once, then
-    stores and prints that text."""
+def _cached(args, operation: str, inputs: dict, compute, passes=lambda doc: True):
+    """(output, exit code) of compute(md) for the selected model.
+
+    With --cache an entry holds the text --format structured prints of
+    the document, and the key is complete before any build, so a hit
+    builds no model and runs no numeric code; a miss renders the
+    document once, then stores and prints that text.  A document that
+    fails passes(doc) exits EXIT_CHECK and is printed but never stored,
+    so every hit is a passing document and exits 0 unread."""
     model_key, precision, build = _resolve_model(args)
     if not args.cache:
-        return compute(build())
+        doc = compute(build())
+        return doc, EXIT_OK if passes(doc) else EXIT_CHECK
     inputs = dict(model_key, **inputs)
     # a subcommand without --order keys DEFAULT_ORDER, as every key stored so far did
     order = getattr(args, "order", DEFAULT_ORDER)
     cache = Cache(args.cache)
     key = cache_key(operation, inputs, precision, order)
-    hit = cache.load(key)
+    hit, code = cache.load(key), EXIT_OK
     if hit is None:
         doc = compute(build())
         hit = export(doc), doc
-        cache.store(key, hit[0])
+        if passes(doc):
+            cache.store(key, hit[0])
+        else:
+            code = EXIT_CHECK
     text, doc = hit
-    return text if args.format == "structured" else doc
+    return text if args.format == "structured" else doc, code
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (document or its structured text,
-# exit_code); numeric code is imported where it is used
+# exit_code); a numeric module's body runs when one of its names is first read
 
 
 def _cmd_models(args):
@@ -345,62 +347,49 @@ def _cmd_models(args):
         }, EXIT_OK
 
     def compute(md):
-        from .modular_data import model_to_document
+        return modular_data.model_to_document(md)
 
-        return model_to_document(md)
-
-    return _cached(args, "models", {}, compute), EXIT_OK
+    return _cached(args, "models", {}, compute)
 
 
 def _cmd_fusion(args):
     def compute(md):
-        from .fusion import fusion_document, verlinde
+        return fusion.fusion_document(fusion.verlinde(md))
 
-        return fusion_document(verlinde(md))
-
-    return _cached(args, "fusion", {}, compute), EXIT_OK
+    return _cached(args, "fusion", {}, compute)
 
 
 def _cmd_invariants(args):
     def compute(md):
-        from .invariants import enumerate_physical, invariant_document
-        from .modular_data import model_name
-
-        invs = enumerate_physical(md)
+        invs = invariants.enumerate_physical(md)
         return {
             "format": "bcft-invariant-list/1",
-            "model": model_name(md),
+            "model": modular_data.model_name(md),
             "count": len(invs),
-            "invariants": [invariant_document(z) for z in invs],
+            "invariants": [invariants.invariant_document(z) for z in invs],
         }
 
-    return _cached(args, "invariants", {}, compute), EXIT_OK
+    return _cached(args, "invariants", {}, compute)
 
 
 def _cmd_nimreps_enumerate(args):
     def compute(md):
-        from .modular_data import model_name
-        from .nimreps import enumerate_su2_nimreps, nimrep_document
-
-        nrs = enumerate_su2_nimreps(md, args.size)
+        nrs = nimreps.enumerate_su2_nimreps(md, args.size)
         return {
             "format": "bcft-nimrep-list/1",
-            "model": model_name(md),
+            "model": modular_data.model_name(md),
             "size": args.size,
             "count": len(nrs),
-            "nimreps": [nimrep_document(nr) for nr in nrs],
+            "nimreps": [nimreps.nimrep_document(nr) for nr in nrs],
         }
 
-    return _cached(args, "nimreps-enumerate", {"size": args.size}, compute), EXIT_OK
+    return _cached(args, "nimreps-enumerate", {"size": args.size}, compute)
 
 
 def _cmd_nimreps_verify(args):
-    from .fusion import verlinde
-    from .nimreps import nimrep_from_document, verify
-
     flag, path = "--nimrep-file", args.nimrep_file
-    nr = _decoded(flag, path, nimrep_from_document, _read_input(flag, path)[0])
-    rep = verify(nr, verlinde(_build_model(args)))
+    nr = _decoded(flag, path, nimreps.nimrep_from_document, _read_input(flag, path)[0])
+    rep = nimreps.verify(nr, fusion.verlinde(_build_model(args)))
     out = {
         "format": "bcft-verify/1",
         "ok": rep.ok,
@@ -410,36 +399,30 @@ def _cmd_nimreps_verify(args):
 
 
 def _cmd_nimreps_generate(args):
-    from .fusion import verlinde
-    from .nimreps import generate_from_generator, nimrep_document, verify
-
     flag, path = "--generator-file", args.generator_file
     generator, md = _read_input(flag, path)[0], _build_model(args)  # the file first
-    nr = _decoded(flag, path, generate_from_generator, generator, md)
-    violations = verify(nr, verlinde(md)).violations
+    nr = _decoded(flag, path, nimreps.generate_from_generator, generator, md)
+    violations = nimreps.verify(nr, fusion.verlinde(md)).violations
     if violations:
         raise CheckFailure("the family grown from --generator-file %s is not a nimrep"
                            " of the model: %s" % (path, list(violations)))
-    return nimrep_document(nr), EXIT_OK
+    return nimreps.nimrep_document(nr), EXIT_OK
 
 
 def _cmd_characters(args):
     def compute(md):
-        from .characters import characters_for, qseries_document
-        from .modular_data import model_name
-
-        chis = characters_for(md, args.order)
+        chis = characters.characters_for(md, args.order)
         return {
             "format": "bcft-characters/1",
-            "model": model_name(md),
+            "model": modular_data.model_name(md),
             "order": args.order,
             "characters": [
-                {"sector": sec.name, "series": qseries_document(chi)}
+                {"sector": sec.name, "series": characters.qseries_document(chi)}
                 for sec, chi in zip(md.sectors, chis)
             ],
         }
 
-    return _cached(args, "characters", {}, compute), EXIT_OK
+    return _cached(args, "characters", {}, compute)
 
 
 def _cmd_annulus(args):
@@ -448,39 +431,31 @@ def _cmd_annulus(args):
     a, b = _parse_pair(args.pair)
 
     def compute(md):
-        from .fusion import verlinde
-        from .modular_data import model_name
-        from .nimreps import nimrep_from_document, regular_nimrep, verify
-        from .report import annulus, annulus_document
-
-        fr = verlinde(md)
-        nr = (regular_nimrep(fr) if regular
-              else _decoded("--nimrep", args.nimrep, nimrep_from_document, nrdoc))
-        violations = not regular and verify(nr, fr).violations
+        fr = fusion.verlinde(md)
+        nr = (nimreps.regular_nimrep(fr) if regular
+              else _decoded("--nimrep", args.nimrep, nimreps.nimrep_from_document, nrdoc))
+        violations = not regular and nimreps.verify(nr, fr).violations
         if violations:
             raise CheckFailure("--nimrep %s is not a nimrep of the model: %s"
                                % (args.nimrep, list(violations)))
-        spectrum = annulus(md, nr, a, b, args.order)
-        doc = {"format": "bcft-annulus/1", "model": model_name(md)}
-        doc.update(annulus_document(md, spectrum))
+        spectrum = report.annulus(md, nr, a, b, args.order)
+        doc = {"format": "bcft-annulus/1", "model": modular_data.model_name(md)}
+        doc.update(report.annulus_document(md, spectrum))
         return doc
 
     inputs = {"nimrep": nimrep_key, "pair": [a, b]}
-    return _cached(args, "annulus", inputs, compute), EXIT_OK
+    return _cached(args, "annulus", inputs, compute)
 
 
 def _check_document(check, md, field, res, tol, **extra):
     """(bcft-check document, exit code) of a residual held against tol,
     rendered at the model's precision."""
-    from .hp import num_str
-    from .modular_data import model_name
-
     ok = res < tol
     doc = {
         "format": "bcft-check/1",
         "check": check,
-        "model": model_name(md),
-        field: num_str(res, md.precision),
+        "model": modular_data.model_name(md),
+        field: hp.num_str(res, md.precision),
         "tolerance": repr(tol),
         "ok": ok,
         **extra,
@@ -489,19 +464,15 @@ def _check_document(check, md, field, res, tol, **extra):
 
 
 def _cmd_check_s_transform(args):
-    from .characters import s_transform_residual
-
     md = _build_model(args)
-    res = s_transform_residual(md, args.order, args.beta, tol=args.tol)
+    res = characters.s_transform_residual(md, args.order, args.beta)
     return _check_document("s-transform", md, "residual", res, args.tol)
 
 
 def _cmd_check_heat_kernel(args):
-    from .report import heat_kernel_residuals
-
     md = _build_model(args)
     Z, nr = _resolve_invariant_and_nimrep(args, md)
-    residuals = heat_kernel_residuals(md, nr, Z, args.beta, args.order, tol=args.tol)
+    residuals = report.heat_kernel_residuals(md, nr, Z, args.beta, args.order)
     return _check_document(
         "heat-kernel", md, "max_residual", max(residuals.values()), args.tol,
         invariant_tag=Z.tag, pairs=len(residuals),
@@ -512,12 +483,8 @@ def _cmd_indices(args):
     theta = _parse_theta(args.theta)
 
     def compute(md):
-        from .modular_data import model_name
-        from .report import index_document, index_report
-
-        rep = index_report(md, theta)
-        doc = {"model": model_name(md)}
-        doc.update(index_document(md, rep))
+        doc = {"model": modular_data.model_name(md)}
+        doc.update(report.index_document(md, report.index_report(md, theta)))
         return doc
 
     # sector names resolve in order (see _parse_theta), so only a theta of
@@ -525,21 +492,24 @@ def _cmd_indices(args):
     keyed = [[k, v] for k, v in theta.items()]
     if all(isinstance(k, int) for k in theta):
         keyed.sort()
-    return _cached(args, "indices", {"theta": keyed}, compute), EXIT_OK
+    return _cached(args, "indices", {"theta": keyed}, compute)
 
 
 def _cmd_report(args):
     def compute(md):
-        from .report import full_report
-
         Z, nr = _resolve_invariant_and_nimrep(args, md)
-        return full_report(md, Z, nr, args.order, args.beta)
+        return report.full_report(md, Z, nr, args.order, args.beta)
+
+    def passes(doc):
+        """The vacuum rule holds and neither channel check failed."""
+        return doc["vacuum_rule"]["ok"] and report.FAILED not in (
+            doc["heat_kernel"]["status"], doc["s_transform"]["status"])
 
     inputs = dict(
         invariant_tag=args.invariant_tag,
         beta=repr(args.beta) if args.beta is not None else "2*pi",
     )
-    return _cached(args, "report", inputs, compute), EXIT_OK
+    return _cached(args, "report", inputs, compute, passes)
 
 
 _HANDLERS = {

@@ -99,7 +99,3 @@ class MigrationError(BcftError):
 
 class CheckFailure(BcftError):
     """A consistency check exceeded its tolerance."""
-
-
-class ConvergenceWarning(Warning):
-    """Truncation order is too small for the requested tolerance."""

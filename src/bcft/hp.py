@@ -1,10 +1,9 @@
 """High-precision numeric helpers built on mpmath.
 
-Precision is given in decimal digits everywhere.  Matrices of mpf/mpc
-are tuples of tuples, so domain objects stay hashable and immutable;
-mpmath matrices are only transient.  Integer tensors (fusion tensors,
-nimrep families) are read-only arrays made once by int_array: int64 where
-every entry fits, Python ints past that.  Fixed arrays carry the exact
+Precision is given in decimal digits everywhere.  No domain object
+keeps a matrix of mpf or mpc.  Integer tensors (fusion tensors, nimrep
+families) are read-only arrays made once by int_array: int64 where every
+entry fits, Python ints past that.  Fixed arrays carry the exact
 big-int contractions.  A model's S is itself fixed point: the builders
 and the document reader write S 2^B as Python ints (ModularData.S_fixed),
 the model caches S, 1/S_0 and S^2 over them (ModularData.fixed) and T,

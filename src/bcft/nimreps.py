@@ -463,8 +463,8 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
     """
     if md.family != "su2":
         raise ValueError("enumeration requires level-k data")
-    if not 1 <= m <= 30:
-        raise ValueError("size must lie in 1..30")
+    if m < 1:
+        raise ValueError("size must be at least 1")
     (k,) = md.params
     out = []
     for candidate in _coxeter_candidates(m, k + 2):

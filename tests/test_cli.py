@@ -21,6 +21,7 @@ import bcft.errors
 import bcft.fusion
 import bcft.invariants
 import bcft.nimreps
+import bcft.report
 from bcft import cli, persistence
 from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
@@ -343,6 +344,8 @@ def test_a_model_file_that_is_not_json_exits_one_naming_it(data, capsys, tmp_pat
            "the usable range of --beta is ")
           for command in (["check", "s-transform"], ["report"])
           for beta in ("1e300", "1e-300")),
+        (["nimreps", "enumerate", "--model", "su2", "--level", "2", "--size", "0"],
+         "error: size must be at least 1"),
     ],
 )
 def test_out_of_range_input_exits_one_without_traceback(argv, message, capsys):
@@ -362,21 +365,18 @@ def test_a_nome_far_below_the_fixed_point_unit_exits_without_traceback(command, 
     """At beta = 1e-30 the dual nome is exp(-4 pi^2 10^30), and at 1e60 the
     nome is exp(-10^60): both lie inside the usable range, and to_fixed
     reads each as 0 instead of building a shift of 10^31 bits or more.  The
-    other nome lies near 1, so its truncation tail may warn.  That tail is
-    +inf, so both checks print the residual +inf and exit 2."""
+    other nome lies near 1, where the truncation tail is +inf, so every
+    command prints the residual +inf and exits 2, and nothing warns."""
     for fmt in ("text", "structured"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run([*command, "--model", "su2", "--level", "2", "--beta", beta,
                                   "--format", fmt], capsys)
-        assert all(issubclass(w.category, bcft.errors.ConvergenceWarning) for w in caught)
-        assert code in (0, 2)
-        assert out != ""
+        assert caught == []
+        assert code == 2
         assert "Traceback" not in err
-        if command[0] == "check":
-            field = "max_residual" if command[1] == "heat-kernel" else "residual"
-            assert code == 2
-            assert ('"%s": "+inf"' if fmt == "structured" else "%s: +inf") % field in out
+        field = "residual" if command[1:] == ["s-transform"] else "max_residual"
+        assert ('"%s": "+inf"' if fmt == "structured" else "%s: +inf") % field in out
 
 
 GENERATE = ["nimreps", "generate", "--model", "su2", "--level", "10"]
@@ -710,6 +710,64 @@ def test_check_failures_exit_two(capsys, tmp_path):
     assert code == 2
     assert vdoc["ok"] is False
     assert vdoc["violations"]
+
+
+CHANNELS = ("heat_kernel", "s_transform")
+FAILING_REPORTS = [
+    ["report", "--model", "su2", "--level", "10", "--invariant-tag", "E6", "--order", "5"],
+    ["report", "--model", "minimal", "--p", "4", "--pp", "3", "--beta", "1e-30"],
+]
+
+
+@pytest.mark.parametrize("argv", FAILING_REPORTS, ids=lambda argv: " ".join(argv[1:]))
+def test_a_failing_report_exits_two_and_is_never_cached(argv, capsys, tmp_path):
+    """A channel residual at or above its tolerance reads "failed", and the
+    report exits 2 as the check subcommands do.  It still prints its
+    document; --cache stores nothing, so a second run computes and fails
+    again instead of coming back from the cache with exit 0."""
+    cache = tmp_path / "cache"
+    for fmt in ("text", "structured"):
+        for cached in ([], ["--cache", str(cache)]):
+            first, second = (run(argv + ["--format", fmt] + cached, capsys)[:2]
+                             for _ in range(2))
+            assert first == second
+            code, out = first
+            assert code == 2
+            assert ('"status": "failed"' if fmt == "structured" else "status: failed") in out
+            assert list(cache.rglob("*.json")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--model", "minimal", "--p", "4", "--pp", "3"],
+    ["report", "--model", "minimal", "--p", "5", "--pp", "4", "--beta", "3", "--order", "30"],
+    ["report", "--model", "su2", "--level", "2", "--beta", "0.5", "--order", "400"],
+    ["report", "--model", "su2", "--level", "10", "--invariant-tag", "E6"],
+    *FAILING_REPORTS,
+], ids=lambda argv: " ".join(argv[1:]))
+def test_a_report_passes_exactly_when_every_residual_is_below_its_tolerance(argv, capsys):
+    code, doc, _ = run_json(argv, capsys)
+    below = {c: float(doc[c]["max_residual"]) < float(doc[c]["tolerance"]) for c in CHANNELS}
+    for c in CHANNELS:
+        assert doc[c]["status"] == ("ok" if below[c] else "failed")
+    assert code == (0 if all(below.values()) and doc["vacuum_rule"]["ok"] else 2)
+
+
+def test_a_report_whose_vacuum_rule_fails_exits_two_and_is_not_cached(capsys, tmp_path,
+                                                                      monkeypatch):
+    full_report = bcft.report.full_report
+
+    def broken(*args):
+        return dict(full_report(*args), vacuum_rule={"ok": False})
+
+    monkeypatch.setattr(bcft.report, "full_report", broken)
+    cache = tmp_path / "cache"
+    argv = ["report", "--model", "minimal", "--p", "4", "--pp", "3"]
+    for cached in ([], ["--cache", str(cache)], ["--cache", str(cache)]):
+        code, doc, _ = run_json(argv + cached, capsys)
+        assert code == 2
+        assert doc["vacuum_rule"] == {"ok": False}
+        assert {doc[c]["status"] for c in CHANNELS} == {"ok"}
+    assert list(cache.rglob("*.json")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1562,10 +1620,7 @@ def test_any_argv_exits_zero_one_or_two_without_traceback(argv, fuzz_files, tmp_
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code
     assert code in (0, 1, 2), argv
-    # a small --order draw may leave a series short of convergence; that is
-    # the one warning a run may raise
-    assert all(issubclass(w.category, bcft.errors.ConvergenceWarning) for w in caught), \
-        (argv, [str(w.message) for w in caught])
+    assert caught == [], (argv, [str(w.message) for w in caught])
     if code != 1 and not any(x.startswith(("-h", "--h")) for x in argv):
         # every --tol value that got through is positive and finite
         tols = [float(argv[i + 1]) for i, x in enumerate(argv) if x == "--tol"]
@@ -1574,4 +1629,5 @@ def test_any_argv_exits_zero_one_or_two_without_traceback(argv, fuzz_files, tmp_
     if code == 1:
         assert out == "", argv
     if code == 2:  # a check that ran and failed still prints its verdict
-        assert out == "" or "ok: False" in out or '"ok": false' in out, argv
+        assert out == "" or any(word in out for word in (
+            "ok: False", '"ok": false', "status: failed", '"status": "failed"')), argv

@@ -307,9 +307,20 @@ def test_enumeration_size_bounds():
     with pytest.raises(ValueError):
         enumerate_su2_nimreps(su2(2), 0)
     with pytest.raises(ValueError):
-        enumerate_su2_nimreps(su2(2), 31)
-    with pytest.raises(ValueError):
         enumerate_su2_nimreps(minimal(4, 3), 3)
+    # the table has graphs on m <= k + 1 nodes alone, so a larger m finds none
+    assert enumerate_su2_nimreps(su2(2), 31) == ()
+    assert enumerate_su2_nimreps(su2(2), 10 ** 9) == ()
+
+
+@pytest.mark.parametrize("k, graph", [(30, "A"), (58, "D")])
+def test_enumeration_past_thirty_boundaries(k, graph):
+    """31 boundaries: A31 at level 30 (h = 32) and D31 at level 58 (h = 60)."""
+    md = su2(k)
+    (nr,) = enumerate_su2_nimreps(md, 31)
+    want = path_graph(31) if graph == "A" else _spider((28, 1, 1))
+    assert nr.nmats[1].tolist() == [list(r) for r in canonical_generator(want)]
+    assert verify(nr, verlinde(md)).ok
 
 
 # ---------------------------------------------------------------------------
