@@ -233,8 +233,15 @@ def characters_for(md: ModularData, order: int = DEFAULT_ORDER) -> tuple:
 def truncation_tail(order: int, q_abs, offset_min: Fraction, dps: int):
     """Upper estimate for sum_{j > order} |c_j| |q|^(offset_min + j).
 
-    Uses |c_j| <= 100 (j+1)^4 exp(pi sqrt(6 j)), which dominates the
-    coefficient growth of every built-in character family.
+    Uses |c_j| <= 100 (j+1)^4 exp(pi sqrt(6 j)) for j >= 1, the only j a
+    tail reads (it starts at order + 1 >= 1).  The envelope is checked on
+    built-in families through order 400, not proved; it fails at j = 0 for
+    su2 k >= 99, whose top sector leads with c_0 = k + 1.  With a_j the
+    envelope times |q|^j, the ratio a_(j+1)/a_j = ((j+2)/(j+1))^4
+    exp(pi (sqrt(6(j+1)) - sqrt(6j))) |q| falls with j, as both factors
+    do.  So every term past t1 = a_(order+1) shrinks by at most ratio =
+    a_(order+2)/a_(order+1), and the tail is at most t1/(1 - ratio) when
+    ratio < 1 (+inf otherwise).
     """
     with workdps(dps + GUARD_DIGITS):
         q_abs = mpf(q_abs)

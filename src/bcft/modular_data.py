@@ -66,7 +66,11 @@ class ModularData:
     the exact c and h), the conjugation and the fixed arrays are derived
     from these fields on first use and cached on the instance: equality
     and hash cover the fields alone, and dataclasses.replace starts a
-    fresh cache.
+    fresh cache.  exact_s, not a field, marks a model that _finish made for
+    a builder family: its S_fixed lies within 2^-B of the family's exact S,
+    so fusion.verlinde grows its planes by the ring law.  It is False on the
+    class and set True on the instance, so a dataclasses.replace copy and a
+    loaded explicit-S model lack it, and every plane of theirs is summed.
     """
 
     sectors: tuple
@@ -76,6 +80,7 @@ class ModularData:
     precision: int
     family: str | None = None
     params: tuple = ()
+    exact_s = False
 
     @functools.cached_property
     def T(self) -> Fixed:
@@ -226,9 +231,11 @@ def _read_only(*arrays: Fixed) -> tuple:
 
 
 def _finish(sectors, c, h, S_fixed, precision, family, params):
-    """The validated model of (sectors, c, h, S_fixed) at this precision."""
+    """The validated model of (sectors, c, h, S_fixed) at this precision,
+    marked exact_s when a builder family made it."""
     md = ModularData(tuple(sectors), c, tuple(h), S_fixed, precision, family, params)
     validate(md)
+    object.__setattr__(md, "exact_s", family is not None)
     return md
 
 

@@ -44,9 +44,12 @@ CACHE_FORMAT = "bcft-cache/2"
 # 4: a fusion max_residual over the summed Verlinde planes alone; 5: S
 # written in fixed point by the builders, which moves residuals below the
 # working precision; 6: a summed Verlinde plane's residual over one
-# triangle; 7: residuals of the fixed-point channel checks).  Cache.load treats an entry recorded under another value, or
-# none, as a miss, so results of older code are recomputed.
-NUMERIC_SCHEMA = 7
+# triangle; 7: residuals of the fixed-point channel checks; 8: Verlinde
+# planes grown exactly for a builder's model, every plane summed for any
+# other, which moves max_residual below the working precision).
+# Cache.load treats an entry recorded under another value, or none, as a
+# miss, so results of older code are recomputed.
+NUMERIC_SCHEMA = 8
 
 
 def model_header(document, precision: int) -> tuple:

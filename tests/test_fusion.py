@@ -180,11 +180,15 @@ def test_verlinde_equals_the_all_tau_reference(family, params):
     fr = verlinde(md)
     N, _ = _verlinde_reference(md)
     assert fr.N.tolist() == N.tolist()
-    # a few summed planes grow every other one, and max_residual is the
+    # a few summed planes grow every other one of a builder's model, a
+    # loaded explicit-S model sums every plane, and max_residual is the
     # worst over the entries the summed planes form: one triangle (rho >=
     # tau) of a real symmetric S, the whole plane otherwise
     summed = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)[2]
-    assert len(summed) <= 2
+    if md.exact_s:
+        assert len(summed) <= 2
+    else:
+        assert summed == list(range(md.n))
     one = 1 << 2 * verlinde_inputs(md)[0].bits
     full = [_plane_residuals(md, g)[1] for g in summed]
     formed = [np.tril(r) if md.real_symmetric else r for r in full]
@@ -248,24 +252,24 @@ def test_rounding_is_checked_against_the_error_bound():
     fr = verlinde(md)
     E = verlinde_inputs(md)[2]
     assert 0 < E < 1e-60
-    # so tight a tolerance leaves no plane to grow: all three are summed, and
-    # max_residual is the worst of them
+    # a builder's planes grow exactly under so tight a tolerance too, and
+    # max_residual is the worst of the summed ones
     tight = verlinde(md, integrality_tol=fr.max_residual + 2 * float(E))
     assert np.array_equal(tight.N, fr.N) and tight.max_residual >= fr.max_residual
     with pytest.raises(IntegralityFailure):
         verlinde(md, integrality_tol=fr.max_residual + float(E) / 2)
 
 
-@pytest.mark.parametrize("k, tol, n_summed", [(60, 1e-35, 3), (2, None, 3)],
-                         ids=["su2_k60_re_anchored", "su2_k2_every_plane_summed"])
-def test_re_anchored_planes_equal_the_all_tau_reference(k, tol, n_summed):
-    # a grown plane whose bound exceeds the slack is summed, and growth
-    # goes on from it; the tiny tolerance above leaves no plane to grow
+@pytest.mark.parametrize("k, tol", [(60, 1e-35), (2, None)], ids=["su2_k60", "su2_k2"])
+def test_a_tight_tolerance_still_grows_the_all_tau_reference(k, tol):
+    # a summed plane of a builder's S is the exact plane, so growth from it
+    # needs no bound, however small the tolerance; the second is barely above
+    # the residual and E
     md = su2(k)
     if tol is None:
         tol = verlinde(md).max_residual + 2 * float(verlinde_inputs(md)[2])
-    N, _, summed, _ = bcft.fusion._planes(md, tol)
-    assert len(summed) == n_summed
+    N, _, summed = bcft.fusion._planes(md, tol)
+    assert summed == [1]
     assert N.tolist() == _verlinde_reference(md)[0].tolist()
 
 
@@ -280,25 +284,68 @@ def _exact_planes(md, dps=150):
                  for r in range(md.n)] for s in range(md.n)]
 
 
+def _exact_distance(md):
+    """D of verlinde_inputs: the distance of a sum over the working S from
+    the sum over the exact S it lies within 2^-B of."""
+    S, W, _ = verlinde_inputs(md)
+    s, w = S.bound(), W.bound()
+    return md.n * s * s * w * (3 + 2 * s * w) / (1 << S.bits)
+
+
 @pytest.mark.parametrize(
     "model",
     [lambda: su2(7), lambda: minimal(7, 3), lambda: load_model(su3_level1_document())],
     ids=["su2_k7", "minimal_7_3", "su3_k1"],
 )
-def test_grown_planes_lie_within_their_bounds(model):
+def test_every_plane_lies_within_the_exact_distance(model):
+    # a builder's planes, grown or summed, are the exact fusion planes, so
+    # each lies within D of X over the working S; a loaded model sums every
+    # plane, each within the tolerance of X
     md = model()
-    N, bounds, summed, _ = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)
-    grown = [t for t in range(md.n) if t not in summed]
-    assert grown
-    one = mpf(2) ** (2 * verlinde_inputs(md)[0].bits)
+    N, _, summed = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)
+    if md.exact_s:
+        assert len(summed) < md.n
+        D = _exact_distance(md)
+        assert D < 1e-40
+        bound = mpf(D.numerator) / D.denominator
+    else:
+        assert summed == list(range(md.n))
+        bound = mpf(DEFAULT_INTEGRALITY_TOL)
     X = _exact_planes(md)
     with workdps(150):
-        for t in range(md.n):
-            norm = max(sum(abs(X[t][r][c] - int(N[t, r, c])) for c in range(md.n))
-                       for r in range(md.n))
-            assert norm <= bounds[t] / one
-            if t in grown:
-                assert bounds[t] / one < mpf("1e-30")
+        worst = max(abs(X[t][r][c] - int(N[t, r, c]))
+                    for t in range(md.n) for r in range(md.n) for c in range(md.n))
+        assert worst <= bound
+
+
+@pytest.mark.parametrize("precision", [10, 20, 50])
+def test_su2_level_100_sums_one_plane_at_every_precision(precision):
+    md = su2(100, precision)
+    N, _, summed = bcft.fusion._planes(md, DEFAULT_INTEGRALITY_TOL)
+    assert summed == [1]
+    assert np.array_equal(N, su2_closed_form(100))
+
+
+def test_a_copy_with_the_same_s_sums_every_plane():
+    # dataclasses.replace drops the builder's mark: the copy equals the
+    # model, yet nothing vouches for an exact S behind it
+    md = minimal(7, 3)
+    copy = with_s(md, mpf_s(md))
+    assert copy == md and md.exact_s and not copy.exact_s
+    N, _, summed = bcft.fusion._planes(copy, DEFAULT_INTEGRALITY_TOL)
+    assert summed == list(range(md.n))
+    assert N.tolist() == verlinde(md).N.tolist()
+
+
+def test_a_tolerance_past_the_integer_gap_sums_every_plane():
+    # growth needs integrality_tol + D < 1/2, so that a summed plane can be
+    # only the exact one
+    md = su2(7)
+    assert 0.49 + _exact_distance(md) < Fraction(1, 2)
+    assert bcft.fusion._planes(md, 0.49)[2] == [1]
+    N, _, summed = bcft.fusion._planes(md, 0.5)
+    assert summed == list(range(md.n))
+    assert N.tolist() == verlinde(md).N.tolist()
 
 
 @pytest.mark.parametrize(
