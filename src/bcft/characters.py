@@ -16,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .errors import SeriesDivisionError
+from .errors import CheckFailure, SeriesDivisionError
 from .hp import GUARD_DIGITS, Fixed, fixed_bits, mpf_from_fraction, to_fixed
-from .modular_data import ModularData
+from .modular_data import ModularData, minimal_sector_table
 from .persistence import DEFAULT_ORDER
 
 S_TRANSFORM_MIN_ORDER = 200  # fewest terms s_transform_residual accepts
@@ -180,54 +180,34 @@ def theta_prime_series(m: int, N: int, order: int) -> QSeries:
     return _theta_sum(((m, lambda x: x),), 2 * N, 4 * N, order)
 
 
-def _inverse(den: QSeries) -> QSeries:
-    """1 / den, known as far as den is."""
-    return qseries_one(den.order - 1) / den
-
-
-def _su2_character(k: int, a: int, weyl_inverse: QSeries) -> QSeries:
-    """Level-k character of sector a: theta'_{a+1,k+2} times the inverse of
-    the shared Weyl denominator theta'_{1,2}.  It leads with a+1 (the
-    dimension of the ground multiplet) at q^(h_a - c/24)."""
-    N = k + 2
-    chi = theta_prime_series(a + 1, N, weyl_inverse.order - 1) * weyl_inverse
-    expo, lead = chi.leading()
-    assert expo == Fraction(a * (a + 2), 4 * N) - Fraction(3 * k, 24 * N)
-    assert lead == a + 1
-    return chi
-
-
-def _minimal_character(p: int, pp: int, r: int, s: int, eta_inverse: QSeries) -> QSeries:
-    """Kac-label (r, s) character: the alternating lattice sum times the
-    inverse of the shared eta."""
-    A = p * r - pp * s
-    B = p * r + pp * s
-    lattice = _theta_sum(((A, lambda x: 1), (B, lambda x: -1)), 2 * p * pp, 4 * p * pp,
-                         eta_inverse.order - 1)
-    chi = lattice * eta_inverse
-    expo, lead = chi.leading()
-    h = Fraction(A * A - (p - pp) ** 2, 4 * p * pp)
-    c = Fraction(1) - Fraction(6 * (p - pp) ** 2, p * pp)
-    assert expo == h - c / 24
-    assert lead == 1
-    return chi
-
-
 def characters_for(md: ModularData, order: int = DEFAULT_ORDER) -> tuple:
-    """Characters of every sector, in sector order: sparse numerators
-    times one inverse of the denominator they share."""
+    """Characters of every sector, in sector order, known through order:
+    each a theta-sum numerator times one inverse of the denominator they
+    share.  su2 sector a is theta'_{a+1,k+2} / theta'_{1,2}, led by a + 1
+    (the dimension of its ground multiplet); the minimal-model sector of
+    Kac labels (r, s) (minimal_sector_table) is the alternating lattice
+    sum over A = pr - p's and B = pr + p's, over eta, led by 1.  Each
+    leads at q^(h - c/24) of the model's own h and c, or CheckFailure."""
     if md.family == "su2":
-        (k,) = md.params
-        inverse = _inverse(theta_prime_series(1, 2, order))
-        return tuple(_su2_character(k, a, inverse) for a in range(md.n))
-    if md.family == "minimal":
-        p, pp = md.params
-        inverse = _inverse(eta_series(order))
-        return tuple(
-            _minimal_character(p, pp, *map(int, sec.name.split(",")), inverse)
-            for sec in md.sectors
-        )
-    raise ValueError("characters are only available for built-in families")
+        den, N = theta_prime_series(1, 2, order), md.params[0] + 2
+        nums = [theta_prime_series(a + 1, N, order) for a in range(md.n)]
+        leads = range(1, md.n + 1)
+    elif md.family == "minimal":
+        (p, pp), den = md.params, eta_series(order)
+        nums = [_theta_sum(((p * r - pp * s, lambda x: 1), (p * r + pp * s, lambda x: -1)),
+                           2 * p * pp, 4 * p * pp, order)
+                for (r, s), _ in minimal_sector_table(p, pp)]
+        leads = [1] * md.n
+    else:
+        raise ValueError("characters are only available for built-in families")
+    inverse = qseries_one(order) / den
+    chis = tuple(num * inverse for num in nums)
+    for sec, h, chi, lead in zip(md.sectors, md.h, chis, leads):
+        expo, c0 = chi.leading()
+        if (expo, c0) != (h - md.c / 24, lead):
+            raise CheckFailure("character of sector %s leads with %d q^%s, not with %d q^%s "
+                               "at h - c/24" % (sec.name, c0, expo, lead, h - md.c / 24))
+    return chis
 
 
 def truncation_tail(order: int, q_abs, offset_min: Fraction, dps: int):

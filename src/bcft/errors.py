@@ -48,14 +48,11 @@ class IntegralityFailure(BcftError):
     Carries the first offending triple and its residual.
     """
 
-    def __init__(self, triple, residual, message=None):
+    def __init__(self, triple, residual):
         self.triple = triple
         self.residual = residual
-        super().__init__(
-            message
-            or "fusion coefficient at %s is %.3e away from a non-negative integer"
-            % (triple, residual)
-        )
+        super().__init__("fusion coefficient at %s is %.3e away from a non-negative integer"
+                         % (triple, residual))
 
 
 class RationalizationFailure(BcftError):
@@ -72,9 +69,9 @@ class NegativityFailure(BcftError):
     ``index`` is the first sector id where this happened.
     """
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or "recursion left the non-negative integers at step %d" % index)
+        super().__init__("recursion left the non-negative integers at step %d" % index)
 
 
 class SpectralRadiusTooLarge(BcftError):

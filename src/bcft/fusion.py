@@ -67,22 +67,22 @@ def verlinde_inputs(md: ModularData):
     return S, W, md.n * (e_u * s_max + u_max * eps)
 
 
-def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) -> FusionRing:
+def verlinde(md: ModularData) -> FusionRing:
     """N^tau_{sigma rho} = sum_k S_sk S_rk conj(S_tk) w_k, w_k = 1/S_0k, certified.
 
     X_sigma is the plane (rho, tau) of that sum over the working S and w.
-    - Summed: every entry of the contraction of verlinde_inputs lies
-      within slack = integrality_tol - E of an integer >= 0, or the first
-      offender in row-major order raises IntegralityFailure; max_residual
-      is the worst residual of a summed plane.  If md.real_symmetric the
-      plane is one triangle, Fixed.gram(S_g W) mirrored, about n^3/2
-      products: its weight S_gk W_k stays at 2B bits, so gram floors
-      S_tk S_gk W_k to B bits once, exactly as U is floored, and entry
-      (rho, tau), rho <= tau, is the contraction's entry (tau, rho); E holds
-      unchanged and the residual is taken over that triangle.  Any other S
-      takes Fixed.dot, all n^3 products.
-    - Grown, only if md.exact_s and integrality_tol + D < 1/2 (D of
-      verlinde_inputs).  A summed N_g then lies within integrality_tol of
+    - Summed: every entry of the contraction of verlinde_inputs lies within
+      slack = DEFAULT_INTEGRALITY_TOL - E of an integer >= 0, or the first
+      offender in row-major order raises IntegralityFailure; max_residual is
+      the worst residual of a summed plane.  If md.real_symmetric the plane
+      is one triangle, Fixed.gram(S_g W) mirrored, about n^3/2 products: its
+      weight S_gk W_k stays at 2B bits, so gram floors S_tk S_gk W_k to B
+      bits once, exactly as U is floored, and entry (rho, tau), rho <= tau,
+      is the contraction's entry (tau, rho); E holds unchanged and the
+      residual is taken over that triangle.  Any other S takes Fixed.dot, all
+      n^3 products.
+    - Grown, only if md.exact_s and DEFAULT_INTEGRALITY_TOL + D < 1/2 (D
+      of verlinde_inputs).  A summed N_g then lies within that tolerance of
       X_g, and X_g within D of the sum over the exact S, whose entries are
       the integer fusion rules: so N_g is the exact plane, as is the unit
       plane, the identity.  The ring law N_g N_rho = sum_tau c_tau N_tau, c
@@ -99,7 +99,7 @@ def verlinde(md: ModularData, integrality_tol: float = DEFAULT_INTEGRALITY_TOL) 
     - Any other model, an explicit-S document or a dataclasses.replace
       copy, sums every plane in order 0..n-1.
     """
-    N, worst, _ = _planes(md, integrality_tol)
+    N, worst, _ = _planes(md, DEFAULT_INTEGRALITY_TOL)
     return FusionRing(
         n=md.n,
         N=N,

@@ -31,6 +31,7 @@ from mpmath.libmp import (dps_to_prec, from_man_exp, fzero, mpf_abs, mpf_ge, mpf
 from .errors import RationalizationFailure
 
 GUARD_DIGITS = 10
+MAX_DENOMINATOR = 10**6  # the largest denominator rationalize fits
 # binary digits carried past GUARD_DIGITS by the fixed-point format
 FIXED_GUARD_BITS = 8
 
@@ -48,17 +49,17 @@ def to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def rationalize(x: Fraction, dps: int, max_denominator: int = 10**6) -> Fraction:
-    """Nearest small-denominator rational to the exact value x, or
-    RationalizationFailure.
+def rationalize(x: Fraction, dps: int) -> Fraction:
+    """Nearest rational of denominator at most MAX_DENOMINATOR to the exact
+    value x, or RationalizationFailure.
 
     The fit must reproduce x within tolerance(dps).
     """
-    fit = x.limit_denominator(max_denominator)
+    fit = x.limit_denominator(MAX_DENOMINATOR)
     if abs(fit - x) > exact_tolerance(dps):
         raise RationalizationFailure(
             "no rational with denominator <= %d within %s of %s"
-            % (max_denominator, mp.nstr(tolerance(dps), 3), mp.nstr(mpf_from_fraction(x, dps), 25))
+            % (MAX_DENOMINATOR, mp.nstr(tolerance(dps), 3), mp.nstr(mpf_from_fraction(x, dps), 25))
         )
     return fit
 

@@ -186,30 +186,51 @@ def entry_bounds(md: ModularData) -> tuple:
     return tuple(tuple(int(x) for x in r) for r in lo)
 
 
-SU2_COXETER_TAGS = {
-    10: ("E6", (0, 3, 4, 6, 7, 10)),
-    16: ("E7", (0, 4, 6, 8, 10, 12, 16)),
-    28: ("E8", (0, 6, 10, 12, 16, 18, 22, 28)),
-}
+@dataclass(frozen=True)
+class CoxeterRow:
+    """One A-D-E-T graph: its name, its exponents as su(2) labels j - 1
+    (its eigenvalues are the 2cos(pi j/h)), and its shape, a spider with
+    these legs grafted onto one center vertex, with a loop at the last
+    node of the last leg when loop is set."""
+
+    name: str
+    exponents: tuple
+    legs: tuple
+    loop: bool
+
+
+# the exponents of E6, E7 and E8 as su(2) labels, by (m, h)
+E_EXPONENTS = {(6, 12): (0, 3, 4, 6, 7, 10), (7, 18): (0, 4, 6, 8, 10, 12, 16),
+               (8, 30): (0, 6, 10, 12, 16, 18, 22, 28)}
+
+
+def coxeter_row(m: int, h: int):
+    """The connected graph on m nodes of norm 2cos(pi/h), loops allowed, or
+    None when there is none (Smith 1970): A_m when h = m + 1, D_m (m >= 4)
+    when h = 2(m - 1), E6, E7 and E8 when (m, h) is (6, 12), (7, 18) or
+    (8, 30), and the tadpole T_m, a path with a loop at one end, when
+    h = 2m + 1.  No two of these share an (m, h), so there is at most one.
+    h is compared before anything of size m is built."""
+    if m >= 1 and h == m + 1:
+        return CoxeterRow("A%d" % m, tuple(range(m)), (m - 1,), False)
+    if m >= 4 and h == 2 * (m - 1):
+        return CoxeterRow("D%d" % m, tuple(sorted([*range(0, h - 1, 2), m - 2])),
+                          (m - 3, 1, 1), False)
+    if (m, h) in E_EXPONENTS:
+        return CoxeterRow("E%d" % m, E_EXPONENTS[m, h], (m - 4, 2, 1), False)
+    if m >= 1 and h == 2 * m + 1:
+        return CoxeterRow("T%d" % m, tuple(range(0, h - 2, 2)), (m - 1,), True)
+    return None
 
 
 def ade_tag(md: ModularData, exponents: tuple) -> str:
-    """Dynkin name whose Coxeter exponents match Exp(Z), else
-    "untagged".  Only level-k data carries such names."""
-    if md.family != "su2":
+    """Dynkin name of the Coxeter row of size |Exp(Z)| at h = k + 2 when
+    its exponents are Exp(Z), else "untagged"; a tadpole names no
+    invariant.  Only level-k data carries such names."""
+    row = coxeter_row(len(exponents), md.params[0] + 2) if md.family == "su2" else None
+    if row is None or row.loop or row.exponents != exponents:
         return "untagged"
-    (k,) = md.params
-    if exponents == tuple(range(k + 1)):
-        return "A%d" % (k + 1)
-    if k % 2 == 0 and k >= 4:
-        d_exps = tuple(sorted(list(range(0, k + 1, 2)) + [k // 2]))
-        if exponents == d_exps:
-            return "D%d" % (k // 2 + 2)
-    if k in SU2_COXETER_TAGS:
-        name, exps = SU2_COXETER_TAGS[k]
-        if exponents == exps:
-            return name
-    return "untagged"
+    return row.name
 
 
 def _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
@@ -278,14 +299,15 @@ def _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget):
     return solutions
 
 
-def enumerate_physical(md: ModularData, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+def enumerate_physical(md: ModularData) -> tuple:
     """All physical modular invariants, in lexicographic order of the
-    flattened matrix.  Raises SearchBudgetExceeded past node_budget."""
+    flattened matrix.  Raises SearchBudgetExceeded past
+    DEFAULT_NODE_BUDGET lattice nodes."""
     pairs, basis, pivots = _commutant(md)
     bounds = entry_bounds(md)
     bounds_by_var = [bounds[i][j] for (i, j) in pairs]
     vacuum_var = pairs.index((0, 0))
-    vecs = _search(pairs, basis, pivots, bounds_by_var, vacuum_var, node_budget)
+    vecs = _search(pairs, basis, pivots, bounds_by_var, vacuum_var, DEFAULT_NODE_BUDGET)
     invs = (_invariant(md, _matrix(md.n, pairs, vec)) for vec in vecs)
     return tuple(sorted(invs, key=lambda inv: inv.flat()))
 

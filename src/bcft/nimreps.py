@@ -4,10 +4,11 @@ A nimrep assigns to every sector rho a non-negative integer matrix
 n^rho over a set of boundary labels so that matrix products follow the
 fusion coefficients exactly.  For level-k data the whole family grows
 from the fundamental-sector generator by a three-term recursion.  The
-generators are the A-D-E-T graphs of Coxeter number k + 2, an integer
-table: enumeration reads its candidates off it, and a user's generator
-is refused unless the table lists it at k + 2.  A candidate is certified
-exactly when its grown family closes, n^k n^1 = n^(k-1).
+generators are the A-D-E-T graphs of Coxeter number k + 2, the rows of
+invariants.coxeter_row, whose names also tag the modular invariants:
+enumeration builds each row's graph as a spider, and a user's generator
+is refused unless it is a row's graph at k + 2.  A candidate is
+certified exactly when its grown family closes, n^k n^1 = n^(k-1).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .fusion import FusionRing
 from .hp import GUARD_DIGITS, Fixed, exact_dtype, exact_tolerance, int_array
-from .invariants import ModularInvariant
+from .invariants import ModularInvariant, coxeter_row
 from .modular_data import ModularData, _read_only
 
 PSI_TOL = 1e-12  # fixed: full_report renders it as cardy_tolerance "1e-12"
@@ -293,12 +294,6 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
     return PsiMatrix(Psi, exps, float(worst))
 
 
-def path_graph(m: int) -> tuple:
-    return tuple(
-        tuple(1 if abs(i - j) == 1 else 0 for j in range(m)) for i in range(m)
-    )
-
-
 def canonical_generator(G) -> tuple:
     """Canonical adjacency matrix of a loop-marked tree.
 
@@ -373,26 +368,18 @@ def _spider(legs) -> np.ndarray:
 
 
 def _coxeter_candidates(m: int, h: int) -> list:
-    """The connected graphs on m nodes of norm 2cos(pi/h), loops allowed
-    (Smith 1970): A_m when h = m + 1, D_m (m >= 4) when h = 2(m - 1), E6,
-    E7 and E8 when (m, h) is (6, 12), (7, 18) or (8, 30), and the tadpole
-    T_m, a path with a loop at one end, when h = 2m + 1."""
-    out = []
-    if h == m + 1:
-        out.append(path_graph(m))
-    if m >= 4 and h == 2 * (m - 1):
-        out.append(_spider((m - 3, 1, 1)))
-    if (m, h) in ((6, 12), (7, 18), (8, 30)):
-        out.append(_spider((m - 4, 2, 1)))
-    if h == 2 * m + 1:
-        tadpole = np.array(path_graph(m), dtype=np.int64)
-        tadpole[-1, -1] = 1
-        out.append(tadpole)
-    return out
+    """The graph of the Coxeter row of (m, h) (invariants.coxeter_row) as
+    its spider, in a list, or [] when there is none."""
+    row = coxeter_row(m, h)
+    if row is None:
+        return []
+    a = _spider(row.legs)
+    a[-1, -1] = row.loop
+    return [a]
 
 
 def _coxeter_number(a: np.ndarray):
-    """The h' at which _coxeter_candidates lists the connected graph a up
+    """The h' of the Coxeter row whose graph is the connected graph a up
     to relabeling, so that its norm is 2cos(pi/h'); None when there is
     none, which is when its norm is 2 or more (Smith 1970, see
     enumerate_su2_nimreps).  An entry above 1 already forces that, and
@@ -427,10 +414,10 @@ def _closes(nr: Nimrep) -> bool:
 def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
     """All size-m nimreps of level-k data, up to relabeling.
 
-    The candidates are the graphs of Coxeter number h = k + 2 on m nodes
-    (_coxeter_candidates), read off an integer table.  Each grows its
-    family n^0..n^k by _grow, labelled as canonical_generator orders it,
-    and none passes the checks of user input that generate_from_generator
+    The candidate is the graph of the Coxeter row of (m, h), h = k + 2
+    (_coxeter_candidates), if there is one.  It grows its family
+    n^0..n^k by _grow, labelled as canonical_generator orders it, and
+    passes none of the checks of user input that generate_from_generator
     makes; a family that leaves the non-negative integers is dropped, and
     one is kept when it closes, n^k n^1 = n^(k-1) (_closes).  That
     certificate is exact and loses nothing, with G the generator:
@@ -454,12 +441,11 @@ def enumerate_su2_nimreps(md: ModularData, m: int) -> tuple:
       at the ends of a path.  Being connected, G is a tree with at most one
       loop.
     - Completeness.  The trees with at most one loop of norm below 2 are
-      A_m, D_m, E6, E7, E8 and T_m, of norms 2cos(pi/h') with h' =
-      m + 1, 2(m - 1), 12, 18, 30 and 2m + 1 (Smith 1970), and their
-      eigenvalues are all of the form 2cos(pi j/h').  A nimrep's
-      generator closes, so by soundness its norm is 2cos(pi/h) < 2; it is
-      then on that list with h' = h, which the table returns, and every
-      graph the table returns closes.
+      the graphs of invariants.coxeter_row (Smith 1970), of norm
+      2cos(pi/h') at their row's h', and their eigenvalues are all of the
+      form 2cos(pi j/h').  A nimrep's generator closes, so by soundness
+      its norm is 2cos(pi/h) < 2; it is then the graph of the row at
+      (m, h), and every row's graph closes.
     """
     if md.family != "su2":
         raise ValueError("enumeration requires level-k data")

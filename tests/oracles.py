@@ -37,9 +37,10 @@ now runs another way, kept only here:
   by entry in mpf with mp.fsum (the package contracts the fixed-point S
   with the whole family at once and normalises by integer square roots).
 
-It also holds the graph builders the tests draw generators from, the
-series helpers only the tests read (euler_product, truncated), and
-with_s, a model with its S replaced.
+It also holds the graph builders the tests draw generators from (the
+package builds every table graph as a spider), the series helpers only
+the tests read (euler_product, truncated), and with_s, a model with its
+S replaced.
 """
 
 import dataclasses
@@ -62,7 +63,6 @@ from bcft.invariants import (
     t_allowed_pairs,
 )
 from bcft.modular_data import ModularData, minimal_sector_table, quantum_dims
-from bcft.nimreps import path_graph
 from intpoly import charpoly, divmod_poly, psi, roots_above
 
 
@@ -346,6 +346,13 @@ def enumerate_bruteforce(
             out.append(_invariant(md, Z))
     out.sort(key=lambda inv: inv.flat())
     return tuple(out)
+
+
+def path_graph(m: int) -> tuple:
+    """A_m: the path on m nodes, node i joined to i - 1 and i + 1."""
+    return tuple(
+        tuple(1 if abs(i - j) == 1 else 0 for j in range(m)) for i in range(m)
+    )
 
 
 def d_graph(m: int) -> tuple:

@@ -1,5 +1,6 @@
 """Exact q-series: frozen heads, product identities, S-transform."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from bcft.characters import (
     theta_prime_series,
     truncation_tail,
 )
-from bcft.errors import SeriesDivisionError
+from bcft.errors import CheckFailure, SeriesDivisionError
 from bcft.hp import GUARD_DIGITS, fixed_bits
 from bcft.modular_data import load_model, model_to_document
 from conftest import all_coprime_pairs, minimal, su2
@@ -70,6 +71,20 @@ def test_su2_leading_coefficient_is_ground_multiplet_dimension():
         assert expo == Fraction(a * (a + 2), 4 * (k + 2)) - Fraction(
             3 * k, 24 * (k + 2)
         )
+
+
+@pytest.mark.parametrize("md, field, shift, sector", [
+    (su2(3), "h", (0, 0, 1, 0), "2"),
+    (minimal(4, 3), "c", 24, "1,1"),
+], ids=["su2-h", "minimal-c"])
+def test_a_character_off_the_models_own_weight_raises(md, field, shift, sector):
+    """Each leading term is checked against the model's own h - c/24, with
+    an exception that python -O keeps: a weight moved by 1 fails at its
+    sector, and c moved by 24, which moves every weight, at the vacuum."""
+    moved = md.c + shift if field == "c" else tuple(x + y for x, y in zip(md.h, shift))
+    with pytest.raises(CheckFailure, match=r"^character of sector %s leads with .* at h - c/24$"
+                       % sector):
+        characters_for(dataclasses.replace(md, **{field: moved}))
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_integrality_failure_names_the_first_offender_in_summation_order():
     assert exc.value.residual > DEFAULT_INTEGRALITY_TOL
 
 
-def test_rounding_is_checked_against_the_error_bound():
+def test_rounding_is_checked_against_the_error_bound(monkeypatch):
     # a tolerance the residual alone meets fails once the bound E is added
     md = su2(2)
     fr = verlinde(md)
@@ -254,10 +254,12 @@ def test_rounding_is_checked_against_the_error_bound():
     assert 0 < E < 1e-60
     # a builder's planes grow exactly under so tight a tolerance too, and
     # max_residual is the worst of the summed ones
-    tight = verlinde(md, integrality_tol=fr.max_residual + 2 * float(E))
+    monkeypatch.setattr(bcft.fusion, "DEFAULT_INTEGRALITY_TOL", fr.max_residual + 2 * float(E))
+    tight = verlinde(md)
     assert np.array_equal(tight.N, fr.N) and tight.max_residual >= fr.max_residual
+    monkeypatch.setattr(bcft.fusion, "DEFAULT_INTEGRALITY_TOL", fr.max_residual + float(E) / 2)
     with pytest.raises(IntegralityFailure):
-        verlinde(md, integrality_tol=fr.max_residual + float(E) / 2)
+        verlinde(md)
 
 
 @pytest.mark.parametrize("k, tol", [(60, 1e-35), (2, None)], ids=["su2_k60", "su2_k2"])

@@ -187,9 +187,10 @@ def test_entry_bounds_refuse_a_bracket_that_straddles_an_integer(monkeypatch):
         entry_bounds(su2(4))
 
 
-def test_node_budget_is_enforced():
+def test_node_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(bcft.invariants, "DEFAULT_NODE_BUDGET", 3)
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_physical(su2(10), node_budget=3)
+        enumerate_physical(su2(10))
 
 
 @pytest.mark.parametrize(
@@ -226,6 +227,9 @@ def test_tags_only_name_level_k_data():
     assert ade_tag(minimal(4, 3), (0, 1, 2)) == "untagged"
     assert ade_tag(su2(10), (0, 1, 2)) == "untagged"
     assert ade_tag(su2(10), tuple(range(11))) == "A11"
+    # T3 is the row of 3 nodes at level 5 (h = 7), but a tadpole tags nothing
+    assert bcft.invariants.coxeter_row(3, 7).name == "T3"
+    assert ade_tag(su2(5), (0, 2, 4)) == "untagged"
 
 
 def test_exponents_of_reads_diagonal_multiplicity():

@@ -35,7 +35,7 @@ import bcft.hp
 import bcft.nimreps as nimreps
 from bcft.fusion import verlinde, verlinde_inputs
 from bcft.hp import from_fixed, to_fraction, tolerance
-from bcft.invariants import ModularInvariant, diagonal_invariant, enumerate_physical
+from bcft.invariants import ModularInvariant, coxeter_row, diagonal_invariant, enumerate_physical
 from bcft.modular_data import load_model
 from bcft.nimreps import (
     Nimrep,
@@ -50,7 +50,6 @@ from bcft.nimreps import (
     generate_from_generator,
     nimrep_document,
     nimrep_from_document,
-    path_graph,
     psi_matrix,
     regular_nimrep,
     spectrum_match,
@@ -59,7 +58,7 @@ from bcft.nimreps import (
 from conftest import all_coprime_pairs, fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 from intpoly import charpoly, mul, psi, rem
 from oracles import (canonical_bruteforce, certify_norm, connected_by_squaring, d_graph, e6_graph,
-                     e7_graph, e8_graph, mpf_s, psi_columns, tadpole_graph, with_s)
+                     e7_graph, e8_graph, mpf_s, path_graph, psi_columns, tadpole_graph, with_s)
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -321,6 +320,24 @@ def test_enumeration_past_thirty_boundaries(k, graph):
     want = path_graph(31) if graph == "A" else _spider((28, 1, 1))
     assert nr.nmats[1].tolist() == [list(r) for r in canonical_generator(want)]
     assert verify(nr, verlinde(md)).ok
+
+
+@pytest.mark.parametrize("k", [*range(1, 21), 28])
+def test_every_invariant_tag_names_the_graph_of_its_nimrep(k):
+    """One Coxeter row gives an invariant its tag and the nimrep its
+    generator: the row of (Z.size, k + 2) is named Z.tag, and its graph is
+    the generator of the one nimrep of that size, which matches Z."""
+    md = su2(k)
+    for Z in enumerate_physical(md):
+        assert Z.tag == coxeter_row(Z.size, k + 2).name
+        (nr,) = enumerate_su2_nimreps(md, Z.size)
+        (graph,) = _coxeter_candidates(Z.size, k + 2)
+        assert nr.nmats[1].tolist() == [list(r) for r in canonical_generator(graph)]
+        assert spectrum_match(nr, Z, md).ok
+
+
+def test_each_size_and_coxeter_number_has_at_most_one_graph():
+    assert all(len(_coxeter_candidates(m, h)) <= 1 for m in range(200) for h in range(420))
 
 
 # ---------------------------------------------------------------------------
