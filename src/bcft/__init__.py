@@ -9,7 +9,12 @@ when one of its attributes is first read.
 
 import importlib
 import importlib.util
+import os
 import sys
+
+# one BLAS thread: the package's matrices are small, and a second OpenBLAS
+# thread only spins; set before numpy loads, and a value already set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

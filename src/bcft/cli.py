@@ -21,13 +21,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-# one BLAS thread: a command's matrices are small, and a second OpenBLAS
-# thread only spins; set before numpy loads, and a value already set wins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import characters, fusion, hp, invariants, modular_data, nimreps, report
 from .errors import BcftError, CheckFailure, MigrationError

@@ -14,6 +14,64 @@ Fixed arrays are transient.  Fixed.gram forms
 S^2, S T S and the summed Verlinde planes of a real, exactly symmetric S
 as one triangle; any other S takes Fixed.dot.  The Gauss-Jordan
 elimination runs on Python ints.
+
+Certified roundings.  Each rounding to an exact object, or to a value a
+verdict compares, is bounded in the docstring of the function named by
+"proof" and checked by the test named by "test" (file::function under
+tests/).  A unit is 2^-B, B = fixed_bits(precision).
+
+- A builder's S: each entry within 0.51 units of the exact S.
+  proof: modular_data._sine_table
+  test: test_modular_data::test_written_s_matches_the_mpf_oracle_and_lies_within_one_unit
+- T: each part of each phase within 0.51 units of the exact phase.
+  proof: modular_data.ModularData.T
+  test: test_modular_data::test_t_row_lies_within_half_a_unit_of_the_exact_phase
+- Verlinde sums: within E of the sums over the working S and its 1/S_0.
+  proof: fusion.verlinde_inputs
+  test: test_fusion::test_fixed_point_sums_lie_within_the_bound
+- A builder's planes: within D = n s^2 w (3 + 2 s w) 2^-B of the exact
+  sums; a plane within tolerance + D < 1/2 is the integer plane, and the
+  ring law grows the rest exactly.
+  proof: fusion.verlinde
+  test: test_fusion::test_every_plane_lies_within_the_exact_distance
+- Commutant basis: a row C is certified when |C v| + 2^-B |v|_1 is at
+  most tolerance(precision), v the basis vector scaled to ints.
+  proof: invariants._commutant
+  test: test_commutant::test_certificate_equals_the_dense_rows
+- Invariant entry bounds: the floors from s - 1 and s + 1 agree, or
+  CheckFailure.
+  proof: invariants.entry_bounds
+  test: test_invariants::test_entry_bounds_equal_the_mpf_floors
+- Exponent traces: within m (ceil(s + w) + 2) units.
+  proof: nimreps._exponent_traces
+  test: test_nimreps::test_exponent_traces_lie_within_their_error_bound
+- psi: each entry within sqrt(m) + 2 units of the unit eigenvector.
+  proof: nimreps.psi_matrix
+  test: test_nimreps::test_psi_equals_the_mpf_projector_columns
+- Closure products: no entry of n^a exceeds a + 1, so float64 is exact
+  where m (k + 1)^2 < 2^53.
+  proof: nimreps._closes
+  test: test_nimreps::test_no_entry_of_a_grown_table_family_exceeds_its_step_plus_one
+- Exact float64 products: terms * max|a| * max|b| < 2^53.
+  proof: hp.exact_dtype
+  test: test_fusion::test_checks_at_the_float64_bound_equal_the_object_oracle
+- Character values: the cut terms add at most 2^-(B+40), the floors at
+  most 2^-B / (1 - x).
+  proof: characters.QSeries.evaluate
+  test: test_characters::test_evaluate_stays_within_its_error_bound
+- S-transform residual: within (sqrt(n) + 3) / 2 units of the residual
+  over the unrounded characters.
+  proof: characters._s_residual
+  test: test_characters::test_s_residual_lies_within_its_rounding_bound
+- Heat-kernel residuals: within sqrt(e) + 2 units of the residual over
+  the rounded characters, W and psi.
+  proof: report._heat_kernel_residuals
+  test: test_report::test_heat_kernel_residuals_lie_within_their_rounding_bound
+- Truncation tails: rest on trust.  The envelope
+  |c_j| <= 100 (j+1)^4 exp(pi sqrt(6 j)) is checked through order 400 on
+  the built-in families, not proved.
+  proof: characters.truncation_tail
+  test: test_characters::test_every_coefficient_lies_inside_the_tail_envelope
 """
 
 from __future__ import annotations

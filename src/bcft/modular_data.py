@@ -311,7 +311,6 @@ def build_minimal(p: int, p_prime: int, precision: int = DEFAULT_PRECISION) -> M
         SectorLabel(i, "%d,%d" % rep) for i, (rep, _) in enumerate(table)
     ]
     h = [hv for _, hv in table]
-    n = len(table)
     T = fixed_bits(precision) + SINE_GUARD_BITS
     shift, half = T + SINE_GUARD_BITS, 1 << T + SINE_GUARD_BITS - 1
     # S_(r,s)(rho,sigma) = (-1)^(1 + s rho + r sigma) 2 sqrt(2/(p p'))
@@ -324,7 +323,6 @@ def build_minimal(p: int, p_prime: int, precision: int = DEFAULT_PRECISION) -> M
              + half) >> shift
             for (rho, sigma), _ in table)
         for (r, s), _ in table)
-    assert n == (p - 1) * (p_prime - 1) // 2
     return _finish(sectors, c, h, (S, None), precision, "minimal", (p, p_prime))
 
 

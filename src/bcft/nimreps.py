@@ -297,21 +297,31 @@ def psi_matrix(nr: Nimrep, Z: ModularInvariant, md: ModularData) -> PsiMatrix:
 def canonical_generator(G) -> tuple:
     """Canonical adjacency matrix of a loop-marked tree.
 
-    Rooted-tree encoding (mark, sorted child encodings) taken at the
-    tree center, which is relabeling-invariant; the matrix is rebuilt
-    from the encoding in preorder.  Raises ValueError for a non-tree.
-    Encoding recurses about two frames per level below the center, so a
-    tree of radius near 500, such as the path on 996 nodes, passes
-    Python's default limit of 1,000 frames and raises RecursionError.
+    The leaf peel that finds the tree's one or two centers also codes each
+    peeled vertex, rooted away from the centers, as the flat list
+    [OPEN, mark, *sorted child codes, CLOSE]; a center closes the code of
+    the whole tree, and of two centers the smaller code wins.  The code is
+    relabeling-invariant, and the matrix is rebuilt from it in preorder.
+    Raises ValueError for a non-tree.
+
+    Plain list order on these codes is the order of the nested tuples
+    (mark, (child, ...)).  Where two codes first differ, both have read the
+    same tokens before, so a mark meets a mark and a bracket a bracket.
+    Balanced codes are prefix-free, so a run of child codes compares as the
+    tuple of its codes, and CLOSE < OPEN puts a run that stops below one
+    that goes on, as a tuple sorts below its extensions.  Comparing lists
+    takes no recursion, so no depth limit bounds the tree.
     """
     a = np.array(G, dtype=object)
     m = a.shape[0]
-    if m == 1:
-        return ((int(a[0, 0]),),)
-    nbrs = [
-        [j for j in range(m) if j != i and a[i, j]] for i in range(m)
-    ]
+    nbrs = [[u for u in np.flatnonzero(a[v]).tolist() if u != v] for v in range(m)]
     n_edges = sum(len(x) for x in nbrs) // 2
+    CLOSE, OPEN = 0, 1
+    kids = [[] for _ in range(m)]  # the codes of each vertex's peeled neighbours
+
+    def code(v, *more):
+        return [OPEN, int(a[v, v]), *(t for kid in sorted(kids[v] + list(more)) for t in kid),
+                CLOSE]
 
     deg = [len(x) for x in nbrs]
     alive = set(range(m))
@@ -322,6 +332,7 @@ def canonical_generator(G) -> tuple:
             alive.discard(v)
             for u in nbrs[v]:
                 if u in alive:
+                    kids[u].append(code(v))
                     deg[u] -= 1
                     if deg[u] == 1:
                         nxt.append(u)
@@ -329,27 +340,18 @@ def canonical_generator(G) -> tuple:
     # m - 1 edges and no cycle, which would never peel: a tree
     if n_edges != m - 1 or len(alive) > 2:
         raise ValueError("canonical form needs a loop-marked tree")
-    centers = sorted(alive)
-
-    def encode(v, parent):
-        subs = sorted(encode(u, v) for u in nbrs[v] if u != parent)
-        return (int(a[v, v]), tuple(subs))
-
-    enc = min(encode(c, None) for c in centers)
-
+    tokens = iter(min(code(c, *(code(d) for d in alive - {c})) for c in alive))
     rows = [[0] * m for _ in range(m)]
-    counter = [0]
-
-    def rebuild(node, parent_idx):
-        idx = counter[0]
-        counter[0] += 1
-        rows[idx][idx] = node[0]
-        if parent_idx is not None:
-            rows[idx][parent_idx] = rows[parent_idx][idx] = 1
-        for child in node[1]:
-            rebuild(child, idx)
-
-    rebuild(enc, None)
+    path, idx = [], 0  # the preorder indices from the root to the open vertex
+    for token in tokens:
+        if token == CLOSE:
+            path.pop()
+            continue
+        rows[idx][idx] = next(tokens)
+        if path:
+            rows[idx][path[-1]] = rows[path[-1]][idx] = 1
+        path.append(idx)
+        idx += 1
     return tuple(tuple(r) for r in rows)
 
 

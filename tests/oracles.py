@@ -22,6 +22,10 @@ now runs another way, kept only here:
   closes);
 - canonical_bruteforce: the canonical form of any small graph as the
   minimum over all relabelings (the package canonicalizes trees only);
+- canonical_recursive: a tree's canonical form from nested-tuple
+  encodings, built and rebuilt by recursion (the package codes each
+  vertex as a flat list of ints during its leaf peel and rebuilds from
+  an explicit stack);
 - connected_by_squaring: connectivity as the closure of m boolean
   squarings, O(m^4) (the package walks breadth-first from one node);
 - qseries_mul and qseries_div: q-series product and quotient over every
@@ -411,6 +415,59 @@ def canonical_bruteforce(G) -> tuple:
         if best is None or cand < best:
             best = cand
     return tuple(tuple(best[i * m + j] for j in range(m)) for i in range(m))
+
+
+def canonical_recursive(G) -> tuple:
+    """Canonical adjacency matrix of a loop-marked tree: the rooted-tree
+    encoding (mark, sorted child encodings) at the tree center as nested
+    tuples, rebuilt in preorder, both by recursion.  Raises ValueError for
+    a non-tree, and RecursionError on a tree of radius near 500."""
+    a = np.array(G, dtype=object)
+    m = a.shape[0]
+    if m == 1:
+        return ((int(a[0, 0]),),)
+    nbrs = [
+        [j for j in range(m) if j != i and a[i, j]] for i in range(m)
+    ]
+    n_edges = sum(len(x) for x in nbrs) // 2
+
+    deg = [len(x) for x in nbrs]
+    alive = set(range(m))
+    layer = [v for v in alive if deg[v] <= 1]
+    while len(alive) > 2 and layer:
+        nxt = []
+        for v in layer:
+            alive.discard(v)
+            for u in nbrs[v]:
+                if u in alive:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    if n_edges != m - 1 or len(alive) > 2:
+        raise ValueError("canonical form needs a loop-marked tree")
+    centers = sorted(alive)
+
+    def encode(v, parent):
+        subs = sorted(encode(u, v) for u in nbrs[v] if u != parent)
+        return (int(a[v, v]), tuple(subs))
+
+    enc = min(encode(c, None) for c in centers)
+
+    rows = [[0] * m for _ in range(m)]
+    counter = [0]
+
+    def rebuild(node, parent_idx):
+        idx = counter[0]
+        counter[0] += 1
+        rows[idx][idx] = node[0]
+        if parent_idx is not None:
+            rows[idx][parent_idx] = rows[parent_idx][idx] = 1
+        for child in node[1]:
+            rebuild(child, idx)
+
+    rebuild(enc, None)
+    return tuple(tuple(r) for r in rows)
 
 
 def connected_by_squaring(a: np.ndarray) -> np.ndarray:

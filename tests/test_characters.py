@@ -13,6 +13,8 @@ from mpmath.libmp import dps_to_prec
 import oracles
 from bcft.characters import (
     QSeries,
+    _Evaluated,
+    _s_residual,
     characters_for,
     eta_series,
     linear_combination,
@@ -22,7 +24,7 @@ from bcft.characters import (
     truncation_tail,
 )
 from bcft.errors import CheckFailure, SeriesDivisionError
-from bcft.hp import GUARD_DIGITS, fixed_bits
+from bcft.hp import GUARD_DIGITS, fixed_bits, from_fixed
 from bcft.modular_data import load_model, model_to_document
 from conftest import all_coprime_pairs, minimal, su2
 
@@ -530,6 +532,30 @@ def test_characters_need_a_builder_family():
     anonymous = load_model(doc)
     with pytest.raises(ValueError):
         characters_for(anonymous, 40)
+
+
+@pytest.mark.parametrize("model, beta", [(lambda: minimal(4, 3), None),
+                                         (lambda: minimal(5, 2), 3), (lambda: su2(10), 5)],
+                         ids=["ising", "lee_yang_beta3", "su2_k10_beta5"])
+def test_s_residual_lies_within_its_rounding_bound(model, beta):
+    """_s_residual against max |S chi(q) - chi(q~)| over the fixed-point S
+    and the characters as evaluate returns them, before their rounding to
+    2^-B, at 150 digits: within (sqrt(n) + 3) / 2 units."""
+    md, order = model(), 200
+    chis = characters_for(md, order)
+    with workdps(md.precision + GUARD_DIGITS):
+        ev = _Evaluated(chis, order, beta, md.precision)
+        got = _s_residual(md, ev)
+        b = mpf(beta) if beta is not None else 2 * mp.pi
+        chi_q, chi_qt = ([chi.evaluate(x, md.precision) for chi in chis]
+                         for x in (mp.exp(-b), mp.exp(-4 * mp.pi ** 2 / b)))
+    S = oracles.mpf_s(md)
+    with workdps(150):
+        exact = max(abs(mp.fsum(S[lam][mu] * chi_q[mu] for mu in range(md.n)) - chi_qt[lam])
+                    for lam in range(md.n))
+        unit = from_fixed(1, fixed_bits(md.precision))
+        assert max(ev.tail_q, ev.tail_qt) < unit
+        assert abs(got - exact) <= (mp.sqrt(md.n) + 3) / 2 * unit
 
 
 def test_truncation_tail_bounds_actual_remainder():

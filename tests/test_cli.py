@@ -1027,6 +1027,24 @@ def test_the_command_line_asks_for_one_blas_thread_unless_told(preset):
     assert proc.stdout == "%s False\n" % (preset or "1"), proc.stderr[-500:]
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_library_asks_for_one_blas_thread_unless_told(preset):
+    """import bcft sets the variable and loads no numpy, so a library
+    caller's first numeric call starts OpenBLAS on one thread too."""
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import os, sys\n"
+              "import bcft\n"
+              "loaded = 'numpy' in sys.modules\n"
+              "bcft.build_su2(2)\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.stdout == "%s False\n" % (preset or "1"), proc.stderr[-500:]
+
+
 def test_invalid_input_exits_one_with_a_warm_cache(capsys, tmp_path):
     """Each refused input has a valid neighbour in the cache; the key-first
     lookup must not serve it."""

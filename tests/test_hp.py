@@ -1,8 +1,13 @@
 """Fixed-point Gauss-Jordan elimination, the precision-tied tolerance,
-fixed-point products and decimal rendering."""
+fixed-point products and decimal rendering, and the table of certified
+roundings in the hp module docstring."""
 
+import ast
+import importlib
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import from_man_exp
 
+import bcft.hp
 from bcft.errors import RationalizationFailure
 from bcft.hp import (
     Fixed,
@@ -306,3 +312,51 @@ def test_num_str_of_from_fixed_inverts_parse_fixed():
     for text in ("0.12345678901234567890", "-0.5000000000+0.2500000000i"):
         x, y = parse_fixed(text, fixed_bits(20))
         assert num_str(from_fixed(x, fixed_bits(20), y), 20 if "i" not in text else 10) == text
+
+
+# ---------------------------------------------------------------------------
+# the table of certified roundings
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _ledger() -> list:
+    """(proof, test) for each row of the table in the hp module docstring."""
+    doc = bcft.hp.__doc__
+    rows = doc[doc.index("Certified roundings."):].split("\n- ")[1:]
+    out = []
+    for row in rows:
+        (proof,) = re.findall(r"^  proof: (\S+)$", row, re.M)
+        (test,) = re.findall(r"^  test: (\S+)$", row, re.M)
+        out.append((proof, test))
+    return out
+
+
+def test_every_certified_rounding_names_a_proof_that_resolves():
+    """Each proof is a documented function of the package: a module of bcft,
+    then attributes."""
+    rows = _ledger()
+    assert len(rows) == 14
+    missing = []
+    for proof, _ in rows:
+        module, *attrs = proof.split(".")
+        obj = importlib.import_module("bcft." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not (obj and obj.__doc__):
+            missing.append(proof)
+    assert not missing
+
+
+def test_every_certified_rounding_names_a_test_defined_under_tests():
+    defined = {}
+    for path in TESTS.glob("test_*.py"):
+        defined[path.stem] = {node.name for node in ast.parse(path.read_text()).body
+                              if isinstance(node, ast.FunctionDef)}
+    missing = []
+    for _, test in _ledger():
+        file, _, name = test.partition("::")
+        if name not in defined.get(file, ()):
+            missing.append(test)
+    assert not missing

@@ -57,8 +57,9 @@ from bcft.nimreps import (
 )
 from conftest import all_coprime_pairs, fusion_minimal, fusion_su2, minimal, su2, su3_level1_document
 from intpoly import charpoly, mul, psi, rem
-from oracles import (canonical_bruteforce, certify_norm, connected_by_squaring, d_graph, e6_graph,
-                     e7_graph, e8_graph, mpf_s, path_graph, psi_columns, tadpole_graph, with_s)
+from oracles import (canonical_bruteforce, canonical_recursive, certify_norm, connected_by_squaring,
+                     d_graph, e6_graph, e7_graph, e8_graph, mpf_s, path_graph, psi_columns,
+                     tadpole_graph, with_s)
 
 # ---------------------------------------------------------------------------
 # generation and verification
@@ -106,8 +107,8 @@ def test_e6_at_wrong_level_grows_but_fails_verification():
 
 
 def test_a_generator_of_another_norm_is_refused_before_it_grows(monkeypatch):
-    # 2,000 nodes would take about 100 s of products at level 10, and
-    # canonical_generator would pass the recursion limit on them
+    # 2,000 nodes would take about 100 s of products at level 10; the
+    # refusal comes before any canonical form
     def refuse(G):
         raise AssertionError("canonical_generator ran")
 
@@ -506,6 +507,44 @@ def test_canonical_form_is_permutation_invariant(g, rng):
 C3 = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
+def _same_as_recursive(g):
+    """canonical_generator(g) equals the recursive oracle's form, or both
+    refuse g as a non-tree."""
+    try:
+        want = canonical_recursive(g)
+    except ValueError:
+        with pytest.raises(ValueError, match="loop-marked tree"):
+            canonical_generator(g)
+    else:
+        assert canonical_generator(g) == want
+
+
+def test_canonical_form_equals_the_recursive_oracle_on_table_graphs():
+    rng = random.Random(41)
+    for m in range(1, 31):
+        for c in (c for h in range(2, 62) for c in _coxeter_candidates(m, h)):
+            _same_as_recursive(c)
+            for _ in range(3):
+                perm = rng.sample(range(m), m)
+                _same_as_recursive(c[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_canonical_form_equals_the_recursive_oracle_on_every_small_tree(m):
+    for tree in unlabeled_trees(m):
+        for g in _with_one_loop(tree):
+            _same_as_recursive(g)
+
+
+@pytest.mark.parametrize("graph", [path_graph, d_graph], ids=["path", "d"])
+def test_canonical_form_of_a_2000_node_tree(graph):
+    # the recursive form passes Python's frame limit near 990 nodes
+    g = graph(2000)
+    canon = canonical_generator(g)
+    assert canonical_generator(canon) == canon
+    assert sorted(map(sum, canon)) == sorted(map(sum, g))
+
+
 def test_canonical_form_handles_small_cycles_and_rejects_big_ones():
     # the package canonicalizes trees only; the oracle handles small cycles
     assert canonical_bruteforce(C3) == C3
@@ -520,8 +559,9 @@ def test_canonical_form_refuses_every_non_tree():
     # a triangle beside a lone node has m - 1 edges, like a tree
     c3_and_node = ((0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 0, 0))
     for g in (C3, c3_and_node, ((0, 0), (0, 0))):
-        with pytest.raises(ValueError, match="loop-marked tree"):
-            canonical_generator(g)
+        for canonical in (canonical_generator, canonical_recursive):
+            with pytest.raises(ValueError, match="loop-marked tree"):
+                canonical(g)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +599,17 @@ def _grow(G, k: int) -> Nimrep:
 def test_e6_family_closes_at_level_ten():
     assert _closes(generate_from_generator(e6_graph(), su2(10)))
     assert _closes(_grow(e6_graph(), 10))
+
+
+def test_no_entry_of_a_grown_table_family_exceeds_its_step_plus_one():
+    """_closes multiplies in float64 on the bound |n^a| <= a + 1 for a
+    generator of norm below 2: every table graph on up to 40 nodes, grown
+    at its own level."""
+    for h in range(3, 82):
+        for m in range(1, min(h, 40) + 1):
+            for c in _coxeter_candidates(m, h):
+                nr = nimreps._grow(c, h - 2)
+                assert all(int(abs(n).max()) <= a + 1 for a, n in enumerate(nr.nmats)), (m, h)
 
 
 def test_closure_refuses_a_root_above_the_target():

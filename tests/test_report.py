@@ -9,14 +9,16 @@ import bcft.characters
 import bcft.modular_data
 import bcft.nimreps
 import bcft.report
-from bcft.characters import QSeries, characters_for, linear_combination, s_transform_residual
+from bcft.characters import (QSeries, _Evaluated, characters_for, linear_combination,
+                             s_transform_residual)
 from bcft.cli import main as cli_main
 from bcft.fusion import verlinde
-from bcft.hp import Fixed, num_str
+from bcft.hp import GUARD_DIGITS, Fixed, from_fixed, num_str
 from bcft.invariants import diagonal_invariant, enumerate_physical
 from bcft.modular_data import build_su2
 from bcft.nimreps import enumerate_su2_nimreps, psi_matrix, regular_nimrep, spectrum_match
 from bcft.report import (
+    _heat_kernel_residuals,
     annulus,
     annulus_document,
     full_report,
@@ -139,6 +141,42 @@ def test_psi_and_both_channel_checks_make_no_mpf_sum(monkeypatch):
         residuals = heat_kernel_residuals(md, nr, Z)
         assert len(residuals) == nr.size ** 2 and max(residuals.values()) < 1e-8
         assert s_transform_residual(md) < 1e-8
+
+
+def test_heat_kernel_residuals_lie_within_their_rounding_bound():
+    """Each residual against |closed - open| summed exactly at 150 digits
+    over psi, W and the characters rounded to 2^-B: within sqrt(e) + 2
+    units, e the number of exponents."""
+    e6_model = su2(10)
+    (e6,) = [z for z in enumerate_physical(e6_model) if z.tag == "E6"]
+    (e6_nimrep,) = enumerate_su2_nimreps(e6_model, 6)
+    ising = ISING()
+    cases = [(e6_model, e6, e6_nimrep, None),
+             (ising, diagonal_invariant(ising), regular_nimrep(fusion_minimal(4, 3)), 3)]
+    for md, Z, nr, beta in cases:
+        psi = psi_matrix(nr, Z, md)
+        with workdps(md.precision + GUARD_DIGITS):
+            ev = _Evaluated(characters_for(md, 200), 200, beta, md.precision)
+            got = _heat_kernel_residuals(md, nr, psi, ev)
+        _, W, _ = md.fixed
+        P, bits, lams = psi.psi, psi.psi.bits, list(psi.exponents)
+
+        def value(F, *index):
+            return from_fixed(int(F.re[index]), bits, 0 if F.im is None else int(F.im[index]))
+
+        with workdps(150):
+            chi_q = [from_fixed(int(x), bits) for x in ev.chi_q.re]
+            weights = [from_fixed(int(ev.chi_qt.re[lam]), bits) * value(W, lam) for lam in lams]
+            unit = from_fixed(1, bits)
+            assert max(ev.tail_q, ev.tail_qt) < unit
+            for ai, a in enumerate(nr.labels):
+                for bi, b in enumerate(nr.labels):
+                    closed = mp.fsum(value(P, ai, i) * mp.conj(value(P, bi, i)) * weights[i]
+                                     for i in range(len(lams)))
+                    opened = mp.fsum(int(nr.nmats[rho, ai, bi]) * chi_q[rho]
+                                     for rho in range(md.n))
+                    assert abs(got[a, b] - abs(closed - opened)) <= (
+                        mp.sqrt(len(lams)) + 2) * unit, (a, b)
 
 
 def test_heat_kernel_beta_must_be_positive():

@@ -6,8 +6,8 @@ oracles or intpoly from bcft would resolve under pytest and fail only
 outside it.  And persistence, which the command line reads before any
 numeric code runs, imports only the standard library and bcft.errors.
 And every function and class of the package has a reader in the program
-or in what a user or the benchmark calls.  The files are parsed, not
-imported.
+or in what a user or the benchmark calls, and no module relies on an
+assert statement.  The files are parsed, not imported.
 """
 
 import ast
@@ -51,6 +51,14 @@ def test_persistence_imports_only_the_standard_library_and_errors():
     package = {name for name in imports if name.startswith(".")}
     assert package == {".errors"}
     assert imports - package <= sys.stdlib_module_names | {"__future__"}
+
+
+def test_no_package_module_asserts():
+    """python -O strips assert statements, so no check of the package may
+    rest on one: a failed check raises a BcftError such as CheckFailure."""
+    asserts = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not asserts
 
 
 def test_no_package_module_reads_linalg():
